@@ -36,8 +36,6 @@ from .qstate import BellLabel, TwoQubitState, joint_probabilities
 #: Quantum-mechanical ceiling on |S| (Tsirelson bound).
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
-DEFAULT_SIGNS = (1, -1, 1, 1)
-
 _CANONICAL_SIGNS: dict[BellLabel, tuple[int, int, int, int]] = {
     BellLabel.PHI_PLUS: (1, -1, 1, 1),
     BellLabel.PHI_MINUS: (1, -1, -1, -1),
@@ -69,7 +67,7 @@ class ChshSettings:
     a_prime: AnalyzerSetting
     b: AnalyzerSetting
     b_prime: AnalyzerSetting
-    signs: tuple[int, int, int, int] = DEFAULT_SIGNS
+    signs: tuple[int, int, int, int] = (1, -1, 1, 1)
 
     def __post_init__(self) -> None:
         angles = [s.polarization_angle_deg % 180.0 for s in self.all_settings()]

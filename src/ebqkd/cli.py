@@ -5,7 +5,9 @@ and mutual-information columns), ``session`` (one protocol run from a JSON
 config file), ``thresholds`` (safe-operation QBER limits) and ``analyze``
 (coincidence-count file to CHSH + security report).
 
-Exit codes: 0 success, 2 usage/configuration, 3 I/O, 4 data validation.
+Exit codes: 0 success, 2 usage/configuration, 3 I/O, 4 data validation
+(including an empty key basis or CHSH setting pair: no front end reports a
+QBER or S it did not measure).
 Sweeps write a versioned tab-delimited table; reports are versioned JSON.
 All outputs are byte-identical across runs with the same seed.
 """
@@ -26,11 +28,9 @@ import numpy as np
 
 from . import chsh, ingest, optics, protocol, security
 from .measurement import (
-    AnalyzerSetting,
     CoincidenceRow,
     CoincidenceTable,
     DetectorModel,
-    bob_flip,
     intercept_average_state,
     sample_outcomes,
     spawn_rng,
@@ -70,9 +70,9 @@ class ConfigError(ValueError):
 class SweepSpec:
     """One parameter scan: a mechanism, its grid and the per-point budget.
 
-    QBER columns always sample the H/V and D/A key bases, the reference
-    frame in which the linear S-QBER law is exact for every mechanism;
-    ``protocol_kind`` tags the emitted header.
+    QBER columns always sample the H/V and D/A key bases (BBM92's), the
+    reference frame in which the linear S-QBER law is exact for every
+    mechanism; ``protocol_kind`` tags the emitted header.
     """
 
     mechanism: str
@@ -125,47 +125,33 @@ def sweep_point(spec: SweepSpec, index: int, value: float, seed: int) -> dict[st
 
     s_analytic = chsh.s_analytic(analytic_state, settings).s
 
-    rows = []
-    for k, (a, b) in enumerate(settings.pairs()):
-        counts = sample_outcomes(
+    rows = tuple(
+        CoincidenceRow(a, b, *sample_outcomes(
             state, a, b, spec.detector, spec.n_pairs, spawn_rng(seed, index, k), eve_fraction=eve
-        )
-        rows.append(CoincidenceRow(a, b, *counts))
-    sampled = chsh.s_from_counts(CoincidenceTable(tuple(rows)), settings)
-
-    basis_qber = []
-    for k, pol_rad in enumerate((0.0, math.pi / 4)):
-        setting = AnalyzerSetting.from_polarization(math.degrees(pol_rad))
-        counts = sample_outcomes(
-            state,
-            setting,
-            setting,
-            spec.detector,
-            spec.n_pairs,
-            spawn_rng(seed, index, 4 + k),
-            eve_fraction=eve,
-        )
-        n_pp, n_pm, n_mp, n_mm = counts
-        total = sum(counts)
-        wrong = (n_pp + n_mm) if bob_flip(spec.label, pol_rad) else (n_pm + n_mp)
-        basis_qber.append(wrong / total if total else 0.0)
-
+        ))
+        for k, (a, b) in enumerate(settings.pairs() + protocol.BBM92.key_pairs())
+    )
+    est = protocol.estimate(CoincidenceTable(rows), spec.label, protocol.BBM92, settings)
+    basis_qber = est.per_basis_qber.values()
     qber = max(basis_qber) if spec.qber_mode == "worst" else sum(basis_qber) / 2.0
-    report = security.evaluate(basis_qber[0], basis_qber[1], s=sampled.s)
     return {
         "mechanism_param": value,
         "S_analytic": s_analytic,
-        "S_sampled": sampled.s,
-        "sigma_S": sampled.sigma_s,
+        "S_sampled": est.chsh.s,
+        "sigma_S": est.chsh.sigma_s,
         "qber": qber,
-        "I_AB": report.i_ab,
-        "I_AE": report.i_ae,
-        "r": report.r,
+        "I_AB": est.report.i_ab,
+        "I_AE": est.report.i_ae,
+        "r": est.report.r,
     }
 
 
 def run_sweep(spec: SweepSpec, seed: int, workers: int = 1) -> list[dict[str, float]]:
-    """All grid points, in grid order regardless of worker scheduling."""
+    """All grid points, in grid order regardless of worker scheduling.
+
+    The pool never has more workers than grid points or CPUs.
+    """
+    workers = min(workers, len(spec.grid), os.cpu_count() or 1)
     if workers <= 1:
         return [sweep_point(spec, i, v, seed) for i, v in enumerate(spec.grid)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -306,10 +292,6 @@ def _write_report(doc: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _security_dict(report: security.SecurityReport) -> dict:
-    return dataclasses.asdict(report)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     spec = SweepSpec(
         mechanism=args.mechanism,
@@ -364,7 +346,7 @@ def cmd_session(args: argparse.Namespace) -> int:
                 "correlators": list(record.chsh_subset.correlators),
             },
         },
-        "security": _security_dict(report),
+        "security": dataclasses.asdict(report),
     }
     if args.emit_keys:
         out["record"]["key_alice"] = "".join(str(b) for b in record.key_bits_alice)
@@ -417,7 +399,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "sigma_S": estimate.sigma_s,
                 "correlators": list(estimate.correlators),
             },
-            "security": _security_dict(report),
+            "security": dataclasses.asdict(report),
         },
         args.out,
     )
@@ -479,16 +461,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ingest.CountFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, protocol.NoSiftedBitsError) as exc:
+    except ValueError as exc:  # CountFileError, empty bases and CHSH rows
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -15,8 +15,9 @@ Example::
     0       11.25   58934   59102   853
 
 ``analyze_counts`` assembles full outcome quadruples for each CHSH setting
-pair from the projector rows (a, a+90) x (b, b+90), estimates S and the
-per-basis QBERs, and evaluates the security quantities.
+pair and key basis from the projector rows (a, a+90) x (b, b+90) into one
+:class:`~ebqkd.measurement.CoincidenceTable` and hands it to the shared
+estimator :func:`ebqkd.protocol.estimate`.
 """
 
 from __future__ import annotations
@@ -27,19 +28,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
 
-import numpy as np
-
 from . import chsh, security
 from .measurement import (
     AnalyzerSetting,
     CoincidenceRow,
     CoincidenceTable,
     DetectorModel,
-    bob_flip,
+    hwp_key,
     sample_outcomes,
     spawn_rng,
 )
-from .protocol import BBM92, ProtocolKind
+from .protocol import BBM92, EmptyBasisError, ProtocolKind, estimate
 from .qstate import BellLabel, TwoQubitState, joint_probabilities
 
 FORMAT_NAME = "qkd-counts"
@@ -79,14 +78,13 @@ class CountRecordFile:
     seconds_per_row: float
     rows: tuple[CountRow, ...]
 
-    def find(self, alice_hwp_deg: float, bob_hwp_deg: float, atol: float = 1e-6) -> CountRow | None:
-        for row in self.rows:
-            if (
-                abs(row.alice_hwp_deg - alice_hwp_deg % 180.0) <= atol
-                and abs(row.bob_hwp_deg - bob_hwp_deg % 180.0) <= atol
-            ):
-                return row
-        return None
+    def __post_init__(self) -> None:
+        # Keyed like the parser's duplicate check; the first row wins.
+        index = {hwp_key(r.alice_hwp_deg, r.bob_hwp_deg): r for r in reversed(self.rows)}
+        object.__setattr__(self, "_index", index)
+
+    def find(self, alice_hwp_deg: float, bob_hwp_deg: float) -> CountRow | None:
+        return self._index.get(hwp_key(alice_hwp_deg, bob_hwp_deg))
 
 
 def _iter_content_lines(text: str) -> Iterable[tuple[int, str]]:
@@ -104,15 +102,18 @@ def parse_counts(source: str | Path | bytes | IO[str] | IO[bytes]) -> CountRecor
     Raises:
         CountFileError: naming the offending line for malformed rows,
             negative counts, duplicate angle pairs, unknown versions and
-            empty files.
+            empty files, and for input that is not valid UTF-8.
     """
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    elif isinstance(source, bytes):
-        text = source.decode("utf-8")
-    else:
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    try:
+        if isinstance(source, (str, Path)):
+            text = Path(source).read_text(encoding="utf-8")
+        elif isinstance(source, bytes):
+            text = source.decode("utf-8")
+        else:
+            data = source.read()
+            text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise CountFileError(f"not valid UTF-8: {exc.reason} at byte {exc.start}") from exc
 
     lines = list(_iter_content_lines(text))
     if not lines:
@@ -213,7 +214,7 @@ def _parse_row(content: str, lineno: int, seen: dict[tuple[float, float], int]) 
             )
         counts.append(value)
     a_deg, b_deg = angles
-    key = (round(a_deg, 6), round(b_deg, 6))
+    key = hwp_key(a_deg, b_deg)
     if key in seen:
         raise CountFileError(
             f"duplicate angle pair ({a_deg}, {b_deg}), first seen on line {seen[key]}", lineno
@@ -240,9 +241,13 @@ def write_counts(record: CountRecordFile, dest: str | Path | IO[str]) -> None:
         dest.write(buf.getvalue())
 
 
-def _orthogonal_hwp(hwp_deg: float) -> float:
-    """HWP angle projecting on the orthogonal polarization (+90 deg)."""
-    return (hwp_deg + 45.0) % 180.0
+def _projector_pairs(a: AnalyzerSetting, b: AnalyzerSetting) -> list[tuple[float, float]]:
+    """HWP rows whose coincidences give the (++, +-, -+, --) outcomes of (a, b).
+
+    The orthogonal polarization (+90 deg) sits 45 deg further on the plate.
+    """
+    a_hwp, b_hwp = a.hwp_angle_deg, b.hwp_angle_deg
+    return [(ah, bh) for ah in (a_hwp, (a_hwp + 45.0) % 180.0) for bh in (b_hwp, (b_hwp + 45.0) % 180.0)]
 
 
 def required_hwp_pairs(
@@ -254,21 +259,11 @@ def required_hwp_pairs(
     expanded over both output ports per side) plus 4 per compatible basis
     for the QBER estimate.
     """
-    pairs: list[tuple[float, float]] = []
-    for a, b in settings.pairs():
-        pairs.append((a.hwp_angle_deg, b.hwp_angle_deg))
-    for i, j in protocol.matched_pairs():
-        pairs.append((protocol.alice_hwp_deg[i], protocol.bob_hwp_deg[j]))
-    expanded: list[tuple[float, float]] = []
-    seen: set[tuple[float, float]] = set()
-    for a_hwp, b_hwp in pairs:
-        for ah in (a_hwp, _orthogonal_hwp(a_hwp)):
-            for bh in (b_hwp, _orthogonal_hwp(b_hwp)):
-                key = (round(ah, 6), round(bh, 6))
-                if key not in seen:
-                    seen.add(key)
-                    expanded.append((ah, bh))
-    return tuple(expanded)
+    expanded: dict[tuple[float, float], tuple[float, float]] = {}
+    for a, b in settings.pairs() + protocol.key_pairs():
+        for ah, bh in _projector_pairs(a, b):
+            expanded.setdefault(hwp_key(ah, bh), (ah, bh))
+    return tuple(expanded.values())
 
 
 def synthesize_counts(
@@ -296,22 +291,17 @@ def synthesize_counts(
     for k, (a_hwp, b_hwp) in enumerate(required_hwp_pairs(settings, protocol)):
         a = AnalyzerSetting(a_hwp)
         b = AnalyzerSetting(b_hwp)
+        dist = joint_probabilities(state, a, b)
         if poisson:
             n_pp, _, _, _ = sample_outcomes(
                 state, a, b, det, n_pairs_per_row, spawn_rng(seed, k)
             )
         else:
-            dist = joint_probabilities(state, a, b)
             n_pp = int(round(dist.p_pp * n_pairs_per_row * det.coincidence_efficiency()))
         rng = spawn_rng(seed, k, 1)
-        p_single_a = float(
-            np.trace(state.rho @ np.kron(_transmission_projector(a), np.eye(2))).real
-        )
-        p_single_b = float(
-            np.trace(state.rho @ np.kron(np.eye(2), _transmission_projector(b))).real
-        )
-        singles_a = int(rng.binomial(n_pairs_per_row, det.eff_alice * p_single_a))
-        singles_b = int(rng.binomial(n_pairs_per_row, det.eff_bob * p_single_b))
+        # Singles are the marginals of the joint distribution.
+        singles_a = int(rng.binomial(n_pairs_per_row, det.eff_alice * (dist.p_pp + dist.p_pm)))
+        singles_b = int(rng.binomial(n_pairs_per_row, det.eff_bob * (dist.p_pp + dist.p_mp)))
         rows.append(CountRow(a_hwp, b_hwp, singles_a, singles_b, n_pp))
     return CountRecordFile(
         version=FORMAT_VERSION,
@@ -321,25 +311,19 @@ def synthesize_counts(
     )
 
 
-def _transmission_projector(setting: AnalyzerSetting) -> np.ndarray:
-    from .qstate import polarization_projector
-
-    return polarization_projector(setting.polarization_angle_rad)
-
-
 def analyze_counts(
     record: CountRecordFile,
     settings: chsh.ChshSettings | None = None,
     protocol: ProtocolKind = BBM92,
     accidental_window: float | None = None,
 ) -> tuple[chsh.ChshEstimate, security.SecurityReport]:
-    """Drive the estimator pipeline over a parsed count file.
+    """Drive the shared estimator over a parsed count file.
 
-    Builds outcome quadruples per CHSH setting pair from the projector
-    rows, estimates S with Poisson uncertainty, computes per-basis QBERs
-    in the protocol's compatible bases (bit errors counted against the
-    file's state label), and evaluates the security report with Eve's
-    bound at the measured S.
+    Builds outcome quadruples per CHSH setting pair and per compatible
+    basis of ``protocol`` from the projector rows, then estimates S with
+    Poisson uncertainty, the per-basis QBERs (bit errors counted against
+    the file's state label) and the security report with Eve's bound at
+    the measured S.
 
     Args:
         accidental_window: optional coincidence-window/duration ratio; when
@@ -348,7 +332,10 @@ def analyze_counts(
             Off by default since the window is setup-specific.
 
     Raises:
-        CountFileError: listing any missing (alice, bob) HWP pairs.
+        CountFileError: listing any missing (alice, bob) HWP pairs, or
+            naming a compatible basis with zero coincidences.
+        chsh.IncompleteTableError: if a CHSH setting pair has zero
+            coincidences.
     """
     settings = settings or chsh.canonical_settings(record.state_label)
 
@@ -358,56 +345,20 @@ def analyze_counts(
         accidental = row.singles_a * row.singles_b * accidental_window / record.seconds_per_row
         return max(0, int(round(row.coincidences - accidental)))
 
-    missing_pairs: list[tuple[float, float]] = []
-
-    def quad(a_hwp: float, b_hwp: float) -> tuple[int, int, int, int] | None:
-        combos = [
-            (a_hwp, b_hwp),
-            (a_hwp, _orthogonal_hwp(b_hwp)),
-            (_orthogonal_hwp(a_hwp), b_hwp),
-            (_orthogonal_hwp(a_hwp), _orthogonal_hwp(b_hwp)),
-        ]
-        found = [record.find(a, b) for a, b in combos]
-        if any(row is None for row in found):
-            missing_pairs.extend(c for c, row in zip(combos, found) if row is None)
-            return None
-        return tuple(coincidences(row) for row in found)
-
     rows = []
-    for a, b in settings.pairs():
-        counts = quad(a.hwp_angle_deg, b.hwp_angle_deg)
-        if counts is not None:
-            rows.append(
-                CoincidenceRow(a, b, *counts, duration_tag=f"{record.seconds_per_row:g}s")
-            )
-
-    basis_qber: dict[float, float] = {}
-    zero_basis: float | None = None
-    for i, j in protocol.matched_pairs():
-        a_hwp = protocol.alice_hwp_deg[i]
-        counts = quad(a_hwp, protocol.bob_hwp_deg[j])
-        if counts is None:
-            continue
-        pol = (2.0 * a_hwp) % 180.0
-        n_pp, n_pm, n_mp, n_mm = counts
-        total = sum(counts)
-        if total == 0:
-            zero_basis = pol
-            continue
-        wrong = (n_pp + n_mm) if bob_flip(record.state_label, math.radians(pol)) else (n_pm + n_mp)
-        basis_qber[pol] = wrong / total
-
-    if missing_pairs:
-        pretty = ", ".join(f"({a:g}, {b:g})" for a, b in dict.fromkeys(missing_pairs))
+    missing: list[tuple[float, float]] = []
+    for a, b in settings.pairs() + protocol.key_pairs():
+        combos = _projector_pairs(a, b)
+        found = [record.find(ah, bh) for ah, bh in combos]
+        missing.extend(c for c, row in zip(combos, found) if row is None)
+        if all(row is not None for row in found):
+            rows.append(CoincidenceRow(a, b, *(coincidences(row) for row in found)))
+    if missing:
+        pretty = ", ".join(f"({a:g}, {b:g})" for a, b in dict.fromkeys(missing))
         raise CountFileError(f"missing required HWP angle pairs: {pretty}")
-    if zero_basis is not None:
-        raise CountFileError(
-            f"zero coincidences in the compatible basis at {zero_basis:g} deg polarization"
-        )
 
-    estimate = chsh.s_from_counts(CoincidenceTable(tuple(rows)), settings)
-    pols = sorted(basis_qber)
-    e_b = basis_qber[pols[0]]
-    e_p = basis_qber[pols[-1]] if len(pols) > 1 else e_b
-    report = security.evaluate(e_b, e_p, s=estimate.s)
-    return estimate, report
+    try:
+        est = estimate(CoincidenceTable(tuple(rows)), record.state_label, protocol, settings)
+    except EmptyBasisError as exc:
+        raise CountFileError(str(exc)) from exc
+    return est.chsh, est.report

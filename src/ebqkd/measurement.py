@@ -17,11 +17,9 @@ import numpy as np
 from .qstate import (
     BellLabel,
     TwoQubitState,
-    bell_state,
     joint_probabilities,
     polarization_projector,
     ptrace_bob,
-    to_density,
 )
 
 #: Polarization angles (radians) of the two key-generation bases, H/V and D/A.
@@ -112,7 +110,6 @@ class CoincidenceRow:
     n_pm: int
     n_mp: int
     n_mm: int
-    duration_tag: str = ""
 
     def __post_init__(self) -> None:
         if min(self.n_pp, self.n_pm, self.n_mp, self.n_mm) < 0:
@@ -126,22 +123,28 @@ class CoincidenceRow:
         return (self.n_pp, self.n_pm, self.n_mp, self.n_mm)
 
 
+def hwp_key(alice_hwp_deg: float, bob_hwp_deg: float) -> tuple[float, float]:
+    """Lookup key of an (Alice, Bob) HWP angle pair: mod 180, rounded to 1e-6 deg."""
+    return (round(alice_hwp_deg % 180.0, 6) % 180.0, round(bob_hwp_deg % 180.0, 6) % 180.0)
+
+
 @dataclass(frozen=True)
 class CoincidenceTable:
-    """Coincidence counts per (Alice setting, Bob setting) combination."""
+    """Coincidence counts per (Alice setting, Bob setting) combination.
+
+    Every front end (sweep, session, analyze) fills one of these and hands
+    it to :func:`ebqkd.protocol.estimate`.  Rows are looked up by
+    :func:`hwp_key`; when two rows share a key the first one is found.
+    """
 
     rows: tuple[CoincidenceRow, ...]
 
-    def find(
-        self, a: AnalyzerSetting, b: AnalyzerSetting, atol_deg: float = 1e-6
-    ) -> CoincidenceRow | None:
-        for row in self.rows:
-            if (
-                abs(row.a.hwp_angle_deg - a.hwp_angle_deg) <= atol_deg
-                and abs(row.b.hwp_angle_deg - b.hwp_angle_deg) <= atol_deg
-            ):
-                return row
-        return None
+    def __post_init__(self) -> None:
+        index = {hwp_key(r.a.hwp_angle_deg, r.b.hwp_angle_deg): r for r in reversed(self.rows)}
+        object.__setattr__(self, "_index", index)
+
+    def find(self, a: AnalyzerSetting, b: AnalyzerSetting) -> CoincidenceRow | None:
+        return self._index.get(hwp_key(a.hwp_angle_deg, b.hwp_angle_deg))
 
 
 def spawn_rng(seed: int | np.random.Generator, *stream: int) -> np.random.Generator:
@@ -326,43 +329,46 @@ def expected_counts(
     """Noiseless expected coincidence counts (rounded) for one setting pair."""
     dist = joint_probabilities(state, a, b)
     n = np.rint(dist.as_array() * n_pairs).astype(int)
-    return CoincidenceRow(a, b, *(int(c) for c in n), duration_tag="expected")
+    return CoincidenceRow(a, b, *(int(c) for c in n))
 
 
 def qber_for_basis(
     state: TwoQubitState, label: BellLabel, basis_pol_rad: float
 ) -> float:
-    """Analytic error probability when both parties measure at one angle.
-
-    A "wrong" coincidence is one that breaks the correlation sign of the
-    ideal (maximal) Bell state of ``label`` in that basis; the sign also
-    fixes the key-bit mapping used by the protocol engines.
-    """
+    """Analytic error probability when both parties measure at one angle."""
     setting = AnalyzerSetting.from_polarization(math.degrees(basis_pol_rad))
-    dist = joint_probabilities(state, setting, setting)
-    if bob_flip(label, basis_pol_rad):
-        return dist.p_pp + dist.p_mm
-    return dist.p_pm + dist.p_mp
+    p = joint_probabilities(state, setting, setting).as_array()
+    i, j = wrong_outcomes(label, basis_pol_rad)
+    return float(p[i] + p[j])
+
+
+#: Equal-angle correlator E(t, t) of each maximal Bell state at
+#: polarization angle t (radians).
+_IDEAL_CORRELATOR = {
+    BellLabel.PHI_PLUS: lambda t: 1.0,
+    BellLabel.PSI_MINUS: lambda t: -1.0,
+    BellLabel.PHI_MINUS: lambda t: math.cos(4.0 * t),
+    BellLabel.PSI_PLUS: lambda t: -math.cos(4.0 * t),
+}
 
 
 def bob_flip(label: BellLabel, basis_pol_rad: float) -> bool:
     """Whether Bob inverts his bit in this basis to align keys.
 
     True when the ideal maximal state of ``label`` is anticorrelated for
-    equal analyzer angles at ``basis_pol_rad`` (e.g. the singlet in every
-    basis, psi+ in H/V, phi- in D/A).
+    equal analyzer angles at ``basis_pol_rad`` (the singlet in every
+    basis, psi+ in H/V, phi- in D/A).  Where that state is uncorrelated
+    (phi- and psi+ at 22.5 + k 45 degrees) no flip can align the keys and
+    none is made: the correlator must be below -1e-9.
     """
-    setting = AnalyzerSetting.from_polarization(math.degrees(basis_pol_rad))
-    ideal = joint_probabilities(
-        _ideal_state(label), setting, setting
-    )
-    return ideal.correlator() < 0.0
+    return _IDEAL_CORRELATOR[label](basis_pol_rad) < -1e-9
 
 
-_IDEAL_CACHE: dict[BellLabel, TwoQubitState] = {}
+def wrong_outcomes(label: BellLabel, basis_pol_rad: float) -> tuple[int, int]:
+    """Indices into ``(++, +-, -+, --)`` of the key errors in one basis.
 
-
-def _ideal_state(label: BellLabel) -> TwoQubitState:
-    if label not in _IDEAL_CACHE:
-        _IDEAL_CACHE[label] = to_density(bell_state(label, math.pi / 4))
-    return _IDEAL_CACHE[label]
+    An outcome is wrong when Alice's and Bob's key bits differ after
+    Bob's :func:`bob_flip`: the equal outcomes if he flips, else the
+    unequal ones.
+    """
+    return (0, 3) if bob_flip(label, basis_pol_rad) else (1, 2)

@@ -116,14 +116,8 @@ def generate(source: SourceModel) -> TwoQubitState:
     return TwoQubitState(rho)
 
 
-def apply_channel(
-    state: TwoQubitState, channel: ChannelModel, rng_seed: int | None = None
-) -> TwoQubitState:
-    """Propagate a state through the channel.
-
-    ``rng_seed`` is accepted for interface symmetry with sampled channels;
-    the maps implemented here are deterministic and ignore it.
-    """
+def apply_channel(state: TwoQubitState, channel: ChannelModel) -> TwoQubitState:
+    """Propagate a state through the channel (a deterministic map)."""
     if channel.kind is ChannelKind.IDENTITY:
         return state
     if channel.kind is ChannelKind.INTERCEPT_RESEND:

@@ -8,8 +8,14 @@ designated unmatched setting combinations into a CHSH estimate.
 
 Bit mapping: the transmitted port is bit 0.  Bob inverts his bit in a
 matched basis exactly when the session's ideal Bell state is
-anticorrelated there (singlet: every basis; psi+: H/V; phi-: D/A), so all
-four families yield agreeing keys on a noiseless channel.
+anticorrelated there (singlet: every basis; psi+: H/V; phi-: D/A).  Every
+family then yields agreeing keys in BBM92 on a noiseless channel; in E91,
+phi- and psi+ are uncorrelated in the 22.5-degree key basis, whose bits
+agree only by chance (QBER 0.5).
+
+:func:`estimate` is the one estimator behind ``sweep``, ``session`` and
+``analyze``: it turns a :class:`~ebqkd.measurement.CoincidenceTable` into
+S, the per-basis and pooled QBER and the security report.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import chsh, optics
+from . import chsh, optics, security
 from .measurement import (
     AnalyzerSetting,
     CoincidenceRow,
@@ -28,12 +34,17 @@ from .measurement import (
     bob_flip,
     intercept_resend,
     spawn_rng,
+    wrong_outcomes,
 )
 from .optics import ChannelModel, SourceModel
 from .qstate import BellLabel
 
 
-class NoSiftedBitsError(RuntimeError):
+class EmptyBasisError(ValueError):
+    """A key basis holds no coincidences, so its QBER is undefined."""
+
+
+class NoSiftedBitsError(EmptyBasisError):
     """A session produced no compatible-basis coincidences."""
 
 
@@ -42,7 +53,9 @@ class ProtocolKind:
     """Measurement-basis layout of one protocol variant.
 
     ``chsh_pairs`` lists the (Alice index, Bob index) combinations whose
-    outcomes feed the security CHSH test (E91 only).
+    outcomes feed the security CHSH test (E91 only).  The layout must have
+    two matched bases: the lower polarization angle carries the bit
+    errors, the other the phase errors.
     """
 
     name: str
@@ -64,6 +77,11 @@ class ProtocolKind:
                 if abs((2 * ta) % 180.0 - (2 * tb) % 180.0) < 1e-9:
                     matches.append((i, j))
         return tuple(matches)
+
+    def key_pairs(self) -> tuple[tuple[AnalyzerSetting, AnalyzerSetting], ...]:
+        """(Alice, Bob) settings of each matched basis, as ``matched_pairs``."""
+        alice, bob = self.alice_settings(), self.bob_settings()
+        return tuple((alice[i], bob[j]) for i, j in self.matched_pairs())
 
 
 #: Both parties measure in {H/V, D/A}.
@@ -115,6 +133,9 @@ class SessionRecord:
     degrees (0.0 is H/V, 45.0 is D/A for BBM92).  Disclosed QBER-sample
     bits are removed from the keys, so
     ``disclosed_length + len(key_bits_alice) == sifted_length``.
+    ``counts`` is the table the estimates come from: the CHSH setting
+    pairs over every coincidence, the matched bases over the disclosed
+    sample only.
     """
 
     n_pairs: int
@@ -127,6 +148,7 @@ class SessionRecord:
     chsh_subset: chsh.ChshEstimate | None
     key_bits_alice: np.ndarray
     key_bits_bob: np.ndarray
+    counts: CoincidenceTable
 
 
 @dataclass(frozen=True)
@@ -134,7 +156,6 @@ class SiftResult:
     kept: np.ndarray
     bits_alice: np.ndarray
     bits_bob: np.ndarray
-    basis_pol_deg: np.ndarray
 
 
 def sift(
@@ -154,25 +175,17 @@ def sift(
     """
     if not (len(a_idx) == len(b_idx) == len(outcomes)):
         raise ValueError("announcement and outcome streams must have equal length")
-    matched = kind.matched_pairs()
     keep = np.zeros(len(a_idx), dtype=bool)
-    flips: dict[tuple[int, int], bool] = {}
-    pol_of_pair: dict[tuple[int, int], float] = {}
-    for i, j in matched:
-        keep |= (a_idx == i) & (b_idx == j)
-        pol = (2.0 * kind.alice_hwp_deg[i]) % 180.0
-        pol_of_pair[(i, j)] = pol
-        flips[(i, j)] = bob_flip(label, math.radians(pol))
+    flip = np.zeros(len(a_idx), dtype=bool)
+    for i, j in kind.matched_pairs():
+        in_basis = (a_idx == i) & (b_idx == j)
+        keep |= in_basis
+        if bob_flip(label, math.radians(2.0 * kind.alice_hwp_deg[i])):
+            flip |= in_basis
     kept = np.nonzero(keep)[0]
     bits_a = (outcomes[kept] >> 1).astype(np.uint8)
-    bits_b = (outcomes[kept] & 1).astype(np.uint8)
-    basis_pol = np.zeros(kept.size)
-    for (i, j), pol in pol_of_pair.items():
-        mask = (a_idx[kept] == i) & (b_idx[kept] == j)
-        basis_pol[mask] = pol
-        if flips[(i, j)]:
-            bits_b[mask] ^= 1
-    return SiftResult(kept=kept, bits_alice=bits_a, bits_bob=bits_b, basis_pol_deg=basis_pol)
+    bits_b = ((outcomes[kept] & 1) ^ flip[kept]).astype(np.uint8)
+    return SiftResult(kept=kept, bits_alice=bits_a, bits_bob=bits_b)
 
 
 def _wilson_interval(errors: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -190,6 +203,9 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
 
     Raises:
         NoSiftedBitsError: if no compatible-basis coincidence survived.
+        EmptyBasisError: if the disclosed sample misses a matched basis.
+        chsh.IncompleteTableError: if an E91 CHSH setting pair saw no
+            coincidence.
     """
     rng = spawn_rng(cfg.seed)
     state = optics.apply_channel(optics.generate(cfg.source), cfg.channel)
@@ -207,12 +223,14 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
     det_a = rng.random(n) < cfg.detector.eff_alice
     det_b = rng.random(n) < cfg.detector.eff_bob
     coincident = det_a & det_b
+    del det_a, det_b  # per-pair arrays go as soon as they are used: peak memory is O(n_pairs)
 
     outcomes = intercept_resend(state, alice, bob, a_idx, b_idx, eve_fraction, rng)
 
     a_idx = a_idx[coincident]
     b_idx = b_idx[coincident]
     outcomes = outcomes[coincident]
+    del coincident
 
     n_acc = int(rng.poisson(cfg.detector.expected_accidentals(n)))
     if n_acc:
@@ -224,70 +242,111 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
     n_sifted = sifted.kept.size
     if n_sifted == 0:
         raise NoSiftedBitsError(
-            f"no sifted bits: {int(coincident.sum())} coincidences, none in matched bases"
+            f"no sifted bits: {len(outcomes) - n_acc} coincidences, none in matched bases"
         )
 
     n_disclose = max(1, int(round(cfg.qber_sample_fraction * n_sifted)))
     disclosed = np.sort(rng.choice(n_sifted, size=n_disclose, replace=False))
-    errors = sifted.bits_alice[disclosed] != sifted.bits_bob[disclosed]
-    qber_hat = float(errors.mean())
-
-    per_basis: dict[float, float] = {}
-    for i, j in cfg.kind.matched_pairs():
-        pol = (2.0 * cfg.kind.alice_hwp_deg[i]) % 180.0
-        in_basis = sifted.basis_pol_deg[disclosed] == pol
-        if in_basis.any():
-            per_basis[pol] = float(errors[in_basis].mean())
-
-    chsh_subset = None
-    if cfg.kind.chsh_pairs:
-        chsh_subset = _chsh_from_unmatched(cfg, a_idx, b_idx, outcomes)
-
     retained = np.setdiff1d(np.arange(n_sifted), disclosed, assume_unique=False)
+
+    # One count per (setting pair, outcome); retained key bits go to an
+    # overflow cell, so the matched bases count only the disclosed sample.
+    n_cells = len(alice) * len(bob) * 4
+    cells = (a_idx * len(bob) + b_idx) * 4 + outcomes
+    cells[sifted.kept[retained]] = n_cells
+    counts = np.bincount(cells, minlength=n_cells + 1)[:n_cells].reshape(len(alice), len(bob), 4)
+    table = CoincidenceTable(tuple(
+        CoincidenceRow(alice[i], bob[j], *(int(c) for c in counts[i, j]))
+        for i, j in cfg.kind.matched_pairs() + cfg.kind.chsh_pairs
+    ))
+    est = estimate(table, cfg.source.label, cfg.kind, _chsh_settings(cfg))
     return SessionRecord(
         n_pairs=cfg.n_pairs,
         n_coincident=int(len(outcomes)),
         sifted_length=int(n_sifted),
         disclosed_length=int(n_disclose),
-        qber_hat=qber_hat,
-        qber_ci=_wilson_interval(int(errors.sum()), n_disclose),
-        per_basis_qber=per_basis,
-        chsh_subset=chsh_subset,
+        qber_hat=est.qber,
+        qber_ci=est.qber_ci,
+        per_basis_qber=est.per_basis_qber,
+        chsh_subset=est.chsh,
         key_bits_alice=sifted.bits_alice[retained],
         key_bits_bob=sifted.bits_bob[retained],
+        counts=table,
     )
 
 
-def _chsh_from_unmatched(
-    cfg: SessionConfig, a_idx: np.ndarray, b_idx: np.ndarray, outcomes: np.ndarray
-) -> chsh.ChshEstimate | None:
-    """CHSH estimate from the designated unmatched setting combinations."""
-    alice = cfg.kind.alice_settings()
-    bob = cfg.kind.bob_settings()
-    rows = []
-    for i, j in cfg.kind.chsh_pairs:
-        sel = outcomes[(a_idx == i) & (b_idx == j)]
-        counts = [int((sel == o).sum()) for o in range(4)]
-        if sum(counts) == 0:
-            return None
-        rows.append(CoincidenceRow(alice[i], bob[j], *counts, duration_tag="session"))
-    settings = chsh.canonical_settings(cfg.source.label)
-    return chsh.s_from_counts(CoincidenceTable(tuple(rows)), settings)
+def _chsh_settings(cfg: SessionConfig) -> chsh.ChshSettings | None:
+    return chsh.canonical_settings(cfg.source.label) if cfg.kind.chsh_pairs else None
 
 
-def security_report(cfg: SessionConfig, record: SessionRecord):
-    """Security evaluation of a finished session.
+@dataclass(frozen=True)
+class Estimate:
+    """Everything one count table says about a link.
 
-    Bit/phase errors are the two per-basis QBERs (H/V as key basis when
-    present); Eve's bound uses the session's measured CHSH value when the
-    protocol provides one, otherwise the linear disturbance law.
+    ``chsh`` is None when no CHSH settings were given; ``per_basis_qber``
+    is keyed by the matched polarization angle in degrees; ``qber`` pools
+    both matched bases and ``qber_ci`` is its 95% Wilson interval.
     """
-    from . import security
 
-    pols = sorted(record.per_basis_qber)
-    if not pols:
-        raise ValueError("session record carries no per-basis QBER estimates")
-    e_b = record.per_basis_qber[pols[0]]
-    e_p = record.per_basis_qber[pols[-1]] if len(pols) > 1 else e_b
-    s = record.chsh_subset.s if record.chsh_subset is not None else None
-    return security.evaluate(e_b, e_p, s=s)
+    chsh: chsh.ChshEstimate | None
+    per_basis_qber: dict[float, float]
+    qber: float
+    qber_ci: tuple[float, float]
+    report: security.SecurityReport
+
+
+def estimate(
+    table: CoincidenceTable,
+    label: BellLabel,
+    kind: ProtocolKind,
+    settings: chsh.ChshSettings | None = None,
+) -> Estimate:
+    """CHSH value, QBERs and security report from one coincidence table.
+
+    The table must hold a row per matched basis of ``kind``; key errors
+    are counted against the ideal state of ``label`` (see
+    :func:`~ebqkd.measurement.wrong_outcomes`).  With ``settings`` the
+    table must also hold the four CHSH rows and Eve's bound uses the
+    measured S; without, the linear disturbance law stands in.
+
+    Raises:
+        chsh.IncompleteTableError: a required row is missing, or a CHSH
+            row is empty.
+        EmptyBasisError: a matched basis holds no coincidences.
+    """
+    per_basis: dict[float, float] = {}
+    n_wrong = n_total = 0
+    for a, b in kind.key_pairs():
+        pol = a.polarization_angle_deg % 180.0
+        row = table.find(a, b)
+        if row is None:
+            raise chsh.IncompleteTableError(
+                f"coincidence table is missing the key basis at {pol:g} deg polarization"
+            )
+        if row.total == 0:
+            raise EmptyBasisError(
+                f"zero coincidences in the compatible basis at {pol:g} deg polarization"
+            )
+        counts = row.counts()
+        wrong = sum(counts[k] for k in wrong_outcomes(label, math.radians(pol)))
+        per_basis[pol] = wrong / row.total
+        n_wrong += wrong
+        n_total += row.total
+    s_est = chsh.s_from_counts(table, settings) if settings is not None else None
+    e_b, e_p = (per_basis[pol] for pol in sorted(per_basis))
+    return Estimate(
+        chsh=s_est,
+        per_basis_qber=per_basis,
+        qber=n_wrong / n_total,
+        qber_ci=_wilson_interval(n_wrong, n_total),
+        report=security.evaluate(e_b, e_p, s=None if s_est is None else s_est.s),
+    )
+
+
+def security_report(cfg: SessionConfig, record: SessionRecord) -> security.SecurityReport:
+    """Security evaluation of a finished session, from its count table.
+
+    Eve's bound uses the session's measured CHSH value when the protocol
+    provides one, otherwise the linear disturbance law.
+    """
+    return estimate(record.counts, cfg.source.label, cfg.kind, _chsh_settings(cfg)).report

@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 
+from ebqkd.measurement import AnalyzerSetting
+from ebqkd.qstate import BellLabel, TwoQubitState, bell_state, joint_probabilities, to_density
+
 _PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -101,3 +104,20 @@ def binary_entropy(p: float) -> float:
     if p in (0.0, 1.0):
         return 0.0
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+
+
+_IDEAL_CACHE: dict[BellLabel, TwoQubitState] = {}
+
+
+def _ideal_state(label: BellLabel) -> TwoQubitState:
+    if label not in _IDEAL_CACHE:
+        _IDEAL_CACHE[label] = to_density(bell_state(label, math.pi / 4))
+    return _IDEAL_CACHE[label]
+
+
+def ideal_correlator(label: BellLabel, pol_rad: float) -> float:
+    """Born-rule E(t, t) of the maximal Bell state ``label`` with both
+    analyzers at polarization angle ``pol_rad`` (the library uses a
+    closed form)."""
+    setting = AnalyzerSetting.from_polarization(math.degrees(pol_rad))
+    return joint_probabilities(_ideal_state(label), setting, setting).correlator()

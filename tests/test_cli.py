@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from ebqkd import cli
+import ebqkd
+from ebqkd import chsh, cli, protocol
 from ebqkd.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, SWEEP_COLUMNS
 
 SQ2 = math.sqrt(2.0)
@@ -112,6 +116,48 @@ class TestSweep:
         assert cli.main(args + ["--out", str(serial)]) == EXIT_OK
         assert cli.main(args + ["--workers", "3", "--out", str(parallel)]) == EXIT_OK
         assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_empty_key_basis_is_an_error(self, tmp_path, capsys):
+        # Two pairs per setting leave the H/V basis empty at seed 0; the
+        # sweep used to report qber=0.0 and I_AB=1.0 for it.
+        spec = cli.SweepSpec("werner", (0.9,), n_pairs=2, detector=cli.DetectorModel(0.8))
+        with pytest.raises(protocol.EmptyBasisError, match="compatible basis at 0 deg"):
+            cli.run_sweep(spec, seed=0)
+        rc = cli.main(["sweep", "--mechanism", "werner", "--grid", "0.9", "--n-pairs", "2",
+                       "--efficiency", "0.8", "--seed", "0", "--out", str(tmp_path / "x.tsv")])
+        assert rc == EXIT_VALIDATION
+        assert "zero coincidences in the compatible basis" in capsys.readouterr().err
+
+    def test_empty_chsh_row_is_an_error(self):
+        spec = cli.SweepSpec("werner", (0.9,), n_pairs=3, detector=cli.DetectorModel(0.8))
+        with pytest.raises(chsh.IncompleteTableError, match="zero total"):
+            cli.run_sweep(spec, seed=10)
+
+    @pytest.mark.parametrize("workers,grid,cpus,expected", [
+        (64, 5, 3, 3), (64, 5, 8, 5), (2, 5, 8, 2), (4, 1, 8, None), (4, 5, None, None),
+    ])
+    def test_workers_clamped(self, monkeypatch, workers, grid, cpus, expected):
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                return SimpleNamespace(result=lambda: fn(*args))
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        spec = cli.SweepSpec("werner", tuple(0.5 + 0.1 * i for i in range(grid)), n_pairs=100)
+        rows = cli.run_sweep(spec, seed=1, workers=workers)
+        assert pools == ([] if expected is None else [expected])
+        assert rows == cli.run_sweep(spec, seed=1)
 
     def test_intercept_mechanism(self, tmp_path):
         out = tmp_path / "eve.tsv"
@@ -259,18 +305,21 @@ class TestAnalyze:
         assert cli.main(["analyze", str(tmp_path / "nope.txt")]) == EXIT_IO
 
 
+def run_module(*args):
+    """``python -m ebqkd`` on the package these tests imported, installed or not."""
+    paths = (str(Path(ebqkd.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run(
+        [sys.executable, "-m", "ebqkd", *args], capture_output=True, text=True, check=False, env=env
+    )
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ebqkd", "thresholds"],
-            capture_output=True, text=True, check=False,
-        )
+        proc = run_module("thresholds")
         assert proc.returncode == EXIT_OK
         assert "delta_collective" in proc.stdout
 
     def test_usage_exit_code(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ebqkd", "no-such-command"],
-            capture_output=True, text=True, check=False,
-        )
+        proc = run_module("no-such-command")
         assert proc.returncode == EXIT_USAGE

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -6,9 +7,9 @@ import pytest
 
 from ebqkd import chsh, ingest
 from ebqkd.ingest import CountFileError, analyze_counts, parse_counts, synthesize_counts, write_counts
-from ebqkd.measurement import DetectorModel
+from ebqkd.measurement import CoincidenceRow, CoincidenceTable, DetectorModel
 from ebqkd.optics import werner_state
-from ebqkd.protocol import BBM92, E91
+from ebqkd.protocol import BBM92, E91, estimate
 from ebqkd.qstate import BellLabel, bell_state, to_density
 
 SQ2 = math.sqrt(2.0)
@@ -77,6 +78,14 @@ class TestParse:
         with pytest.raises(CountFileError, match="unknown state"):
             parse_counts(fixtures_dir / "counts" / "bad_unknown_state.txt")
 
+    def test_invalid_utf8_is_a_count_file_error(self, tmp_path):
+        data = b"format: qkd-counts/1\n\xff\n"
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        for source in (data, path, io.BytesIO(data)):
+            with pytest.raises(CountFileError, match="not valid UTF-8"):
+                parse_counts(source)
+
     def test_comments_and_blank_lines_tolerated(self):
         text = (
             "# leading comment\n\n"
@@ -122,6 +131,38 @@ class TestRoundTrip:
         est2, rep2 = analyze_counts(shuffled)
         assert est2.s == est.s
         assert rep2 == rep
+
+
+def _projector_rows(a, b, counts):
+    """The four projector rows whose coincidences are one outcome quadruple."""
+    a_hwp, b_hwp = a.hwp_angle_deg, b.hwp_angle_deg
+    combos = [(ah, bh) for ah in (a_hwp, (a_hwp + 45) % 180) for bh in (b_hwp, (b_hwp + 45) % 180)]
+    return [ingest.CountRow(ah, bh, 1000, 1000, c) for (ah, bh), c in zip(combos, counts)]
+
+
+class TestSharedEstimator:
+    @pytest.mark.parametrize("kind", [BBM92, E91])
+    @pytest.mark.parametrize("label", list(BellLabel))
+    def test_file_route_matches_direct_table(self, kind, label):
+        # One set of counts, two routes: written, parsed and analyzed as a
+        # file, or handed to the estimator as a table.
+        rng = np.random.default_rng([len(kind.alice_hwp_deg), list(BellLabel).index(label)])
+        settings = chsh.canonical_settings(label)
+        rows, file_rows = [], []
+        for a, b in settings.pairs() + kind.key_pairs():
+            counts = [int(c) for c in rng.integers(1, 500, 4)]
+            rows.append(CoincidenceRow(a, b, *counts))
+            file_rows += _projector_rows(a, b, counts)
+        record = ingest.CountRecordFile(1, label, 1.0, tuple(file_rows))
+        buf = io.StringIO()
+        write_counts(record, buf)
+        s_file, report_file = analyze_counts(parse_counts(buf.getvalue().encode()), protocol=kind)
+        direct = estimate(CoincidenceTable(tuple(rows)), label, kind, settings)
+        assert s_file == direct.chsh
+        assert report_file == direct.report
+        assert (report_file.e_b, report_file.e_p) == tuple(
+            direct.per_basis_qber[pol] for pol in sorted(direct.per_basis_qber)
+        )
 
 
 class TestAnalyze:
@@ -183,6 +224,28 @@ class TestAnalyze:
         # a huge window clamps everything to zero counts
         with pytest.raises((CountFileError, chsh.IncompleteTableError)):
             analyze_counts(rec, accidental_window=1.0)
+
+    def test_empty_key_basis_named(self):
+        state = to_density(bell_state(BellLabel.PHI_PLUS))
+        rec = synthesize_counts(state, BellLabel.PHI_PLUS, n_pairs_per_row=1000, seed=3)
+        da = {22.5, 67.5}
+        rows = tuple(
+            dataclasses.replace(r, coincidences=0) if {r.alice_hwp_deg, r.bob_hwp_deg} <= da else r
+            for r in rec.rows
+        )
+        with pytest.raises(CountFileError, match="zero coincidences in the compatible basis at 45 deg"):
+            analyze_counts(dataclasses.replace(rec, rows=rows))
+
+    def test_empty_chsh_row_is_incomplete(self):
+        state = to_density(bell_state(BellLabel.PHI_PLUS))
+        rec = synthesize_counts(state, BellLabel.PHI_PLUS, n_pairs_per_row=1000, seed=3)
+        rows = tuple(
+            dataclasses.replace(r, coincidences=0)
+            if r.alice_hwp_deg in (0.0, 45.0) and r.bob_hwp_deg in (11.25, 56.25) else r
+            for r in rec.rows
+        )
+        with pytest.raises(chsh.IncompleteTableError, match=r"zero total .*\(0, 22.5\)"):
+            analyze_counts(dataclasses.replace(rec, rows=rows))
 
     def test_required_pairs_cover_chsh_and_bases(self):
         pairs = ingest.required_hwp_pairs(chsh.canonical_settings(BellLabel.PHI_PLUS), BBM92)

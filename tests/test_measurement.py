@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from _oracles import ideal_correlator
+
 from ebqkd.measurement import (
     AnalyzerSetting,
     CoincidenceRow,
@@ -15,6 +17,7 @@ from ebqkd.measurement import (
     qber_for_basis,
     sample_outcomes,
     spawn_rng,
+    wrong_outcomes,
 )
 from ebqkd.qstate import (
     BellLabel,
@@ -80,6 +83,18 @@ class TestCoincidenceTable:
         table = CoincidenceTable((row,))
         assert table.find(setting(0), setting(22.5)) is row
         assert table.find(setting(45), setting(22.5)) is None
+
+    def test_find_tolerates_rounding_and_wraps_mod_180(self):
+        row = CoincidenceRow(setting(0), setting(22.5), 1, 2, 3, 4)
+        table = CoincidenceTable((row,))
+        assert table.find(AnalyzerSetting(1e-8), AnalyzerSetting(11.25 + 1e-8)) is row
+        assert table.find(AnalyzerSetting(180.0 - 1e-8), AnalyzerSetting(11.25)) is row
+        assert table.find(AnalyzerSetting(1e-4), AnalyzerSetting(11.25)) is None
+
+    def test_first_row_wins_on_duplicate_settings(self):
+        first = CoincidenceRow(setting(0), setting(0), 1, 0, 0, 1)
+        second = CoincidenceRow(setting(0), setting(0), 0, 1, 1, 0)
+        assert CoincidenceTable((first, second)).find(setting(0), setting(0)) is first
 
 
 class TestSampleOutcomes:
@@ -196,3 +211,22 @@ class TestBobFlip:
     def test_flip_table(self, label, hv, da):
         assert bob_flip(label, 0.0) is hv
         assert bob_flip(label, math.pi / 4) is da
+
+    @pytest.mark.parametrize("label", [BellLabel.PHI_MINUS, BellLabel.PSI_PLUS])
+    @pytest.mark.parametrize("pol_deg", [22.5, 67.5, 112.5, 157.5])
+    def test_no_flip_where_ideal_state_is_uncorrelated(self, label, pol_deg):
+        # The Born rule leaves a ~1e-16 residue of either sign here; no
+        # flip can align uncorrelated bits, so none is made.
+        assert abs(ideal_correlator(label, math.radians(pol_deg))) < 1e-9
+        assert bob_flip(label, math.radians(pol_deg)) is False
+        assert wrong_outcomes(label, math.radians(pol_deg)) == (1, 2)
+
+    @pytest.mark.parametrize("label", list(BellLabel))
+    def test_closed_form_agrees_with_born_rule_oracle(self, label):
+        checked = 0
+        for pol_deg in np.arange(0.0, 180.0, 0.25):
+            e = ideal_correlator(label, math.radians(pol_deg))
+            if abs(e) > 1e-9:
+                assert bob_flip(label, math.radians(pol_deg)) is (e < 0.0), pol_deg
+                checked += 1
+        assert checked >= 700

@@ -3,19 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from ebqkd.measurement import DetectorModel
+from ebqkd import chsh
+from ebqkd.measurement import AnalyzerSetting, CoincidenceRow, CoincidenceTable, DetectorModel
 from ebqkd.optics import ChannelModel, SourceModel
 from ebqkd.protocol import (
     BBM92,
     E91,
+    EmptyBasisError,
     NoSiftedBitsError,
     SessionConfig,
+    estimate,
     protocol_by_name,
     run_session,
     security_report,
     sift,
 )
 from ebqkd.qstate import BellLabel
+from ebqkd.security import evaluate
 
 SQ2 = math.sqrt(2.0)
 
@@ -188,6 +192,35 @@ class TestRunSession:
         with pytest.raises(NoSiftedBitsError, match="no sifted bits"):
             run_session(cfg)
 
+    def test_disclosed_sample_missing_a_basis_raises(self):
+        # One disclosed bit covers one basis; the other basis has no QBER
+        # estimate and must not borrow one.
+        cfg = config(n_pairs=20, qber_sample_fraction=0.01, seed=3)
+        with pytest.raises(EmptyBasisError, match="zero coincidences in the compatible basis"):
+            run_session(cfg)
+
+    def test_e91_empty_chsh_row_raises(self):
+        # Seed 23 leaves the (45, 67.5) CHSH pair empty while both key
+        # bases are disclosed; there is no fallback to the linear law.
+        cfg = config(
+            kind=E91, source=SourceModel(BellLabel.PSI_MINUS), n_pairs=40,
+            qber_sample_fraction=0.9, seed=23,
+        )
+        with pytest.raises(chsh.IncompleteTableError, match=r"\(45, 67.5\)"):
+            run_session(cfg)
+
+    def test_counts_table_reproduces_record(self):
+        cfg = config(kind=E91, source=SourceModel(BellLabel.PSI_MINUS), n_pairs=100_000, seed=4)
+        rec = run_session(cfg)
+        settings = chsh.canonical_settings(BellLabel.PSI_MINUS)
+        matched = [rec.counts.find(a, b) for a, b in E91.key_pairs()]
+        assert sum(row.total for row in matched) == rec.disclosed_length
+        chsh_rows = [rec.counts.find(a, b) for a, b in settings.pairs()]
+        assert sum(row.total for row in chsh_rows) + rec.sifted_length <= rec.n_coincident
+        est = estimate(rec.counts, BellLabel.PSI_MINUS, E91, settings)
+        assert est.chsh == rec.chsh_subset
+        assert (est.qber, est.per_basis_qber, est.qber_ci) == (rec.qber_hat, rec.per_basis_qber, rec.qber_ci)
+
     def test_dark_counts_enter_stream(self):
         cfg = config(
             detector=DetectorModel(efficiency=1.0, dark_rate=0.05),
@@ -230,6 +263,18 @@ class TestMixedDisturbances:
         expected_delta = (1 - 0.95 * math.sin(2 * 0.6)) / 4
         assert abs(rep.delta - expected_delta) < 5 * sigma
 
+    @pytest.mark.parametrize("label", [BellLabel.PHI_MINUS, BellLabel.PSI_PLUS])
+    def test_e91_uncorrelated_basis_bits_are_unflipped(self, label):
+        # The 22.5-degree basis is uncorrelated for phi- and psi+, so Bob
+        # keeps his raw bit there: errors are exactly the unequal outcomes.
+        rng = np.random.default_rng(5)
+        n = 1000
+        a = np.full(n, 1)
+        b = np.full(n, 0)
+        outcomes = rng.integers(0, 4, n).astype(np.uint8)
+        res = sift(E91, label, a, b, outcomes)
+        np.testing.assert_array_equal(res.bits_alice != res.bits_bob, (outcomes == 1) | (outcomes == 2))
+
     def test_degenerate_e91_label_runs_without_error(self):
         # phi- sits badly in E91's rotated bases: zero correlation at the
         # 22.5-degree matched basis (coin-flip bits), perfect anticorrelation
@@ -271,3 +316,45 @@ class TestSecurityReport:
         assert not rep.mi_positive
         assert not rep.individual_bound_ok
         assert not rep.collective_bound_ok
+
+
+def row(pol_a, pol_b, *counts):
+    return CoincidenceRow(
+        AnalyzerSetting.from_polarization(pol_a), AnalyzerSetting.from_polarization(pol_b), *counts
+    )
+
+
+class TestEstimate:
+    def test_per_basis_pooled_and_report(self):
+        table = CoincidenceTable((row(0, 0, 45, 3, 2, 50), row(45, 45, 40, 8, 2, 50)))
+        est = estimate(table, BellLabel.PHI_PLUS, BBM92)
+        assert est.per_basis_qber == {0.0: 5 / 100, 45.0: 10 / 100}
+        assert est.qber == 15 / 200
+        lo, hi = est.qber_ci
+        assert lo < est.qber < hi
+        assert est.chsh is None
+        assert est.report == evaluate(0.05, 0.1)
+
+    def test_errors_counted_against_the_label(self):
+        # The singlet is anticorrelated in both bases: equal outcomes are errors.
+        table = CoincidenceTable((row(0, 0, 3, 45, 50, 2), row(45, 45, 0, 50, 50, 0)))
+        est = estimate(table, BellLabel.PSI_MINUS, BBM92)
+        assert est.per_basis_qber == {0.0: 0.05, 45.0: 0.0}
+
+    def test_empty_basis_raises(self):
+        table = CoincidenceTable((row(0, 0, 50, 0, 0, 50), row(45, 45, 0, 0, 0, 0)))
+        with pytest.raises(EmptyBasisError, match="compatible basis at 45 deg"):
+            estimate(table, BellLabel.PHI_PLUS, BBM92)
+
+    def test_missing_basis_row_raises(self):
+        table = CoincidenceTable((row(0, 0, 50, 0, 0, 50),))
+        with pytest.raises(chsh.IncompleteTableError, match="key basis at 45 deg"):
+            estimate(table, BellLabel.PHI_PLUS, BBM92)
+
+    def test_empty_chsh_row_raises(self):
+        settings = chsh.canonical_settings(BellLabel.PHI_PLUS)
+        rows = [row(0, 0, 50, 0, 0, 50), row(45, 45, 50, 0, 0, 50)]
+        rows += [CoincidenceRow(a, b, 10, 1, 1, 10) for a, b in settings.pairs()[:3]]
+        rows.append(CoincidenceRow(settings.a_prime, settings.b_prime, 0, 0, 0, 0))
+        with pytest.raises(chsh.IncompleteTableError, match="zero total"):
+            estimate(CoincidenceTable(tuple(rows)), BellLabel.PHI_PLUS, BBM92, settings)
