@@ -158,19 +158,34 @@ def spawn_rng(seed: int | np.random.Generator, *stream: int) -> np.random.Genera
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(stream)))
 
 
-def _intercept_states(
-    state: TwoQubitState, eve_bases_rad: Sequence[float] = KEY_BASES_RAD
+def intercept_strata(
+    state: TwoQubitState, eve_fraction: float
 ) -> tuple[list[TwoQubitState], np.ndarray]:
-    """Post-measurement product states for an intercept-resend attack.
+    """Mixture components seen downstream of an intercept-resend attack.
 
-    Eve measures Bob's photon in one of ``eve_bases_rad`` (chosen uniformly)
-    and forwards a freshly prepared eigenstate of her result.  Returns the
-    conditional states indexed by (basis, outcome) flattened as
-    ``2 * basis + outcome``, plus the outcome probabilities per basis.
+    Index 0 is the untouched state (weight ``1 - eve_fraction``); indices
+    1..4 are Eve's (basis, outcome) product states with their weights.
     """
-    states: list[TwoQubitState] = []
-    outcome_probs = np.zeros((len(eve_bases_rad), 2))
-    for k, theta in enumerate(eve_bases_rad):
+    states, weights, _ = _strata(state, eve_fraction)
+    return states, weights
+
+
+def _strata(
+    state: TwoQubitState, eve_fraction: float
+) -> tuple[list[TwoQubitState], np.ndarray, np.ndarray]:
+    """:func:`intercept_strata` plus Eve's outcome probabilities per basis.
+
+    Eve measures Bob's photon in one of :data:`KEY_BASES_RAD` (chosen
+    uniformly) and forwards a freshly prepared eigenstate of her result.
+    Her (basis, outcome) states are flattened as ``1 + 2 * basis + outcome``
+    and ``outcome_probs[basis, outcome]`` is the Born-rule probability of
+    her result.
+    """
+    if not 0.0 <= eve_fraction <= 1.0:
+        raise ValueError(f"eve_fraction must be in [0, 1], got {eve_fraction!r}")
+    states = [state]
+    outcome_probs = np.zeros((len(KEY_BASES_RAD), 2))
+    for k, theta in enumerate(KEY_BASES_RAD):
         for outcome in (0, 1):
             # Projector onto Eve's result; also the state she re-prepares.
             proj = polarization_projector(theta + outcome * math.pi / 2)
@@ -184,24 +199,10 @@ def _intercept_states(
                 alice = unnorm / p
             alice = (alice + alice.conj().T) / 2.0
             states.append(TwoQubitState(np.kron(alice, proj)))
-    return states, outcome_probs
-
-
-def intercept_strata(
-    state: TwoQubitState, eve_fraction: float
-) -> tuple[list[TwoQubitState], np.ndarray]:
-    """Mixture components seen downstream of an intercept-resend attack.
-
-    Index 0 is the untouched state (weight ``1 - eve_fraction``); indices
-    1..4 are Eve's (basis, outcome) product states with their weights.
-    """
-    if not 0.0 <= eve_fraction <= 1.0:
-        raise ValueError(f"eve_fraction must be in [0, 1], got {eve_fraction!r}")
-    eve_states, outcome_probs = _intercept_states(state)
     weights = np.concatenate(
         ([1.0 - eve_fraction], eve_fraction * 0.5 * outcome_probs.reshape(-1))
     )
-    return [state] + eve_states, weights
+    return states, weights, outcome_probs
 
 
 def intercept_average_state(state: TwoQubitState, eve_fraction: float) -> TwoQubitState:
@@ -271,21 +272,42 @@ def sample_outcome_stream(
 ) -> np.ndarray:
     """Per-pair joint outcomes (0..3 encoding ++, +-, -+, --).
 
-    Pairs are grouped by (stratum, Alice setting, Bob setting) and each
-    group is drawn from its Born-rule distribution; groups are visited in
-    a fixed sorted order so results do not depend on scheduling.
+    Pairs are grouped by (stratum, Alice setting, Bob setting).  One
+    ``rng.random(n)`` call draws a uniform per pair; the uniforms go to the
+    groups in ascending group order and, within a group, in stream order,
+    and each becomes an outcome by a search of its group's normalised
+    Born-rule CDF.  This is stream-equivalent to one
+    ``rng.choice(4, size=group_size, p=...)`` per group in ascending group
+    order: the same draws and the same outcomes.  A stable sort of a small
+    integer key gathers the groups, so the cost is O(n).
     """
     n = len(stratum_idx)
     if not (len(a_idx) == len(b_idx) == n):
         raise ValueError("stratum and setting index streams must have equal length")
-    out = np.zeros(n, dtype=np.uint8)
-    key = (stratum_idx.astype(np.int64) * len(a_settings) + a_idx) * len(b_settings) + b_idx
-    for group in np.unique(key):
-        members = np.nonzero(key == group)[0]
-        si, rest = divmod(int(group), len(a_settings) * len(b_settings))
-        ai, bi = divmod(rest, len(b_settings))
-        dist = joint_probabilities(states[si], a_settings[ai], b_settings[bi])
-        out[members] = rng.choice(4, size=members.size, p=_outcome_array(dist))
+    n_a, n_b = len(a_settings), len(b_settings)
+    n_groups = len(states) * n_a * n_b
+    key = stratum_idx.astype(np.min_scalar_type(n_groups - 1))
+    key *= n_a
+    key += a_idx.astype(key.dtype)
+    key *= n_b
+    key += b_idx.astype(key.dtype)
+    order = np.argsort(key, kind="stable")
+    ends = np.cumsum(np.bincount(key, minlength=n_groups))
+    del key
+    u = rng.random(n)
+    drawn = np.empty(n, dtype=np.uint8)
+    start = 0
+    for group, end in enumerate(ends):
+        if end > start:
+            si, rest = divmod(group, n_a * n_b)
+            ai, bi = divmod(rest, n_b)
+            cdf = _outcome_array(joint_probabilities(states[si], a_settings[ai], b_settings[bi])).cumsum()
+            cdf /= cdf[-1]
+            drawn[start:end] = cdf.searchsorted(u[start:end], side="right")
+        start = end
+    del u
+    out = np.empty(n, dtype=np.uint8)
+    out[order] = drawn
     return out
 
 
@@ -306,17 +328,18 @@ def intercept_resend(
     ``eve_fraction = 0`` no Eve randomness is consumed and the stream is
     identical to an attack-free run with the same generator state.
     """
-    states, _ = intercept_strata(state, eve_fraction)
+    states, _, outcome_probs = _strata(state, eve_fraction)
     n = len(a_idx)
-    stratum_idx = np.zeros(n, dtype=np.int64)
+    stratum_idx = np.zeros(n, dtype=np.uint8)
     if eve_fraction > 0.0:
         intercepted = rng.random(n) < eve_fraction
         eve_basis = rng.integers(0, 2, size=n)
         # Born-rule probability of Eve's "+" outcome in each basis.
-        _, outcome_probs = _intercept_states(state)
         p_plus = outcome_probs[:, 0] / outcome_probs.sum(axis=1)
         eve_outcome = (rng.random(n) >= p_plus[eve_basis]).astype(np.int64)
         stratum_idx[intercepted] = 1 + 2 * eve_basis[intercepted] + eve_outcome[intercepted]
+        # Eve's records are not needed downstream; free them before the outcome draw.
+        del intercepted, eve_basis, eve_outcome
     return sample_outcome_stream(states, stratum_idx, a_settings, b_settings, a_idx, b_idx, rng)
 
 

@@ -198,6 +198,13 @@ def _wilson_interval(errors: int, n: int, z: float = 1.96) -> tuple[float, float
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+def _complement(n: int, taken: np.ndarray) -> np.ndarray:
+    """Sorted indices of ``range(n)`` not in ``taken``, by an O(n) mask."""
+    keep = np.ones(n, dtype=bool)
+    keep[taken] = False
+    return np.flatnonzero(keep)
+
+
 def run_session(cfg: SessionConfig) -> SessionRecord:
     """Run a full protocol session; identical configs give identical records.
 
@@ -246,8 +253,7 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
         )
 
     n_disclose = max(1, int(round(cfg.qber_sample_fraction * n_sifted)))
-    disclosed = np.sort(rng.choice(n_sifted, size=n_disclose, replace=False))
-    retained = np.setdiff1d(np.arange(n_sifted), disclosed, assume_unique=False)
+    retained = _complement(n_sifted, rng.choice(n_sifted, size=n_disclose, replace=False))
 
     # One count per (setting pair, outcome); retained key bits go to an
     # overflow cell, so the matched bases count only the disclosed sample.

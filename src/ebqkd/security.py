@@ -158,7 +158,9 @@ class SecurityReport:
     ``s`` is the CHSH value used for Eve's bound (measured when available,
     otherwise the linear-law prediction ``s_model_value``); verdicts follow
     the stored numbers: individual bound delta < ~14.6%, collective bound
-    delta < ~11%, and a positive key rate.
+    delta < ~11%, and a positive key rate.  ``s_above_tsirelson`` is true
+    when the measured S exceeded 2 sqrt(2) and ``s`` holds the clamped
+    value, so the report does not pass off a fluctuation as a measurement.
     """
 
     e_b: float
@@ -170,6 +172,7 @@ class SecurityReport:
     i_ae: float
     r: float
     subclassical_s: bool
+    s_above_tsirelson: bool
     individual_bound_ok: bool
     collective_bound_ok: bool
     mi_positive: bool
@@ -183,7 +186,8 @@ def evaluate(e_b: float, e_p: float, s: float | None = None) -> SecurityReport:
         e_p: phase error rate (conjugate basis).
         s: measured CHSH value; when omitted the linear law at the
             basis-averaged QBER stands in.  Values above the Tsirelson
-            bound (statistical fluctuation) are clamped down to it.
+            bound (statistical fluctuation) are clamped down to it and
+            flagged in ``s_above_tsirelson``.
     """
     for name, e in (("e_b", e_b), ("e_p", e_p)):
         if not 0.0 <= e <= 1.0:
@@ -205,6 +209,7 @@ def evaluate(e_b: float, e_p: float, s: float | None = None) -> SecurityReport:
         i_ae=i_ae,
         r=r,
         subclassical_s=s_used < S_CLASSICAL,
+        s_above_tsirelson=s is not None and s > S_QUANTUM_MAX,
         individual_bound_ok=delta < thr.delta_individual,
         collective_bound_ok=delta < thr.delta_collective,
         mi_positive=r > 0.0,

@@ -121,3 +121,24 @@ def ideal_correlator(label: BellLabel, pol_rad: float) -> float:
     closed form)."""
     setting = AnalyzerSetting.from_polarization(math.degrees(pol_rad))
     return joint_probabilities(_ideal_state(label), setting, setting).correlator()
+
+
+def sample_outcome_stream_grouped(
+    states, stratum_idx, a_settings, b_settings, a_idx, b_idx, rng
+) -> np.ndarray:
+    """Per-pair joint outcomes, one group at a time.
+
+    The group key's distinct values are visited in ascending order; each
+    group's members are found by a scan of the whole stream and drawn with
+    one ``rng.choice`` from the group's Born-rule distribution.  The
+    library draws the same stream in one pass.
+    """
+    out = np.zeros(len(stratum_idx), dtype=np.uint8)
+    key = (stratum_idx.astype(np.int64) * len(a_settings) + a_idx) * len(b_settings) + b_idx
+    for group in np.unique(key):
+        members = np.nonzero(key == group)[0]
+        si, rest = divmod(int(group), len(a_settings) * len(b_settings))
+        ai, bi = divmod(rest, len(b_settings))
+        p = joint_probabilities(states[si], a_settings[ai], b_settings[bi]).as_array()
+        out[members] = rng.choice(4, size=members.size, p=p / p.sum())
+    return out

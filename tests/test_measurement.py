@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from _oracles import ideal_correlator
+from _oracles import ideal_correlator, sample_outcome_stream_grouped
 
+from ebqkd import measurement
 from ebqkd.measurement import (
     AnalyzerSetting,
     CoincidenceRow,
@@ -13,8 +14,10 @@ from ebqkd.measurement import (
     DetectorModel,
     bob_flip,
     intercept_average_state,
+    intercept_resend,
     intercept_strata,
     qber_for_basis,
+    sample_outcome_stream,
     sample_outcomes,
     spawn_rng,
     wrong_outcomes,
@@ -24,6 +27,7 @@ from ebqkd.qstate import (
     TwoQubitState,
     bell_state,
     joint_probabilities,
+    ptrace_bob,
     to_density,
 )
 
@@ -158,7 +162,98 @@ class TestSampleOutcomes:
         assert not np.array_equal(a, c)
 
 
+def _both_samplers(states, stratum_idx, a_settings, b_settings, a_idx, b_idx, seed):
+    """Library and oracle outcomes from equal generators, plus each
+    generator's next uniform (equal when both consumed the same draws)."""
+    args = (states, stratum_idx, a_settings, b_settings, a_idx, b_idx)
+    rng_lib, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    lib = sample_outcome_stream(*args, rng_lib)
+    ref = sample_outcome_stream_grouped(*args, rng_ref)
+    return lib, ref, rng_lib.random(), rng_ref.random()
+
+
+E91_ALICE = tuple(AnalyzerSetting(t) for t in (0.0, 11.25, 22.5))
+E91_BOB = tuple(AnalyzerSetting(t) for t in (11.25, 22.5, 33.75))
+
+
+class TestSampleOutcomeStream:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_matches_grouped_oracle_over_all_strata(self, seed):
+        rng = np.random.default_rng([99, seed])
+        state = to_density(bell_state(list(BellLabel)[seed % 4], 0.6))
+        states, _ = intercept_strata(state, 0.4)
+        n = 20_000
+        stratum_idx = rng.integers(0, len(states), size=n)
+        a_idx = rng.integers(0, 3, size=n)
+        b_idx = rng.integers(0, 3, size=n)
+        lib, ref, next_lib, next_ref = _both_samplers(
+            states, stratum_idx, E91_ALICE, E91_BOB, a_idx, b_idx, seed
+        )
+        assert set(np.unique(stratum_idx)) == set(range(5))
+        assert lib.dtype == np.uint8 and lib.shape == (n,)
+        assert np.array_equal(lib, ref)
+        assert next_lib == next_ref
+
+    def test_single_group(self):
+        states, _ = intercept_strata(to_density(bell_state(BellLabel.PHI_PLUS)), 0.5)
+        n = 5_000
+        stratum_idx = np.full(n, 3, dtype=np.uint8)
+        a_idx = np.ones(n, dtype=np.int64)
+        b_idx = np.full(n, 2, dtype=np.int64)
+        lib, ref, next_lib, next_ref = _both_samplers(
+            states, stratum_idx, E91_ALICE, E91_BOB, a_idx, b_idx, 7
+        )
+        assert np.array_equal(lib, ref)
+        assert next_lib == next_ref
+
+    def test_zero_probability_outcomes(self):
+        # Maximal phi+ with equal analyzers never gives +- or -+.
+        states = [to_density(bell_state(BellLabel.PHI_PLUS))]
+        bases = (setting(0), setting(45))
+        rng = np.random.default_rng(5)
+        n = 10_000
+        a_idx = rng.integers(0, 2, size=n)
+        b_idx = rng.integers(0, 2, size=n)
+        lib, ref, next_lib, next_ref = _both_samplers(
+            states, np.zeros(n, dtype=np.int64), bases, bases, a_idx, b_idx, 6
+        )
+        assert np.array_equal(lib, ref)
+        assert next_lib == next_ref
+        matched = a_idx == b_idx
+        assert not np.isin(lib[matched], (1, 2)).any()
+        assert np.isin(lib[~matched], (1, 2)).any()
+
+    def test_empty_stream(self):
+        states = [to_density(bell_state(BellLabel.PHI_PLUS))]
+        empty = np.zeros(0, dtype=np.int64)
+        lib, ref, next_lib, next_ref = _both_samplers(
+            states, empty, E91_ALICE, E91_BOB, empty, empty, 8
+        )
+        assert lib.dtype == np.uint8 and lib.shape == (0,)
+        assert np.array_equal(lib, ref)
+        assert next_lib == next_ref == np.random.default_rng(8).random()
+
+    def test_unequal_lengths_raise(self):
+        states = [to_density(bell_state(BellLabel.PHI_PLUS))]
+        with pytest.raises(ValueError, match="equal length"):
+            sample_outcome_stream(
+                states, np.zeros(3, dtype=np.int64), E91_ALICE, E91_BOB,
+                np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64), np.random.default_rng(0),
+            )
+
+
 class TestInterceptResend:
+    def test_eve_states_built_once_per_call(self, monkeypatch):
+        # One conditional state per (basis, outcome) of Eve: four partial traces.
+        calls = []
+        monkeypatch.setattr(
+            measurement, "ptrace_bob", lambda rho: calls.append(rho) or ptrace_bob(rho)
+        )
+        state = to_density(bell_state(BellLabel.PHI_PLUS))
+        idx = np.zeros(100, dtype=np.int64)
+        intercept_resend(state, E91_ALICE, E91_BOB, idx, idx, 0.5, np.random.default_rng(0))
+        assert len(calls) == 4
+
     def test_strata_weights_sum_to_one(self):
         state = to_density(bell_state(BellLabel.PHI_PLUS))
         states, weights = intercept_strata(state, 0.3)

@@ -12,6 +12,7 @@ from ebqkd.protocol import (
     EmptyBasisError,
     NoSiftedBitsError,
     SessionConfig,
+    _complement,
     estimate,
     protocol_by_name,
     run_session,
@@ -351,6 +352,20 @@ class TestEstimate:
         with pytest.raises(chsh.IncompleteTableError, match="key basis at 45 deg"):
             estimate(table, BellLabel.PHI_PLUS, BBM92)
 
+    def test_s_above_tsirelson_is_flagged_and_clamped(self):
+        # Correlators of +-1 signed to match the CHSH combination give S = 4.
+        settings = chsh.canonical_settings(BellLabel.PHI_PLUS)
+        rows = [row(0, 0, 50, 0, 0, 50), row(45, 45, 50, 0, 0, 50)]
+        rows += [
+            CoincidenceRow(a, b, *((3, 0, 0, 3) if sign > 0 else (0, 3, 3, 0)))
+            for (a, b), sign in zip(settings.pairs(), settings.signs)
+        ]
+        est = estimate(CoincidenceTable(tuple(rows)), BellLabel.PHI_PLUS, BBM92, settings)
+        assert est.chsh.s == 4.0
+        assert est.report.s_above_tsirelson
+        assert est.report.s == 2 * SQ2
+        assert est.report.r == 1.0
+
     def test_empty_chsh_row_raises(self):
         settings = chsh.canonical_settings(BellLabel.PHI_PLUS)
         rows = [row(0, 0, 50, 0, 0, 50), row(45, 45, 50, 0, 0, 50)]
@@ -358,3 +373,16 @@ class TestEstimate:
         rows.append(CoincidenceRow(settings.a_prime, settings.b_prime, 0, 0, 0, 0))
         with pytest.raises(chsh.IncompleteTableError, match="zero total"):
             estimate(CoincidenceTable(tuple(rows)), BellLabel.PHI_PLUS, BBM92, settings)
+
+
+class TestRetainedIndices:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_complement_matches_setdiff1d(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5_000))
+        taken = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        retained = _complement(n, taken)
+        assert np.array_equal(retained, np.setdiff1d(np.arange(n), taken))
+
+    def test_complement_of_everything_is_empty(self):
+        assert _complement(3, np.array([2, 0, 1])).size == 0

@@ -214,6 +214,7 @@ class TestEvaluate:
             assert report.collective_bound_ok == (report.delta < thr.delta_collective)
             assert report.mi_positive == (report.r > 0)
             assert report.subclassical_s == (report.s < 2.0)
+            assert not report.s_above_tsirelson
             assert report.r == pytest.approx(report.i_ab - report.i_ae)
             assert report.r <= 1.0
             assert 0.0 <= report.i_ae <= 1.0
@@ -232,6 +233,11 @@ class TestEvaluate:
         report = evaluate(0.0, 0.0, s=2.8285)
         assert report.s == pytest.approx(S_QUANTUM_MAX)
         assert report.i_ae == pytest.approx(0.0, abs=1e-6)
+        assert report.s_above_tsirelson
+
+    def test_tsirelson_bound_itself_not_flagged(self):
+        assert not evaluate(0.0, 0.0, s=S_QUANTUM_MAX).s_above_tsirelson
+        assert not evaluate(0.0, 0.0).s_above_tsirelson
 
     def test_error_rate_domain(self):
         with pytest.raises(ValueError):
