@@ -1,8 +1,14 @@
 """Bell-CHSH parameter estimation.
 
-Analytic correlators from density operators, the settings-optimized
-maximum via the Horodecki criterion, and count-based estimation with
-Poisson-propagated uncertainty.
+Analytic correlators, the settings-optimized maximum via the Horodecki
+criterion, and count-based estimation with Poisson-propagated
+uncertainty.
+
+Both analytic routes read one object, the state's Pauli correlation
+matrix ``C`` (see :mod:`ebqkd.qstate`): linear-analyzer correlators come
+from :func:`~ebqkd.qstate.born_table`, ``E(a, b) = a . T b`` with
+``T = C[1:, 1:]``, and the Horodecki maximum from the eigenvalues of
+``T^T T``.
 
 Canonical geometry
 ------------------
@@ -31,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measurement import AnalyzerSetting, CoincidenceTable
-from .qstate import BellLabel, TwoQubitState, joint_probabilities
+from .qstate import BellLabel, TwoQubitState, born_table, joint_probabilities
 
 #: Quantum-mechanical ceiling on |S| (Tsirelson bound).
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -42,12 +48,6 @@ _CANONICAL_SIGNS: dict[BellLabel, tuple[int, int, int, int]] = {
     BellLabel.PSI_PLUS: (-1, 1, 1, 1),
     BellLabel.PSI_MINUS: (-1, 1, -1, -1),
 }
-
-_PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 
 class IncompleteTableError(ValueError):
@@ -143,24 +143,16 @@ def correlator_analytic(
 
 def s_analytic(state: TwoQubitState, settings: ChshSettings) -> ChshEstimate:
     """Exact CHSH combination for the given settings (zero uncertainty)."""
-    correlators = tuple(correlator_analytic(state, a, b) for a, b in settings.pairs())
+    p = born_table(state, (settings.a, settings.a_prime), (settings.b, settings.b_prime))
+    # Row-major over (a, a') x (b, b'): the order of settings.pairs().
+    correlators = tuple(float(e) for e in (p[..., 0] + p[..., 3] - p[..., 1] - p[..., 2]).reshape(-1))
     s = sum(sign * e for sign, e in zip(settings.signs, correlators))
     return ChshEstimate(s=s, correlators=correlators, sigma_s=0.0)
 
 
 def correlation_matrix(state: TwoQubitState) -> np.ndarray:
-    """3x3 Bloch correlation matrix T_ij = Tr(rho sigma_i x sigma_j)."""
-    t = np.empty((3, 3))
-    for i, si in enumerate(_PAULI):
-        for j, sj in enumerate(_PAULI):
-            t[i, j] = float(np.trace(state.rho @ np.kron(si, sj)).real)
-    return t
-
-
-def correlator_bloch(state: TwoQubitState, a_dir: np.ndarray, b_dir: np.ndarray) -> float:
-    """Correlator for measurements along arbitrary Bloch directions."""
-    t = correlation_matrix(state)
-    return float(np.asarray(a_dir) @ t @ np.asarray(b_dir))
+    """3x3 Bloch correlation matrix T_ij = Tr(rho sigma_i x sigma_j) = C[i, j]."""
+    return state.bloch[1:, 1:]
 
 
 def s_optimal(state: TwoQubitState) -> OptimalChsh:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import math
 import os
@@ -219,6 +220,13 @@ def _require(mapping: dict, key: str, where: str) -> Any:
     return mapping[key]
 
 
+def _object(doc: dict, key: str, default: dict | None = None) -> dict:
+    value = _require(doc, key, "") if default is None else doc.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"config field '{key}' must be a JSON object")
+    return value
+
+
 def _session_config(doc: dict, args: argparse.Namespace) -> protocol.SessionConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -227,7 +235,7 @@ def _session_config(doc: dict, args: argparse.Namespace) -> protocol.SessionConf
     except ValueError as exc:
         raise ConfigError(f"config field 'protocol': {exc}")
 
-    source_doc = _require(doc, "source", "")
+    source_doc = _object(doc, "source")
     try:
         label = BellLabel(str(_require(source_doc, "label", "source.")))
     except ValueError:
@@ -240,13 +248,13 @@ def _session_config(doc: dict, args: argparse.Namespace) -> protocol.SessionConf
             epsilon_rad=float(source_doc.get("epsilon_rad", math.pi / 4)),
             hom_visibility=float(source_doc.get("hom_visibility", 1.0)),
         )
-        channel_doc = doc.get("channel", {"kind": "identity"})
+        channel_doc = _object(doc, "channel", {"kind": "identity"})
         channel = ChannelModel(
             kind=ChannelKind(str(channel_doc.get("kind", "identity"))),
             parameter=float(channel_doc.get("parameter", 0.0)),
             arm=str(channel_doc.get("arm", "both")),
         )
-        det_doc = doc.get("detector", {})
+        det_doc = _object(doc, "detector", {})
         detector = DetectorModel(
             efficiency=float(det_doc.get("efficiency", 0.6)),
             dark_rate=float(det_doc.get("dark_rate", 0.0)),
@@ -284,12 +292,15 @@ def _json_ready(value: Any) -> Any:
     return value
 
 
-def _write_report(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(_json_ready(doc), sort_keys=True, indent=2) + "\n"
+def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _write_report(doc: dict, out_path: str | None) -> None:
+    _emit(json.dumps(_json_ready(doc), sort_keys=True, indent=2) + "\n", out_path)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -304,12 +315,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     seed = args.seed if args.seed is not None else 0
     rows = run_sweep(spec, seed, workers=args.workers)
-    delimiter = "," if args.format == "csv" else "\t"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_sweep_table(rows, spec, seed, fh, delimiter)
-    else:
-        write_sweep_table(rows, spec, seed, sys.stdout, delimiter)
+    table = io.StringIO()
+    write_sweep_table(rows, spec, seed, table, "," if args.format == "csv" else "\t")
+    _emit(table.getvalue(), args.out)
     return EXIT_OK
 
 
@@ -371,11 +379,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
         f"S_at_collective   {thr.s_at_collective:.6f}   linear law at delta_collective",
         f"S_at_mi_zero      {thr.s_at_mi_zero:.6f}   linear law at delta_mi_zero",
     ]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 

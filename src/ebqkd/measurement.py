@@ -14,13 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qstate import (
-    BellLabel,
-    TwoQubitState,
-    joint_probabilities,
-    polarization_projector,
-    ptrace_bob,
-)
+from .qstate import BellLabel, TwoQubitState, born_table, joint_probabilities
 
 #: Polarization angles (radians) of the two key-generation bases, H/V and D/A.
 KEY_BASES_RAD = (0.0, math.pi / 4)
@@ -163,46 +157,33 @@ def intercept_strata(
 ) -> tuple[list[TwoQubitState], np.ndarray]:
     """Mixture components seen downstream of an intercept-resend attack.
 
-    Index 0 is the untouched state (weight ``1 - eve_fraction``); indices
-    1..4 are Eve's (basis, outcome) product states with their weights.
-    """
-    states, weights, _ = _strata(state, eve_fraction)
-    return states, weights
-
-
-def _strata(
-    state: TwoQubitState, eve_fraction: float
-) -> tuple[list[TwoQubitState], np.ndarray, np.ndarray]:
-    """:func:`intercept_strata` plus Eve's outcome probabilities per basis.
-
-    Eve measures Bob's photon in one of :data:`KEY_BASES_RAD` (chosen
-    uniformly) and forwards a freshly prepared eigenstate of her result.
-    Her (basis, outcome) states are flattened as ``1 + 2 * basis + outcome``
-    and ``outcome_probs[basis, outcome]`` is the Born-rule probability of
-    her result.
+    Index 0 is the untouched state (weight ``1 - eve_fraction``).  Eve
+    measures Bob's photon in one of :data:`KEY_BASES_RAD` (chosen
+    uniformly) and forwards a freshly prepared eigenstate of her result;
+    indices ``1 + 2 * basis + outcome`` are those product states, with
+    weight ``eve_fraction / 2`` times the Born-rule probability of her
+    result.  In the Pauli picture of :mod:`ebqkd.qstate`, her outcome
+    ``+/-`` along Bloch direction ``e`` has ``p = (1 +/- e.r_B) / 2``,
+    leaves Alice with Bloch vector ``(r_A +/- T e) / (2 p)`` and forwards
+    the product state ``C = outer((1, r_A'), (1, +/-e))``.
     """
     if not 0.0 <= eve_fraction <= 1.0:
         raise ValueError(f"eve_fraction must be in [0, 1], got {eve_fraction!r}")
+    c = state.bloch
     states = [state]
     outcome_probs = np.zeros((len(KEY_BASES_RAD), 2))
     for k, theta in enumerate(KEY_BASES_RAD):
-        for outcome in (0, 1):
-            # Projector onto Eve's result; also the state she re-prepares.
-            proj = polarization_projector(theta + outcome * math.pi / 2)
-            unnorm = ptrace_bob(state.rho @ np.kron(np.eye(2), proj))
-            p = float(np.trace(unnorm).real)
+        e = np.array([math.sin(2.0 * theta), 0.0, math.cos(2.0 * theta)])
+        for outcome, sign in enumerate((1.0, -1.0)):
+            p = max(0.0, (1.0 + sign * float(e @ c[0, 1:])) / 2.0)
             outcome_probs[k, outcome] = p
-            if p <= 0.0:
-                # Unreachable outcome; keep a placeholder of the right shape.
-                alice = np.eye(2) / 2.0
-            else:
-                alice = unnorm / p
-            alice = (alice + alice.conj().T) / 2.0
-            states.append(TwoQubitState(np.kron(alice, proj)))
+            # An unreachable outcome keeps a maximally mixed Alice as a placeholder.
+            r_alice = (c[1:, 0] + sign * (c[1:, 1:] @ e)) / (2.0 * p) if p > 0.0 else np.zeros(3)
+            states.append(TwoQubitState.from_bloch(np.outer(np.r_[1.0, r_alice], np.r_[1.0, sign * e])))
     weights = np.concatenate(
         ([1.0 - eve_fraction], eve_fraction * 0.5 * outcome_probs.reshape(-1))
     )
-    return states, weights, outcome_probs
+    return states, weights
 
 
 def intercept_average_state(state: TwoQubitState, eve_fraction: float) -> TwoQubitState:
@@ -213,13 +194,7 @@ def intercept_average_state(state: TwoQubitState, eve_fraction: float) -> TwoQub
     :func:`intercept_resend` keeps implicitly while sampling.
     """
     states, weights = intercept_strata(state, eve_fraction)
-    rho = sum(w * s.rho for w, s in zip(weights, states))
-    return TwoQubitState(rho)
-
-
-def _outcome_array(dist) -> np.ndarray:
-    p = dist.as_array()
-    return p / p.sum()
+    return TwoQubitState.from_bloch(sum(w * s.bloch for w, s in zip(weights, states)))
 
 
 def sample_outcomes(
@@ -250,11 +225,12 @@ def sample_outcomes(
     if eve_fraction > 0.0:
         states, weights = intercept_strata(state, eve_fraction)
         per_stratum = rng.multinomial(n_coinc, weights / weights.sum())
-        for n_s, stratum in zip(per_stratum, states):
-            if n_s:
-                counts += rng.multinomial(n_s, _outcome_array(joint_probabilities(stratum, a, b)))
-    elif n_coinc:
-        counts += rng.multinomial(n_coinc, _outcome_array(joint_probabilities(state, a, b)))
+    else:
+        states, per_stratum = [state], [n_coinc]
+    for n_s, stratum in zip(per_stratum, states):
+        if n_s:
+            p = born_table(stratum, (a,), (b,))[0, 0]
+            counts += rng.multinomial(n_s, p / p.sum())
     n_acc = int(rng.poisson(det.expected_accidentals(n_pairs)))
     if n_acc:
         counts += rng.multinomial(n_acc, np.full(4, 0.25))
@@ -276,7 +252,8 @@ def sample_outcome_stream(
     ``rng.random(n)`` call draws a uniform per pair; the uniforms go to the
     groups in ascending group order and, within a group, in stream order,
     and each becomes an outcome by a search of its group's normalised
-    Born-rule CDF.  This is stream-equivalent to one
+    Born-rule CDF, all read from one :func:`~ebqkd.qstate.born_table` per
+    stratum built up front.  This is stream-equivalent to one
     ``rng.choice(4, size=group_size, p=...)`` per group in ascending group
     order: the same draws and the same outcomes.  A stable sort of a small
     integer key gathers the groups, so the cost is O(n).
@@ -294,16 +271,15 @@ def sample_outcome_stream(
     order = np.argsort(key, kind="stable")
     ends = np.cumsum(np.bincount(key, minlength=n_groups))
     del key
+    probs = np.stack([born_table(s, a_settings, b_settings) for s in states]).reshape(n_groups, 4)
+    cdfs = (probs / probs.sum(axis=1, keepdims=True)).cumsum(axis=1)
+    cdfs /= cdfs[:, -1:]
     u = rng.random(n)
     drawn = np.empty(n, dtype=np.uint8)
     start = 0
     for group, end in enumerate(ends):
         if end > start:
-            si, rest = divmod(group, n_a * n_b)
-            ai, bi = divmod(rest, n_b)
-            cdf = _outcome_array(joint_probabilities(states[si], a_settings[ai], b_settings[bi])).cumsum()
-            cdf /= cdf[-1]
-            drawn[start:end] = cdf.searchsorted(u[start:end], side="right")
+            drawn[start:end] = cdfs[group].searchsorted(u[start:end], side="right")
         start = end
     del u
     out = np.empty(n, dtype=np.uint8)
@@ -326,16 +302,19 @@ def intercept_resend(
     key basis (H/V or D/A) and forwards a re-prepared eigenstate; downstream
     outcomes are then sampled from the resulting product state.  With
     ``eve_fraction = 0`` no Eve randomness is consumed and the stream is
-    identical to an attack-free run with the same generator state.
+    identical to an attack-free run with the same generator state, and
+    no Eve state is built.
     """
-    states, _, outcome_probs = _strata(state, eve_fraction)
     n = len(a_idx)
+    states = [state]
     stratum_idx = np.zeros(n, dtype=np.uint8)
-    if eve_fraction > 0.0:
+    if eve_fraction != 0.0:
+        states, weights = intercept_strata(state, eve_fraction)
         intercepted = rng.random(n) < eve_fraction
         eve_basis = rng.integers(0, 2, size=n)
         # Born-rule probability of Eve's "+" outcome in each basis.
-        p_plus = outcome_probs[:, 0] / outcome_probs.sum(axis=1)
+        eve_weights = weights[1:].reshape(len(KEY_BASES_RAD), 2)
+        p_plus = eve_weights[:, 0] / eve_weights.sum(axis=1)
         eve_outcome = (rng.random(n) >= p_plus[eve_basis]).astype(np.int64)
         stratum_idx[intercepted] = 1 + 2 * eve_basis[intercepted] + eve_outcome[intercepted]
         # Eve's records are not needed downstream; free them before the outcome draw.
@@ -360,7 +339,7 @@ def qber_for_basis(
 ) -> float:
     """Analytic error probability when both parties measure at one angle."""
     setting = AnalyzerSetting.from_polarization(math.degrees(basis_pol_rad))
-    p = joint_probabilities(state, setting, setting).as_array()
+    p = born_table(state, (setting,), (setting,))[0, 0]
     i, j = wrong_outcomes(label, basis_pol_rad)
     return float(p[i] + p[j])
 

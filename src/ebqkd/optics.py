@@ -16,14 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import (
-    BellLabel,
-    TwoQubitState,
-    _BELL_TERMS,
-    bell_state,
-    ptrace_alice,
-    ptrace_bob,
-)
+from .qstate import BellLabel, TwoQubitState, _BELL_TERMS, bell_state
 
 
 @dataclass(frozen=True)
@@ -117,20 +110,27 @@ def generate(source: SourceModel) -> TwoQubitState:
 
 
 def apply_channel(state: TwoQubitState, channel: ChannelModel) -> TwoQubitState:
-    """Propagate a state through the channel (a deterministic map)."""
+    """Propagate a state through the channel (a deterministic map).
+
+    Depolarizing scales the Pauli correlation matrix ``C`` by ``1 - p``:
+    Alice's rows 1..3 for ``arm="a"``, Bob's columns 1..3 for ``"b"`` and
+    every entry but ``C[0, 0]`` for ``"both"``.
+    """
     if channel.kind is ChannelKind.IDENTITY:
         return state
     if channel.kind is ChannelKind.INTERCEPT_RESEND:
         # Tag only; per-pair attack statistics live in the sampling layer.
         return state
-    p = channel.parameter
-    if channel.arm == "both":
-        mixed = np.eye(4) / 4.0
-    elif channel.arm == "a":
-        mixed = np.kron(np.eye(2) / 2.0, ptrace_alice(state.rho))
+    keep = 1.0 - channel.parameter
+    c = state.bloch.copy()
+    if channel.arm == "a":
+        c[1:, :] *= keep
+    elif channel.arm == "b":
+        c[:, 1:] *= keep
     else:
-        mixed = np.kron(ptrace_bob(state.rho), np.eye(2) / 2.0)
-    return TwoQubitState((1.0 - p) * state.rho + p * mixed)
+        c *= keep
+        c[0, 0] = 1.0
+    return TwoQubitState.from_bloch(c)
 
 
 def werner_state(label: BellLabel, w: float) -> TwoQubitState:

@@ -135,7 +135,7 @@ class SessionRecord:
     ``disclosed_length + len(key_bits_alice) == sifted_length``.
     ``counts`` is the table the estimates come from: the CHSH setting
     pairs over every coincidence, the matched bases over the disclosed
-    sample only.
+    sample only.  ``report`` is the security evaluation of that table.
     """
 
     n_pairs: int
@@ -149,6 +149,7 @@ class SessionRecord:
     key_bits_alice: np.ndarray
     key_bits_bob: np.ndarray
     counts: CoincidenceTable
+    report: security.SecurityReport
 
 
 @dataclass(frozen=True)
@@ -265,7 +266,8 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
         CoincidenceRow(alice[i], bob[j], *(int(c) for c in counts[i, j]))
         for i, j in cfg.kind.matched_pairs() + cfg.kind.chsh_pairs
     ))
-    est = estimate(table, cfg.source.label, cfg.kind, _chsh_settings(cfg))
+    settings = chsh.canonical_settings(cfg.source.label) if cfg.kind.chsh_pairs else None
+    est = estimate(table, cfg.source.label, cfg.kind, settings)
     return SessionRecord(
         n_pairs=cfg.n_pairs,
         n_coincident=int(len(outcomes)),
@@ -278,11 +280,8 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
         key_bits_alice=sifted.bits_alice[retained],
         key_bits_bob=sifted.bits_bob[retained],
         counts=table,
+        report=est.report,
     )
-
-
-def _chsh_settings(cfg: SessionConfig) -> chsh.ChshSettings | None:
-    return chsh.canonical_settings(cfg.source.label) if cfg.kind.chsh_pairs else None
 
 
 @dataclass(frozen=True)
@@ -353,6 +352,7 @@ def security_report(cfg: SessionConfig, record: SessionRecord) -> security.Secur
     """Security evaluation of a finished session, from its count table.
 
     Eve's bound uses the session's measured CHSH value when the protocol
-    provides one, otherwise the linear disturbance law.
+    provides one, otherwise the linear disturbance law.  :func:`run_session`
+    already evaluated it; this returns ``record.report``.
     """
-    return estimate(record.counts, cfg.source.label, cfg.kind, _chsh_settings(cfg)).report
+    return record.report

@@ -13,14 +13,22 @@ Conventions
   port 2 -> Bob.
 * An analyzer's "+" outcome is transmission along its polarization axis;
   "-" is the orthogonal port.
+* A state is read through its real Pauli correlation matrix
+  ``C[m, n] = Tr(rho sigma_m x sigma_n)`` with ``sigma = (I, X, Y, Z)``:
+  ``C[0, 0] = 1``, Bloch vectors ``r_A = C[1:, 0]`` and ``r_B = C[0, 1:]``,
+  correlations ``T = C[1:, 1:]``; ``rho = 1/4 sum C[m, n] sigma_m x sigma_n``.
+* A half-wave plate at angle ``t`` analyzes along ``a = (sin 4t, 0, cos 4t)``
+  and the Born rule is one bilinear form, ``p(s_a, s_b) = 1/4 (1, s_a a)
+  C (1, s_b b)^T`` for port signs ``s = +/-1`` (:func:`born_table`, the
+  only Born-rule evaluation in the package).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -34,6 +42,10 @@ NORM_ATOL = 1e-12
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 PSD_ATOL = 1e-9
+
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+#: Row ``4*m + n`` holds the 16 entries of sigma_m x sigma_n in basis order.
+_PAULI_PAIRS = np.einsum("mij,nkl->mnikjl", _PAULI, _PAULI).reshape(16, 16)
 
 
 class InvariantViolation(ValueError):
@@ -99,11 +111,14 @@ class TwoQubitState:
     """A 4x4 density operator on the polarization product basis.
 
     The constructor enforces Hermiticity, unit trace and positive
-    semidefiniteness (eigenvalues >= -1e-9); instances are immutable and
-    safe to share between parallel workers.
+    semidefiniteness (eigenvalues >= -1e-9) and computes ``bloch``, the
+    real Pauli correlation matrix ``C`` every probability is read from
+    (see the module conventions).  Instances are immutable and safe to
+    share between parallel workers.
     """
 
     rho: np.ndarray
+    bloch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         rho = np.asarray(self.rho, dtype=complex).reshape(4, 4)
@@ -118,6 +133,14 @@ class TwoQubitState:
                 f"density matrix is not positive semidefinite (lowest eigenvalue {lowest:.3e})"
             )
         object.__setattr__(self, "rho", _frozen_array(rho, (4, 4)))
+        # Tr(rho P) = sum rho * conj(P) for Hermitian P.
+        bloch = (_PAULI_PAIRS.conj() @ rho.reshape(16)).real
+        object.__setattr__(self, "bloch", _frozen_array(bloch, (4, 4), dtype=float))
+
+    @classmethod
+    def from_bloch(cls, bloch) -> "TwoQubitState":
+        """The state ``rho = 1/4 sum_mn C[m, n] sigma_m x sigma_n`` of ``C = bloch``."""
+        return cls((np.asarray(bloch, dtype=float).reshape(16) @ _PAULI_PAIRS).reshape(4, 4) / 4.0)
 
     def purity(self) -> float:
         """Tr(rho^2); 1 for pure states, 1/4 for the maximally mixed state."""
@@ -181,38 +204,32 @@ def to_density(psi: PureTwoQubit) -> TwoQubitState:
     return TwoQubitState(np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
 
-def polarization_projector(angle_rad: float) -> np.ndarray:
-    """2x2 projector onto linear polarization at ``angle_rad`` from H."""
-    c = math.cos(angle_rad)
-    s = math.sin(angle_rad)
-    return np.array([[c * c, c * s], [c * s, s * s]])
+def born_table(
+    state: TwoQubitState, a_settings: "Sequence[AnalyzerSetting]", b_settings: "Sequence[AnalyzerSetting]"
+) -> np.ndarray:
+    """Outcome probabilities ``(++, +-, -+, --)`` for every pair of settings.
+
+    Entry ``[i, j]`` of the ``(len(a_settings), len(b_settings), 4)`` array
+    is ``p(s_a, s_b) = 1/4 (1, s_a a) C (1, s_b b)^T`` for Alice's setting
+    ``i`` and Bob's ``j``, clipped to [0, 1] so samplers see simplex points.
+    """
+    a, b = _port_vectors(a_settings), _port_vectors(b_settings)
+    p = (a @ state.bloch @ b.T).reshape(len(a_settings), 2, len(b_settings), 2) / 4.0
+    return np.clip(p.transpose(0, 2, 1, 3).reshape(len(a_settings), len(b_settings), 4), 0.0, 1.0)
+
+
+def _port_vectors(settings: "Sequence[AnalyzerSetting]") -> np.ndarray:
+    """Rows ``(1, a)`` then ``(1, -a)`` per setting: its "+" and "-" ports."""
+    angle = 2.0 * np.array([s.polarization_angle_rad for s in settings])
+    a = np.stack([np.sin(angle), np.zeros_like(angle), np.cos(angle)], axis=-1)
+    return np.insert(np.stack([a, -a], axis=1).reshape(-1, 3), 0, 1.0, axis=1)
 
 
 def joint_probabilities(
     state: TwoQubitState, a: "AnalyzerSetting", b: "AnalyzerSetting"
 ) -> JointDistribution:
-    """Born-rule outcome probabilities for a pair of linear analyzers.
+    """Born-rule outcome probabilities for one pair of linear analyzers.
 
-    Each probability is Tr(rho (P_a x P_b)) with P the projector onto the
-    analyzer's transmission (+) or reflection (-) axis.
+    A one-pair view of :func:`born_table`.
     """
-    alpha = a.polarization_angle_rad
-    beta = b.polarization_angle_rad
-    proj_a = (polarization_projector(alpha), polarization_projector(alpha + math.pi / 2))
-    proj_b = (polarization_projector(beta), polarization_projector(beta + math.pi / 2))
-    probs = [
-        float(np.trace(state.rho @ np.kron(pa, pb)).real)
-        for pa in proj_a
-        for pb in proj_b
-    ]
-    return JointDistribution(*probs)
-
-
-def ptrace_alice(rho: np.ndarray) -> np.ndarray:
-    """Trace out Alice's qubit, returning Bob's 2x2 marginal."""
-    return np.einsum("ajal->jl", np.asarray(rho).reshape(2, 2, 2, 2))
-
-
-def ptrace_bob(rho: np.ndarray) -> np.ndarray:
-    """Trace out Bob's qubit, returning Alice's 2x2 marginal."""
-    return np.einsum("iaka->ik", np.asarray(rho).reshape(2, 2, 2, 2))
+    return JointDistribution(*born_table(state, (a,), (b,))[0, 0])

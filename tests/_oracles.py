@@ -9,14 +9,75 @@ import math
 
 import numpy as np
 
-from ebqkd.measurement import AnalyzerSetting
-from ebqkd.qstate import BellLabel, TwoQubitState, bell_state, joint_probabilities, to_density
+from ebqkd.measurement import KEY_BASES_RAD, AnalyzerSetting
+from ebqkd.qstate import BellLabel, TwoQubitState, bell_state, to_density
 
 _PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
+
+
+def polarization_projector(angle_rad: float) -> np.ndarray:
+    """2x2 projector onto linear polarization at ``angle_rad`` from H."""
+    c = math.cos(angle_rad)
+    s = math.sin(angle_rad)
+    return np.array([[c * c, c * s], [c * s, s * s]])
+
+
+def joint_probabilities(rho: np.ndarray, a: AnalyzerSetting, b: AnalyzerSetting) -> np.ndarray:
+    """``(++, +-, -+, --)`` as Tr(rho (P_a x P_b)) over the four port projectors."""
+    alpha = a.polarization_angle_rad
+    beta = b.polarization_angle_rad
+    return np.array([
+        np.trace(np.asarray(rho) @ np.kron(polarization_projector(alpha + i * math.pi / 2),
+                                           polarization_projector(beta + j * math.pi / 2))).real
+        for i in (0, 1)
+        for j in (0, 1)
+    ])
+
+
+def ptrace_alice(rho: np.ndarray) -> np.ndarray:
+    """Trace out Alice's qubit, returning Bob's 2x2 marginal."""
+    return np.einsum("ajal->jl", np.asarray(rho).reshape(2, 2, 2, 2))
+
+
+def ptrace_bob(rho: np.ndarray) -> np.ndarray:
+    """Trace out Bob's qubit, returning Alice's 2x2 marginal."""
+    return np.einsum("iaka->ik", np.asarray(rho).reshape(2, 2, 2, 2))
+
+
+def intercept_strata(rho: np.ndarray, eve_fraction: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """Intercept-resend mixture components by projection and partial trace.
+
+    Eve projects Bob's photon onto her result, Alice keeps the normalised
+    partial trace, and Eve forwards the projector itself.
+    """
+    rho = np.asarray(rho)
+    states = [rho]
+    probs = []
+    for theta in KEY_BASES_RAD:
+        for outcome in (0, 1):
+            proj = polarization_projector(theta + outcome * math.pi / 2)
+            unnorm = ptrace_bob(rho @ np.kron(np.eye(2), proj))
+            p = float(np.trace(unnorm).real)
+            probs.append(p)
+            states.append(np.kron(unnorm / p if p > 0.0 else np.eye(2) / 2.0, proj))
+    weights = np.concatenate(([1.0 - eve_fraction], eve_fraction * 0.5 * np.array(probs)))
+    return states, weights
+
+
+def depolarize(rho: np.ndarray, p: float, arm: str) -> np.ndarray:
+    """``(1 - p) rho + p M`` with M the depolarized arm(s) next to the other marginal."""
+    rho = np.asarray(rho)
+    if arm == "both":
+        mixed = np.eye(4) / 4.0
+    elif arm == "a":
+        mixed = np.kron(np.eye(2) / 2.0, ptrace_alice(rho))
+    else:
+        mixed = np.kron(ptrace_bob(rho), np.eye(2) / 2.0)
+    return (1.0 - p) * rho + p * mixed
 
 
 def correlation_matrix(rho: np.ndarray) -> np.ndarray:
@@ -120,7 +181,8 @@ def ideal_correlator(label: BellLabel, pol_rad: float) -> float:
     analyzers at polarization angle ``pol_rad`` (the library uses a
     closed form)."""
     setting = AnalyzerSetting.from_polarization(math.degrees(pol_rad))
-    return joint_probabilities(_ideal_state(label), setting, setting).correlator()
+    p = joint_probabilities(_ideal_state(label).rho, setting, setting)
+    return float(p[0] + p[3] - p[1] - p[2])
 
 
 def sample_outcome_stream_grouped(
@@ -139,6 +201,6 @@ def sample_outcome_stream_grouped(
         members = np.nonzero(key == group)[0]
         si, rest = divmod(int(group), len(a_settings) * len(b_settings))
         ai, bi = divmod(rest, len(b_settings))
-        p = joint_probabilities(states[si], a_settings[ai], b_settings[bi]).as_array()
+        p = joint_probabilities(states[si].rho, a_settings[ai], b_settings[bi]).clip(0.0, 1.0)
         out[members] = rng.choice(4, size=members.size, p=p / p.sum())
     return out

@@ -14,7 +14,6 @@ from ebqkd.chsh import (
     canonical_settings,
     correlation_matrix,
     correlator_analytic,
-    correlator_bloch,
     s_analytic,
     s_from_counts,
     s_optimal,
@@ -126,8 +125,9 @@ class TestSOptimal:
             a, ap = opt.alice_directions
             b, bp = opt.bob_directions
             signs = (1, -1, 1, 1)
+            t = correlation_matrix(state)
             s = sum(
-                sign * correlator_bloch(state, u, v)
+                sign * float(u @ t @ v)
                 for sign, (u, v) in zip(signs, ((a, b), (a, bp), (ap, b), (ap, bp)))
             )
             assert s == pytest.approx(opt.estimate.s, abs=1e-9)

@@ -224,6 +224,12 @@ class TestSession:
         assert cli.main(["session", str(cfg)]) == EXIT_USAGE
         assert "source.label" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [("source", 5), ("channel", "werner"), ("detector", [1])])
+    def test_non_object_section_is_a_config_error(self, tmp_path, capsys, field, value):
+        cfg = session_config(tmp_path, **{field: value})
+        assert cli.main(["session", str(cfg)]) == EXIT_USAGE
+        assert f"'{field}' must be a JSON object" in capsys.readouterr().err
+
     def test_missing_protocol_field(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"source": {"label": "phi_plus"}}))

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+import _oracles
 from _oracles import ideal_correlator, sample_outcome_stream_grouped
+from conftest import random_density_matrix
 
-from ebqkd import measurement
 from ebqkd.measurement import (
     AnalyzerSetting,
     CoincidenceRow,
@@ -27,7 +28,6 @@ from ebqkd.qstate import (
     TwoQubitState,
     bell_state,
     joint_probabilities,
-    ptrace_bob,
     to_density,
 )
 
@@ -244,15 +244,35 @@ class TestSampleOutcomeStream:
 
 class TestInterceptResend:
     def test_eve_states_built_once_per_call(self, monkeypatch):
-        # One conditional state per (basis, outcome) of Eve: four partial traces.
-        calls = []
-        monkeypatch.setattr(
-            measurement, "ptrace_bob", lambda rho: calls.append(rho) or ptrace_bob(rho)
-        )
+        # One forwarded state per (basis, outcome) of Eve, and none without Eve.
         state = to_density(bell_state(BellLabel.PHI_PLUS))
+        calls = []
+        post_init = TwoQubitState.__post_init__
+        monkeypatch.setattr(
+            TwoQubitState, "__post_init__", lambda self: calls.append(self) or post_init(self)
+        )
         idx = np.zeros(100, dtype=np.int64)
-        intercept_resend(state, E91_ALICE, E91_BOB, idx, idx, 0.5, np.random.default_rng(0))
-        assert len(calls) == 4
+        for eve_fraction, built in ((0.5, 4), (0.0, 0)):
+            calls.clear()
+            intercept_resend(state, E91_ALICE, E91_BOB, idx, idx, eve_fraction, np.random.default_rng(0))
+            assert len(calls) == built
+
+    def test_strata_match_partial_trace_oracle(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            rho = random_density_matrix(rng)
+            fraction = rng.uniform(0, 1)
+            states, weights = intercept_strata(TwoQubitState(rho), fraction)
+            expected_states, expected_weights = _oracles.intercept_strata(rho, fraction)
+            np.testing.assert_allclose(weights, expected_weights, rtol=0, atol=1e-14)
+            for got, expected in zip(states, expected_states, strict=True):
+                np.testing.assert_allclose(got.rho, expected, rtol=0, atol=1e-14)
+
+    def test_unreachable_eve_outcome_keeps_placeholder(self):
+        # |HH>: Eve never sees V in H/V; that stratum has weight 0.
+        states, weights = intercept_strata(to_density(bell_state(BellLabel.PHI_PLUS, 0.0)), 1.0)
+        assert weights[2] == 0.0
+        np.testing.assert_allclose(states[2].bloch[1:, 0], 0.0, atol=1e-15)
 
     def test_strata_weights_sum_to_one(self):
         state = to_density(bell_state(BellLabel.PHI_PLUS))

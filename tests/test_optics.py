@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_pure_state
+import _oracles
+from conftest import random_density_matrix, random_pure_state
 from ebqkd import chsh
 from ebqkd.measurement import qber_for_basis
 from ebqkd.optics import (
@@ -14,7 +15,7 @@ from ebqkd.optics import (
     generate,
     werner_state,
 )
-from ebqkd.qstate import BellLabel, PureTwoQubit, bell_state, to_density
+from ebqkd.qstate import BellLabel, PureTwoQubit, TwoQubitState, bell_state, to_density
 
 SQ2 = math.sqrt(2.0)
 HV = 0.0
@@ -88,6 +89,15 @@ class TestApplyChannel:
         bob_marginal = np.einsum("ajal->jl", state.rho.reshape(2, 2, 2, 2))
         expected = (1 - p) * state.rho + p * np.kron(np.eye(2) / 2, bob_marginal)
         np.testing.assert_allclose(out.rho, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("arm", ["a", "b", "both"])
+    def test_matches_partial_trace_oracle(self, arm):
+        rng = np.random.default_rng(["abc".index(arm[0]), 19])
+        for _ in range(100):
+            rho = random_density_matrix(rng)
+            p = rng.uniform(0, 1)
+            out = apply_channel(TwoQubitState(rho), ChannelModel.depolarizing(p, arm=arm))
+            np.testing.assert_allclose(out.rho, _oracles.depolarize(rho, p, arm), atol=1e-14)
 
     def test_one_arm_on_maximal_equals_werner(self):
         maximal = to_density(bell_state(BellLabel.PHI_PLUS))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ebqkd import chsh
+from ebqkd import chsh, security
 from ebqkd.measurement import AnalyzerSetting, CoincidenceRow, CoincidenceTable, DetectorModel
 from ebqkd.optics import ChannelModel, SourceModel
 from ebqkd.protocol import (
@@ -309,6 +309,18 @@ class TestSecurityReport:
         rec = run_session(cfg)
         rep = security_report(cfg, rec)
         assert rep.s == pytest.approx(min(rec.chsh_subset.s, 2 * SQ2))
+
+    @pytest.mark.parametrize("kind", [BBM92, E91])
+    def test_evaluated_once_per_session(self, monkeypatch, kind):
+        calls = []
+        original = security.evaluate
+        monkeypatch.setattr(security, "evaluate", lambda *a, **k: calls.append(a) or original(*a, **k))
+        cfg = config(kind=kind, channel=ChannelModel.werner(0.9), seed=21)
+        rec = run_session(cfg)
+        rep = security_report(cfg, rec)
+        assert len(calls) == 1
+        settings = chsh.canonical_settings(cfg.source.label) if kind.chsh_pairs else None
+        assert rep == rec.report == estimate(rec.counts, cfg.source.label, kind, settings).report
 
     def test_interception_kills_rate(self):
         cfg = config(channel=ChannelModel.intercept_resend(1.0), n_pairs=300_000, seed=20)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import _oracles
 from conftest import random_density_matrix, random_pure_state
 from ebqkd.measurement import AnalyzerSetting
 from ebqkd.qstate import (
@@ -12,9 +13,8 @@ from ebqkd.qstate import (
     PureTwoQubit,
     TwoQubitState,
     bell_state,
+    born_table,
     joint_probabilities,
-    ptrace_alice,
-    ptrace_bob,
     to_density,
 )
 
@@ -125,9 +125,31 @@ class TestTwoQubitState:
             TwoQubitState(rho)
 
     def test_partial_traces(self):
-        rho = to_density(bell_state(BellLabel.PHI_PLUS, math.pi / 6)).rho
-        np.testing.assert_allclose(ptrace_bob(rho), np.diag([0.75, 0.25]), atol=1e-12)
-        np.testing.assert_allclose(ptrace_alice(rho), np.diag([0.75, 0.25]), atol=1e-12)
+        # Both marginals are diag(3/4, 1/4): Bloch vectors (0, 0, 1/2).
+        c = to_density(bell_state(BellLabel.PHI_PLUS, math.pi / 6)).bloch
+        np.testing.assert_allclose(c[1:, 0], [0, 0, 0.5], atol=1e-12)
+        np.testing.assert_allclose(c[0, 1:], [0, 0, 0.5], atol=1e-12)
+
+    def test_bloch_matches_pauli_traces(self):
+        rng = np.random.default_rng(3)
+        pauli = (np.eye(2),) + _oracles._PAULI
+        for _ in range(50):
+            rho = random_density_matrix(rng)
+            expected = [[np.trace(rho @ np.kron(sm, sn)).real for sn in pauli] for sm in pauli]
+            np.testing.assert_allclose(TwoQubitState(rho).bloch, expected, atol=1e-14)
+
+    def test_from_bloch_round_trips_rho(self):
+        rng = np.random.default_rng(13)
+        for rank in (1, 2, 4):
+            for _ in range(50):
+                state = TwoQubitState(random_density_matrix(rng, rank))
+                back = TwoQubitState.from_bloch(state.bloch)
+                np.testing.assert_allclose(back.rho, state.rho, atol=1e-14)
+
+    def test_bloch_read_only(self):
+        state = to_density(bell_state(BellLabel.PHI_PLUS))
+        with pytest.raises(ValueError):
+            state.bloch[0, 0] = 2.0
 
 
 class TestJointProbabilities:
@@ -166,6 +188,27 @@ class TestJointProbabilities:
             e = joint_probabilities(singlet, setting(a_deg), setting(b_deg)).correlator()
             expected = -math.cos(2 * math.radians(a_deg - b_deg))
             assert e == pytest.approx(expected, abs=1e-9)
+
+    def test_born_table_matches_kron_oracle(self):
+        """Complex mixed states (nonzero y correlations) at arbitrary plate angles."""
+        rng = np.random.default_rng(2026)
+        for _ in range(250):
+            rho = random_density_matrix(rng)
+            a_settings = [AnalyzerSetting(t) for t in rng.uniform(0, 180, size=3)]
+            b_settings = [AnalyzerSetting(t) for t in rng.uniform(0, 180, size=2)]
+            table = born_table(TwoQubitState(rho), a_settings, b_settings)
+            assert table.shape == (3, 2, 4)
+            for i, a in enumerate(a_settings):
+                for j, b in enumerate(b_settings):
+                    expected = _oracles.joint_probabilities(rho, a, b)
+                    np.testing.assert_allclose(table[i, j], expected, rtol=0, atol=1e-14)
+
+    def test_joint_probabilities_is_a_table_view(self):
+        state = TwoQubitState(random_density_matrix(np.random.default_rng(8)))
+        a, b = setting(10.0), setting(77.0)
+        np.testing.assert_array_equal(
+            joint_probabilities(state, a, b).as_array(), born_table(state, (a,), (b,))[0, 0]
+        )
 
     def test_joint_distribution_validates(self):
         with pytest.raises(InvariantViolation):
