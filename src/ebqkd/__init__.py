@@ -42,7 +42,6 @@ from .security import (
     evaluate,
     key_rate,
     mi_alice_bob_from_errors,
-    mi_alice_bob_from_joint,
     mi_alice_eve,
     s_model,
     thresholds,
@@ -82,7 +81,6 @@ __all__ = [
     "joint_probabilities",
     "key_rate",
     "mi_alice_bob_from_errors",
-    "mi_alice_bob_from_joint",
     "mi_alice_eve",
     "run_session",
     "s_analytic",

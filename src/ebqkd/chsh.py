@@ -143,7 +143,7 @@ def correlator_analytic(
 
 def s_analytic(state: TwoQubitState, settings: ChshSettings) -> ChshEstimate:
     """Exact CHSH combination for the given settings (zero uncertainty)."""
-    p = born_table(state, (settings.a, settings.a_prime), (settings.b, settings.b_prime))
+    p = born_table(state.bloch, (settings.a, settings.a_prime), (settings.b, settings.b_prime))
     # Row-major over (a, a') x (b, b'): the order of settings.pairs().
     correlators = tuple(float(e) for e in (p[..., 0] + p[..., 3] - p[..., 1] - p[..., 2]).reshape(-1))
     s = sum(sign * e for sign, e in zip(settings.signs, correlators))

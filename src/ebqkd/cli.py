@@ -29,7 +29,6 @@ import numpy as np
 
 from . import chsh, ingest, optics, protocol, security
 from .measurement import (
-    CoincidenceRow,
     CoincidenceTable,
     DetectorModel,
     intercept_average_state,
@@ -95,8 +94,8 @@ class SweepSpec:
                 raise ConfigError(
                     f"grid value {value!r} outside [{lo:g}, {hi:g}] for {self.mechanism}"
                 )
-        if self.n_pairs < 1:
-            raise ConfigError(f"n_pairs must be >= 1, got {self.n_pairs!r}")
+        if not 1 <= self.n_pairs < 2**63:  # numpy's binomial takes a 64-bit n
+            raise ConfigError(f"n_pairs must be in [1, 2**63), got {self.n_pairs!r}")
         if self.qber_mode not in ("mean", "worst"):
             raise ConfigError(f"qber mode must be 'mean' or 'worst', got {self.qber_mode!r}")
 
@@ -121,17 +120,12 @@ def sweep_point(spec: SweepSpec, index: int, value: float, seed: int) -> dict[st
     source, channel = _point_models(spec, value)
     state = optics.apply_channel(optics.generate(source), channel)
     eve = channel.eve_fraction
-    analytic_state = intercept_average_state(state, eve) if eve else state
     settings = chsh.canonical_settings(spec.label)
+    s_analytic = chsh.s_analytic(intercept_average_state(state, eve), settings).s
 
-    s_analytic = chsh.s_analytic(analytic_state, settings).s
-
-    rows = tuple(
-        CoincidenceRow(a, b, *sample_outcomes(
-            state, a, b, spec.detector, spec.n_pairs, spawn_rng(seed, index, k), eve_fraction=eve
-        ))
-        for k, (a, b) in enumerate(settings.pairs() + protocol.BBM92.key_pairs())
-    )
+    pairs = settings.pairs() + protocol.BBM92.key_pairs()
+    rngs = [spawn_rng(seed, index, k) for k in range(len(pairs))]
+    rows = sample_outcomes(state, pairs, spec.detector, spec.n_pairs, rngs, eve_fraction=eve)
     est = protocol.estimate(CoincidenceTable(rows), spec.label, protocol.BBM92, settings)
     basis_qber = est.per_basis_qber.values()
     qber = max(basis_qber) if spec.qber_mode == "worst" else sum(basis_qber) / 2.0
@@ -274,7 +268,7 @@ def _session_config(doc: dict, args: argparse.Namespace) -> protocol.SessionConf
         )
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int() of an infinite number overflows
         raise ConfigError(f"invalid session config: {exc}")
 
 
@@ -304,16 +298,22 @@ def _write_report(doc: dict, out_path: str | None) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    try:
+        detector = DetectorModel(efficiency=args.efficiency)
+    except ValueError as exc:
+        raise ConfigError(f"--efficiency: {exc}")
     spec = SweepSpec(
         mechanism=args.mechanism,
         grid=_parse_grid(args.grid),
         n_pairs=args.n_pairs if args.n_pairs is not None else 100_000,
         protocol_kind=protocol.protocol_by_name(args.protocol),
         label=BellLabel(args.label),
-        detector=DetectorModel(efficiency=args.efficiency),
+        detector=detector,
         qber_mode=args.qber,
     )
     seed = args.seed if args.seed is not None else 0
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     rows = run_sweep(spec, seed, workers=args.workers)
     table = io.StringIO()
     write_sweep_table(rows, spec, seed, table, "," if args.format == "csv" else "\t")

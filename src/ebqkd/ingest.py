@@ -287,22 +287,22 @@ def synthesize_counts(
     """
     det = detector or DetectorModel(efficiency=1.0)
     settings = settings or chsh.canonical_settings(label)
+    pairs = [(AnalyzerSetting(a), AnalyzerSetting(b)) for a, b in required_hwp_pairs(settings, protocol)]
+    if poisson:
+        rngs = [spawn_rng(seed, k) for k in range(len(pairs))]
+        sampled = sample_outcomes(state, pairs, det, n_pairs_per_row, rngs)
     rows = []
-    for k, (a_hwp, b_hwp) in enumerate(required_hwp_pairs(settings, protocol)):
-        a = AnalyzerSetting(a_hwp)
-        b = AnalyzerSetting(b_hwp)
+    for k, (a, b) in enumerate(pairs):
         dist = joint_probabilities(state, a, b)
         if poisson:
-            n_pp, _, _, _ = sample_outcomes(
-                state, a, b, det, n_pairs_per_row, spawn_rng(seed, k)
-            )
+            n_pp = sampled[k].n_pp
         else:
             n_pp = int(round(dist.p_pp * n_pairs_per_row * det.coincidence_efficiency()))
         rng = spawn_rng(seed, k, 1)
         # Singles are the marginals of the joint distribution.
         singles_a = int(rng.binomial(n_pairs_per_row, det.eff_alice * (dist.p_pp + dist.p_pm)))
         singles_b = int(rng.binomial(n_pairs_per_row, det.eff_bob * (dist.p_pp + dist.p_mp)))
-        rows.append(CountRow(a_hwp, b_hwp, singles_a, singles_b, n_pp))
+        rows.append(CountRow(a.hwp_angle_deg, b.hwp_angle_deg, singles_a, singles_b, n_pp))
     return CountRecordFile(
         version=FORMAT_VERSION,
         state_label=label,

@@ -72,8 +72,8 @@ class DetectorModel:
         for eff in (self.efficiency, self.efficiency_b):
             if eff is not None and not 0.0 < eff <= 1.0:
                 raise ValueError(f"efficiency must be in (0, 1], got {eff!r}")
-        if self.dark_rate < 0.0:
-            raise ValueError(f"dark_rate must be >= 0, got {self.dark_rate!r}")
+        if not (math.isfinite(self.dark_rate) and self.dark_rate >= 0.0):
+            raise ValueError(f"dark_rate must be finite and >= 0, got {self.dark_rate!r}")
         if self.window_pairs < 1:
             raise ValueError(f"window_pairs must be >= 1, got {self.window_pairs!r}")
 
@@ -152,93 +152,102 @@ def spawn_rng(seed: int | np.random.Generator, *stream: int) -> np.random.Genera
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(stream)))
 
 
-def intercept_strata(
-    state: TwoQubitState, eve_fraction: float
-) -> tuple[list[TwoQubitState], np.ndarray]:
+def intercept_strata(state: TwoQubitState, eve_fraction: float) -> tuple[np.ndarray, np.ndarray]:
     """Mixture components seen downstream of an intercept-resend attack.
 
-    Index 0 is the untouched state (weight ``1 - eve_fraction``).  Eve
-    measures Bob's photon in one of :data:`KEY_BASES_RAD` (chosen
-    uniformly) and forwards a freshly prepared eigenstate of her result;
-    indices ``1 + 2 * basis + outcome`` are those product states, with
-    weight ``eve_fraction / 2`` times the Born-rule probability of her
-    result.  In the Pauli picture of :mod:`ebqkd.qstate`, her outcome
-    ``+/-`` along Bloch direction ``e`` has ``p = (1 +/- e.r_B) / 2``,
-    leaves Alice with Bloch vector ``(r_A +/- T e) / (2 p)`` and forwards
-    the product state ``C = outer((1, r_A'), (1, +/-e))``.
+    Returns ``(blochs, weights)``: a ``(k, 4, 4)`` stack of the components'
+    Pauli correlation matrices and their weights.  Index 0 is the untouched
+    ``state.bloch`` (weight ``1 - eve_fraction``); at ``eve_fraction = 0``
+    it is the only component (k = 1), otherwise k = 5.  Eve measures Bob's
+    photon in one of :data:`KEY_BASES_RAD` (chosen uniformly) and forwards
+    a freshly prepared eigenstate of her result; indices
+    ``1 + 2 * basis + outcome`` are those product states, with weight
+    ``eve_fraction / 2`` times the Born-rule probability of her result.  In
+    the Pauli picture of :mod:`ebqkd.qstate`, her outcome ``+/-`` along
+    Bloch direction ``e`` has ``p = (1 +/- e.r_B) / 2``, leaves Alice with
+    Bloch vector ``(r_A +/- T e) / (2 p)`` and forwards the product state
+    ``C = outer((1, r_A'), (1, +/-e))``.
     """
     if not 0.0 <= eve_fraction <= 1.0:
         raise ValueError(f"eve_fraction must be in [0, 1], got {eve_fraction!r}")
     c = state.bloch
-    states = [state]
-    outcome_probs = np.zeros((len(KEY_BASES_RAD), 2))
-    for k, theta in enumerate(KEY_BASES_RAD):
-        e = np.array([math.sin(2.0 * theta), 0.0, math.cos(2.0 * theta)])
-        for outcome, sign in enumerate((1.0, -1.0)):
-            p = max(0.0, (1.0 + sign * float(e @ c[0, 1:])) / 2.0)
-            outcome_probs[k, outcome] = p
-            # An unreachable outcome keeps a maximally mixed Alice as a placeholder.
-            r_alice = (c[1:, 0] + sign * (c[1:, 1:] @ e)) / (2.0 * p) if p > 0.0 else np.zeros(3)
-            states.append(TwoQubitState.from_bloch(np.outer(np.r_[1.0, r_alice], np.r_[1.0, sign * e])))
-    weights = np.concatenate(
-        ([1.0 - eve_fraction], eve_fraction * 0.5 * outcome_probs.reshape(-1))
-    )
-    return states, weights
+    if eve_fraction == 0.0:
+        return c[None], np.ones(1)
+    e = np.array([[math.sin(2.0 * theta), 0.0, math.cos(2.0 * theta)] for theta in KEY_BASES_RAD])
+    forwarded = np.stack([e, -e], axis=1).reshape(-1, 3)
+    p = np.maximum(0.0, (1.0 + forwarded @ c[0, 1:]) / 2.0)
+    # An unreachable outcome keeps a maximally mixed Alice as a placeholder.
+    r_alice = c[1:, 0] + forwarded @ c[1:, 1:].T
+    r_alice = np.divide(r_alice, 2.0 * p[:, None], out=np.zeros_like(r_alice), where=p[:, None] > 0.0)
+    ones = np.ones((len(p), 1))
+    products = np.einsum("si,sj->sij", np.hstack((ones, r_alice)), np.hstack((ones, forwarded)))
+    weights = np.concatenate(([1.0 - eve_fraction], eve_fraction * 0.5 * p))
+    return np.concatenate((c[None], products)), weights
 
 
 def intercept_average_state(state: TwoQubitState, eve_fraction: float) -> TwoQubitState:
     """Ensemble-average state after intercept-resend (Eve's records discarded).
 
-    Valid for computing expected correlators and error rates; per-pair key
-    correlations with Eve additionally require the outcome records that
-    :func:`intercept_resend` keeps implicitly while sampling.
+    ``state`` itself at ``eve_fraction = 0``.  Valid for computing expected
+    correlators and error rates; per-pair key correlations with Eve
+    additionally require the outcome records that :func:`intercept_resend`
+    keeps implicitly while sampling.
     """
-    states, weights = intercept_strata(state, eve_fraction)
-    return TwoQubitState.from_bloch(sum(w * s.bloch for w, s in zip(weights, states)))
+    blochs, weights = intercept_strata(state, eve_fraction)
+    if len(weights) == 1:
+        return state
+    return TwoQubitState.from_bloch(np.tensordot(weights, blochs, axes=1))
 
 
 def sample_outcomes(
     state: TwoQubitState,
-    a: AnalyzerSetting,
-    b: AnalyzerSetting,
+    pairs: Sequence[tuple[AnalyzerSetting, AnalyzerSetting]],
     det: DetectorModel,
     n_pairs: int,
-    seed: int | np.random.Generator,
+    rngs: Sequence[int | np.random.Generator],
     eve_fraction: float = 0.0,
-) -> tuple[int, int, int, int]:
-    """Coincidence counts for one analyzer setting pair.
+) -> tuple[CoincidenceRow, ...]:
+    """Coincidence counts for each analyzer setting pair.
 
-    Draws joint outcomes from the Born-rule distribution, thins by the
-    per-arm detection efficiencies (a coincidence needs both detections)
-    and adds Poisson accidentals spread uniformly over the four outcomes.
-    With ``eve_fraction > 0`` the stated share of pairs passes through an
-    intercept-resend attack first.
+    Pair ``j`` draws from ``spawn_rng(rngs[j])`` alone: the coincidences
+    among ``n_pairs`` emitted pairs (binomial in the product of the per-arm
+    detection efficiencies), their split over the :func:`intercept_strata`
+    mixture (multinomial; with one stratum at ``eve_fraction = 0`` this
+    draws nothing), the Born-rule outcomes of each stratum (multinomial),
+    and Poisson accidentals spread uniformly over the four outcomes.  The
+    strata and one :func:`~ebqkd.qstate.born_table` for all pairs are built
+    once per call.
 
     Returns:
-        ``(n_pp, n_pm, n_mp, n_mm)``, deterministic given the seed.
+        One :class:`CoincidenceRow` per pair, in order, deterministic given
+        the generators.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs!r}")
-    rng = spawn_rng(seed)
-    n_coinc = int(rng.binomial(n_pairs, det.coincidence_efficiency()))
-    counts = np.zeros(4, dtype=np.int64)
-    if eve_fraction > 0.0:
-        states, weights = intercept_strata(state, eve_fraction)
-        per_stratum = rng.multinomial(n_coinc, weights / weights.sum())
-    else:
-        states, per_stratum = [state], [n_coinc]
-    for n_s, stratum in zip(per_stratum, states):
-        if n_s:
-            p = born_table(stratum, (a,), (b,))[0, 0]
-            counts += rng.multinomial(n_s, p / p.sum())
-    n_acc = int(rng.poisson(det.expected_accidentals(n_pairs)))
-    if n_acc:
-        counts += rng.multinomial(n_acc, np.full(4, 0.25))
-    return tuple(int(c) for c in counts)
+    blochs, weights = intercept_strata(state, eve_fraction)
+    weights = weights / weights.sum()
+    a_settings, b_settings = zip(*pairs)
+    on_pair = np.arange(len(pairs))
+    # Every stratum's outcome distribution for each (a_j, b_j): shape (pair, stratum, 4).
+    tables = born_table(blochs, a_settings, b_settings)[:, on_pair, on_pair].swapaxes(0, 1)
+    tables /= tables.sum(axis=-1, keepdims=True)
+    rows = []
+    for (a, b), table, seed in zip(pairs, tables, rngs, strict=True):
+        rng = spawn_rng(seed)
+        n_coinc = int(rng.binomial(n_pairs, det.coincidence_efficiency()))
+        counts = np.zeros(4, dtype=np.int64)
+        for n_s, p in zip(rng.multinomial(n_coinc, weights), table):
+            if n_s:
+                counts += rng.multinomial(n_s, p)
+        n_acc = int(rng.poisson(det.expected_accidentals(n_pairs)))
+        if n_acc:
+            counts += rng.multinomial(n_acc, np.full(4, 0.25))
+        rows.append(CoincidenceRow(a, b, *(int(c) for c in counts)))
+    return tuple(rows)
 
 
 def sample_outcome_stream(
-    states: Sequence[TwoQubitState],
+    blochs: np.ndarray,
     stratum_idx: np.ndarray,
     a_settings: Sequence[AnalyzerSetting],
     b_settings: Sequence[AnalyzerSetting],
@@ -248,12 +257,14 @@ def sample_outcome_stream(
 ) -> np.ndarray:
     """Per-pair joint outcomes (0..3 encoding ++, +-, -+, --).
 
+    ``blochs`` is the ``(k, 4, 4)`` stack of the strata's correlation
+    matrices that ``stratum_idx`` indexes (see :func:`intercept_strata`).
     Pairs are grouped by (stratum, Alice setting, Bob setting).  One
     ``rng.random(n)`` call draws a uniform per pair; the uniforms go to the
     groups in ascending group order and, within a group, in stream order,
     and each becomes an outcome by a search of its group's normalised
-    Born-rule CDF, all read from one :func:`~ebqkd.qstate.born_table` per
-    stratum built up front.  This is stream-equivalent to one
+    Born-rule CDF, all read from one :func:`~ebqkd.qstate.born_table` of the
+    whole stack built up front.  This is stream-equivalent to one
     ``rng.choice(4, size=group_size, p=...)`` per group in ascending group
     order: the same draws and the same outcomes.  A stable sort of a small
     integer key gathers the groups, so the cost is O(n).
@@ -262,7 +273,7 @@ def sample_outcome_stream(
     if not (len(a_idx) == len(b_idx) == n):
         raise ValueError("stratum and setting index streams must have equal length")
     n_a, n_b = len(a_settings), len(b_settings)
-    n_groups = len(states) * n_a * n_b
+    n_groups = len(blochs) * n_a * n_b
     key = stratum_idx.astype(np.min_scalar_type(n_groups - 1))
     key *= n_a
     key += a_idx.astype(key.dtype)
@@ -271,7 +282,7 @@ def sample_outcome_stream(
     order = np.argsort(key, kind="stable")
     ends = np.cumsum(np.bincount(key, minlength=n_groups))
     del key
-    probs = np.stack([born_table(s, a_settings, b_settings) for s in states]).reshape(n_groups, 4)
+    probs = born_table(blochs, a_settings, b_settings).reshape(n_groups, 4)
     cdfs = (probs / probs.sum(axis=1, keepdims=True)).cumsum(axis=1)
     cdfs /= cdfs[:, -1:]
     u = rng.random(n)
@@ -302,14 +313,12 @@ def intercept_resend(
     key basis (H/V or D/A) and forwards a re-prepared eigenstate; downstream
     outcomes are then sampled from the resulting product state.  With
     ``eve_fraction = 0`` no Eve randomness is consumed and the stream is
-    identical to an attack-free run with the same generator state, and
-    no Eve state is built.
+    identical to an attack-free run with the same generator state.
     """
     n = len(a_idx)
-    states = [state]
+    blochs, weights = intercept_strata(state, eve_fraction)
     stratum_idx = np.zeros(n, dtype=np.uint8)
     if eve_fraction != 0.0:
-        states, weights = intercept_strata(state, eve_fraction)
         intercepted = rng.random(n) < eve_fraction
         eve_basis = rng.integers(0, 2, size=n)
         # Born-rule probability of Eve's "+" outcome in each basis.
@@ -319,7 +328,7 @@ def intercept_resend(
         stratum_idx[intercepted] = 1 + 2 * eve_basis[intercepted] + eve_outcome[intercepted]
         # Eve's records are not needed downstream; free them before the outcome draw.
         del intercepted, eve_basis, eve_outcome
-    return sample_outcome_stream(states, stratum_idx, a_settings, b_settings, a_idx, b_idx, rng)
+    return sample_outcome_stream(blochs, stratum_idx, a_settings, b_settings, a_idx, b_idx, rng)
 
 
 def expected_counts(
@@ -339,7 +348,7 @@ def qber_for_basis(
 ) -> float:
     """Analytic error probability when both parties measure at one angle."""
     setting = AnalyzerSetting.from_polarization(math.degrees(basis_pol_rad))
-    p = born_table(state, (setting,), (setting,))[0, 0]
+    p = born_table(state.bloch, (setting,), (setting,))[0, 0]
     i, j = wrong_outcomes(label, basis_pol_rad)
     return float(p[i] + p[j])
 

@@ -119,6 +119,8 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if self.n_pairs < 1:
             raise ValueError(f"n_pairs must be >= 1, got {self.n_pairs!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if not 0.0 < self.qber_sample_fraction < 1.0:
             raise ValueError(
                 f"qber_sample_fraction must be in (0, 1), got {self.qber_sample_fraction!r}"

@@ -205,17 +205,20 @@ def to_density(psi: PureTwoQubit) -> TwoQubitState:
 
 
 def born_table(
-    state: TwoQubitState, a_settings: "Sequence[AnalyzerSetting]", b_settings: "Sequence[AnalyzerSetting]"
+    bloch: np.ndarray, a_settings: "Sequence[AnalyzerSetting]", b_settings: "Sequence[AnalyzerSetting]"
 ) -> np.ndarray:
     """Outcome probabilities ``(++, +-, -+, --)`` for every pair of settings.
 
-    Entry ``[i, j]`` of the ``(len(a_settings), len(b_settings), 4)`` array
-    is ``p(s_a, s_b) = 1/4 (1, s_a a) C (1, s_b b)^T`` for Alice's setting
-    ``i`` and Bob's ``j``, clipped to [0, 1] so samplers see simplex points.
+    ``bloch`` is a correlation matrix ``C`` (``state.bloch``) or a stack of
+    them with leading batch axes, ``(..., 4, 4)``.  Entry ``[..., i, j]`` of
+    the ``(..., len(a_settings), len(b_settings), 4)`` result is
+    ``p(s_a, s_b) = 1/4 (1, s_a a) C (1, s_b b)^T`` for Alice's setting ``i``
+    and Bob's ``j``, clipped to [0, 1] so samplers see simplex points.
     """
     a, b = _port_vectors(a_settings), _port_vectors(b_settings)
-    p = (a @ state.bloch @ b.T).reshape(len(a_settings), 2, len(b_settings), 2) / 4.0
-    return np.clip(p.transpose(0, 2, 1, 3).reshape(len(a_settings), len(b_settings), 4), 0.0, 1.0)
+    n_a, n_b, batch = len(a_settings), len(b_settings), np.shape(bloch)[:-2]
+    p = (a @ bloch @ b.T).reshape(batch + (n_a, 2, n_b, 2)) / 4.0
+    return np.clip(np.swapaxes(p, -3, -2).reshape(batch + (n_a, n_b, 4)), 0.0, 1.0)
 
 
 def _port_vectors(settings: "Sequence[AnalyzerSetting]") -> np.ndarray:
@@ -232,4 +235,4 @@ def joint_probabilities(
 
     A one-pair view of :func:`born_table`.
     """
-    return JointDistribution(*born_table(state, (a,), (b,))[0, 0])
+    return JointDistribution(*born_table(state.bloch, (a,), (b,))[0, 0])

@@ -1,9 +1,9 @@
 """Information-theoretic security quantities.
 
 Binary entropy, the CHSH-based bound on Eve's information, Alice-Bob
-mutual information (from a joint outcome distribution or from bit and
-phase error rates), the secret key rate, the linear disturbance law
-S = 2*sqrt(2) (1 - 2 delta), and the QBER thresholds it implies.
+mutual information from bit and phase error rates, the secret key rate,
+the linear disturbance law S = 2*sqrt(2) (1 - 2 delta), and the QBER
+thresholds it implies.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from functools import lru_cache
 
 from scipy.optimize import bisect
 
-from .qstate import JointDistribution
 
 S_CLASSICAL = 2.0
 S_QUANTUM_MAX = 2.0 * math.sqrt(2.0)
@@ -64,30 +63,6 @@ def mi_alice_bob_from_errors(e_b: float, e_p: float) -> float:
     security verdicts only ever treat r > 0 as secure.
     """
     return 1.0 - binary_entropy(e_b) - binary_entropy(e_p)
-
-
-def mi_alice_bob_from_joint(dist: JointDistribution) -> float:
-    """Standard mutual information I(A:B) = H(A) - H(A|B) of the joint
-    analyzer-outcome distribution.
-
-    The conditional-entropy sum ``sum_b p(b) sum_a p(a|b) log2 p(a|b)``
-    equals -H(A|B), so it enters with its sign already built in.  (The
-    symmetric-channel case, where Alice's marginal is uniform, is
-    insensitive to which variable is conditioned on.)
-    """
-    p = dist.as_array().reshape(2, 2)
-    p_a = p.sum(axis=1)
-    p_b = p.sum(axis=0)
-    h_a = binary_entropy(float(p_a[0]))
-    cond = 0.0
-    for b in (0, 1):
-        if p_b[b] == 0.0:
-            continue
-        for a in (0, 1):
-            p_ab = p[a, b] / p_b[b]
-            if p_ab > 0.0:
-                cond += p_b[b] * p_ab * math.log2(p_ab)
-    return h_a + cond
 
 
 def key_rate(i_ab: float, i_ae: float) -> float:

@@ -68,6 +68,18 @@ def intercept_strata(rho: np.ndarray, eve_fraction: float) -> tuple[list[np.ndar
     return states, weights
 
 
+def pauli_bloch(rho: np.ndarray) -> np.ndarray:
+    """Correlation matrix ``C[m, n] = Tr(rho sigma_m x sigma_n)`` by explicit traces."""
+    pauli = (np.eye(2),) + _PAULI
+    return np.array([[np.trace(np.asarray(rho) @ np.kron(sm, sn)).real for sn in pauli] for sm in pauli])
+
+
+def density_from_bloch(c: np.ndarray) -> np.ndarray:
+    """``rho = 1/4 sum C[m, n] sigma_m x sigma_n`` by explicit Kronecker products."""
+    pauli = (np.eye(2),) + _PAULI
+    return sum(c[m, n] * np.kron(sm, sn) for m, sm in enumerate(pauli) for n, sn in enumerate(pauli)) / 4.0
+
+
 def depolarize(rho: np.ndarray, p: float, arm: str) -> np.ndarray:
     """``(1 - p) rho + p M`` with M the depolarized arm(s) next to the other marginal."""
     rho = np.asarray(rho)
@@ -186,14 +198,15 @@ def ideal_correlator(label: BellLabel, pol_rad: float) -> float:
 
 
 def sample_outcome_stream_grouped(
-    states, stratum_idx, a_settings, b_settings, a_idx, b_idx, rng
+    blochs, stratum_idx, a_settings, b_settings, a_idx, b_idx, rng
 ) -> np.ndarray:
     """Per-pair joint outcomes, one group at a time.
 
     The group key's distinct values are visited in ascending order; each
     group's members are found by a scan of the whole stream and drawn with
-    one ``rng.choice`` from the group's Born-rule distribution.  The
-    library draws the same stream in one pass.
+    one ``rng.choice`` from the group's Born-rule distribution, taken by
+    kron/trace from the density matrix of its stratum's correlation matrix.
+    The library draws the same stream in one pass.
     """
     out = np.zeros(len(stratum_idx), dtype=np.uint8)
     key = (stratum_idx.astype(np.int64) * len(a_settings) + a_idx) * len(b_settings) + b_idx
@@ -201,6 +214,6 @@ def sample_outcome_stream_grouped(
         members = np.nonzero(key == group)[0]
         si, rest = divmod(int(group), len(a_settings) * len(b_settings))
         ai, bi = divmod(rest, len(b_settings))
-        p = joint_probabilities(states[si].rho, a_settings[ai], b_settings[bi]).clip(0.0, 1.0)
+        p = joint_probabilities(density_from_bloch(blochs[si]), a_settings[ai], b_settings[bi]).clip(0.0, 1.0)
         out[members] = rng.choice(4, size=members.size, p=p / p.sum())
     return out

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import ebqkd
-from ebqkd import chsh, cli, protocol
+from ebqkd import chsh, cli, measurement, protocol, qstate
 from ebqkd.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, SWEEP_COLUMNS
 
 SQ2 = math.sqrt(2.0)
@@ -159,6 +159,41 @@ class TestSweep:
         assert pools == ([] if expected is None else [expected])
         assert rows == cli.run_sweep(spec, seed=1)
 
+    @pytest.mark.parametrize("flags", [
+        ["--efficiency", "1.5"],
+        ["--efficiency", "nan"],
+        ["--efficiency", "inf"],
+        ["--efficiency", "0"],
+        ["--seed", "-1"],
+        ["--n-pairs", str(2**63)],
+    ])
+    def test_out_of_range_flag_is_a_config_error(self, capsys, flags):
+        argv = ["sweep", "--mechanism", "werner", "--grid", "0.9", "--n-pairs", "100", *flags]
+        assert cli.main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mechanism,value", [
+        ("werner", 0.9), ("imbalance", 0.6), ("hom_visibility", 0.8), ("intercept_fraction", 0.5),
+    ])
+    def test_point_builds_states_and_tables_once(self, monkeypatch, mechanism, value):
+        # At most the source state and one derived state (channel output or
+        # Eve's average) are validated, and one Born-rule table serves the
+        # analytic S, another every sampled setting pair.
+        states, tables = [], []
+        post_init = qstate.TwoQubitState.__post_init__
+        monkeypatch.setattr(
+            qstate.TwoQubitState, "__post_init__", lambda self: states.append(self) or post_init(self)
+        )
+        born_table = qstate.born_table
+        counted = lambda *args: tables.append(args) or born_table(*args)  # noqa: E731
+        for module in (qstate, measurement, chsh):
+            monkeypatch.setattr(module, "born_table", counted)
+        spec = cli.SweepSpec(mechanism, (value,), n_pairs=10_000)
+        cli.sweep_point(spec, 0, value, seed=3)
+        assert 1 <= len(states) <= 2
+        assert len(tables) <= 2
+
     def test_intercept_mechanism(self, tmp_path):
         out = tmp_path / "eve.tsv"
         rc = cli.main(["sweep", "--mechanism", "intercept_fraction", "--grid", "0.0,1.0",
@@ -229,6 +264,24 @@ class TestSession:
         cfg = session_config(tmp_path, **{field: value})
         assert cli.main(["session", str(cfg)]) == EXIT_USAGE
         assert f"'{field}' must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,literal", [
+        ("n_pairs", "Infinity"),
+        ("n_pairs", "1e400"),
+        ("seed", "Infinity"),
+        ("seed", "1e400"),
+        ("seed", "-1"),
+        ("detector", '{"window_pairs": Infinity}'),
+        ("detector", '{"window_pairs": 1e400}'),
+        ("detector", '{"dark_rate": NaN}'),
+        ("detector", '{"dark_rate": Infinity}'),
+    ])
+    def test_out_of_range_number_is_a_config_error(self, tmp_path, capsys, field, literal):
+        cfg = session_config(tmp_path, **{field: "@"})
+        cfg.write_text(cfg.read_text().replace('"@"', literal))
+        assert cli.main(["session", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid session config") and err.count("\n") == 1
 
     def test_missing_protocol_field(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -8,6 +8,7 @@ import _oracles
 from _oracles import ideal_correlator, sample_outcome_stream_grouped
 from conftest import random_density_matrix
 
+from ebqkd import measurement
 from ebqkd.measurement import (
     AnalyzerSetting,
     CoincidenceRow,
@@ -34,6 +35,12 @@ from ebqkd.qstate import (
 
 def setting(pol_deg):
     return AnalyzerSetting.from_polarization(pol_deg)
+
+
+def sample_pair(state, a, b, det, n, seed, eve_fraction=0.0):
+    """Counts of one setting pair, drawn by the batched sampler."""
+    (row,) = sample_outcomes(state, [(a, b)], det, n, [seed], eve_fraction=eve_fraction)
+    return row.counts()
 
 
 class TestAnalyzerSetting:
@@ -72,6 +79,11 @@ class TestDetectorModel:
         with pytest.raises(ValueError):
             DetectorModel(window_pairs=0)
 
+    @pytest.mark.parametrize("dark_rate", [-1.0, math.nan, math.inf, -math.inf])
+    def test_dark_rate_must_be_finite_and_nonnegative(self, dark_rate):
+        with pytest.raises(ValueError, match="dark_rate"):
+            DetectorModel(dark_rate=dark_rate)
+
     def test_expected_accidentals(self):
         det = DetectorModel(efficiency=1.0, dark_rate=2.0, window_pairs=100)
         assert det.expected_accidentals(10_000) == pytest.approx(200.0)
@@ -106,7 +118,7 @@ class TestSampleOutcomes:
         singlet = to_density(bell_state(BellLabel.PSI_MINUS))
         det = DetectorModel(efficiency=1.0)
         n = 1_000_000
-        n_pp, n_pm, n_mp, n_mm = sample_outcomes(singlet, setting(0), setting(0), det, n, seed=1)
+        n_pp, n_pm, n_mp, n_mm = sample_pair(singlet, setting(0), setting(0), det, n, seed=1)
         assert n_pp == 0 and n_mm == 0
         sigma = 5 * math.sqrt(0.25 * n)
         assert abs(n_pm - n / 2) < sigma
@@ -116,7 +128,7 @@ class TestSampleOutcomes:
         state = to_density(bell_state(BellLabel.PHI_PLUS))
         det = DetectorModel(efficiency=0.5)
         n = 1_000_000
-        total = sum(sample_outcomes(state, setting(0), setting(0), det, n, seed=2))
+        total = sum(sample_pair(state, setting(0), setting(0), det, n, seed=2))
         p = 0.25
         assert abs(total - p * n) < 5 * math.sqrt(p * (1 - p) * n)
 
@@ -124,7 +136,7 @@ class TestSampleOutcomes:
         mixed = TwoQubitState(np.eye(4) / 4)
         det = DetectorModel(efficiency=1.0)
         n = 1_000_000
-        counts = sample_outcomes(mixed, setting(10), setting(70), det, n, seed=3)
+        counts = sample_pair(mixed, setting(10), setting(70), det, n, seed=3)
         sigma = 5 * math.sqrt(0.25 * 0.75 * n)
         for c in counts:
             assert abs(c - n / 4) < sigma
@@ -134,7 +146,7 @@ class TestSampleOutcomes:
         a, b = setting(30), setting(75)
         det = DetectorModel(efficiency=1.0)
         n = 1_000_000
-        counts = np.array(sample_outcomes(state, a, b, det, n, seed=4))
+        counts = np.array(sample_pair(state, a, b, det, n, seed=4))
         probs = joint_probabilities(state, a, b).as_array()
         for c, p in zip(counts, probs):
             assert abs(c / n - p) < 5 * math.sqrt(p * (1 - p) / n) + 1e-9
@@ -142,17 +154,31 @@ class TestSampleOutcomes:
     def test_same_seed_bit_identical(self):
         state = to_density(bell_state(BellLabel.PHI_PLUS))
         det = DetectorModel(efficiency=0.6, dark_rate=0.5)
-        a = sample_outcomes(state, setting(0), setting(22.5), det, 10_000, seed=99)
-        b = sample_outcomes(state, setting(0), setting(22.5), det, 10_000, seed=99)
+        a = sample_pair(state, setting(0), setting(22.5), det, 10_000, seed=99)
+        b = sample_pair(state, setting(0), setting(22.5), det, 10_000, seed=99)
         assert a == b
 
     def test_dark_counts_uniform(self):
         # Starve the signal so only accidentals remain, then chi-square.
         state = to_density(bell_state(BellLabel.PHI_PLUS))
         det = DetectorModel(efficiency=1e-9, dark_rate=20_000.0)
-        counts = sample_outcomes(state, setting(0), setting(0), det, 1, seed=5)
+        counts = sample_pair(state, setting(0), setting(0), det, 1, seed=5)
         assert sum(counts) >= 10_000
         assert chisquare(counts).pvalue > 0.001
+
+    def test_each_pair_draws_from_its_own_generator(self):
+        # A batched call equals one call per pair on the same generators, so
+        # adding or reordering pairs never moves another pair's counts.
+        state = to_density(bell_state(BellLabel.PSI_PLUS, 0.7))
+        pairs = [(setting(0), setting(22.5)), (setting(45), setting(45)), (setting(30), setting(100))]
+        det = DetectorModel(efficiency=0.8, dark_rate=0.01)
+        for eve_fraction in (0.0, 0.3):
+            rows = sample_outcomes(state, pairs, det, 20_000, [11, 12, 13], eve_fraction=eve_fraction)
+            assert [(r.a, r.b) for r in rows] == pairs
+            for (a, b), seed, row in zip(pairs, (11, 12, 13), rows):
+                assert row.counts() == sample_pair(state, a, b, det, 20_000, seed, eve_fraction)
+        with pytest.raises(ValueError):
+            sample_outcomes(state, pairs, det, 20_000, [11, 12])
 
     def test_spawn_rng_is_deterministic_per_stream(self):
         a = spawn_rng(7, 3).random(4)
@@ -162,10 +188,10 @@ class TestSampleOutcomes:
         assert not np.array_equal(a, c)
 
 
-def _both_samplers(states, stratum_idx, a_settings, b_settings, a_idx, b_idx, seed):
+def _both_samplers(blochs, stratum_idx, a_settings, b_settings, a_idx, b_idx, seed):
     """Library and oracle outcomes from equal generators, plus each
     generator's next uniform (equal when both consumed the same draws)."""
-    args = (states, stratum_idx, a_settings, b_settings, a_idx, b_idx)
+    args = (blochs, stratum_idx, a_settings, b_settings, a_idx, b_idx)
     rng_lib, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     lib = sample_outcome_stream(*args, rng_lib)
     ref = sample_outcome_stream_grouped(*args, rng_ref)
@@ -181,13 +207,13 @@ class TestSampleOutcomeStream:
     def test_matches_grouped_oracle_over_all_strata(self, seed):
         rng = np.random.default_rng([99, seed])
         state = to_density(bell_state(list(BellLabel)[seed % 4], 0.6))
-        states, _ = intercept_strata(state, 0.4)
+        blochs, _ = intercept_strata(state, 0.4)
         n = 20_000
-        stratum_idx = rng.integers(0, len(states), size=n)
+        stratum_idx = rng.integers(0, len(blochs), size=n)
         a_idx = rng.integers(0, 3, size=n)
         b_idx = rng.integers(0, 3, size=n)
         lib, ref, next_lib, next_ref = _both_samplers(
-            states, stratum_idx, E91_ALICE, E91_BOB, a_idx, b_idx, seed
+            blochs, stratum_idx, E91_ALICE, E91_BOB, a_idx, b_idx, seed
         )
         assert set(np.unique(stratum_idx)) == set(range(5))
         assert lib.dtype == np.uint8 and lib.shape == (n,)
@@ -195,27 +221,27 @@ class TestSampleOutcomeStream:
         assert next_lib == next_ref
 
     def test_single_group(self):
-        states, _ = intercept_strata(to_density(bell_state(BellLabel.PHI_PLUS)), 0.5)
+        blochs, _ = intercept_strata(to_density(bell_state(BellLabel.PHI_PLUS)), 0.5)
         n = 5_000
         stratum_idx = np.full(n, 3, dtype=np.uint8)
         a_idx = np.ones(n, dtype=np.int64)
         b_idx = np.full(n, 2, dtype=np.int64)
         lib, ref, next_lib, next_ref = _both_samplers(
-            states, stratum_idx, E91_ALICE, E91_BOB, a_idx, b_idx, 7
+            blochs, stratum_idx, E91_ALICE, E91_BOB, a_idx, b_idx, 7
         )
         assert np.array_equal(lib, ref)
         assert next_lib == next_ref
 
     def test_zero_probability_outcomes(self):
         # Maximal phi+ with equal analyzers never gives +- or -+.
-        states = [to_density(bell_state(BellLabel.PHI_PLUS))]
+        blochs = to_density(bell_state(BellLabel.PHI_PLUS)).bloch[None]
         bases = (setting(0), setting(45))
         rng = np.random.default_rng(5)
         n = 10_000
         a_idx = rng.integers(0, 2, size=n)
         b_idx = rng.integers(0, 2, size=n)
         lib, ref, next_lib, next_ref = _both_samplers(
-            states, np.zeros(n, dtype=np.int64), bases, bases, a_idx, b_idx, 6
+            blochs, np.zeros(n, dtype=np.int64), bases, bases, a_idx, b_idx, 6
         )
         assert np.array_equal(lib, ref)
         assert next_lib == next_ref
@@ -224,66 +250,94 @@ class TestSampleOutcomeStream:
         assert np.isin(lib[~matched], (1, 2)).any()
 
     def test_empty_stream(self):
-        states = [to_density(bell_state(BellLabel.PHI_PLUS))]
+        blochs = to_density(bell_state(BellLabel.PHI_PLUS)).bloch[None]
         empty = np.zeros(0, dtype=np.int64)
         lib, ref, next_lib, next_ref = _both_samplers(
-            states, empty, E91_ALICE, E91_BOB, empty, empty, 8
+            blochs, empty, E91_ALICE, E91_BOB, empty, empty, 8
         )
         assert lib.dtype == np.uint8 and lib.shape == (0,)
         assert np.array_equal(lib, ref)
         assert next_lib == next_ref == np.random.default_rng(8).random()
 
     def test_unequal_lengths_raise(self):
-        states = [to_density(bell_state(BellLabel.PHI_PLUS))]
+        blochs = to_density(bell_state(BellLabel.PHI_PLUS)).bloch[None]
         with pytest.raises(ValueError, match="equal length"):
             sample_outcome_stream(
-                states, np.zeros(3, dtype=np.int64), E91_ALICE, E91_BOB,
+                blochs, np.zeros(3, dtype=np.int64), E91_ALICE, E91_BOB,
                 np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64), np.random.default_rng(0),
             )
 
 
 class TestInterceptResend:
     def test_eve_states_built_once_per_call(self, monkeypatch):
-        # One forwarded state per (basis, outcome) of Eve, and none without Eve.
+        # The strata are one C stack per call and never become states.
         state = to_density(bell_state(BellLabel.PHI_PLUS))
-        calls = []
+        built, strata = [], []
         post_init = TwoQubitState.__post_init__
         monkeypatch.setattr(
-            TwoQubitState, "__post_init__", lambda self: calls.append(self) or post_init(self)
+            TwoQubitState, "__post_init__", lambda self: built.append(self) or post_init(self)
+        )
+        monkeypatch.setattr(
+            measurement, "intercept_strata",
+            lambda *args: strata.append(args) or intercept_strata(*args),
         )
         idx = np.zeros(100, dtype=np.int64)
-        for eve_fraction, built in ((0.5, 4), (0.0, 0)):
-            calls.clear()
+        for eve_fraction in (0.5, 0.0):
+            built.clear()
+            strata.clear()
             intercept_resend(state, E91_ALICE, E91_BOB, idx, idx, eve_fraction, np.random.default_rng(0))
-            assert len(calls) == built
+            assert built == [] and len(strata) == 1
 
     def test_strata_match_partial_trace_oracle(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
             rho = random_density_matrix(rng)
             fraction = rng.uniform(0, 1)
-            states, weights = intercept_strata(TwoQubitState(rho), fraction)
-            expected_states, expected_weights = _oracles.intercept_strata(rho, fraction)
+            blochs, weights = intercept_strata(TwoQubitState(rho), fraction)
+            expected_rhos, expected_weights = _oracles.intercept_strata(rho, fraction)
+            assert blochs.shape == (5, 4, 4)
             np.testing.assert_allclose(weights, expected_weights, rtol=0, atol=1e-14)
-            for got, expected in zip(states, expected_states, strict=True):
-                np.testing.assert_allclose(got.rho, expected, rtol=0, atol=1e-14)
+            expected = [_oracles.pauli_bloch(r) for r in expected_rhos]
+            np.testing.assert_allclose(blochs, expected, rtol=0, atol=1e-14)
 
     def test_unreachable_eve_outcome_keeps_placeholder(self):
         # |HH>: Eve never sees V in H/V; that stratum has weight 0.
-        states, weights = intercept_strata(to_density(bell_state(BellLabel.PHI_PLUS, 0.0)), 1.0)
+        blochs, weights = intercept_strata(to_density(bell_state(BellLabel.PHI_PLUS, 0.0)), 1.0)
         assert weights[2] == 0.0
-        np.testing.assert_allclose(states[2].bloch[1:, 0], 0.0, atol=1e-15)
+        np.testing.assert_allclose(blochs[2, 1:, 0], 0.0, atol=1e-15)
 
     def test_strata_weights_sum_to_one(self):
         state = to_density(bell_state(BellLabel.PHI_PLUS))
-        states, weights = intercept_strata(state, 0.3)
-        assert len(states) == 5
+        blochs, weights = intercept_strata(state, 0.3)
+        assert len(blochs) == 5
         assert weights.sum() == pytest.approx(1.0)
         assert weights[0] == pytest.approx(0.7)
 
     def test_average_state_fraction_zero(self):
         state = to_density(bell_state(BellLabel.PHI_PLUS, 0.5))
         np.testing.assert_allclose(intercept_average_state(state, 0.0).rho, state.rho, atol=1e-15)
+
+    def test_one_stratum_without_eve(self):
+        # At eve_fraction = 0 the mixture is the state alone, and the sampler
+        # draws exactly binomial -> multinomial(p) -> poisson from each
+        # pair's generator: a five-weight [1, 0, 0, 0, 0] split would
+        # consume randomness.
+        state = to_density(bell_state(BellLabel.PHI_PLUS, 0.5))
+        blochs, weights = intercept_strata(state, 0.0)
+        np.testing.assert_array_equal(blochs, state.bloch[None])
+        np.testing.assert_array_equal(weights, [1.0])
+        assert intercept_average_state(state, 0.0) is state
+
+        a, b = setting(10), setting(55)
+        det = DetectorModel(efficiency=0.7)
+        rng_lib, rng_ref = np.random.default_rng(4), np.random.default_rng(4)
+        (row,) = sample_outcomes(state, [(a, b)], det, 50_000, [rng_lib])
+        n_coinc = rng_ref.binomial(50_000, det.coincidence_efficiency())
+        p = joint_probabilities(state, a, b).as_array()
+        expected = rng_ref.multinomial(n_coinc, p / p.sum())
+        rng_ref.poisson(det.expected_accidentals(50_000))
+        assert row.counts() == tuple(int(c) for c in expected)
+        assert rng_lib.random() == rng_ref.random()
 
     def test_full_interception_qber(self):
         # Eve's measure-and-resend on phi+ leaves 25% error in each key basis.
@@ -301,9 +355,7 @@ class TestInterceptResend:
         state = to_density(bell_state(BellLabel.PHI_PLUS))
         det = DetectorModel(efficiency=1.0)
         n = 400_000
-        counts = sample_outcomes(
-            state, setting(0), setting(0), det, n, seed=8, eve_fraction=1.0
-        )
+        counts = sample_pair(state, setting(0), setting(0), det, n, seed=8, eve_fraction=1.0)
         wrong = (counts[1] + counts[2]) / sum(counts)
         assert abs(wrong - 0.25) < 5 * math.sqrt(0.25 * 0.75 / n)
 

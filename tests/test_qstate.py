@@ -132,11 +132,9 @@ class TestTwoQubitState:
 
     def test_bloch_matches_pauli_traces(self):
         rng = np.random.default_rng(3)
-        pauli = (np.eye(2),) + _oracles._PAULI
         for _ in range(50):
             rho = random_density_matrix(rng)
-            expected = [[np.trace(rho @ np.kron(sm, sn)).real for sn in pauli] for sm in pauli]
-            np.testing.assert_allclose(TwoQubitState(rho).bloch, expected, atol=1e-14)
+            np.testing.assert_allclose(TwoQubitState(rho).bloch, _oracles.pauli_bloch(rho), atol=1e-14)
 
     def test_from_bloch_round_trips_rho(self):
         rng = np.random.default_rng(13)
@@ -190,13 +188,20 @@ class TestJointProbabilities:
             assert e == pytest.approx(expected, abs=1e-9)
 
     def test_born_table_matches_kron_oracle(self):
-        """Complex mixed states (nonzero y correlations) at arbitrary plate angles."""
+        """Complex mixed states (nonzero y correlations) at arbitrary plate
+        angles, one C at a time and as a (10, 25) stack."""
         rng = np.random.default_rng(2026)
-        for _ in range(250):
-            rho = random_density_matrix(rng)
+        rhos = [random_density_matrix(rng) for _ in range(250)]
+        cases = []
+        for rho in rhos:
             a_settings = [AnalyzerSetting(t) for t in rng.uniform(0, 180, size=3)]
             b_settings = [AnalyzerSetting(t) for t in rng.uniform(0, 180, size=2)]
-            table = born_table(TwoQubitState(rho), a_settings, b_settings)
+            cases.append((rho, born_table(TwoQubitState(rho).bloch, a_settings, b_settings), a_settings, b_settings))
+        stack = np.array([TwoQubitState(rho).bloch for rho in rhos]).reshape(10, 25, 4, 4)
+        tables = born_table(stack, a_settings, b_settings)
+        assert tables.shape == (10, 25, 3, 2, 4)
+        cases += [(rho, table, a_settings, b_settings) for rho, table in zip(rhos, tables.reshape(250, 3, 2, 4))]
+        for rho, table, a_settings, b_settings in cases:
             assert table.shape == (3, 2, 4)
             for i, a in enumerate(a_settings):
                 for j, b in enumerate(b_settings):
@@ -207,7 +212,7 @@ class TestJointProbabilities:
         state = TwoQubitState(random_density_matrix(np.random.default_rng(8)))
         a, b = setting(10.0), setting(77.0)
         np.testing.assert_array_equal(
-            joint_probabilities(state, a, b).as_array(), born_table(state, (a,), (b,))[0, 0]
+            joint_probabilities(state, a, b).as_array(), born_table(state.bloch, (a,), (b,))[0, 0]
         )
 
     def test_joint_distribution_validates(self):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from _oracles import binary_entropy as h2_oracle, mutual_information_joint
-from ebqkd.qstate import JointDistribution
 from ebqkd.security import (
     DELTA_INDIVIDUAL,
     S_QUANTUM_MAX,
@@ -14,7 +13,6 @@ from ebqkd.security import (
     evaluate,
     key_rate,
     mi_alice_bob_from_errors,
-    mi_alice_bob_from_joint,
     mi_alice_eve,
     s_model,
     thresholds,
@@ -23,9 +21,9 @@ from ebqkd.security import (
 SQ2 = math.sqrt(2.0)
 
 
-def bsc_joint(e: float) -> JointDistribution:
+def bsc_joint(e: float) -> np.ndarray:
     """Symmetric binary channel with uniform input and crossover e."""
-    return JointDistribution((1 - e) / 2, e / 2, e / 2, (1 - e) / 2)
+    return np.array([(1 - e) / 2, e / 2, e / 2, (1 - e) / 2])
 
 
 class TestBinaryEntropy:
@@ -88,24 +86,12 @@ class TestMiAliceBob:
         # only r > 0 ever counts as secure.
         assert mi_alice_bob_from_errors(0.5, 0.5) == pytest.approx(-1.0)
 
-    def test_perfectly_correlated_joint(self):
-        assert mi_alice_bob_from_joint(JointDistribution(0.5, 0, 0, 0.5)) == pytest.approx(1.0)
-
-    def test_joint_path_equals_kl_oracle(self):
-        rng = np.random.default_rng(19)
-        for _ in range(200):
-            p = rng.dirichlet(np.ones(4))
-            dist = JointDistribution(*p)
-            assert mi_alice_bob_from_joint(dist) == pytest.approx(
-                mutual_information_joint(p), abs=1e-12
-            )
-
     def test_bsc_identity_links_both_paths(self):
-        # On a symmetric binary channel the joint path gives 1 - H(e), so
-        # the error-rate path equals it minus H(e_p); with e_p = 0 the two
-        # paths agree exactly.
+        # On a symmetric binary channel the joint distribution's I(A:B) is
+        # 1 - H(e), so the error-rate path equals it minus H(e_p); with
+        # e_p = 0 the two paths agree exactly.
         for e in np.linspace(0.0, 0.5, 21):
-            joint = mi_alice_bob_from_joint(bsc_joint(e))
+            joint = mutual_information_joint(bsc_joint(e))
             assert joint == pytest.approx(1 - h2_oracle(e), abs=1e-12)
             for e_p in (0.0, 0.03, 0.2):
                 assert mi_alice_bob_from_errors(e, e_p) == pytest.approx(
