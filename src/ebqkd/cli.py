@@ -72,13 +72,12 @@ class SweepSpec:
 
     QBER columns always sample the H/V and D/A key bases (BBM92's), the
     reference frame in which the linear S-QBER law is exact for every
-    mechanism; ``protocol_kind`` tags the emitted header.
+    mechanism.
     """
 
     mechanism: str
     grid: tuple[float, ...]
     n_pairs: int
-    protocol_kind: protocol.ProtocolKind = protocol.BBM92
     label: BellLabel = BellLabel.PHI_PLUS
     detector: DetectorModel = DetectorModel()
     qber_mode: str = "mean"  # or "worst"
@@ -162,7 +161,7 @@ def write_sweep_table(
 ) -> None:
     out.write(f"# {SWEEP_FORMAT}\n")
     out.write(
-        f"# mechanism: {spec.mechanism}  protocol: {spec.protocol_kind.name}  "
+        f"# mechanism: {spec.mechanism}  protocol: {protocol.BBM92.name}  "
         f"label: {spec.label.value}  n_pairs: {spec.n_pairs}  seed: {seed}  "
         f"qber: {spec.qber_mode}\n"
     )
@@ -214,16 +213,33 @@ def _require(mapping: dict, key: str, where: str) -> Any:
     return mapping[key]
 
 
+#: Fields a session config may hold, by section ("" is the top level).
+_SESSION_FIELDS = {
+    "": ("protocol", "source", "channel", "detector", "n_pairs", "qber_sample_fraction", "seed"),
+    "source": ("label", "epsilon_rad", "hom_visibility"),
+    "channel": ("kind", "parameter", "arm"),
+    "detector": ("efficiency", "dark_rate", "window_pairs", "efficiency_b"),
+}
+
+
 def _object(doc: dict, key: str, default: dict | None = None) -> dict:
     value = _require(doc, key, "") if default is None else doc.get(key, default)
     if not isinstance(value, dict):
         raise ConfigError(f"config field '{key}' must be a JSON object")
+    _reject_unknown(value, key)
     return value
+
+
+def _reject_unknown(section: dict, name: str) -> None:
+    for field in section:
+        if field not in _SESSION_FIELDS[name]:
+            raise ConfigError(f"unknown config field '{name + '.' if name else ''}{field}'")
 
 
 def _session_config(doc: dict, args: argparse.Namespace) -> protocol.SessionConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
+    _reject_unknown(doc, "")
     try:
         kind = protocol.protocol_by_name(str(_require(doc, "protocol", "")))
     except ValueError as exc:
@@ -306,7 +322,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         mechanism=args.mechanism,
         grid=_parse_grid(args.grid),
         n_pairs=args.n_pairs if args.n_pairs is not None else 100_000,
-        protocol_kind=protocol.protocol_by_name(args.protocol),
         label=BellLabel(args.label),
         detector=detector,
         qber_mode=args.qber,
@@ -328,7 +343,10 @@ def cmd_session(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     cfg = _session_config(doc, args)
-    record = protocol.run_session(cfg)
+    try:
+        record = protocol.run_session(cfg)
+    except MemoryError:
+        raise ConfigError(f"config field 'n_pairs': {cfg.n_pairs} pairs do not fit in memory")
     report = protocol.security_report(cfg, record)
 
     out: dict[str, Any] = {
@@ -421,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--mechanism", required=True, choices=MECHANISMS)
     p_sweep.add_argument("--grid", required=True, help="comma-separated parameter values")
     p_sweep.add_argument("--n-pairs", type=int, default=None, dest="n_pairs")
-    p_sweep.add_argument("--protocol", default="bbm92", choices=("bbm92", "e91"))
     p_sweep.add_argument("--label", default="phi_plus", choices=[l.value for l in BellLabel])
     p_sweep.add_argument("--efficiency", type=float, default=0.6)
     p_sweep.add_argument("--qber", default="mean", choices=("mean", "worst"),

@@ -275,34 +275,26 @@ def synthesize_counts(
     settings: chsh.ChshSettings | None = None,
     protocol: ProtocolKind = BBM92,
     seconds_per_row: float = 1.0,
-    poisson: bool = True,
 ) -> CountRecordFile:
     """Simulate the acquisition of a full analysis file from a known state.
 
     Each row is an independent acquisition of ``n_pairs_per_row`` emitted
     pairs with both analyzers fixed; only the doubly transmitted
-    coincidences of that projection are recorded, as in hardware.  With
-    ``poisson=False`` the rows carry rounded expected counts instead of
-    sampled ones.
+    coincidences of that projection are recorded, as in hardware.
     """
     det = detector or DetectorModel(efficiency=1.0)
     settings = settings or chsh.canonical_settings(label)
     pairs = [(AnalyzerSetting(a), AnalyzerSetting(b)) for a, b in required_hwp_pairs(settings, protocol)]
-    if poisson:
-        rngs = [spawn_rng(seed, k) for k in range(len(pairs))]
-        sampled = sample_outcomes(state, pairs, det, n_pairs_per_row, rngs)
+    rngs = [spawn_rng(seed, k) for k in range(len(pairs))]
+    sampled = sample_outcomes(state, pairs, det, n_pairs_per_row, rngs)
     rows = []
-    for k, (a, b) in enumerate(pairs):
+    for k, ((a, b), row) in enumerate(zip(pairs, sampled)):
         dist = joint_probabilities(state, a, b)
-        if poisson:
-            n_pp = sampled[k].n_pp
-        else:
-            n_pp = int(round(dist.p_pp * n_pairs_per_row * det.coincidence_efficiency()))
         rng = spawn_rng(seed, k, 1)
         # Singles are the marginals of the joint distribution.
         singles_a = int(rng.binomial(n_pairs_per_row, det.eff_alice * (dist.p_pp + dist.p_pm)))
         singles_b = int(rng.binomial(n_pairs_per_row, det.eff_bob * (dist.p_pp + dist.p_mp)))
-        rows.append(CountRow(a.hwp_angle_deg, b.hwp_angle_deg, singles_a, singles_b, n_pp))
+        rows.append(CountRow(a.hwp_angle_deg, b.hwp_angle_deg, singles_a, singles_b, row.n_pp))
     return CountRecordFile(
         version=FORMAT_VERSION,
         state_label=label,

@@ -3,7 +3,8 @@
 A coincidence is both photons of one emitted pair being detected in the
 same emission slot; detector efficiency is applied independently per arm
 and accidental coincidences follow a Poisson model spread uniformly over
-the four outcomes.  All sampling is deterministic given a seed.
+the four outcomes.  All sampling is deterministic given a seed.  Session
+samplers take a pair's settings as one index ``pair_idx = a * n_b + b``.
 """
 
 from __future__ import annotations
@@ -251,15 +252,15 @@ def sample_outcome_stream(
     stratum_idx: np.ndarray,
     a_settings: Sequence[AnalyzerSetting],
     b_settings: Sequence[AnalyzerSetting],
-    a_idx: np.ndarray,
-    b_idx: np.ndarray,
+    pair_idx: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Per-pair joint outcomes (0..3 encoding ++, +-, -+, --).
 
     ``blochs`` is the ``(k, 4, 4)`` stack of the strata's correlation
-    matrices that ``stratum_idx`` indexes (see :func:`intercept_strata`).
-    Pairs are grouped by (stratum, Alice setting, Bob setting).  One
+    matrices that ``stratum_idx`` indexes (see :func:`intercept_strata`);
+    ``pair_idx`` holds each pair's setting pair ``a * len(b_settings) + b``.
+    Pairs are grouped by ``stratum * n_a * n_b + pair``.  One
     ``rng.random(n)`` call draws a uniform per pair; the uniforms go to the
     groups in ascending group order and, within a group, in stream order,
     and each becomes an outcome by a search of its group's normalised
@@ -270,15 +271,13 @@ def sample_outcome_stream(
     integer key gathers the groups, so the cost is O(n).
     """
     n = len(stratum_idx)
-    if not (len(a_idx) == len(b_idx) == n):
-        raise ValueError("stratum and setting index streams must have equal length")
-    n_a, n_b = len(a_settings), len(b_settings)
-    n_groups = len(blochs) * n_a * n_b
+    if len(pair_idx) != n:
+        raise ValueError("stratum and setting-pair index streams must have equal length")
+    n_pairs = len(a_settings) * len(b_settings)
+    n_groups = len(blochs) * n_pairs
     key = stratum_idx.astype(np.min_scalar_type(n_groups - 1))
-    key *= n_a
-    key += a_idx.astype(key.dtype)
-    key *= n_b
-    key += b_idx.astype(key.dtype)
+    key *= n_pairs
+    key += pair_idx.astype(key.dtype, copy=False)
     order = np.argsort(key, kind="stable")
     ends = np.cumsum(np.bincount(key, minlength=n_groups))
     del key
@@ -302,8 +301,7 @@ def intercept_resend(
     state: TwoQubitState,
     a_settings: Sequence[AnalyzerSetting],
     b_settings: Sequence[AnalyzerSetting],
-    a_idx: np.ndarray,
-    b_idx: np.ndarray,
+    pair_idx: np.ndarray,
     eve_fraction: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
@@ -315,20 +313,20 @@ def intercept_resend(
     ``eve_fraction = 0`` no Eve randomness is consumed and the stream is
     identical to an attack-free run with the same generator state.
     """
-    n = len(a_idx)
+    n = len(pair_idx)
     blochs, weights = intercept_strata(state, eve_fraction)
     stratum_idx = np.zeros(n, dtype=np.uint8)
     if eve_fraction != 0.0:
         intercepted = rng.random(n) < eve_fraction
-        eve_basis = rng.integers(0, 2, size=n)
+        eve_basis = rng.integers(0, 2, size=n).astype(np.uint8)
         # Born-rule probability of Eve's "+" outcome in each basis.
         eve_weights = weights[1:].reshape(len(KEY_BASES_RAD), 2)
         p_plus = eve_weights[:, 0] / eve_weights.sum(axis=1)
-        eve_outcome = (rng.random(n) >= p_plus[eve_basis]).astype(np.int64)
-        stratum_idx[intercepted] = 1 + 2 * eve_basis[intercepted] + eve_outcome[intercepted]
+        eve_outcome = rng.random(n) >= p_plus[eve_basis]
+        stratum_idx = (1 + 2 * eve_basis + eve_outcome) * intercepted  # uint8, 0 if not intercepted
         # Eve's records are not needed downstream; free them before the outcome draw.
         del intercepted, eve_basis, eve_outcome
-    return sample_outcome_stream(blochs, stratum_idx, a_settings, b_settings, a_idx, b_idx, rng)
+    return sample_outcome_stream(blochs, stratum_idx, a_settings, b_settings, pair_idx, rng)
 
 
 def expected_counts(

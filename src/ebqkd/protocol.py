@@ -13,6 +13,12 @@ family then yields agreeing keys in BBM92 on a noiseless channel; in E91,
 phi- and psi+ are uncorrelated in the 22.5-degree key basis, whose bits
 agree only by chance (QBER 0.5).
 
+Cell index: a session carries each pair as one uint8 cell
+``(a * n_b + b) * 4 + outcome`` (setting indices ``a``, ``b``; outcome 0..3
+for ``++, +-, -+, --``).  Its setting pair ``cell >> 2`` decides sifting and
+Bob's flip, ``cell >> 1 & 1`` and ``cell & 1`` are the raw bits, and the
+counts table is one bincount of the cells.
+
 :func:`estimate` is the one estimator behind ``sweep``, ``session`` and
 ``analyze``: it turns a :class:`~ebqkd.measurement.CoincidenceTable` into
 S, the per-basis and pooled QBER and the security report.
@@ -62,6 +68,10 @@ class ProtocolKind:
     alice_hwp_deg: tuple[float, ...]
     bob_hwp_deg: tuple[float, ...]
     chsh_pairs: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self) -> None:
+        if len(self.alice_hwp_deg) * len(self.bob_hwp_deg) > 63:
+            raise ValueError("a protocol layout has at most 63 setting pairs (uint8 cells)")
 
     def alice_settings(self) -> tuple[AnalyzerSetting, ...]:
         return tuple(AnalyzerSetting(t) for t in self.alice_hwp_deg)
@@ -161,34 +171,24 @@ class SiftResult:
     bits_bob: np.ndarray
 
 
-def sift(
-    kind: ProtocolKind,
-    label: BellLabel,
-    a_idx: np.ndarray,
-    b_idx: np.ndarray,
-    outcomes: np.ndarray,
-) -> SiftResult:
+def sift(kind: ProtocolKind, label: BellLabel, cells: np.ndarray) -> SiftResult:
     """Keep matched-basis events and map outcomes to key bits.
 
-    Deterministic and order-preserving; sifting looks only at the
-    announced basis indices, never at outcomes.
-
-    Raises:
-        ValueError: if the announcement and outcome streams differ in length.
+    ``cells`` holds one uint8 cell index per coincidence (see the module
+    docstring).  Two tables indexed by setting pair, "matched" and "Bob
+    flips", decide each event from ``cell >> 2``.  Deterministic and
+    order-preserving; sifting looks only at the announced setting pair,
+    never at outcomes.
     """
-    if not (len(a_idx) == len(b_idx) == len(outcomes)):
-        raise ValueError("announcement and outcome streams must have equal length")
-    keep = np.zeros(len(a_idx), dtype=bool)
-    flip = np.zeros(len(a_idx), dtype=bool)
+    n_b = len(kind.bob_hwp_deg)
+    matched = np.zeros(len(kind.alice_hwp_deg) * n_b, dtype=bool)
+    flips = np.zeros_like(matched)
     for i, j in kind.matched_pairs():
-        in_basis = (a_idx == i) & (b_idx == j)
-        keep |= in_basis
-        if bob_flip(label, math.radians(2.0 * kind.alice_hwp_deg[i])):
-            flip |= in_basis
-    kept = np.nonzero(keep)[0]
-    bits_a = (outcomes[kept] >> 1).astype(np.uint8)
-    bits_b = ((outcomes[kept] & 1) ^ flip[kept]).astype(np.uint8)
-    return SiftResult(kept=kept, bits_alice=bits_a, bits_bob=bits_b)
+        matched[i * n_b + j] = True
+        flips[i * n_b + j] = bob_flip(label, math.radians(2.0 * kind.alice_hwp_deg[i]))
+    kept = np.flatnonzero(matched[cells >> 2])
+    kept_cells = cells[kept]
+    return SiftResult(kept, (kept_cells >> 1) & 1, (kept_cells & 1) ^ flips[kept_cells >> 2])
 
 
 def _wilson_interval(errors: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -219,51 +219,43 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
     """
     rng = spawn_rng(cfg.seed)
     state = optics.apply_channel(optics.generate(cfg.source), cfg.channel)
-    eve_fraction = cfg.channel.eve_fraction
-
-    alice = cfg.kind.alice_settings()
-    bob = cfg.kind.bob_settings()
-    n = cfg.n_pairs
+    alice, bob = cfg.kind.alice_settings(), cfg.kind.bob_settings()
+    n, n_b = cfg.n_pairs, len(bob)
 
     # Fixed draw order: bases, per-arm detection, Eve, outcomes, accidentals,
     # disclosure. Changing it changes the streams, so it is part of the
-    # reproducibility contract.
-    a_idx = rng.integers(0, len(alice), size=n)
-    b_idx = rng.integers(0, len(bob), size=n)
-    det_a = rng.random(n) < cfg.detector.eff_alice
-    det_b = rng.random(n) < cfg.detector.eff_bob
-    coincident = det_a & det_b
-    del det_a, det_b  # per-pair arrays go as soon as they are used: peak memory is O(n_pairs)
+    # reproducibility contract. Per-pair arrays are uint8 or bool where they
+    # can be and go as soon as they are used: peak memory is O(n_pairs).
+    pair_idx = rng.integers(0, len(alice), size=n).astype(np.uint8)
+    pair_idx *= n_b
+    pair_idx += rng.integers(0, n_b, size=n).astype(np.uint8)
+    coincident = rng.random(n) < cfg.detector.eff_alice
+    coincident &= rng.random(n) < cfg.detector.eff_bob
 
-    outcomes = intercept_resend(state, alice, bob, a_idx, b_idx, eve_fraction, rng)
-
-    a_idx = a_idx[coincident]
-    b_idx = b_idx[coincident]
-    outcomes = outcomes[coincident]
-    del coincident
+    outcomes = intercept_resend(state, alice, bob, pair_idx, cfg.channel.eve_fraction, rng)
+    cells = (pair_idx * 4 + outcomes)[coincident]
+    del pair_idx, outcomes, coincident
 
     n_acc = int(rng.poisson(cfg.detector.expected_accidentals(n)))
     if n_acc:
-        a_idx = np.concatenate([a_idx, rng.integers(0, len(alice), size=n_acc)])
-        b_idx = np.concatenate([b_idx, rng.integers(0, len(bob), size=n_acc)])
-        outcomes = np.concatenate([outcomes, rng.integers(0, 4, size=n_acc).astype(np.uint8)])
+        acc = rng.integers(0, len(alice), size=n_acc) * n_b + rng.integers(0, n_b, size=n_acc)
+        cells = np.concatenate([cells, (acc * 4 + rng.integers(0, 4, size=n_acc)).astype(np.uint8)])
 
-    sifted = sift(cfg.kind, cfg.source.label, a_idx, b_idx, outcomes)
+    sifted = sift(cfg.kind, cfg.source.label, cells)
     n_sifted = sifted.kept.size
     if n_sifted == 0:
         raise NoSiftedBitsError(
-            f"no sifted bits: {len(outcomes) - n_acc} coincidences, none in matched bases"
+            f"no sifted bits: {len(cells) - n_acc} coincidences, none in matched bases"
         )
 
     n_disclose = max(1, int(round(cfg.qber_sample_fraction * n_sifted)))
     retained = _complement(n_sifted, rng.choice(n_sifted, size=n_disclose, replace=False))
 
-    # One count per (setting pair, outcome); retained key bits go to an
-    # overflow cell, so the matched bases count only the disclosed sample.
-    n_cells = len(alice) * len(bob) * 4
-    cells = (a_idx * len(bob) + b_idx) * 4 + outcomes
+    # One count per cell; retained key bits go to an overflow cell, so the
+    # matched bases count only the disclosed sample.
+    n_cells = len(alice) * n_b * 4
     cells[sifted.kept[retained]] = n_cells
-    counts = np.bincount(cells, minlength=n_cells + 1)[:n_cells].reshape(len(alice), len(bob), 4)
+    counts = np.bincount(cells, minlength=n_cells + 1)[:n_cells].reshape(len(alice), n_b, 4)
     table = CoincidenceTable(tuple(
         CoincidenceRow(alice[i], bob[j], *(int(c) for c in counts[i, j]))
         for i, j in cfg.kind.matched_pairs() + cfg.kind.chsh_pairs
@@ -272,7 +264,7 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
     est = estimate(table, cfg.source.label, cfg.kind, settings)
     return SessionRecord(
         n_pairs=cfg.n_pairs,
-        n_coincident=int(len(outcomes)),
+        n_coincident=len(cells),
         sifted_length=int(n_sifted),
         disclosed_length=int(n_disclose),
         qber_hat=est.qber,

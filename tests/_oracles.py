@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from ebqkd.measurement import KEY_BASES_RAD, AnalyzerSetting
+from ebqkd.measurement import KEY_BASES_RAD, AnalyzerSetting, bob_flip
 from ebqkd.qstate import BellLabel, TwoQubitState, bell_state, to_density
 
 _PAULI = (
@@ -197,23 +197,40 @@ def ideal_correlator(label: BellLabel, pol_rad: float) -> float:
     return float(p[0] + p[3] - p[1] - p[2])
 
 
-def sample_outcome_stream_grouped(
-    blochs, stratum_idx, a_settings, b_settings, a_idx, b_idx, rng
-) -> np.ndarray:
+def sample_outcome_stream_grouped(blochs, stratum_idx, a_settings, b_settings, pair_idx, rng) -> np.ndarray:
     """Per-pair joint outcomes, one group at a time.
 
-    The group key's distinct values are visited in ascending order; each
-    group's members are found by a scan of the whole stream and drawn with
-    one ``rng.choice`` from the group's Born-rule distribution, taken by
-    kron/trace from the density matrix of its stratum's correlation matrix.
-    The library draws the same stream in one pass.
+    The group key ``stratum * n_a * n_b + pair`` is visited in ascending
+    order of its distinct values; each group's members are found by a scan
+    of the whole stream and drawn with one ``rng.choice`` from the group's
+    Born-rule distribution, taken by kron/trace from the density matrix of
+    its stratum's correlation matrix.  The library draws the same stream in
+    one pass.
     """
     out = np.zeros(len(stratum_idx), dtype=np.uint8)
-    key = (stratum_idx.astype(np.int64) * len(a_settings) + a_idx) * len(b_settings) + b_idx
+    n_pairs = len(a_settings) * len(b_settings)
+    key = stratum_idx.astype(np.int64) * n_pairs + pair_idx
     for group in np.unique(key):
         members = np.nonzero(key == group)[0]
-        si, rest = divmod(int(group), len(a_settings) * len(b_settings))
+        si, rest = divmod(int(group), n_pairs)
         ai, bi = divmod(rest, len(b_settings))
         p = joint_probabilities(density_from_bloch(blochs[si]), a_settings[ai], b_settings[bi]).clip(0.0, 1.0)
         out[members] = rng.choice(4, size=members.size, p=p / p.sum())
     return out
+
+
+def sift_masked(kind, label: BellLabel, a_idx, b_idx, outcomes):
+    """``(kept, bits_alice, bits_bob)`` by one mask pass per matched basis
+    over separate Alice/Bob setting and outcome streams; the library sifts
+    one cell stream with setting-pair lookup tables."""
+    keep = np.zeros(len(a_idx), dtype=bool)
+    flip = np.zeros(len(a_idx), dtype=bool)
+    for i, j in kind.matched_pairs():
+        in_basis = (a_idx == i) & (b_idx == j)
+        keep |= in_basis
+        if bob_flip(label, math.radians(2.0 * kind.alice_hwp_deg[i])):
+            flip |= in_basis
+    kept = np.nonzero(keep)[0]
+    bits_a = (outcomes[kept] >> 1).astype(np.uint8)
+    bits_b = ((outcomes[kept] & 1) ^ flip[kept]).astype(np.uint8)
+    return kept, bits_a, bits_b

@@ -173,6 +173,17 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_header_names_the_measured_bases(self, tmp_path):
+        # QBER columns are always measured in BBM92's H/V and D/A bases, so
+        # the header says so and no flag relabels it.
+        out = tmp_path / "sweep.tsv"
+        argv = ["sweep", "--mechanism", "werner", "--grid", "0.9", "--n-pairs", "1000", "--out", str(out)]
+        assert cli.main(argv) == EXIT_OK
+        assert "  protocol: bbm92  " in out.read_text().splitlines()[1]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--protocol", "e91"])
+        assert exc.value.code == EXIT_USAGE
+
     @pytest.mark.parametrize("mechanism,value", [
         ("werner", 0.9), ("imbalance", 0.6), ("hom_visibility", 0.8), ("intercept_fraction", 0.5),
     ])
@@ -282,6 +293,28 @@ class TestSession:
         assert cli.main(["session", str(cfg)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: invalid session config") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("overrides,field", [
+        ({"qber_fraction": 0.5}, "qber_fraction"),
+        ({"source": {"label": "phi_plus", "epsilon": 0.5}}, "source.epsilon"),
+        ({"channel": {"kind": "depolarizing", "param": 0.1}}, "channel.param"),
+        ({"detector": {"efficency": 0.95}}, "detector.efficency"),
+    ])
+    def test_unknown_field_is_a_config_error(self, tmp_path, capsys, overrides, field):
+        cfg = session_config(tmp_path, **overrides)
+        assert cli.main(["session", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: unknown config field '{field}'\n"
+
+    def test_out_of_memory_names_n_pairs(self, tmp_path, capsys, monkeypatch):
+        def no_memory(cfg):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(protocol, "run_session", no_memory)
+        cfg = session_config(tmp_path, n_pairs=10**12)
+        assert cli.main(["session", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field 'n_pairs': 1000000000000") and err.count("\n") == 1
 
     def test_missing_protocol_field(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

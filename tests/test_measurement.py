@@ -188,10 +188,10 @@ class TestSampleOutcomes:
         assert not np.array_equal(a, c)
 
 
-def _both_samplers(blochs, stratum_idx, a_settings, b_settings, a_idx, b_idx, seed):
+def _both_samplers(blochs, stratum_idx, a_settings, b_settings, pair_idx, seed):
     """Library and oracle outcomes from equal generators, plus each
     generator's next uniform (equal when both consumed the same draws)."""
-    args = (blochs, stratum_idx, a_settings, b_settings, a_idx, b_idx)
+    args = (blochs, stratum_idx, a_settings, b_settings, pair_idx)
     rng_lib, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     lib = sample_outcome_stream(*args, rng_lib)
     ref = sample_outcome_stream_grouped(*args, rng_ref)
@@ -210,12 +210,12 @@ class TestSampleOutcomeStream:
         blochs, _ = intercept_strata(state, 0.4)
         n = 20_000
         stratum_idx = rng.integers(0, len(blochs), size=n)
-        a_idx = rng.integers(0, 3, size=n)
-        b_idx = rng.integers(0, 3, size=n)
+        pair_idx = rng.integers(0, 9, size=n).astype(np.uint8)
         lib, ref, next_lib, next_ref = _both_samplers(
-            blochs, stratum_idx, E91_ALICE, E91_BOB, a_idx, b_idx, seed
+            blochs, stratum_idx, E91_ALICE, E91_BOB, pair_idx, seed
         )
         assert set(np.unique(stratum_idx)) == set(range(5))
+        assert set(np.unique(pair_idx)) == set(range(9))
         assert lib.dtype == np.uint8 and lib.shape == (n,)
         assert np.array_equal(lib, ref)
         assert next_lib == next_ref
@@ -224,10 +224,9 @@ class TestSampleOutcomeStream:
         blochs, _ = intercept_strata(to_density(bell_state(BellLabel.PHI_PLUS)), 0.5)
         n = 5_000
         stratum_idx = np.full(n, 3, dtype=np.uint8)
-        a_idx = np.ones(n, dtype=np.int64)
-        b_idx = np.full(n, 2, dtype=np.int64)
+        pair_idx = np.full(n, 1 * 3 + 2, dtype=np.uint8)  # Alice setting 1, Bob setting 2
         lib, ref, next_lib, next_ref = _both_samplers(
-            blochs, stratum_idx, E91_ALICE, E91_BOB, a_idx, b_idx, 7
+            blochs, stratum_idx, E91_ALICE, E91_BOB, pair_idx, 7
         )
         assert np.array_equal(lib, ref)
         assert next_lib == next_ref
@@ -238,22 +237,21 @@ class TestSampleOutcomeStream:
         bases = (setting(0), setting(45))
         rng = np.random.default_rng(5)
         n = 10_000
-        a_idx = rng.integers(0, 2, size=n)
-        b_idx = rng.integers(0, 2, size=n)
+        pair_idx = rng.integers(0, 4, size=n).astype(np.uint8)
         lib, ref, next_lib, next_ref = _both_samplers(
-            blochs, np.zeros(n, dtype=np.int64), bases, bases, a_idx, b_idx, 6
+            blochs, np.zeros(n, dtype=np.uint8), bases, bases, pair_idx, 6
         )
         assert np.array_equal(lib, ref)
         assert next_lib == next_ref
-        matched = a_idx == b_idx
+        matched = np.isin(pair_idx, (0, 3))  # (H/V, H/V) and (D/A, D/A)
         assert not np.isin(lib[matched], (1, 2)).any()
         assert np.isin(lib[~matched], (1, 2)).any()
 
     def test_empty_stream(self):
         blochs = to_density(bell_state(BellLabel.PHI_PLUS)).bloch[None]
-        empty = np.zeros(0, dtype=np.int64)
+        empty = np.zeros(0, dtype=np.uint8)
         lib, ref, next_lib, next_ref = _both_samplers(
-            blochs, empty, E91_ALICE, E91_BOB, empty, empty, 8
+            blochs, empty, E91_ALICE, E91_BOB, empty, 8
         )
         assert lib.dtype == np.uint8 and lib.shape == (0,)
         assert np.array_equal(lib, ref)
@@ -263,8 +261,8 @@ class TestSampleOutcomeStream:
         blochs = to_density(bell_state(BellLabel.PHI_PLUS)).bloch[None]
         with pytest.raises(ValueError, match="equal length"):
             sample_outcome_stream(
-                blochs, np.zeros(3, dtype=np.int64), E91_ALICE, E91_BOB,
-                np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64), np.random.default_rng(0),
+                blochs, np.zeros(3, dtype=np.uint8), E91_ALICE, E91_BOB,
+                np.zeros(2, dtype=np.uint8), np.random.default_rng(0),
             )
 
 
@@ -281,12 +279,34 @@ class TestInterceptResend:
             measurement, "intercept_strata",
             lambda *args: strata.append(args) or intercept_strata(*args),
         )
-        idx = np.zeros(100, dtype=np.int64)
+        pair_idx = np.zeros(100, dtype=np.uint8)
         for eve_fraction in (0.5, 0.0):
             built.clear()
             strata.clear()
-            intercept_resend(state, E91_ALICE, E91_BOB, idx, idx, eve_fraction, np.random.default_rng(0))
+            intercept_resend(state, E91_ALICE, E91_BOB, pair_idx, eve_fraction, np.random.default_rng(0))
             assert built == [] and len(strata) == 1
+
+    @pytest.mark.parametrize("eve_fraction", [0.0, 0.3, 1.0])
+    def test_stream_matches_masked_strata_and_grouped_oracle(self, eve_fraction):
+        # Eve's draws by int64 arrays and masked assignment, then the
+        # grouped sampler: the library must consume and produce the same.
+        state = to_density(bell_state(BellLabel.PSI_PLUS, 0.6))
+        n = 20_000
+        pair_idx = np.random.default_rng(41).integers(0, 9, size=n).astype(np.uint8)
+        rng_lib, rng = np.random.default_rng(42), np.random.default_rng(42)
+        lib = intercept_resend(state, E91_ALICE, E91_BOB, pair_idx, eve_fraction, rng_lib)
+        blochs, weights = intercept_strata(state, eve_fraction)
+        stratum_idx = np.zeros(n, dtype=np.int64)
+        if eve_fraction:
+            intercepted = rng.random(n) < eve_fraction
+            eve_basis = rng.integers(0, 2, size=n)
+            p_plus = weights[[1, 3]] / (weights[[1, 3]] + weights[[2, 4]])
+            eve_outcome = (rng.random(n) >= p_plus[eve_basis]).astype(np.int64)
+            stratum_idx[intercepted] = 1 + 2 * eve_basis[intercepted] + eve_outcome[intercepted]
+            assert set(np.unique(stratum_idx)) == set(range(5)) - ({0} if eve_fraction == 1.0 else set())
+        ref = sample_outcome_stream_grouped(blochs, stratum_idx, E91_ALICE, E91_BOB, pair_idx, rng)
+        assert np.array_equal(lib, ref)
+        assert rng_lib.random() == rng.random()
 
     def test_strata_match_partial_trace_oracle(self):
         rng = np.random.default_rng(31)

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import _oracles
 
 from ebqkd import chsh, security
 from ebqkd.measurement import AnalyzerSetting, CoincidenceRow, CoincidenceTable, DetectorModel
@@ -11,6 +14,7 @@ from ebqkd.protocol import (
     E91,
     EmptyBasisError,
     NoSiftedBitsError,
+    ProtocolKind,
     SessionConfig,
     _complement,
     estimate,
@@ -59,54 +63,69 @@ class TestProtocolKinds:
         ]
         assert pols == [(0, 22.5), (0, 67.5), (45, 22.5), (45, 67.5)]
 
+    def test_cells_fit_in_uint8(self):
+        # A cell is (a * n_b + b) * 4 + outcome and the counts table adds one
+        # overflow cell, so at most 63 setting pairs fit.
+        ProtocolKind("7x9", tuple(range(7)), tuple(range(9)))
+        with pytest.raises(ValueError, match="63 setting pairs"):
+            ProtocolKind("8x8", tuple(range(8)), tuple(range(8)))
+
     def test_lookup_by_name(self):
         assert protocol_by_name("BBM92") is BBM92
         with pytest.raises(ValueError):
             protocol_by_name("bb84")
 
 
+def random_stream(kind, n, seed):
+    """Alice and Bob setting indices, outcomes and their cells for ``n`` pairs."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, len(kind.alice_hwp_deg), n)
+    b = rng.integers(0, len(kind.bob_hwp_deg), n)
+    outcomes = rng.integers(0, 4, n).astype(np.uint8)
+    return a, b, outcomes, cells_of(kind, a, b, outcomes)
+
+
+def cells_of(kind, a, b, outcomes):
+    return ((a * len(kind.bob_hwp_deg) + b) * 4 + outcomes).astype(np.uint8)
+
+
 class TestSift:
     def test_all_matched_kept(self):
-        a = np.zeros(10, dtype=np.int64)
-        b = np.zeros(10, dtype=np.int64)
-        outcomes = np.arange(10, dtype=np.uint8) % 4
-        res = sift(BBM92, BellLabel.PHI_PLUS, a, b, outcomes)
+        cells = np.arange(10, dtype=np.uint8) % 4  # (H/V, H/V), every outcome
+        res = sift(BBM92, BellLabel.PHI_PLUS, cells)
         np.testing.assert_array_equal(res.kept, np.arange(10))
 
     def test_bbm92_keep_fraction(self):
-        rng = np.random.default_rng(1)
         n = 200_000
-        a = rng.integers(0, 2, n)
-        b = rng.integers(0, 2, n)
-        outcomes = rng.integers(0, 4, n).astype(np.uint8)
-        res = sift(BBM92, BellLabel.PHI_PLUS, a, b, outcomes)
+        *_, cells = random_stream(BBM92, n, 1)
+        res = sift(BBM92, BellLabel.PHI_PLUS, cells)
         assert abs(res.kept.size / n - 0.5) < binom_5sigma(0.5, n)
 
     def test_e91_keep_fraction_two_ninths(self):
-        rng = np.random.default_rng(2)
         n = 900_000
-        a = rng.integers(0, 3, n)
-        b = rng.integers(0, 3, n)
-        outcomes = rng.integers(0, 4, n).astype(np.uint8)
-        res = sift(E91, BellLabel.PSI_MINUS, a, b, outcomes)
+        *_, cells = random_stream(E91, n, 2)
+        res = sift(E91, BellLabel.PSI_MINUS, cells)
         assert abs(res.kept.size / n - 2 / 9) < binom_5sigma(2 / 9, n)
 
     def test_order_preserving_and_outcome_blind(self):
-        rng = np.random.default_rng(3)
-        n = 5000
-        a = rng.integers(0, 2, n)
-        b = rng.integers(0, 2, n)
-        outcomes = rng.integers(0, 4, n).astype(np.uint8)
-        res = sift(BBM92, BellLabel.PHI_PLUS, a, b, outcomes)
+        a, b, outcomes, cells = random_stream(BBM92, 5000, 3)
+        res = sift(BBM92, BellLabel.PHI_PLUS, cells)
         assert np.all(np.diff(res.kept) > 0)
         # permuting outcome labels must not change which indices are kept
         permuted = ((outcomes + 1) % 4).astype(np.uint8)
-        res2 = sift(BBM92, BellLabel.PHI_PLUS, a, b, permuted)
+        res2 = sift(BBM92, BellLabel.PHI_PLUS, cells_of(BBM92, a, b, permuted))
         np.testing.assert_array_equal(res.kept, res2.kept)
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            sift(BBM92, BellLabel.PHI_PLUS, np.zeros(3, int), np.zeros(4, int), np.zeros(3, np.uint8))
+    @pytest.mark.parametrize("label", list(BellLabel))
+    @pytest.mark.parametrize("kind", [BBM92, E91])
+    def test_matches_masked_oracle(self, kind, label):
+        a, b, outcomes, cells = random_stream(kind, 20_000, [4, len(kind.bob_hwp_deg)])
+        res = sift(kind, label, cells)
+        kept, bits_a, bits_b = _oracles.sift_masked(kind, label, a, b, outcomes)
+        assert np.array_equal(res.kept, kept)
+        assert np.array_equal(res.bits_alice, bits_a)
+        assert np.array_equal(res.bits_bob, bits_b)
+        assert bits_a.size and (bits_a != bits_b).any() and (bits_a == bits_b).any()
 
     @pytest.mark.parametrize("label", list(BellLabel))
     def test_noiseless_agreement_every_label(self, label):
@@ -125,6 +144,7 @@ class TestRunSession:
         assert rec.qber_hat <= 1e-4
         assert rec.disclosed_length + rec.key_bits_alice.size == rec.sifted_length
         assert rec.key_bits_alice.size == rec.key_bits_bob.size
+        assert rec.key_bits_alice.dtype == rec.key_bits_bob.dtype == np.uint8
 
     def test_werner_qber_both_bases(self):
         cfg = config(channel=ChannelModel.werner(0.9), n_pairs=400_000, seed=8)
@@ -270,10 +290,8 @@ class TestMixedDisturbances:
         # keeps his raw bit there: errors are exactly the unequal outcomes.
         rng = np.random.default_rng(5)
         n = 1000
-        a = np.full(n, 1)
-        b = np.full(n, 0)
         outcomes = rng.integers(0, 4, n).astype(np.uint8)
-        res = sift(E91, label, a, b, outcomes)
+        res = sift(E91, label, cells_of(E91, np.full(n, 1), np.full(n, 0), outcomes))
         np.testing.assert_array_equal(res.bits_alice != res.bits_bob, (outcomes == 1) | (outcomes == 2))
 
     def test_degenerate_e91_label_runs_without_error(self):
@@ -295,6 +313,22 @@ class TestMixedDisturbances:
         assert rep.i_ae == pytest.approx(0.0, abs=0.05)
         assert abs(rep.r) < 0.05
         assert not rep.collective_bound_ok
+
+
+class TestSessionMemory:
+    @pytest.mark.parametrize("channel", [ChannelModel.werner(0.9), ChannelModel.intercept_resend(0.25)])
+    @pytest.mark.parametrize("kind", [BBM92, E91])
+    def test_peak_bytes_per_pair(self, kind, channel):
+        # Per-pair arrays are uint8 or bool once drawn; the only 8-byte ones
+        # are a draw's uniforms or integers and the stream sampler's order.
+        cfg = config(kind=kind, channel=channel, detector=DetectorModel(), n_pairs=250_000, seed=3)
+        tracemalloc.start()
+        try:
+            run_session(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / cfg.n_pairs <= 32.0
 
 
 class TestSecurityReport:
