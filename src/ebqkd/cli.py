@@ -118,13 +118,13 @@ def sweep_point(spec: SweepSpec, index: int, value: float, seed: int) -> dict[st
     """
     source, channel = _point_models(spec, value)
     state = optics.apply_channel(optics.generate(source), channel)
-    eve = channel.eve_fraction
+    state = intercept_average_state(state, channel.eve_fraction)
     settings = chsh.canonical_settings(spec.label)
-    s_analytic = chsh.s_analytic(intercept_average_state(state, eve), settings).s
+    s_analytic = chsh.s_analytic(state, settings).s
 
     pairs = settings.pairs() + protocol.BBM92.key_pairs()
     rngs = [spawn_rng(seed, index, k) for k in range(len(pairs))]
-    rows = sample_outcomes(state, pairs, spec.detector, spec.n_pairs, rngs, eve_fraction=eve)
+    rows = sample_outcomes(state, pairs, spec.detector, spec.n_pairs, rngs)
     est = protocol.estimate(CoincidenceTable(rows), spec.label, protocol.BBM92, settings)
     basis_qber = est.per_basis_qber.values()
     qber = max(basis_qber) if spec.qber_mode == "worst" else sum(basis_qber) / 2.0
@@ -236,6 +236,19 @@ def _reject_unknown(section: dict, name: str) -> None:
             raise ConfigError(f"unknown config field '{name + '.' if name else ''}{field}'")
 
 
+def _integer(value: Any, field: str) -> int:
+    """An integer config field: an int, or a float with no fractional part.
+
+    Booleans, fractions, infinities and non-numbers are rejected rather
+    than truncated by ``int()``.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"invalid session config: field '{field}' must be an integer, got {value!r}")
+
+
 def _session_config(doc: dict, args: argparse.Namespace) -> protocol.SessionConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -268,23 +281,25 @@ def _session_config(doc: dict, args: argparse.Namespace) -> protocol.SessionConf
         detector = DetectorModel(
             efficiency=float(det_doc.get("efficiency", 0.6)),
             dark_rate=float(det_doc.get("dark_rate", 0.0)),
-            window_pairs=int(det_doc.get("window_pairs", 1)),
+            window_pairs=_integer(det_doc.get("window_pairs", 1), "detector.window_pairs"),
             efficiency_b=(
                 float(det_doc["efficiency_b"]) if "efficiency_b" in det_doc else None
             ),
         )
+        n_pairs = args.n_pairs if args.n_pairs is not None else doc.get("n_pairs", 100_000)
+        seed = args.seed if args.seed is not None else doc.get("seed", 0)
         return protocol.SessionConfig(
             kind=kind,
             source=source,
             channel=channel,
             detector=detector,
-            n_pairs=int(args.n_pairs if args.n_pairs is not None else doc.get("n_pairs", 100_000)),
+            n_pairs=_integer(n_pairs, "n_pairs"),
             qber_sample_fraction=float(doc.get("qber_sample_fraction", 0.1)),
-            seed=int(args.seed if args.seed is not None else doc.get("seed", 0)),
+            seed=_integer(seed, "seed"),
         )
     except ConfigError:
         raise
-    except (TypeError, ValueError, OverflowError) as exc:  # int() of an infinite number overflows
+    except (TypeError, ValueError, OverflowError) as exc:  # float() of a huge integer overflows
         raise ConfigError(f"invalid session config: {exc}")
 
 

@@ -4,7 +4,10 @@ A coincidence is both photons of one emitted pair being detected in the
 same emission slot; detector efficiency is applied independently per arm
 and accidental coincidences follow a Poisson model spread uniformly over
 the four outcomes.  All sampling is deterministic given a seed.  Session
-samplers take a pair's settings as one index ``pair_idx = a * n_b + b``.
+samplers take a pair's settings as one index ``pair_idx = a * n_b + b``
+and turn one uniform per pair into its outcome.  Eve's intercept-resend
+attack is sampled as the mixture of :func:`intercept_strata`: her records
+never leave the sampler, so no draw of hers is needed.
 """
 
 from __future__ import annotations
@@ -189,10 +192,9 @@ def intercept_strata(state: TwoQubitState, eve_fraction: float) -> tuple[np.ndar
 def intercept_average_state(state: TwoQubitState, eve_fraction: float) -> TwoQubitState:
     """Ensemble-average state after intercept-resend (Eve's records discarded).
 
-    ``state`` itself at ``eve_fraction = 0``.  Valid for computing expected
-    correlators and error rates; per-pair key correlations with Eve
-    additionally require the outcome records that :func:`intercept_resend`
-    keeps implicitly while sampling.
+    ``state`` itself at ``eve_fraction = 0``; otherwise the state whose
+    correlation matrix is the weighted sum of the :func:`intercept_strata`
+    components.  Every pair downstream of the attack is drawn from it.
     """
     blochs, weights = intercept_strata(state, eve_fraction)
     if len(weights) == 1:
@@ -206,18 +208,15 @@ def sample_outcomes(
     det: DetectorModel,
     n_pairs: int,
     rngs: Sequence[int | np.random.Generator],
-    eve_fraction: float = 0.0,
 ) -> tuple[CoincidenceRow, ...]:
     """Coincidence counts for each analyzer setting pair.
 
     Pair ``j`` draws from ``spawn_rng(rngs[j])`` alone: the coincidences
     among ``n_pairs`` emitted pairs (binomial in the product of the per-arm
-    detection efficiencies), their split over the :func:`intercept_strata`
-    mixture (multinomial; with one stratum at ``eve_fraction = 0`` this
-    draws nothing), the Born-rule outcomes of each stratum (multinomial),
-    and Poisson accidentals spread uniformly over the four outcomes.  The
-    strata and one :func:`~ebqkd.qstate.born_table` for all pairs are built
-    once per call.
+    detection efficiencies), their Born-rule outcomes (multinomial), and
+    Poisson accidentals spread uniformly over the four outcomes.  One
+    :func:`~ebqkd.qstate.born_table` for all pairs is built per call.  Under
+    intercept-resend pass :func:`intercept_average_state`.
 
     Returns:
         One :class:`CoincidenceRow` per pair, in order, deterministic given
@@ -225,21 +224,15 @@ def sample_outcomes(
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs!r}")
-    blochs, weights = intercept_strata(state, eve_fraction)
-    weights = weights / weights.sum()
     a_settings, b_settings = zip(*pairs)
     on_pair = np.arange(len(pairs))
-    # Every stratum's outcome distribution for each (a_j, b_j): shape (pair, stratum, 4).
-    tables = born_table(blochs, a_settings, b_settings)[:, on_pair, on_pair].swapaxes(0, 1)
+    tables = born_table(state.bloch, a_settings, b_settings)[on_pair, on_pair]
     tables /= tables.sum(axis=-1, keepdims=True)
     rows = []
-    for (a, b), table, seed in zip(pairs, tables, rngs, strict=True):
+    for (a, b), p, seed in zip(pairs, tables, rngs, strict=True):
         rng = spawn_rng(seed)
         n_coinc = int(rng.binomial(n_pairs, det.coincidence_efficiency()))
-        counts = np.zeros(4, dtype=np.int64)
-        for n_s, p in zip(rng.multinomial(n_coinc, weights), table):
-            if n_s:
-                counts += rng.multinomial(n_s, p)
+        counts = rng.multinomial(n_coinc, p)
         n_acc = int(rng.poisson(det.expected_accidentals(n_pairs)))
         if n_acc:
             counts += rng.multinomial(n_acc, np.full(4, 0.25))
@@ -257,43 +250,30 @@ def sample_outcome_stream(
 ) -> np.ndarray:
     """Per-pair joint outcomes (0..3 encoding ++, +-, -+, --).
 
-    ``blochs`` is the ``(k, 4, 4)`` stack of the strata's correlation
-    matrices that ``stratum_idx`` indexes (see :func:`intercept_strata`);
-    ``pair_idx`` holds each pair's setting pair ``a * len(b_settings) + b``.
-    Pairs are grouped by ``stratum * n_a * n_b + pair``.  One
-    ``rng.random(n)`` call draws a uniform per pair; the uniforms go to the
-    groups in ascending group order and, within a group, in stream order,
-    and each becomes an outcome by a search of its group's normalised
-    Born-rule CDF, all read from one :func:`~ebqkd.qstate.born_table` of the
-    whole stack built up front.  This is stream-equivalent to one
-    ``rng.choice(4, size=group_size, p=...)`` per group in ascending group
-    order: the same draws and the same outcomes.  A stable sort of a small
-    integer key gathers the groups, so the cost is O(n).
+    ``blochs`` is a ``(k, 4, 4)`` stack of correlation matrices that
+    ``stratum_idx`` indexes; ``pair_idx`` holds each pair's setting pair
+    ``a * len(b_settings) + b``.  Each pair's normalised Born-rule CDF is
+    read, under the key ``stratum * n_a * n_b + pair``, from one
+    :func:`~ebqkd.qstate.born_table` of the whole stack built up front.  One
+    ``rng.random(n)`` call draws a uniform ``u`` per pair in stream order,
+    and the outcome is ``sum(u >= cdf[j] for j < 3)``, which equals
+    ``searchsorted(cdf, u, side="right")`` (``cdf[3]`` is 1 and ``u < 1``).
+    No sort: the cost is a few passes over the stream.
     """
     n = len(stratum_idx)
     if len(pair_idx) != n:
         raise ValueError("stratum and setting-pair index streams must have equal length")
     n_pairs = len(a_settings) * len(b_settings)
-    n_groups = len(blochs) * n_pairs
-    key = stratum_idx.astype(np.min_scalar_type(n_groups - 1))
+    key = stratum_idx.astype(np.min_scalar_type(len(blochs) * n_pairs - 1))
     key *= n_pairs
     key += pair_idx.astype(key.dtype, copy=False)
-    order = np.argsort(key, kind="stable")
-    ends = np.cumsum(np.bincount(key, minlength=n_groups))
-    del key
-    probs = born_table(blochs, a_settings, b_settings).reshape(n_groups, 4)
+    probs = born_table(blochs, a_settings, b_settings).reshape(-1, 4)
     cdfs = (probs / probs.sum(axis=1, keepdims=True)).cumsum(axis=1)
     cdfs /= cdfs[:, -1:]
     u = rng.random(n)
-    drawn = np.empty(n, dtype=np.uint8)
-    start = 0
-    for group, end in enumerate(ends):
-        if end > start:
-            drawn[start:end] = cdfs[group].searchsorted(u[start:end], side="right")
-        start = end
-    del u
-    out = np.empty(n, dtype=np.uint8)
-    out[order] = drawn
+    out = np.zeros(n, dtype=np.uint8)
+    for column in cdfs[:, :3].T:
+        out += u >= column[key]
     return out
 
 
@@ -308,25 +288,18 @@ def intercept_resend(
     """Joint outcomes for a stream of pairs under partial intercept-resend.
 
     For an intercepted pair Eve measures Bob's photon in a uniformly random
-    key basis (H/V or D/A) and forwards a re-prepared eigenstate; downstream
-    outcomes are then sampled from the resulting product state.  With
-    ``eve_fraction = 0`` no Eve randomness is consumed and the stream is
-    identical to an attack-free run with the same generator state.
+    key basis (H/V or D/A) and forwards a re-prepared eigenstate.  She acts
+    on each pair independently of its settings and her records are not
+    returned, so every pair is drawn from the weighted
+    :func:`intercept_strata` mixture as one stratum: the same distribution
+    as drawing her interception, basis and result first, with no Eve
+    randomness consumed.  At ``eve_fraction = 0`` the mixture is
+    ``state.bloch`` and the stream is identical to an attack-free run.
     """
-    n = len(pair_idx)
     blochs, weights = intercept_strata(state, eve_fraction)
-    stratum_idx = np.zeros(n, dtype=np.uint8)
-    if eve_fraction != 0.0:
-        intercepted = rng.random(n) < eve_fraction
-        eve_basis = rng.integers(0, 2, size=n).astype(np.uint8)
-        # Born-rule probability of Eve's "+" outcome in each basis.
-        eve_weights = weights[1:].reshape(len(KEY_BASES_RAD), 2)
-        p_plus = eve_weights[:, 0] / eve_weights.sum(axis=1)
-        eve_outcome = rng.random(n) >= p_plus[eve_basis]
-        stratum_idx = (1 + 2 * eve_basis + eve_outcome) * intercepted  # uint8, 0 if not intercepted
-        # Eve's records are not needed downstream; free them before the outcome draw.
-        del intercepted, eve_basis, eve_outcome
-    return sample_outcome_stream(blochs, stratum_idx, a_settings, b_settings, pair_idx, rng)
+    mixture = np.tensordot(weights, blochs, axes=1)[None]
+    stratum_idx = np.zeros(len(pair_idx), dtype=np.uint8)
+    return sample_outcome_stream(mixture, stratum_idx, a_settings, b_settings, pair_idx, rng)
 
 
 def expected_counts(

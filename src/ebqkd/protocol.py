@@ -1,10 +1,12 @@
 """BBM92 and E91 session engines.
 
-A session emits entangled pairs, draws independent uniform basis choices
-for Alice and Bob, samples joint analyzer outcomes, drops non-coincident
-pairs, sifts on announced bases and estimates the QBER from a disclosed
-random subset (those bits are consumed).  E91 additionally routes the four
-designated unmatched setting combinations into a CHSH estimate.
+A session emits entangled pairs in fixed blocks; per block it draws a
+uniform setting pair for each pair (the same as independent uniform bases
+for Alice and Bob), whether both arms detected it, and its joint analyzer
+outcome, and keeps the coincident ones.  It then adds accidentals, sifts
+on announced bases and estimates the QBER from a disclosed random subset
+(those bits are consumed).  E91 additionally routes the four designated
+unmatched setting combinations into a CHSH estimate.
 
 Bit mapping: the transmitted port is bit 0.  Bob inverts his bit in a
 matched basis exactly when the session's ideal Bell state is
@@ -127,8 +129,8 @@ class SessionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_pairs < 1:
-            raise ValueError(f"n_pairs must be >= 1, got {self.n_pairs!r}")
+        if not 1 <= self.n_pairs < 2**63:
+            raise ValueError(f"n_pairs must be in [1, 2**63), got {self.n_pairs!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if not 0.0 < self.qber_sample_fraction < 1.0:
@@ -208,6 +210,10 @@ def _complement(n: int, taken: np.ndarray) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
+#: Pairs drawn per block by :func:`run_session`.
+_BLOCK = 1 << 18
+
+
 def run_session(cfg: SessionConfig) -> SessionRecord:
     """Run a full protocol session; identical configs give identical records.
 
@@ -220,32 +226,36 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
     rng = spawn_rng(cfg.seed)
     state = optics.apply_channel(optics.generate(cfg.source), cfg.channel)
     alice, bob = cfg.kind.alice_settings(), cfg.kind.bob_settings()
-    n, n_b = cfg.n_pairs, len(bob)
+    n, n_settings = cfg.n_pairs, len(alice) * len(bob)
 
-    # Fixed draw order: bases, per-arm detection, Eve, outcomes, accidentals,
-    # disclosure. Changing it changes the streams, so it is part of the
-    # reproducibility contract. Per-pair arrays are uint8 or bool where they
-    # can be and go as soon as they are used: peak memory is O(n_pairs).
-    pair_idx = rng.integers(0, len(alice), size=n).astype(np.uint8)
-    pair_idx *= n_b
-    pair_idx += rng.integers(0, n_b, size=n).astype(np.uint8)
-    coincident = rng.random(n) < cfg.detector.eff_alice
-    coincident &= rng.random(n) < cfg.detector.eff_bob
-
-    outcomes = intercept_resend(state, alice, bob, pair_idx, cfg.channel.eve_fraction, rng)
-    cells = (pair_idx * 4 + outcomes)[coincident]
-    del pair_idx, outcomes, coincident
+    # Fixed draw order: per block of pairs the setting pairs, the
+    # coincidences and the outcomes; then accidentals and disclosure.
+    # Changing the order or the block size changes the streams, so both
+    # are part of the reproducibility contract. A block's arrays are
+    # uint8 or bool where they can be; across blocks only the coincident
+    # cells are kept, in a buffer allocated once (an impossible n_pairs
+    # fails here, before any draw).
+    cells = np.empty(n, dtype=np.uint8)
+    n_coincident = 0
+    for start in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - start)
+        pair_idx = rng.integers(0, n_settings, size=m, dtype=np.uint8)
+        coincident = rng.random(m) < cfg.detector.coincidence_efficiency()
+        outcomes = intercept_resend(state, alice, bob, pair_idx, cfg.channel.eve_fraction, rng)
+        k = np.count_nonzero(coincident)
+        np.compress(coincident, (pair_idx << 2) + outcomes, out=cells[n_coincident:n_coincident + k])
+        n_coincident += k
+    cells = cells[:n_coincident]
 
     n_acc = int(rng.poisson(cfg.detector.expected_accidentals(n)))
     if n_acc:
-        acc = rng.integers(0, len(alice), size=n_acc) * n_b + rng.integers(0, n_b, size=n_acc)
-        cells = np.concatenate([cells, (acc * 4 + rng.integers(0, 4, size=n_acc)).astype(np.uint8)])
+        cells = np.concatenate([cells, rng.integers(0, n_settings * 4, size=n_acc, dtype=np.uint8)])
 
     sifted = sift(cfg.kind, cfg.source.label, cells)
     n_sifted = sifted.kept.size
     if n_sifted == 0:
         raise NoSiftedBitsError(
-            f"no sifted bits: {len(cells) - n_acc} coincidences, none in matched bases"
+            f"no sifted bits: {n_coincident} coincidences, none in matched bases"
         )
 
     n_disclose = max(1, int(round(cfg.qber_sample_fraction * n_sifted)))
@@ -253,9 +263,9 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
 
     # One count per cell; retained key bits go to an overflow cell, so the
     # matched bases count only the disclosed sample.
-    n_cells = len(alice) * n_b * 4
+    n_cells = n_settings * 4
     cells[sifted.kept[retained]] = n_cells
-    counts = np.bincount(cells, minlength=n_cells + 1)[:n_cells].reshape(len(alice), n_b, 4)
+    counts = np.bincount(cells, minlength=n_cells + 1)[:n_cells].reshape(len(alice), len(bob), 4)
     table = CoincidenceTable(tuple(
         CoincidenceRow(alice[i], bob[j], *(int(c) for c in counts[i, j]))
         for i, j in cfg.kind.matched_pairs() + cfg.kind.chsh_pairs

@@ -200,13 +200,16 @@ def ideal_correlator(label: BellLabel, pol_rad: float) -> float:
 def sample_outcome_stream_grouped(blochs, stratum_idx, a_settings, b_settings, pair_idx, rng) -> np.ndarray:
     """Per-pair joint outcomes, one group at a time.
 
+    One ``rng.random(n)`` call draws a uniform per pair in stream order.
     The group key ``stratum * n_a * n_b + pair`` is visited in ascending
     order of its distinct values; each group's members are found by a scan
-    of the whole stream and drawn with one ``rng.choice`` from the group's
-    Born-rule distribution, taken by kron/trace from the density matrix of
-    its stratum's correlation matrix.  The library draws the same stream in
-    one pass.
+    of the whole stream, and each member's outcome is
+    ``searchsorted(cdf, u, side="right")`` in the group's CDF, normalised as
+    ``numpy.random.Generator.choice`` does, from the Born-rule distribution
+    taken by kron/trace from the density matrix of its stratum's
+    correlation matrix.  The library reads the CDFs without grouping.
     """
+    u = rng.random(len(stratum_idx))
     out = np.zeros(len(stratum_idx), dtype=np.uint8)
     n_pairs = len(a_settings) * len(b_settings)
     key = stratum_idx.astype(np.int64) * n_pairs + pair_idx
@@ -215,8 +218,61 @@ def sample_outcome_stream_grouped(blochs, stratum_idx, a_settings, b_settings, p
         si, rest = divmod(int(group), n_pairs)
         ai, bi = divmod(rest, len(b_settings))
         p = joint_probabilities(density_from_bloch(blochs[si]), a_settings[ai], b_settings[bi]).clip(0.0, 1.0)
-        out[members] = rng.choice(4, size=members.size, p=p / p.sum())
+        cdf = np.cumsum(p / p.sum())
+        cdf /= cdf[-1]
+        out[members] = cdf.searchsorted(u[members], side="right")
     return out
+
+
+def intercept_resend_strata(rho, a_settings, b_settings, pair_idx, eve_fraction, rng) -> np.ndarray:
+    """Per-pair outcomes under intercept-resend with Eve's draws made.
+
+    Three Eve draws per pair (interception, basis, result), her stratum by
+    masked assignment into an int64 array, then the grouped sampler over
+    the partial-trace strata.  The library draws from their mixture
+    instead, which has the same outcome distribution.
+    """
+    n = len(pair_idx)
+    states, weights = intercept_strata(rho, eve_fraction)
+    stratum_idx = np.zeros(n, dtype=np.int64)
+    if eve_fraction:
+        intercepted = rng.random(n) < eve_fraction
+        eve_basis = rng.integers(0, 2, size=n)
+        p_plus = weights[[1, 3]] / (weights[[1, 3]] + weights[[2, 4]])
+        eve_outcome = (rng.random(n) >= p_plus[eve_basis]).astype(np.int64)
+        stratum_idx[intercepted] = 1 + 2 * eve_basis[intercepted] + eve_outcome[intercepted]
+    blochs = np.array([pauli_bloch(r) for r in states])
+    return sample_outcome_stream_grouped(blochs, stratum_idx, a_settings, b_settings, pair_idx, rng)
+
+
+def session_cells_strata(kind, rho, det, eve_fraction, n_pairs, rng) -> np.ndarray:
+    """Coincident cells ``(a * n_b + b) * 4 + outcome`` drawn pair by pair.
+
+    Two int64 setting draws (Alice, then Bob), one detection uniform per
+    arm, then :func:`intercept_resend_strata`; no accidentals.
+    """
+    n_b = len(kind.bob_hwp_deg)
+    a_idx = rng.integers(0, len(kind.alice_hwp_deg), size=n_pairs)
+    b_idx = rng.integers(0, n_b, size=n_pairs)
+    coincident = (rng.random(n_pairs) < det.eff_alice) & (rng.random(n_pairs) < det.eff_bob)
+    pair_idx = a_idx * n_b + b_idx
+    outcomes = intercept_resend_strata(
+        rho, kind.alice_settings(), kind.bob_settings(), pair_idx, eve_fraction, rng
+    )
+    return (pair_idx * 4 + outcomes)[coincident]
+
+
+def cell_probabilities(kind, rho, eve_fraction) -> np.ndarray:
+    """Probability of each coincident cell: uniform setting pair times the
+    kron/trace Born rule of the partial-trace strata mixture."""
+    states, weights = intercept_strata(rho, eve_fraction)
+    mixture = sum(w * s for w, s in zip(weights, states))
+    p = np.array([
+        joint_probabilities(mixture, a, b)
+        for a in kind.alice_settings()
+        for b in kind.bob_settings()
+    ]).ravel()
+    return p / p.sum()
 
 
 def sift_masked(kind, label: BellLabel, a_idx, b_idx, outcomes):

@@ -279,6 +279,7 @@ class TestSession:
     @pytest.mark.parametrize("field,literal", [
         ("n_pairs", "Infinity"),
         ("n_pairs", "1e400"),
+        ("n_pairs", "1" + "0" * 30),
         ("seed", "Infinity"),
         ("seed", "1e400"),
         ("seed", "-1"),
@@ -293,6 +294,31 @@ class TestSession:
         assert cli.main(["session", str(cfg)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: invalid session config") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("overrides,field", [
+        ({"n_pairs": 2000.7}, "n_pairs"),
+        ({"n_pairs": True}, "n_pairs"),
+        ({"n_pairs": "2000"}, "n_pairs"),
+        ({"seed": 1.9}, "seed"),
+        ({"seed": False}, "seed"),
+        ({"detector": {"window_pairs": 2.5}}, "detector.window_pairs"),
+        ({"detector": {"window_pairs": True}}, "detector.window_pairs"),
+    ])
+    def test_integer_field_is_not_truncated(self, tmp_path, capsys, overrides, field):
+        cfg = session_config(tmp_path, **overrides)
+        assert cli.main(["session", str(cfg)]) == EXIT_USAGE
+        value = next(iter(overrides.values()))
+        value = value["window_pairs"] if isinstance(value, dict) else value
+        err = capsys.readouterr().err
+        expected = f"error: invalid session config: field '{field}' must be an integer, got {value!r}\n"
+        assert err == expected
+
+    def test_integral_float_fields_are_integers(self, tmp_path):
+        cfg = session_config(tmp_path, n_pairs=5e3, seed=2.0, detector={"efficiency": 1.0, "window_pairs": 4.0})
+        out = tmp_path / "report.json"
+        assert cli.main(["session", str(cfg), "--out", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["record"]["n_pairs"] == 5000 and doc["seed"] == 2
 
     @pytest.mark.parametrize("overrides,field", [
         ({"qber_fraction": 0.5}, "qber_fraction"),

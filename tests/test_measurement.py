@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy.stats import chi2_contingency, chisquare
 
 import _oracles
 from _oracles import ideal_correlator, sample_outcome_stream_grouped
@@ -37,9 +37,9 @@ def setting(pol_deg):
     return AnalyzerSetting.from_polarization(pol_deg)
 
 
-def sample_pair(state, a, b, det, n, seed, eve_fraction=0.0):
+def sample_pair(state, a, b, det, n, seed):
     """Counts of one setting pair, drawn by the batched sampler."""
-    (row,) = sample_outcomes(state, [(a, b)], det, n, [seed], eve_fraction=eve_fraction)
+    (row,) = sample_outcomes(state, [(a, b)], det, n, [seed])
     return row.counts()
 
 
@@ -172,11 +172,11 @@ class TestSampleOutcomes:
         state = to_density(bell_state(BellLabel.PSI_PLUS, 0.7))
         pairs = [(setting(0), setting(22.5)), (setting(45), setting(45)), (setting(30), setting(100))]
         det = DetectorModel(efficiency=0.8, dark_rate=0.01)
-        for eve_fraction in (0.0, 0.3):
-            rows = sample_outcomes(state, pairs, det, 20_000, [11, 12, 13], eve_fraction=eve_fraction)
+        for sampled in (state, intercept_average_state(state, 0.3)):
+            rows = sample_outcomes(sampled, pairs, det, 20_000, [11, 12, 13])
             assert [(r.a, r.b) for r in rows] == pairs
             for (a, b), seed, row in zip(pairs, (11, 12, 13), rows):
-                assert row.counts() == sample_pair(state, a, b, det, 20_000, seed, eve_fraction)
+                assert row.counts() == sample_pair(sampled, a, b, det, 20_000, seed)
         with pytest.raises(ValueError):
             sample_outcomes(state, pairs, det, 20_000, [11, 12])
 
@@ -205,6 +205,8 @@ E91_BOB = tuple(AnalyzerSetting(t) for t in (11.25, 22.5, 33.75))
 class TestSampleOutcomeStream:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_matches_grouped_oracle_over_all_strata(self, seed):
+        # Every pair's outcome is searchsorted(cdf[key], u, side="right") of
+        # its own uniform, for a k = 5 stack and all nine setting pairs.
         rng = np.random.default_rng([99, seed])
         state = to_density(bell_state(list(BellLabel)[seed % 4], 0.6))
         blochs, _ = intercept_strata(state, 0.4)
@@ -221,10 +223,11 @@ class TestSampleOutcomeStream:
         assert next_lib == next_ref
 
     def test_single_group(self):
+        # One key in a k = 5 stack: stratum 3, Alice setting 1, Bob setting 2.
         blochs, _ = intercept_strata(to_density(bell_state(BellLabel.PHI_PLUS)), 0.5)
         n = 5_000
         stratum_idx = np.full(n, 3, dtype=np.uint8)
-        pair_idx = np.full(n, 1 * 3 + 2, dtype=np.uint8)  # Alice setting 1, Bob setting 2
+        pair_idx = np.full(n, 1 * 3 + 2, dtype=np.uint8)
         lib, ref, next_lib, next_ref = _both_samplers(
             blochs, stratum_idx, E91_ALICE, E91_BOB, pair_idx, 7
         )
@@ -232,7 +235,7 @@ class TestSampleOutcomeStream:
         assert next_lib == next_ref
 
     def test_zero_probability_outcomes(self):
-        # Maximal phi+ with equal analyzers never gives +- or -+.
+        # Maximal phi+ with equal analyzers never gives +- or -+ (k = 1).
         blochs = to_density(bell_state(BellLabel.PHI_PLUS)).bloch[None]
         bases = (setting(0), setting(45))
         rng = np.random.default_rng(5)
@@ -288,25 +291,30 @@ class TestInterceptResend:
 
     @pytest.mark.parametrize("eve_fraction", [0.0, 0.3, 1.0])
     def test_stream_matches_masked_strata_and_grouped_oracle(self, eve_fraction):
-        # Eve's draws by int64 arrays and masked assignment, then the
-        # grouped sampler: the library must consume and produce the same.
-        state = to_density(bell_state(BellLabel.PSI_PLUS, 0.6))
+        # The library draws one uniform per pair from the strata mixture: on
+        # an equal generator it must equal the grouped sampler over the
+        # partial-trace mixture, and in distribution the masked-strata
+        # engine, which makes Eve's three draws per pair.
+        rho = to_density(bell_state(BellLabel.PSI_PLUS, 0.6)).rho
         n = 20_000
         pair_idx = np.random.default_rng(41).integers(0, 9, size=n).astype(np.uint8)
         rng_lib, rng = np.random.default_rng(42), np.random.default_rng(42)
-        lib = intercept_resend(state, E91_ALICE, E91_BOB, pair_idx, eve_fraction, rng_lib)
-        blochs, weights = intercept_strata(state, eve_fraction)
-        stratum_idx = np.zeros(n, dtype=np.int64)
-        if eve_fraction:
-            intercepted = rng.random(n) < eve_fraction
-            eve_basis = rng.integers(0, 2, size=n)
-            p_plus = weights[[1, 3]] / (weights[[1, 3]] + weights[[2, 4]])
-            eve_outcome = (rng.random(n) >= p_plus[eve_basis]).astype(np.int64)
-            stratum_idx[intercepted] = 1 + 2 * eve_basis[intercepted] + eve_outcome[intercepted]
-            assert set(np.unique(stratum_idx)) == set(range(5)) - ({0} if eve_fraction == 1.0 else set())
-        ref = sample_outcome_stream_grouped(blochs, stratum_idx, E91_ALICE, E91_BOB, pair_idx, rng)
+        lib = intercept_resend(TwoQubitState(rho), E91_ALICE, E91_BOB, pair_idx, eve_fraction, rng_lib)
+        states, weights = _oracles.intercept_strata(rho, eve_fraction)
+        mixture = _oracles.pauli_bloch(sum(w * r for w, r in zip(weights, states)))[None]
+        ref = sample_outcome_stream_grouped(
+            mixture, np.zeros(n, dtype=np.uint8), E91_ALICE, E91_BOB, pair_idx, rng
+        )
         assert np.array_equal(lib, ref)
         assert rng_lib.random() == rng.random()
+
+        masked = _oracles.intercept_resend_strata(
+            rho, E91_ALICE, E91_BOB, pair_idx, eve_fraction, np.random.default_rng(43)
+        )
+        lib_cells = np.bincount(pair_idx * 4 + lib, minlength=36)
+        masked_cells = np.bincount(pair_idx * 4 + masked, minlength=36)
+        observed = np.array([lib_cells, masked_cells])[:, (lib_cells + masked_cells) > 0]
+        assert chi2_contingency(observed).pvalue > 1e-3
 
     def test_strata_match_partial_trace_oracle(self):
         rng = np.random.default_rng(31)
@@ -340,8 +348,7 @@ class TestInterceptResend:
     def test_one_stratum_without_eve(self):
         # At eve_fraction = 0 the mixture is the state alone, and the sampler
         # draws exactly binomial -> multinomial(p) -> poisson from each
-        # pair's generator: a five-weight [1, 0, 0, 0, 0] split would
-        # consume randomness.
+        # pair's generator.
         state = to_density(bell_state(BellLabel.PHI_PLUS, 0.5))
         blochs, weights = intercept_strata(state, 0.0)
         np.testing.assert_array_equal(blochs, state.bloch[None])
@@ -373,10 +380,11 @@ class TestInterceptResend:
 
     def test_sampled_interception_matches_average(self):
         state = to_density(bell_state(BellLabel.PHI_PLUS))
-        det = DetectorModel(efficiency=1.0)
         n = 400_000
-        counts = sample_pair(state, setting(0), setting(0), det, n, seed=8, eve_fraction=1.0)
-        wrong = (counts[1] + counts[2]) / sum(counts)
+        bases = (setting(0),)
+        pair_idx = np.zeros(n, dtype=np.uint8)
+        outcomes = intercept_resend(state, bases, bases, pair_idx, 1.0, np.random.default_rng(8))
+        wrong = np.isin(outcomes, (1, 2)).mean()
         assert abs(wrong - 0.25) < 5 * math.sqrt(0.25 * 0.75 / n)
 
     def test_fraction_range(self):

@@ -3,10 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import chi2, chisquare
 
 import _oracles
 
-from ebqkd import chsh, security
+from ebqkd import chsh, measurement, optics, protocol, security
 from ebqkd.measurement import AnalyzerSetting, CoincidenceRow, CoincidenceTable, DetectorModel
 from ebqkd.optics import ChannelModel, SourceModel
 from ebqkd.protocol import (
@@ -16,6 +17,7 @@ from ebqkd.protocol import (
     NoSiftedBitsError,
     ProtocolKind,
     SessionConfig,
+    _BLOCK,
     _complement,
     estimate,
     protocol_by_name,
@@ -221,11 +223,11 @@ class TestRunSession:
             run_session(cfg)
 
     def test_e91_empty_chsh_row_raises(self):
-        # Seed 23 leaves the (45, 67.5) CHSH pair empty while both key
+        # Seed 112 leaves the (45, 67.5) CHSH pair empty while both key
         # bases are disclosed; there is no fallback to the linear law.
         cfg = config(
             kind=E91, source=SourceModel(BellLabel.PSI_MINUS), n_pairs=40,
-            qber_sample_fraction=0.9, seed=23,
+            qber_sample_fraction=0.9, seed=112,
         )
         with pytest.raises(chsh.IncompleteTableError, match=r"\(45, 67.5\)"):
             run_session(cfg)
@@ -315,20 +317,94 @@ class TestMixedDisturbances:
         assert not rep.collective_bound_ok
 
 
+def peak_bytes_per_pair(cfg: SessionConfig) -> float:
+    tracemalloc.start()
+    try:
+        run_session(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / cfg.n_pairs
+
+
+SESSION_CHANNELS = [ChannelModel.werner(0.9), ChannelModel.intercept_resend(0.25)]
+
+
 class TestSessionMemory:
-    @pytest.mark.parametrize("channel", [ChannelModel.werner(0.9), ChannelModel.intercept_resend(0.25)])
+    @pytest.mark.parametrize("channel", SESSION_CHANNELS)
     @pytest.mark.parametrize("kind", [BBM92, E91])
     def test_peak_bytes_per_pair(self, kind, channel):
         # Per-pair arrays are uint8 or bool once drawn; the only 8-byte ones
-        # are a draw's uniforms or integers and the stream sampler's order.
+        # are a block's uniforms and CDF values and the sifted indices.
         cfg = config(kind=kind, channel=channel, detector=DetectorModel(), n_pairs=250_000, seed=3)
-        tracemalloc.start()
-        try:
+        assert peak_bytes_per_pair(cfg) <= 32.0
+
+    @pytest.mark.parametrize("channel", SESSION_CHANNELS)
+    @pytest.mark.parametrize("kind", [BBM92, E91])
+    def test_peak_bytes_per_pair_at_bench_size(self, kind, channel):
+        # Pairs are drawn in fixed blocks: beyond one block only the
+        # coincident cells (one byte per pair, allocated once) and the
+        # sifted indices grow with n_pairs.
+        cfg = config(kind=kind, channel=channel, detector=DetectorModel(), n_pairs=2_000_000, seed=3)
+        assert peak_bytes_per_pair(cfg) <= 10.0
+
+
+class TestSessionSampler:
+    @pytest.mark.parametrize("channel", SESSION_CHANNELS)
+    def test_stream_sampler_sees_every_pair_once_through_intercept_resend(self, monkeypatch, channel):
+        # The bench counts the pairs of every sample_outcome_stream call,
+        # reached through protocol.intercept_resend: one session must feed
+        # it exactly n_pairs pairs, block by block.
+        calls, inside = [], []
+        resend, stream = protocol.intercept_resend, measurement.sample_outcome_stream
+
+        def traced_resend(*args):
+            inside.append(True)
+            try:
+                return resend(*args)
+            finally:
+                inside.pop()
+
+        def traced_stream(blochs, stratum_idx, *rest):
+            calls.append((len(stratum_idx), bool(inside)))
+            return stream(blochs, stratum_idx, *rest)
+
+        monkeypatch.setattr(protocol, "intercept_resend", traced_resend)
+        monkeypatch.setattr(measurement, "sample_outcome_stream", traced_stream)
+        cfg = config(kind=E91, channel=channel, n_pairs=2 * _BLOCK + 5)
+        run_session(cfg)
+        assert calls == [(_BLOCK, True), (_BLOCK, True), (5, True)]
+
+    @pytest.mark.parametrize("channel", SESSION_CHANNELS)
+    @pytest.mark.parametrize("kind", [BBM92, E91])
+    def test_cells_match_model_and_strata_oracle(self, monkeypatch, kind, channel):
+        # Coincident cells of run_session and of the per-pair strata engine
+        # (Eve's three draws per pair), pooled over seeds, against the
+        # kron/trace cell probabilities: both must fit, seed by seed too.
+        captured = []
+        monkeypatch.setattr(
+            protocol, "sift", lambda k, label, cells: captured.append(cells.copy()) or sift(k, label, cells)
+        )
+        source = SourceModel(BellLabel.PHI_PLUS, epsilon_rad=0.6)
+        det = DetectorModel()
+        rho = optics.apply_channel(optics.generate(source), channel).rho
+        p = _oracles.cell_probabilities(kind, rho, channel.eve_fraction)
+        n_cells, seeds = len(p), range(20)
+        lib = np.zeros((len(seeds), n_cells), dtype=np.int64)
+        ref = np.zeros_like(lib)
+        for i, seed in enumerate(seeds):
+            cfg = config(kind=kind, source=source, channel=channel, detector=det, n_pairs=20_000, seed=seed)
             run_session(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / cfg.n_pairs <= 32.0
+            lib[i] = np.bincount(captured.pop(), minlength=n_cells)
+            cells = _oracles.session_cells_strata(
+                kind, rho, det, channel.eve_fraction, 20_000, np.random.default_rng(seed)
+            )
+            ref[i] = np.bincount(cells, minlength=n_cells)
+        for counts in (lib, ref):
+            pooled = counts.sum(axis=0)
+            assert chisquare(pooled, pooled.sum() * p).pvalue > 1e-3
+            per_seed = sum(chisquare(c, c.sum() * p).statistic for c in counts)
+            assert chi2.sf(per_seed, len(seeds) * (n_cells - 1)) > 1e-3
 
 
 class TestSecurityReport:
