@@ -249,6 +249,16 @@ def _integer(value: Any, field: str) -> int:
     raise ConfigError(f"invalid session config: field '{field}' must be an integer, got {value!r}")
 
 
+def _real(value: Any, field: str) -> float:
+    """A real config field: an int or a float.
+
+    Booleans and strings are rejected rather than converted by ``float()``.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"invalid session config: field '{field}' must be a number, got {value!r}")
+
+
 def _session_config(doc: dict, args: argparse.Namespace) -> protocol.SessionConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -268,22 +278,24 @@ def _session_config(doc: dict, args: argparse.Namespace) -> protocol.SessionConf
     try:
         source = SourceModel(
             label,
-            epsilon_rad=float(source_doc.get("epsilon_rad", math.pi / 4)),
-            hom_visibility=float(source_doc.get("hom_visibility", 1.0)),
+            epsilon_rad=_real(source_doc.get("epsilon_rad", math.pi / 4), "source.epsilon_rad"),
+            hom_visibility=_real(source_doc.get("hom_visibility", 1.0), "source.hom_visibility"),
         )
         channel_doc = _object(doc, "channel", {"kind": "identity"})
         channel = ChannelModel(
             kind=ChannelKind(str(channel_doc.get("kind", "identity"))),
-            parameter=float(channel_doc.get("parameter", 0.0)),
+            parameter=_real(channel_doc.get("parameter", 0.0), "channel.parameter"),
             arm=str(channel_doc.get("arm", "both")),
         )
         det_doc = _object(doc, "detector", {})
         detector = DetectorModel(
-            efficiency=float(det_doc.get("efficiency", 0.6)),
-            dark_rate=float(det_doc.get("dark_rate", 0.0)),
+            efficiency=_real(det_doc.get("efficiency", 0.6), "detector.efficiency"),
+            dark_rate=_real(det_doc.get("dark_rate", 0.0), "detector.dark_rate"),
             window_pairs=_integer(det_doc.get("window_pairs", 1), "detector.window_pairs"),
             efficiency_b=(
-                float(det_doc["efficiency_b"]) if "efficiency_b" in det_doc else None
+                _real(det_doc["efficiency_b"], "detector.efficiency_b")
+                if "efficiency_b" in det_doc
+                else None
             ),
         )
         n_pairs = args.n_pairs if args.n_pairs is not None else doc.get("n_pairs", 100_000)
@@ -294,7 +306,7 @@ def _session_config(doc: dict, args: argparse.Namespace) -> protocol.SessionConf
             channel=channel,
             detector=detector,
             n_pairs=_integer(n_pairs, "n_pairs"),
-            qber_sample_fraction=float(doc.get("qber_sample_fraction", 0.1)),
+            qber_sample_fraction=_real(doc.get("qber_sample_fraction", 0.1), "qber_sample_fraction"),
             seed=_integer(seed, "seed"),
         )
     except ConfigError:

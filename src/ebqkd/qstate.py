@@ -224,8 +224,12 @@ def born_table(
 def _port_vectors(settings: "Sequence[AnalyzerSetting]") -> np.ndarray:
     """Rows ``(1, a)`` then ``(1, -a)`` per setting: its "+" and "-" ports."""
     angle = 2.0 * np.array([s.polarization_angle_rad for s in settings])
-    a = np.stack([np.sin(angle), np.zeros_like(angle), np.cos(angle)], axis=-1)
-    return np.insert(np.stack([a, -a], axis=1).reshape(-1, 3), 0, 1.0, axis=1)
+    rows = np.zeros((angle.size, 2, 4))
+    rows[:, :, 0] = 1.0
+    rows[:, 0, 1] = np.sin(angle)
+    rows[:, 0, 3] = np.cos(angle)
+    np.negative(rows[:, 0, 1:], out=rows[:, 1, 1:])
+    return rows.reshape(-1, 4)
 
 
 def joint_probabilities(

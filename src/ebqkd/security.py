@@ -9,10 +9,9 @@ thresholds it implies.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-
-from scipy.optimize import bisect
 
 
 S_CLASSICAL = 2.0
@@ -22,6 +21,9 @@ S_QUANTUM_MAX = 2.0 * math.sqrt(2.0)
 DELTA_INDIVIDUAL = (1.0 - 1.0 / math.sqrt(2.0)) / 2.0
 
 _BISECT_XTOL = 1e-6
+#: ``scipy.optimize.bisect``'s defaults: relative tolerance 4 eps, 100 halvings.
+_BISECT_RTOL = 4.0 * sys.float_info.epsilon
+_BISECT_MAXITER = 100
 
 
 def binary_entropy(p: float) -> float:
@@ -92,6 +94,45 @@ class Thresholds:
     s_at_mi_zero: float
 
 
+def _bisect(f, a: float, b: float, xtol: float) -> float:
+    """Root of ``f`` in ``[a, b]`` by bisection, step for step as scipy's.
+
+    A port of ``scipy.optimize.bisect`` at its default ``rtol`` and
+    ``maxiter``, so every root is the same float: halve the step ``dm``,
+    move ``a`` to the midpoint while ``f`` there has the sign of ``f(a)``,
+    and stop at an exact zero or once ``|dm| < xtol + rtol |midpoint|``.
+
+    Raises:
+        ValueError: if ``f(a)`` and ``f(b)`` have the same sign, or ``f``
+            returns NaN.
+        RuntimeError: if the bracket is not resolved in 100 halvings.
+    """
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    fa, fb = value(a), value(b)
+    if fa * fb > 0:
+        raise ValueError("f(a) and f(b) must have different signs")
+    if fa == 0:
+        return a
+    if fb == 0:
+        return b
+    dm = b - a
+    for _ in range(_BISECT_MAXITER):
+        dm *= 0.5
+        xm = a + dm
+        fm = value(xm)
+        if fm * fa >= 0:
+            a = xm
+        if fm == 0 or abs(dm) < xtol + _BISECT_RTOL * abs(xm):
+            return xm
+    raise RuntimeError(f"bisection did not converge in {_BISECT_MAXITER} iterations")
+
+
 @lru_cache(maxsize=1)
 def thresholds() -> Thresholds:
     """Solve the three QBER thresholds.
@@ -102,19 +143,16 @@ def thresholds() -> Thresholds:
     * ``delta_mi_zero``: root of 1 - 2 H(delta) - I(A:E)(S(delta)), the
       crossing of the two mutual-information curves, by bisection.
 
-    Bisection uses a fixed bracket and 1e-6 tolerance; the entropy
-    derivative is singular at 0, so derivative-based methods are avoided.
+    Bisection (:func:`_bisect`) uses a fixed bracket and 1e-6 tolerance;
+    the entropy derivative is singular at 0, so derivative-based methods
+    are avoided.
     """
-    delta_collective = float(
-        bisect(lambda d: 1.0 - 2.0 * binary_entropy(d), 1e-12, 0.5, xtol=_BISECT_XTOL)
-    )
-    delta_mi_zero = float(
-        bisect(
-            lambda d: 1.0 - 2.0 * binary_entropy(d) - mi_alice_eve(s_model(d)),
-            1e-12,
-            0.25,
-            xtol=_BISECT_XTOL,
-        )
+    delta_collective = _bisect(lambda d: 1.0 - 2.0 * binary_entropy(d), 1e-12, 0.5, _BISECT_XTOL)
+    delta_mi_zero = _bisect(
+        lambda d: 1.0 - 2.0 * binary_entropy(d) - mi_alice_eve(s_model(d)),
+        1e-12,
+        0.25,
+        _BISECT_XTOL,
     )
     return Thresholds(
         delta_individual=DELTA_INDIVIDUAL,

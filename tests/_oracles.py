@@ -38,6 +38,13 @@ def joint_probabilities(rho: np.ndarray, a: AnalyzerSetting, b: AnalyzerSetting)
     ])
 
 
+def port_vectors_stacked(settings) -> np.ndarray:
+    """``qstate._port_vectors`` built by stacking, inserting and reshaping rows."""
+    angle = 2.0 * np.array([s.polarization_angle_rad for s in settings])
+    a = np.stack([np.sin(angle), np.zeros_like(angle), np.cos(angle)], axis=-1)
+    return np.insert(np.stack([a, -a], axis=1).reshape(-1, 3), 0, 1.0, axis=1)
+
+
 def ptrace_alice(rho: np.ndarray) -> np.ndarray:
     """Trace out Alice's qubit, returning Bob's 2x2 marginal."""
     return np.einsum("ajal->jl", np.asarray(rho).reshape(2, 2, 2, 2))

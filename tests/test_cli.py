@@ -313,6 +313,32 @@ class TestSession:
         expected = f"error: invalid session config: field '{field}' must be an integer, got {value!r}\n"
         assert err == expected
 
+    @pytest.mark.parametrize("value", [True, "0.7"])
+    @pytest.mark.parametrize("field", [
+        "source.epsilon_rad",
+        "source.hom_visibility",
+        "channel.parameter",
+        "detector.efficiency",
+        "detector.efficiency_b",
+        "detector.dark_rate",
+        "qber_sample_fraction",
+    ])
+    def test_real_field_rejects_booleans_and_strings(self, tmp_path, capsys, field, value):
+        sections = {
+            "source": {"label": "phi_plus"},
+            "channel": {"kind": "depolarizing"},
+            "detector": {"efficiency": 1.0},
+        }
+        section, _, key = field.rpartition(".")
+        if section:
+            overrides = {section: {**sections[section], key: value}}
+        else:
+            overrides = {key: value}
+        cfg = session_config(tmp_path, **overrides)
+        assert cli.main(["session", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: invalid session config: field '{field}' must be a number, got {value!r}\n"
+
     def test_integral_float_fields_are_integers(self, tmp_path):
         cfg = session_config(tmp_path, n_pairs=5e3, seed=2.0, detector={"efficiency": 1.0, "window_pairs": 4.0})
         out = tmp_path / "report.json"
@@ -423,13 +449,16 @@ class TestAnalyze:
         assert cli.main(["analyze", str(tmp_path / "nope.txt")]) == EXIT_IO
 
 
-def run_module(*args):
-    """``python -m ebqkd`` on the package these tests imported, installed or not."""
+def run_python(*args):
+    """A fresh interpreter that imports the package these tests imported, installed or not."""
     paths = (str(Path(ebqkd.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    return subprocess.run(
-        [sys.executable, "-m", "ebqkd", *args], capture_output=True, text=True, check=False, env=env
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, check=False, env=env)
+
+
+def run_module(*args):
+    """``python -m ebqkd`` on the package these tests imported."""
+    return run_python("-m", "ebqkd", *args)
 
 
 class TestEntryPoint:
@@ -441,3 +470,12 @@ class TestEntryPoint:
     def test_usage_exit_code(self):
         proc = run_module("no-such-command")
         assert proc.returncode == EXIT_USAGE
+
+    def test_import_loads_no_scipy(self):
+        """scipy is a test dependency only: importing the package and its CLI leaves it unloaded."""
+        proc = run_python("-c", (
+            "import sys, ebqkd, ebqkd.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        ))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ import pytest
 
 import _oracles
 from conftest import random_density_matrix, random_pure_state
+from ebqkd import qstate
 from ebqkd.measurement import AnalyzerSetting
 from ebqkd.qstate import (
     BellLabel,
@@ -207,6 +208,22 @@ class TestJointProbabilities:
                 for j, b in enumerate(b_settings):
                     expected = _oracles.joint_probabilities(rho, a, b)
                     np.testing.assert_allclose(table[i, j], expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("plates", [
+        (0.0, 11.25, 22.5),
+        (11.25, 22.5, 33.75),
+        (0.0,),
+        (),
+        tuple(np.linspace(0.0, 179.5, 360)),
+    ])
+    def test_port_vectors_are_byte_identical_to_stacked_rows(self, plates):
+        """Signed zeros included: the "-" row of a zero component is -0.0."""
+        settings = [AnalyzerSetting(t) for t in plates]
+        rows = qstate._port_vectors(settings)
+        expected = _oracles.port_vectors_stacked(settings)
+        assert rows.shape == expected.shape == (2 * len(plates), 4)
+        assert rows.dtype == expected.dtype and rows.flags.c_contiguous
+        assert rows.tobytes() == expected.tobytes()
 
     def test_joint_probabilities_is_a_table_view(self):
         state = TwoQubitState(random_density_matrix(np.random.default_rng(8)))

@@ -3,9 +3,11 @@ import time
 
 import numpy as np
 import pytest
+from scipy.optimize import bisect as scipy_bisect
 
 from _oracles import binary_entropy as h2_oracle, mutual_information_joint
 from ebqkd.security import (
+    _BISECT_XTOL,
     DELTA_INDIVIDUAL,
     S_QUANTUM_MAX,
     SecurityReport,
@@ -16,6 +18,7 @@ from ebqkd.security import (
     mi_alice_eve,
     s_model,
     thresholds,
+    _bisect,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -168,6 +171,58 @@ class TestThresholds:
         crossings = sum(1 for a, b in zip(values, values[1:]) if a > 0 >= b)
         assert crossings == 1
         assert r(0.04) > 0 > r(0.05)
+
+
+def _collective_rate(d):
+    return 1.0 - 2.0 * binary_entropy(d)
+
+
+def _mi_gap(d):
+    return 1.0 - 2.0 * binary_entropy(d) - mi_alice_eve(s_model(d))
+
+
+class TestBisect:
+    """``_bisect`` is a port of ``scipy.optimize.bisect``: same float, bit for bit."""
+
+    @pytest.mark.parametrize("f,a,b,xtol", [
+        (_collective_rate, 1e-12, 0.5, _BISECT_XTOL),
+        (_mi_gap, 1e-12, 0.25, _BISECT_XTOL),
+        (lambda x: x - 0.3, 0.0, 1.0, 1e-6),
+        (lambda x: x * x - 2.0, 0.0, 2.0, 1e-12),
+        (lambda x: math.exp(-x) - x, -1.0, 3.0, 5e-324),
+        (lambda x: 0.75 - x ** 3, 2.0, -1.0, 1e-9),
+        (lambda x: x - 0.25, 0.0, 0.5, 1e-6),  # root at the first midpoint
+        (lambda x: x - 0.5, 0.5, 1.0, 1e-6),  # root at a bracket end
+        (lambda x: x - 1.0, 0.5, 1.0, 1e-6),
+        (math.atan, -1.0, 2.0, 2e-12),
+    ])
+    def test_matches_scipy_bit_for_bit(self, f, a, b, xtol):
+        assert _bisect(f, a, b, xtol).hex() == float(scipy_bisect(f, a, b, xtol=xtol)).hex()
+
+    def test_same_sign_bracket_raises(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _bisect(lambda x: x * x + 1.0, -1.0, 1.0, 1e-6)
+        with pytest.raises(ValueError):
+            scipy_bisect(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-6)
+
+    def test_hundred_halvings_without_convergence_raise(self):
+        # The sign change sits far below 2**-100 of the bracket, out of reach of 100 halvings.
+        def step(x):
+            return 1.0 if x > 1e-300 else -1.0
+
+        with pytest.raises(RuntimeError):
+            _bisect(step, 0.0, 1.0, 5e-324)
+        with pytest.raises(RuntimeError):
+            scipy_bisect(step, 0.0, 1.0, xtol=5e-324)
+
+    def test_nan_value_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            _bisect(lambda x: math.nan if x > 0.4 else x - 0.3, 0.0, 1.0, 1e-6)
+
+    def test_thresholds_are_pinned(self):
+        thr = thresholds()
+        assert thr.delta_collective.hex() == "0x1.c2ad00000db8ap-4"
+        assert thr.delta_mi_zero.hex() == "0x1.79a200001cb25p-5"
 
 
 class TestEndToEndLinearLaw:
