@@ -38,9 +38,7 @@ import numpy as np
 
 from .measurement import AnalyzerSetting, CoincidenceTable
 from .qstate import BellLabel, TwoQubitState, born_table, joint_probabilities
-
-#: Quantum-mechanical ceiling on |S| (Tsirelson bound).
-TSIRELSON = 2.0 * math.sqrt(2.0)
+from .security import S_QUANTUM_MAX as TSIRELSON  # quantum ceiling on |S|, re-exported
 
 _CANONICAL_SIGNS: dict[BellLabel, tuple[int, int, int, int]] = {
     BellLabel.PHI_PLUS: (1, -1, 1, 1),

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any, Callable, TextIO
 
 import numpy as np
 
@@ -148,6 +148,7 @@ def run_sweep(spec: SweepSpec, seed: int, workers: int = 1) -> list[dict[str, fl
     workers = min(workers, len(spec.grid), os.cpu_count() or 1)
     if workers <= 1:
         return [sweep_point(spec, i, v, seed) for i, v in enumerate(spec.grid)]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; pools only
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(sweep_point, spec, i, v, seed) for i, v in enumerate(spec.grid)
@@ -207,35 +208,6 @@ def _resolve_config_path(path_arg: str) -> Path:
     return path
 
 
-def _require(mapping: dict, key: str, where: str) -> Any:
-    if key not in mapping:
-        raise ConfigError(f"missing required config field '{where}{key}'")
-    return mapping[key]
-
-
-#: Fields a session config may hold, by section ("" is the top level).
-_SESSION_FIELDS = {
-    "": ("protocol", "source", "channel", "detector", "n_pairs", "qber_sample_fraction", "seed"),
-    "source": ("label", "epsilon_rad", "hom_visibility"),
-    "channel": ("kind", "parameter", "arm"),
-    "detector": ("efficiency", "dark_rate", "window_pairs", "efficiency_b"),
-}
-
-
-def _object(doc: dict, key: str, default: dict | None = None) -> dict:
-    value = _require(doc, key, "") if default is None else doc.get(key, default)
-    if not isinstance(value, dict):
-        raise ConfigError(f"config field '{key}' must be a JSON object")
-    _reject_unknown(value, key)
-    return value
-
-
-def _reject_unknown(section: dict, name: str) -> None:
-    for field in section:
-        if field not in _SESSION_FIELDS[name]:
-            raise ConfigError(f"unknown config field '{name + '.' if name else ''}{field}'")
-
-
 def _integer(value: Any, field: str) -> int:
     """An integer config field: an int, or a float with no fractional part.
 
@@ -259,56 +231,77 @@ def _real(value: Any, field: str) -> float:
     raise ConfigError(f"invalid session config: field '{field}' must be a number, got {value!r}")
 
 
-def _session_config(doc: dict, args: argparse.Namespace) -> protocol.SessionConfig:
+def _string(value: Any, field: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"invalid session config: field '{field}' must be a string, got {value!r}")
+
+
+def _named(parse: Callable[[str], Any], names: list[str]) -> Callable[[Any, str], Any]:
+    """A reader for a field given by name, one of ``names``."""
+
+    def read(value: Any, field: str) -> Any:
+        if isinstance(value, str):
+            try:
+                return parse(value)
+            except ValueError:
+                pass
+        raise ConfigError(f"config field '{field}' must be one of {names}")
+
+    return read
+
+
+#: JSON keys that differ from their model field's name.
+_JSON_KEYS = {(protocol.SessionConfig, "kind"): "protocol"}
+
+
+def _model(cls: type, doc: Any, section: str) -> Any:
+    """Read one config section into the model dataclass ``cls``.
+
+    Every key must name a field of ``cls``; a present field is read
+    by its annotation's entry in :data:`_READERS`, an absent one takes the
+    dataclass default or, without one, is a missing required field.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config field '{section}' must be a JSON object")
+    prefix = f"{section}." if section else ""
+    fields = {_JSON_KEYS.get((cls, f.name), f.name): f for f in dataclasses.fields(cls)}
+    for key in doc:
+        if key not in fields:
+            raise ConfigError(f"unknown config field '{prefix}{key}'")
+    values = {}
+    for key, f in fields.items():
+        if key in doc:
+            values[f.name] = _READERS[f.type](doc[key], prefix + key)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"missing required config field '{prefix}{key}'")
+    return cls(**values)
+
+
+#: Config readers by field annotation: every field of ``SessionConfig`` and
+#: of its model sections has one.
+_READERS: dict[str, Callable[[Any, str], Any]] = {
+    "int": _integer,
+    "float": _real,
+    "float | None": _real,
+    "str": _string,
+    "BellLabel": _named(BellLabel, [l.value for l in BellLabel]),
+    "ChannelKind": _named(ChannelKind, [k.value for k in ChannelKind]),
+    "ProtocolKind": _named(protocol.protocol_by_name, sorted(protocol.PROTOCOLS)),
+    "SourceModel": functools.partial(_model, SourceModel),
+    "ChannelModel": functools.partial(_model, ChannelModel),
+    "DetectorModel": functools.partial(_model, DetectorModel),
+}
+
+
+def _session_config(doc: Any, args: argparse.Namespace) -> protocol.SessionConfig:
+    """The session a config document describes, ``--n-pairs``/``--seed`` overriding it."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    _reject_unknown(doc, "")
+    flags = {"n_pairs": args.n_pairs, "seed": args.seed}
+    doc = {**doc, **{key: value for key, value in flags.items() if value is not None}}
     try:
-        kind = protocol.protocol_by_name(str(_require(doc, "protocol", "")))
-    except ValueError as exc:
-        raise ConfigError(f"config field 'protocol': {exc}")
-
-    source_doc = _object(doc, "source")
-    try:
-        label = BellLabel(str(_require(source_doc, "label", "source.")))
-    except ValueError:
-        raise ConfigError(
-            f"config field 'source.label' must be one of {[l.value for l in BellLabel]}"
-        )
-    try:
-        source = SourceModel(
-            label,
-            epsilon_rad=_real(source_doc.get("epsilon_rad", math.pi / 4), "source.epsilon_rad"),
-            hom_visibility=_real(source_doc.get("hom_visibility", 1.0), "source.hom_visibility"),
-        )
-        channel_doc = _object(doc, "channel", {"kind": "identity"})
-        channel = ChannelModel(
-            kind=ChannelKind(str(channel_doc.get("kind", "identity"))),
-            parameter=_real(channel_doc.get("parameter", 0.0), "channel.parameter"),
-            arm=str(channel_doc.get("arm", "both")),
-        )
-        det_doc = _object(doc, "detector", {})
-        detector = DetectorModel(
-            efficiency=_real(det_doc.get("efficiency", 0.6), "detector.efficiency"),
-            dark_rate=_real(det_doc.get("dark_rate", 0.0), "detector.dark_rate"),
-            window_pairs=_integer(det_doc.get("window_pairs", 1), "detector.window_pairs"),
-            efficiency_b=(
-                _real(det_doc["efficiency_b"], "detector.efficiency_b")
-                if "efficiency_b" in det_doc
-                else None
-            ),
-        )
-        n_pairs = args.n_pairs if args.n_pairs is not None else doc.get("n_pairs", 100_000)
-        seed = args.seed if args.seed is not None else doc.get("seed", 0)
-        return protocol.SessionConfig(
-            kind=kind,
-            source=source,
-            channel=channel,
-            detector=detector,
-            n_pairs=_integer(n_pairs, "n_pairs"),
-            qber_sample_fraction=_real(doc.get("qber_sample_fraction", 0.1), "qber_sample_fraction"),
-            seed=_integer(seed, "seed"),
-        )
+        return _model(protocol.SessionConfig, doc, "")
     except ConfigError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:  # float() of a huge integer overflows
@@ -348,17 +341,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     spec = SweepSpec(
         mechanism=args.mechanism,
         grid=_parse_grid(args.grid),
-        n_pairs=args.n_pairs if args.n_pairs is not None else 100_000,
+        n_pairs=args.n_pairs,
         label=BellLabel(args.label),
         detector=detector,
         qber_mode=args.qber,
     )
-    seed = args.seed if args.seed is not None else 0
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
-    rows = run_sweep(spec, seed, workers=args.workers)
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    rows = run_sweep(spec, args.seed, workers=args.workers)
     table = io.StringIO()
-    write_sweep_table(rows, spec, seed, table, "," if args.format == "csv" else "\t")
+    write_sweep_table(rows, spec, args.seed, table, "," if args.format == "csv" else "\t")
     _emit(table.getvalue(), args.out)
     return EXIT_OK
 
@@ -429,13 +421,16 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    window = args.accidental_window
+    if window is not None and not 0.0 <= window < math.inf:
+        raise ConfigError(f"--accidental-window must be finite and >= 0, got {window!r}")
     record = ingest.parse_counts(args.counts)
     settings = chsh.canonical_settings(record.state_label)
     estimate, report = ingest.analyze_counts(
         record,
         settings=settings,
         protocol=protocol.protocol_by_name(args.protocol),
-        accidental_window=args.accidental_window,
+        accidental_window=window,
     )
     _write_report(
         {
@@ -465,14 +460,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="scan a disturbance mechanism over a grid")
     p_sweep.add_argument("--mechanism", required=True, choices=MECHANISMS)
     p_sweep.add_argument("--grid", required=True, help="comma-separated parameter values")
-    p_sweep.add_argument("--n-pairs", type=int, default=None, dest="n_pairs")
+    p_sweep.add_argument("--n-pairs", type=int, default=100_000, dest="n_pairs")
     p_sweep.add_argument("--label", default="phi_plus", choices=[l.value for l in BellLabel])
-    p_sweep.add_argument("--efficiency", type=float, default=0.6)
+    p_sweep.add_argument("--efficiency", type=float, default=DetectorModel.efficiency)
     p_sweep.add_argument("--qber", default="mean", choices=("mean", "worst"),
                          help="basis-averaged or worst-basis QBER column")
     p_sweep.add_argument("--format", default="tsv", choices=("tsv", "csv"))
     p_sweep.add_argument("--workers", type=int, default=1)
-    p_sweep.add_argument("--seed", type=int, default=None)
+    p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -492,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="analyze a coincidence-count file")
     p_an.add_argument("counts", help="qkd-counts file path")
-    p_an.add_argument("--protocol", default="bbm92", choices=("bbm92", "e91"))
+    p_an.add_argument("--protocol", default="bbm92", choices=sorted(protocol.PROTOCOLS))
     p_an.add_argument("--accidental-window", type=float, default=None,
                       dest="accidental_window",
                       help="coincidence window / acquisition time; enables accidental subtraction")

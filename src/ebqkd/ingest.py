@@ -324,18 +324,21 @@ def analyze_counts(
             Off by default since the window is setup-specific.
 
     Raises:
+        ValueError: if ``accidental_window`` is negative or not finite.
         CountFileError: listing any missing (alice, bob) HWP pairs, or
             naming a compatible basis with zero coincidences.
         chsh.IncompleteTableError: if a CHSH setting pair has zero
             coincidences.
     """
+    if accidental_window is not None and not 0.0 <= accidental_window < math.inf:
+        raise ValueError(f"accidental_window must be finite and >= 0, got {accidental_window!r}")
     settings = settings or chsh.canonical_settings(record.state_label)
 
     def coincidences(row: CountRow) -> int:
         if accidental_window is None:
             return row.coincidences
         accidental = row.singles_a * row.singles_b * accidental_window / record.seconds_per_row
-        return max(0, int(round(row.coincidences - accidental)))
+        return round(max(0.0, row.coincidences - accidental))
 
     rows = []
     missing: list[tuple[float, float]] = []

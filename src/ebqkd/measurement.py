@@ -73,9 +73,9 @@ class DetectorModel:
     efficiency_b: float | None = None
 
     def __post_init__(self) -> None:
-        for eff in (self.efficiency, self.efficiency_b):
+        for name, eff in (("efficiency", self.efficiency), ("efficiency_b", self.efficiency_b)):
             if eff is not None and not 0.0 < eff <= 1.0:
-                raise ValueError(f"efficiency must be in (0, 1], got {eff!r}")
+                raise ValueError(f"{name} must be in (0, 1], got {eff!r}")
         if not (math.isfinite(self.dark_rate) and self.dark_rate >= 0.0):
             raise ValueError(f"dark_rate must be finite and >= 0, got {self.dark_rate!r}")
         if self.window_pairs < 1:

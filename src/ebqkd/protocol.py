@@ -108,14 +108,15 @@ E91 = ProtocolKind(
     chsh_pairs=((0, 0), (0, 2), (2, 0), (2, 2)),
 )
 
-_KINDS = {k.name: k for k in (BBM92, E91)}
+#: Every protocol variant, by name.
+PROTOCOLS = {k.name: k for k in (BBM92, E91)}
 
 
 def protocol_by_name(name: str) -> ProtocolKind:
     try:
-        return _KINDS[name.lower()]
+        return PROTOCOLS[name.lower()]
     except KeyError:
-        raise ValueError(f"unknown protocol {name!r}; expected one of {sorted(_KINDS)}")
+        raise ValueError(f"unknown protocol {name!r}; expected one of {sorted(PROTOCOLS)}")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 
 S_CLASSICAL = 2.0
+#: Quantum-mechanical ceiling on |S| (Tsirelson bound); also ``chsh.TSIRELSON``.
 S_QUANTUM_MAX = 2.0 * math.sqrt(2.0)
 
 #: QBER where the linear disturbance law crosses S = 2 (individual attacks).

@@ -1,6 +1,9 @@
+import concurrent.futures
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import ebqkd
-from ebqkd import chsh, cli, measurement, protocol, qstate
+from ebqkd import chsh, cli, ingest, measurement, optics, protocol, qstate
 from ebqkd.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, SWEEP_COLUMNS
 
 SQ2 = math.sqrt(2.0)
@@ -152,7 +155,7 @@ class TestSweep:
             def submit(self, fn, *args):
                 return SimpleNamespace(result=lambda: fn(*args))
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         spec = cli.SweepSpec("werner", tuple(0.5 + 0.1 * i for i in range(grid)), n_pairs=100)
         rows = cli.run_sweep(spec, seed=1, workers=workers)
@@ -287,6 +290,7 @@ class TestSession:
         ("detector", '{"window_pairs": 1e400}'),
         ("detector", '{"dark_rate": NaN}'),
         ("detector", '{"dark_rate": Infinity}'),
+        ("detector", '{"efficiency": 1.0, "efficiency_b": NaN}'),
     ])
     def test_out_of_range_number_is_a_config_error(self, tmp_path, capsys, field, literal):
         cfg = session_config(tmp_path, **{field: "@"})
@@ -357,6 +361,50 @@ class TestSession:
         assert cli.main(["session", str(cfg)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err == f"error: unknown config field '{field}'\n"
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"channel": {"kind": "werner"}},
+         "config field 'channel.kind' must be one of ['identity', 'depolarizing', 'intercept_resend']"),
+        ({"protocol": "bb84"}, "config field 'protocol' must be one of ['bbm92', 'e91']"),
+        ({"protocol": 92}, "config field 'protocol' must be one of ['bbm92', 'e91']"),
+        ({"channel": {"kind": "depolarizing", "arm": 1}},
+         "invalid session config: field 'channel.arm' must be a string, got 1"),
+        ({"detector": {"efficiency": 1.0, "efficiency_b": 1.5}},
+         "invalid session config: efficiency_b must be in (0, 1], got 1.5"),
+    ])
+    def test_field_error_names_the_field(self, tmp_path, capsys, overrides, message):
+        cfg = session_config(tmp_path, **overrides)
+        assert cli.main(["session", str(cfg)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_every_model_field_has_a_reader(self):
+        models = (protocol.SessionConfig, optics.SourceModel, optics.ChannelModel, measurement.DetectorModel)
+        for model in models:
+            for field in dataclasses.fields(model):
+                assert field.type in cli._READERS, (model.__name__, field.name)
+
+    def test_omitted_fields_take_model_defaults(self):
+        doc = {"protocol": "E91", "source": {"label": "psi_minus"},
+               "detector": {"efficiency": 0.9, "efficiency_b": 0.5}}
+        cfg = cli._session_config(doc, SimpleNamespace(n_pairs=None, seed=3))
+        assert cfg == protocol.SessionConfig(
+            kind=protocol.E91,
+            source=optics.SourceModel(qstate.BellLabel.PSI_MINUS),
+            detector=measurement.DetectorModel(efficiency=0.9, efficiency_b=0.5),
+            seed=3,
+        )
+
+    def test_readme_config_uses_model_fields(self):
+        """The README's example config reads, and its sections hold only model fields."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        doc = next(json.loads(b) for b in blocks if '"protocol"' in b)
+        cfg = cli._session_config(doc, SimpleNamespace(n_pairs=None, seed=None))
+        for section in ("source", "channel", "detector"):
+            fields = {f.name for f in dataclasses.fields(getattr(cfg, section))}
+            assert set(doc[section]) <= fields, section
+            for name in fields - set(doc[section]):
+                assert f"`{section}.{name}`" in readme, f"README omits {section}.{name}"
 
     def test_out_of_memory_names_n_pairs(self, tmp_path, capsys, monkeypatch):
         def no_memory(cfg):
@@ -448,6 +496,22 @@ class TestAnalyze:
     def test_missing_file(self, tmp_path):
         assert cli.main(["analyze", str(tmp_path / "nope.txt")]) == EXIT_IO
 
+    @pytest.mark.parametrize("window,code", [
+        ("-1e-5", EXIT_USAGE), ("nan", EXIT_USAGE), ("inf", EXIT_USAGE), ("1e300", EXIT_VALIDATION),
+    ])
+    def test_untrusted_accidental_window(self, tmp_path, capsys, window, code):
+        """A negative or non-finite window is a usage error; a huge one leaves no coincidences."""
+        state = optics.werner_state(qstate.BellLabel.PHI_PLUS, 0.9)
+        counts = tmp_path / "counts.txt"
+        ingest.write_counts(
+            ingest.synthesize_counts(state, qstate.BellLabel.PHI_PLUS, n_pairs_per_row=100_000, seed=7),
+            counts,
+        )
+        assert cli.main(["analyze", str(counts), f"--accidental-window={window}"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("--accidental-window" in err) == (code == EXIT_USAGE)
+
 
 def run_python(*args):
     """A fresh interpreter that imports the package these tests imported, installed or not."""
@@ -472,10 +536,11 @@ class TestEntryPoint:
         assert proc.returncode == EXIT_USAGE
 
     def test_import_loads_no_scipy(self):
-        """scipy is a test dependency only: importing the package and its CLI leaves it unloaded."""
+        """scipy is a test dependency only, and only a sweep's process pool needs
+        multiprocessing: importing the package and its CLI leaves both unloaded."""
         proc = run_python("-c", (
             "import sys, ebqkd, ebqkd.cli\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')))"
         ))
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.strip() == "[]"

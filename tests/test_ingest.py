@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -222,8 +223,16 @@ class TestAnalyze:
         # tiny window subtracts almost nothing
         assert est_sub.s == pytest.approx(est_raw.s, abs=0.05)
         # a huge window clamps everything to zero counts
-        with pytest.raises((CountFileError, chsh.IncompleteTableError)):
-            analyze_counts(rec, accidental_window=1.0)
+        for window in (1.0, sys.float_info.max):  # singles_a * singles_b * max overflows to inf
+            with pytest.raises((CountFileError, chsh.IncompleteTableError)):
+                analyze_counts(rec, accidental_window=window)
+
+    @pytest.mark.parametrize("window", [-1e-5, math.nan, math.inf, -math.inf])
+    def test_accidental_window_must_be_finite_and_nonnegative(self, window):
+        state = to_density(bell_state(BellLabel.PHI_PLUS))
+        rec = synthesize_counts(state, BellLabel.PHI_PLUS, n_pairs_per_row=1000, seed=6)
+        with pytest.raises(ValueError, match="accidental_window must be finite and >= 0"):
+            analyze_counts(rec, accidental_window=window)
 
     def test_empty_key_basis_named(self):
         state = to_density(bell_state(BellLabel.PHI_PLUS))
