@@ -22,18 +22,23 @@ from .measurement import (
     DetectorModel,
     sample_outcomes,
 )
-from .optics import ChannelKind, ChannelModel, SourceModel, apply_channel, generate, werner_state
+from .optics import (
+    ChannelKind,
+    ChannelModel,
+    SourceModel,
+    apply_channel,
+    bell_state,
+    generate,
+    werner_state,
+)
 from .protocol import BBM92, E91, SessionConfig, SessionRecord, run_session, sift
 from .qstate import (
     BASIS_LABELS,
     BellLabel,
     InvariantViolation,
     JointDistribution,
-    PureTwoQubit,
     TwoQubitState,
-    bell_state,
     joint_probabilities,
-    to_density,
 )
 from .security import (
     SecurityReport,
@@ -64,7 +69,6 @@ __all__ = [
     "E91",
     "InvariantViolation",
     "JointDistribution",
-    "PureTwoQubit",
     "SecurityReport",
     "SessionConfig",
     "SessionRecord",
@@ -90,6 +94,5 @@ __all__ = [
     "sample_outcomes",
     "sift",
     "thresholds",
-    "to_density",
     "werner_state",
 ]

@@ -25,8 +25,6 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, TextIO
 
-import numpy as np
-
 from . import chsh, ingest, optics, protocol, security
 from .measurement import (
     CoincidenceTable,
@@ -149,11 +147,10 @@ def run_sweep(spec: SweepSpec, seed: int, workers: int = 1) -> list[dict[str, fl
     if workers <= 1:
         return [sweep_point(spec, i, v, seed) for i, v in enumerate(spec.grid)]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; pools only
+    point = functools.partial(sweep_point, spec, seed=seed)
+    chunk = math.ceil(len(spec.grid) / workers)  # one task per worker, not per point
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(sweep_point, spec, i, v, seed) for i, v in enumerate(spec.grid)
-        ]
-        return [f.result() for f in futures]
+        return list(pool.map(point, range(len(spec.grid)), spec.grid, chunksize=chunk))
 
 
 def write_sweep_table(
@@ -224,10 +221,14 @@ def _integer(value: Any, field: str) -> int:
 def _real(value: Any, field: str) -> float:
     """A real config field: an int or a float.
 
-    Booleans and strings are rejected rather than converted by ``float()``.
+    Booleans, strings and integers beyond the float range are rejected
+    rather than converted by ``float()``.
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"invalid session config: field '{field}' is too large for a float")
     raise ConfigError(f"invalid session config: field '{field}' must be a number, got {value!r}")
 
 
@@ -238,12 +239,12 @@ def _string(value: Any, field: str) -> str:
 
 
 def _named(parse: Callable[[str], Any], names: list[str]) -> Callable[[Any, str], Any]:
-    """A reader for a field given by name, one of ``names``."""
+    """A reader for a field given by name, one of ``names`` in any letter case."""
 
     def read(value: Any, field: str) -> Any:
         if isinstance(value, str):
             try:
-                return parse(value)
+                return parse(value.lower())
             except ValueError:
                 pass
         raise ConfigError(f"config field '{field}' must be one of {names}")
@@ -275,7 +276,10 @@ def _model(cls: type, doc: Any, section: str) -> Any:
             values[f.name] = _READERS[f.type](doc[key], prefix + key)
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"missing required config field '{prefix}{key}'")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:  # a model's range check, whose message opens with the field name
+        raise ConfigError(f"invalid session config: {prefix}{exc}")
 
 
 #: Config readers by field annotation: every field of ``SessionConfig`` and
@@ -300,26 +304,7 @@ def _session_config(doc: Any, args: argparse.Namespace) -> protocol.SessionConfi
         raise ConfigError("config root must be a JSON object")
     flags = {"n_pairs": args.n_pairs, "seed": args.seed}
     doc = {**doc, **{key: value for key, value in flags.items() if value is not None}}
-    try:
-        return _model(protocol.SessionConfig, doc, "")
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:  # float() of a huge integer overflows
-        raise ConfigError(f"invalid session config: {exc}")
-
-
-def _json_ready(value: Any) -> Any:
-    if isinstance(value, dict):
-        return {str(k): _json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, BellLabel):
-        return value.value
-    return value
+    return _model(protocol.SessionConfig, doc, "")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -330,7 +315,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _write_report(doc: dict, out_path: str | None) -> None:
-    _emit(json.dumps(_json_ready(doc), sort_keys=True, indent=2) + "\n", out_path)
+    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", out_path)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import BellLabel, TwoQubitState, _BELL_TERMS, bell_state
+from .qstate import BellLabel, TwoQubitState
+
+# (index of the first basis term, index of the second, relative sign)
+_BELL_TERMS: dict[BellLabel, tuple[int, int, float]] = {
+    BellLabel.PHI_PLUS: (0, 3, 1.0),
+    BellLabel.PHI_MINUS: (0, 3, -1.0),
+    BellLabel.PSI_PLUS: (1, 2, 1.0),
+    BellLabel.PSI_MINUS: (1, 2, -1.0),
+}
 
 
 @dataclass(frozen=True)
@@ -67,7 +75,7 @@ class ChannelModel:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.parameter <= 1.0:
-            raise ValueError(f"channel parameter must be in [0, 1], got {self.parameter!r}")
+            raise ValueError(f"parameter must be in [0, 1], got {self.parameter!r}")
         if self.arm not in ("a", "b", "both"):
             raise ValueError(f"arm must be 'a', 'b' or 'both', got {self.arm!r}")
 
@@ -96,14 +104,18 @@ class ChannelModel:
 def generate(source: SourceModel) -> TwoQubitState:
     """Post-selected two-photon polarization state of the source.
 
-    With V = 1 and epsilon = pi/4 this is the exact Bell state; lower
-    visibility scales the two-term coherence, ``epsilon`` skews the
-    populations.  Coherence magnitude is nondecreasing in V for fixed
+    The pure state ``cos(eps)|first> +/- sin(eps)|second>`` on the label's
+    two basis terms (e.g. ``cos(eps)|HH> + sin(eps)|VV>`` for phi+), with
+    the coherence between them scaled by the HOM visibility V.  With V = 1
+    and epsilon = pi/4 this is the exact Bell state; epsilon = 0 is a
+    product state.  Coherence magnitude is nondecreasing in V for fixed
     epsilon, and the output is always a valid density operator.
     """
-    psi = bell_state(source.label, source.epsilon_rad)
-    rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    first, second, _ = _BELL_TERMS[source.label]
+    first, second, sign = _BELL_TERMS[source.label]
+    amp = np.zeros(4, dtype=complex)
+    amp[first] = math.cos(source.epsilon_rad)
+    amp[second] = sign * math.sin(source.epsilon_rad)
+    rho = np.outer(amp, amp.conj())
     rho[first, second] *= source.hom_visibility
     rho[second, first] *= source.hom_visibility
     return TwoQubitState(rho)
@@ -131,6 +143,11 @@ def apply_channel(state: TwoQubitState, channel: ChannelModel) -> TwoQubitState:
         c *= keep
         c[0, 0] = 1.0
     return TwoQubitState.from_bloch(c)
+
+
+def bell_state(label: BellLabel, epsilon: float = math.pi / 4) -> TwoQubitState:
+    """The pure source state of ``label`` with amplitude imbalance ``epsilon`` in [0, pi/2]."""
+    return generate(SourceModel(label, epsilon_rad=epsilon))
 
 
 def werner_state(label: BellLabel, w: float) -> TwoQubitState:

@@ -1,8 +1,8 @@
 """Two-qubit polarization state algebra.
 
-Pure and mixed states over the two-photon product basis {HH, HV, VH, VV},
-Bell states with a tunable amplitude imbalance, and joint outcome
-probabilities behind linear polarization analyzers.
+Density operators over the two-photon product basis {HH, HV, VH, VV} and
+joint outcome probabilities behind linear polarization analyzers.  The
+sources that prepare them live in :mod:`ebqkd.optics`.
 
 Conventions
 -----------
@@ -26,7 +26,6 @@ Conventions
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -38,7 +37,6 @@ if TYPE_CHECKING:
 #: Fixed ordering of the two-photon polarization product basis.
 BASIS_LABELS = ("HH", "HV", "VH", "VV")
 
-NORM_ATOL = 1e-12
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 PSD_ATOL = 1e-9
@@ -61,49 +59,10 @@ class BellLabel(enum.Enum):
     PSI_MINUS = "psi_minus"
 
 
-# (index of the first basis term, index of the second, relative sign)
-_BELL_TERMS: dict[BellLabel, tuple[int, int, float]] = {
-    BellLabel.PHI_PLUS: (0, 3, 1.0),
-    BellLabel.PHI_MINUS: (0, 3, -1.0),
-    BellLabel.PSI_PLUS: (1, 2, 1.0),
-    BellLabel.PSI_MINUS: (1, 2, -1.0),
-}
-
-
 def _frozen_array(x, shape, dtype=complex) -> np.ndarray:
     arr = np.asarray(x, dtype=dtype).reshape(shape).copy()
     arr.flags.writeable = False
     return arr
-
-
-@dataclass(frozen=True, eq=False)
-class PureTwoQubit:
-    """A normalized pure two-photon polarization state.
-
-    Amplitudes are stored complex (channels may introduce phases) and
-    ordered as :data:`BASIS_LABELS`.  The constructor checks normalization
-    but never normalizes silently; use :meth:`normalized` for that.
-    """
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=complex).reshape(4)
-        norm_sq = float(np.vdot(amp, amp).real)
-        if abs(norm_sq - 1.0) > 10 * NORM_ATOL:
-            raise InvariantViolation(
-                f"amplitudes are not normalized: sum |a_i|^2 = {norm_sq!r}"
-            )
-        object.__setattr__(self, "amplitudes", _frozen_array(amp, 4))
-
-    @classmethod
-    def normalized(cls, amplitudes) -> "PureTwoQubit":
-        """Explicitly normalize ``amplitudes`` and build a state from them."""
-        amp = np.asarray(amplitudes, dtype=complex).reshape(4)
-        norm = np.linalg.norm(amp)
-        if norm == 0.0:
-            raise InvariantViolation("cannot normalize the zero vector")
-        return cls(amp / norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,32 +135,6 @@ class JointDistribution:
     def correlator(self) -> float:
         """E = p(++) + p(--) - p(+-) - p(-+)."""
         return self.p_pp + self.p_mm - self.p_pm - self.p_mp
-
-
-def bell_state(label: BellLabel, epsilon: float = math.pi / 4) -> PureTwoQubit:
-    """Bell state with amplitude imbalance ``epsilon``.
-
-    Returns ``cos(eps)|first> +/- sin(eps)|second>`` for the label's two
-    basis terms, e.g. ``cos(eps)|HH> + sin(eps)|VV>`` for phi+.
-    ``epsilon = pi/4`` is the maximally entangled case; ``epsilon = 0``
-    degenerates to a product state.
-
-    Args:
-        label: which Bell state family.
-        epsilon: amplitude imbalance in radians, within [0, pi/2].
-    """
-    if not 0.0 <= epsilon <= math.pi / 2:
-        raise ValueError(f"epsilon must be in [0, pi/2], got {epsilon!r}")
-    first, second, sign = _BELL_TERMS[label]
-    amp = np.zeros(4, dtype=complex)
-    amp[first] = math.cos(epsilon)
-    amp[second] = sign * math.sin(epsilon)
-    return PureTwoQubit(amp)
-
-
-def to_density(psi: PureTwoQubit) -> TwoQubitState:
-    """Rank-1 density operator |psi><psi|."""
-    return TwoQubitState(np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
 
 def born_table(

@@ -10,7 +10,8 @@ import math
 import numpy as np
 
 from ebqkd.measurement import KEY_BASES_RAD, AnalyzerSetting, bob_flip
-from ebqkd.qstate import BellLabel, TwoQubitState, bell_state, to_density
+from ebqkd.optics import bell_state
+from ebqkd.qstate import BellLabel, TwoQubitState
 
 _PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -191,7 +192,7 @@ _IDEAL_CACHE: dict[BellLabel, TwoQubitState] = {}
 
 def _ideal_state(label: BellLabel) -> TwoQubitState:
     if label not in _IDEAL_CACHE:
-        _IDEAL_CACHE[label] = to_density(bell_state(label, math.pi / 4))
+        _IDEAL_CACHE[label] = bell_state(label, math.pi / 4)
     return _IDEAL_CACHE[label]
 
 

@@ -12,11 +12,12 @@ def fixtures_dir() -> Path:
 
 
 def random_pure_state(rng: np.random.Generator, real: bool = False) -> np.ndarray:
-    """Haar-ish random 4-amplitude pure state."""
+    """Haar-ish random pure state as its density matrix |psi><psi|."""
     amp = rng.normal(size=4)
     if not real:
         amp = amp + 1j * rng.normal(size=4)
-    return amp / np.linalg.norm(amp)
+    amp /= np.linalg.norm(amp)
+    return np.outer(amp, amp.conj())
 
 
 def random_density_matrix(rng: np.random.Generator, rank: int = 4) -> np.ndarray:

@@ -20,9 +20,9 @@ from conftest import random_density_matrix
 from ebqkd import chsh, cli, security
 from ebqkd.ingest import analyze_counts, synthesize_counts
 from ebqkd.measurement import DetectorModel, expected_counts
-from ebqkd.optics import ChannelModel, SourceModel, werner_state
+from ebqkd.optics import ChannelModel, SourceModel, bell_state, werner_state
 from ebqkd.protocol import BBM92, E91, SessionConfig, run_session, security_report
-from ebqkd.qstate import BellLabel, TwoQubitState, bell_state, to_density
+from ebqkd.qstate import BellLabel, TwoQubitState
 
 SQ2 = math.sqrt(2.0)
 
@@ -156,7 +156,7 @@ def test_criterion_6_oracle_equivalence():
         if not (s_grid <= s_formula + 1e-9 and s_formula - s_grid <= 1e-3):
             grid_ok = False
 
-    state = to_density(bell_state(BellLabel.PHI_PLUS))
+    state = bell_state(BellLabel.PHI_PLUS)
     settings = chsh.canonical_settings(BellLabel.PHI_PLUS)
     table = chsh.CoincidenceTable(
         tuple(expected_counts(state, a, b, 1_000_000) for a, b in settings.pairs())

@@ -24,8 +24,8 @@ from ebqkd.measurement import (
     CoincidenceTable,
     expected_counts,
 )
-from ebqkd.optics import werner_state
-from ebqkd.qstate import BellLabel, TwoQubitState, bell_state, to_density
+from ebqkd.optics import bell_state, werner_state
+from ebqkd.qstate import BellLabel, TwoQubitState
 
 SQ2 = math.sqrt(2.0)
 
@@ -57,11 +57,11 @@ class TestSettings:
 
 class TestCorrelator:
     def test_singlet_parallel(self):
-        singlet = to_density(bell_state(BellLabel.PSI_MINUS))
+        singlet = bell_state(BellLabel.PSI_MINUS)
         assert correlator_analytic(singlet, setting(0), setting(0)) == pytest.approx(-1.0)
 
     def test_singlet_orthogonal_axes(self):
-        singlet = to_density(bell_state(BellLabel.PSI_MINUS))
+        singlet = bell_state(BellLabel.PSI_MINUS)
         assert correlator_analytic(singlet, setting(0), setting(45)) == pytest.approx(0.0, abs=1e-12)
 
     def test_werner_canonical_correlator_magnitudes(self):
@@ -74,18 +74,18 @@ class TestCorrelator:
 class TestSAnalytic:
     def test_maximal_phi_plus_canonical(self):
         est = s_analytic(
-            to_density(bell_state(BellLabel.PHI_PLUS)), canonical_settings(BellLabel.PHI_PLUS)
+            bell_state(BellLabel.PHI_PLUS), canonical_settings(BellLabel.PHI_PLUS)
         )
         assert est.s == pytest.approx(2 * SQ2, abs=1e-12)
         assert est.sigma_s == 0.0
 
     @pytest.mark.parametrize("label", list(BellLabel))
     def test_every_label_reaches_tsirelson(self, label):
-        est = s_analytic(to_density(bell_state(label)), canonical_settings(label))
+        est = s_analytic(bell_state(label), canonical_settings(label))
         assert est.s == pytest.approx(2 * SQ2, abs=1e-12)
 
     def test_product_state_respects_classical_bound(self):
-        product = to_density(bell_state(BellLabel.PHI_PLUS, 0.0))
+        product = bell_state(BellLabel.PHI_PLUS, 0.0)
         rng = np.random.default_rng(31)
         for _ in range(100):
             angles = rng.uniform(0, 180, size=4)
@@ -105,7 +105,7 @@ class TestSAnalytic:
 
 class TestSOptimal:
     def test_maximal_bell_state(self):
-        opt = s_optimal(to_density(bell_state(BellLabel.PHI_PLUS)))
+        opt = s_optimal(bell_state(BellLabel.PHI_PLUS))
         assert opt.estimate.s == pytest.approx(2 * SQ2, abs=1e-12)
 
     def test_maximally_mixed(self):
@@ -113,7 +113,7 @@ class TestSOptimal:
 
     def test_imbalanced_closed_form(self):
         eps = math.pi / 6
-        opt = s_optimal(to_density(bell_state(BellLabel.PHI_PLUS, eps)))
+        opt = s_optimal(bell_state(BellLabel.PHI_PLUS, eps))
         assert opt.estimate.s == pytest.approx(2 * math.sqrt(1 + math.sin(2 * eps) ** 2), abs=1e-12)
         assert opt.estimate.s == pytest.approx(2 * math.sqrt(1.75), abs=1e-12)
 
@@ -164,7 +164,7 @@ class TestSOptimal:
     def test_linear_angle_oracle_on_imbalanced_family(self):
         # For real pure phi(eps) the x-z plane carries the optimum, so a
         # plain analyzer-angle scan must agree too.
-        state = to_density(bell_state(BellLabel.PHI_PLUS, math.pi / 6))
+        state = bell_state(BellLabel.PHI_PLUS, math.pi / 6)
 
         def corr(alpha_rad, beta_rad):
             a = AnalyzerSetting.from_polarization(math.degrees(alpha_rad))
@@ -180,9 +180,7 @@ class TestSOptimal:
         # Equal phi+/psi- mixture correlates only along y: Horodecki sees
         # S = 2 while every linear-analyzer correlator vanishes.  This is
         # why the brute-force oracle must scan Bloch frames.
-        rho = 0.5 * to_density(bell_state(BellLabel.PHI_PLUS)).rho + 0.5 * to_density(
-            bell_state(BellLabel.PSI_MINUS)
-        ).rho
+        rho = 0.5 * bell_state(BellLabel.PHI_PLUS).rho + 0.5 * bell_state(BellLabel.PSI_MINUS).rho
         state = TwoQubitState(rho)
         np.testing.assert_allclose(correlation_matrix(state), np.diag([0, -1, 0]), atol=1e-12)
         assert s_optimal(state).estimate.s == pytest.approx(2.0, abs=1e-12)
@@ -197,7 +195,7 @@ class TestSOptimal:
 
 class TestSFromCounts:
     def test_expected_counts_match_analytic(self):
-        state = to_density(bell_state(BellLabel.PHI_PLUS))
+        state = bell_state(BellLabel.PHI_PLUS)
         settings = canonical_settings(BellLabel.PHI_PLUS)
         est = s_from_counts(expected_table(state, settings, 1_000_000), settings)
         assert est.s == pytest.approx(2 * SQ2, abs=1e-3)
@@ -237,7 +235,7 @@ class TestSFromCounts:
         assert abs(est.s - 2.64) < 3 * est.sigma_s
 
     def test_missing_pair_error_names_it(self):
-        state = to_density(bell_state(BellLabel.PHI_PLUS))
+        state = bell_state(BellLabel.PHI_PLUS)
         settings = canonical_settings(BellLabel.PHI_PLUS)
         table = expected_table(state, settings, 1000)
         short = CoincidenceTable(table.rows[:3])

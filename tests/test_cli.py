@@ -152,8 +152,8 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
-                return SimpleNamespace(result=lambda: fn(*args))
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
@@ -370,7 +370,17 @@ class TestSession:
         ({"channel": {"kind": "depolarizing", "arm": 1}},
          "invalid session config: field 'channel.arm' must be a string, got 1"),
         ({"detector": {"efficiency": 1.0, "efficiency_b": 1.5}},
-         "invalid session config: efficiency_b must be in (0, 1], got 1.5"),
+         "invalid session config: detector.efficiency_b must be in (0, 1], got 1.5"),
+        ({"channel": {"kind": "depolarizing", "arm": "c"}},
+         "invalid session config: channel.arm must be 'a', 'b' or 'both', got 'c'"),
+        ({"channel": {"kind": "depolarizing", "parameter": 2}},
+         "invalid session config: channel.parameter must be in [0, 1], got 2.0"),
+        ({"source": {"label": "phi_plus", "epsilon_rad": 2}},
+         "invalid session config: source.epsilon_rad must be in [0, pi/2], got 2.0"),
+        ({"qber_sample_fraction": 1.5},
+         "invalid session config: qber_sample_fraction must be in (0, 1), got 1.5"),
+        ({"detector": {"dark_rate": 10**400}},
+         "invalid session config: field 'detector.dark_rate' is too large for a float"),
     ])
     def test_field_error_names_the_field(self, tmp_path, capsys, overrides, message):
         cfg = session_config(tmp_path, **overrides)
@@ -393,6 +403,15 @@ class TestSession:
             detector=measurement.DetectorModel(efficiency=0.9, efficiency_b=0.5),
             seed=3,
         )
+
+    @pytest.mark.parametrize("overrides,field,value", [
+        ({"source": {"label": "PHI_MINUS"}}, "source", optics.SourceModel(qstate.BellLabel.PHI_MINUS)),
+        ({"channel": {"kind": "Intercept_Resend"}}, "channel", optics.ChannelModel.intercept_resend(0.0)),
+    ])
+    def test_names_match_in_any_case(self, overrides, field, value):
+        doc = {"protocol": "bbm92", "source": {"label": "phi_plus"}, **overrides}
+        cfg = cli._session_config(doc, SimpleNamespace(n_pairs=None, seed=None))
+        assert getattr(cfg, field) == value
 
     def test_readme_config_uses_model_fields(self):
         """The README's example config reads, and its sections hold only model fields."""

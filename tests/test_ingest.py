@@ -9,9 +9,9 @@ import pytest
 from ebqkd import chsh, ingest
 from ebqkd.ingest import CountFileError, analyze_counts, parse_counts, synthesize_counts, write_counts
 from ebqkd.measurement import CoincidenceRow, CoincidenceTable, DetectorModel
-from ebqkd.optics import werner_state
+from ebqkd.optics import bell_state, werner_state
 from ebqkd.protocol import BBM92, E91, estimate
-from ebqkd.qstate import BellLabel, bell_state, to_density
+from ebqkd.qstate import BellLabel
 
 SQ2 = math.sqrt(2.0)
 
@@ -195,7 +195,7 @@ class TestAnalyze:
         assert rep.collective_bound_ok == (rep.delta < thresholds().delta_collective)
 
     def test_missing_rows_listed(self):
-        state = to_density(bell_state(BellLabel.PHI_PLUS))
+        state = bell_state(BellLabel.PHI_PLUS)
         rec = synthesize_counts(state, BellLabel.PHI_PLUS, n_pairs_per_row=1000, seed=3)
         pruned = ingest.CountRecordFile(
             version=rec.version,
@@ -207,7 +207,7 @@ class TestAnalyze:
             analyze_counts(pruned)
 
     def test_e91_protocol_bases(self):
-        state = to_density(bell_state(BellLabel.PSI_MINUS))
+        state = bell_state(BellLabel.PSI_MINUS)
         rec = synthesize_counts(
             state, BellLabel.PSI_MINUS, n_pairs_per_row=50_000, seed=5, protocol=E91
         )
@@ -216,7 +216,7 @@ class TestAnalyze:
         assert rep.delta == pytest.approx(0.0, abs=1e-3)
 
     def test_accidental_subtraction(self):
-        state = to_density(bell_state(BellLabel.PHI_PLUS))
+        state = bell_state(BellLabel.PHI_PLUS)
         rec = synthesize_counts(state, BellLabel.PHI_PLUS, n_pairs_per_row=10_000, seed=6)
         est_raw, _ = analyze_counts(rec)
         est_sub, _ = analyze_counts(rec, accidental_window=1e-9)
@@ -229,13 +229,13 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("window", [-1e-5, math.nan, math.inf, -math.inf])
     def test_accidental_window_must_be_finite_and_nonnegative(self, window):
-        state = to_density(bell_state(BellLabel.PHI_PLUS))
+        state = bell_state(BellLabel.PHI_PLUS)
         rec = synthesize_counts(state, BellLabel.PHI_PLUS, n_pairs_per_row=1000, seed=6)
         with pytest.raises(ValueError, match="accidental_window must be finite and >= 0"):
             analyze_counts(rec, accidental_window=window)
 
     def test_empty_key_basis_named(self):
-        state = to_density(bell_state(BellLabel.PHI_PLUS))
+        state = bell_state(BellLabel.PHI_PLUS)
         rec = synthesize_counts(state, BellLabel.PHI_PLUS, n_pairs_per_row=1000, seed=3)
         da = {22.5, 67.5}
         rows = tuple(
@@ -246,7 +246,7 @@ class TestAnalyze:
             analyze_counts(dataclasses.replace(rec, rows=rows))
 
     def test_empty_chsh_row_is_incomplete(self):
-        state = to_density(bell_state(BellLabel.PHI_PLUS))
+        state = bell_state(BellLabel.PHI_PLUS)
         rec = synthesize_counts(state, BellLabel.PHI_PLUS, n_pairs_per_row=1000, seed=3)
         rows = tuple(
             dataclasses.replace(r, coincidences=0)

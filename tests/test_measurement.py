@@ -24,13 +24,8 @@ from ebqkd.measurement import (
     spawn_rng,
     wrong_outcomes,
 )
-from ebqkd.qstate import (
-    BellLabel,
-    TwoQubitState,
-    bell_state,
-    joint_probabilities,
-    to_density,
-)
+from ebqkd.optics import bell_state
+from ebqkd.qstate import BellLabel, TwoQubitState, joint_probabilities
 
 
 def setting(pol_deg):
@@ -115,7 +110,7 @@ class TestCoincidenceTable:
 
 class TestSampleOutcomes:
     def test_perfect_anticorrelation(self):
-        singlet = to_density(bell_state(BellLabel.PSI_MINUS))
+        singlet = bell_state(BellLabel.PSI_MINUS)
         det = DetectorModel(efficiency=1.0)
         n = 1_000_000
         n_pp, n_pm, n_mp, n_mm = sample_pair(singlet, setting(0), setting(0), det, n, seed=1)
@@ -125,7 +120,7 @@ class TestSampleOutcomes:
         assert abs(n_mp - n / 2) < sigma
 
     def test_efficiency_thinning(self):
-        state = to_density(bell_state(BellLabel.PHI_PLUS))
+        state = bell_state(BellLabel.PHI_PLUS)
         det = DetectorModel(efficiency=0.5)
         n = 1_000_000
         total = sum(sample_pair(state, setting(0), setting(0), det, n, seed=2))
@@ -142,7 +137,7 @@ class TestSampleOutcomes:
             assert abs(c - n / 4) < sigma
 
     def test_frequencies_converge_to_born_rule(self):
-        state = to_density(bell_state(BellLabel.PHI_PLUS, 0.6))
+        state = bell_state(BellLabel.PHI_PLUS, 0.6)
         a, b = setting(30), setting(75)
         det = DetectorModel(efficiency=1.0)
         n = 1_000_000
@@ -152,7 +147,7 @@ class TestSampleOutcomes:
             assert abs(c / n - p) < 5 * math.sqrt(p * (1 - p) / n) + 1e-9
 
     def test_same_seed_bit_identical(self):
-        state = to_density(bell_state(BellLabel.PHI_PLUS))
+        state = bell_state(BellLabel.PHI_PLUS)
         det = DetectorModel(efficiency=0.6, dark_rate=0.5)
         a = sample_pair(state, setting(0), setting(22.5), det, 10_000, seed=99)
         b = sample_pair(state, setting(0), setting(22.5), det, 10_000, seed=99)
@@ -160,7 +155,7 @@ class TestSampleOutcomes:
 
     def test_dark_counts_uniform(self):
         # Starve the signal so only accidentals remain, then chi-square.
-        state = to_density(bell_state(BellLabel.PHI_PLUS))
+        state = bell_state(BellLabel.PHI_PLUS)
         det = DetectorModel(efficiency=1e-9, dark_rate=20_000.0)
         counts = sample_pair(state, setting(0), setting(0), det, 1, seed=5)
         assert sum(counts) >= 10_000
@@ -169,7 +164,7 @@ class TestSampleOutcomes:
     def test_each_pair_draws_from_its_own_generator(self):
         # A batched call equals one call per pair on the same generators, so
         # adding or reordering pairs never moves another pair's counts.
-        state = to_density(bell_state(BellLabel.PSI_PLUS, 0.7))
+        state = bell_state(BellLabel.PSI_PLUS, 0.7)
         pairs = [(setting(0), setting(22.5)), (setting(45), setting(45)), (setting(30), setting(100))]
         det = DetectorModel(efficiency=0.8, dark_rate=0.01)
         for sampled in (state, intercept_average_state(state, 0.3)):
@@ -208,7 +203,7 @@ class TestSampleOutcomeStream:
         # Every pair's outcome is searchsorted(cdf[key], u, side="right") of
         # its own uniform, for a k = 5 stack and all nine setting pairs.
         rng = np.random.default_rng([99, seed])
-        state = to_density(bell_state(list(BellLabel)[seed % 4], 0.6))
+        state = bell_state(list(BellLabel)[seed % 4], 0.6)
         blochs, _ = intercept_strata(state, 0.4)
         n = 20_000
         stratum_idx = rng.integers(0, len(blochs), size=n)
@@ -224,7 +219,7 @@ class TestSampleOutcomeStream:
 
     def test_single_group(self):
         # One key in a k = 5 stack: stratum 3, Alice setting 1, Bob setting 2.
-        blochs, _ = intercept_strata(to_density(bell_state(BellLabel.PHI_PLUS)), 0.5)
+        blochs, _ = intercept_strata(bell_state(BellLabel.PHI_PLUS), 0.5)
         n = 5_000
         stratum_idx = np.full(n, 3, dtype=np.uint8)
         pair_idx = np.full(n, 1 * 3 + 2, dtype=np.uint8)
@@ -236,7 +231,7 @@ class TestSampleOutcomeStream:
 
     def test_zero_probability_outcomes(self):
         # Maximal phi+ with equal analyzers never gives +- or -+ (k = 1).
-        blochs = to_density(bell_state(BellLabel.PHI_PLUS)).bloch[None]
+        blochs = bell_state(BellLabel.PHI_PLUS).bloch[None]
         bases = (setting(0), setting(45))
         rng = np.random.default_rng(5)
         n = 10_000
@@ -251,7 +246,7 @@ class TestSampleOutcomeStream:
         assert np.isin(lib[~matched], (1, 2)).any()
 
     def test_empty_stream(self):
-        blochs = to_density(bell_state(BellLabel.PHI_PLUS)).bloch[None]
+        blochs = bell_state(BellLabel.PHI_PLUS).bloch[None]
         empty = np.zeros(0, dtype=np.uint8)
         lib, ref, next_lib, next_ref = _both_samplers(
             blochs, empty, E91_ALICE, E91_BOB, empty, 8
@@ -261,7 +256,7 @@ class TestSampleOutcomeStream:
         assert next_lib == next_ref == np.random.default_rng(8).random()
 
     def test_unequal_lengths_raise(self):
-        blochs = to_density(bell_state(BellLabel.PHI_PLUS)).bloch[None]
+        blochs = bell_state(BellLabel.PHI_PLUS).bloch[None]
         with pytest.raises(ValueError, match="equal length"):
             sample_outcome_stream(
                 blochs, np.zeros(3, dtype=np.uint8), E91_ALICE, E91_BOB,
@@ -272,7 +267,7 @@ class TestSampleOutcomeStream:
 class TestInterceptResend:
     def test_eve_states_built_once_per_call(self, monkeypatch):
         # The strata are one C stack per call and never become states.
-        state = to_density(bell_state(BellLabel.PHI_PLUS))
+        state = bell_state(BellLabel.PHI_PLUS)
         built, strata = [], []
         post_init = TwoQubitState.__post_init__
         monkeypatch.setattr(
@@ -295,7 +290,7 @@ class TestInterceptResend:
         # an equal generator it must equal the grouped sampler over the
         # partial-trace mixture, and in distribution the masked-strata
         # engine, which makes Eve's three draws per pair.
-        rho = to_density(bell_state(BellLabel.PSI_PLUS, 0.6)).rho
+        rho = bell_state(BellLabel.PSI_PLUS, 0.6).rho
         n = 20_000
         pair_idx = np.random.default_rng(41).integers(0, 9, size=n).astype(np.uint8)
         rng_lib, rng = np.random.default_rng(42), np.random.default_rng(42)
@@ -330,26 +325,26 @@ class TestInterceptResend:
 
     def test_unreachable_eve_outcome_keeps_placeholder(self):
         # |HH>: Eve never sees V in H/V; that stratum has weight 0.
-        blochs, weights = intercept_strata(to_density(bell_state(BellLabel.PHI_PLUS, 0.0)), 1.0)
+        blochs, weights = intercept_strata(bell_state(BellLabel.PHI_PLUS, 0.0), 1.0)
         assert weights[2] == 0.0
         np.testing.assert_allclose(blochs[2, 1:, 0], 0.0, atol=1e-15)
 
     def test_strata_weights_sum_to_one(self):
-        state = to_density(bell_state(BellLabel.PHI_PLUS))
+        state = bell_state(BellLabel.PHI_PLUS)
         blochs, weights = intercept_strata(state, 0.3)
         assert len(blochs) == 5
         assert weights.sum() == pytest.approx(1.0)
         assert weights[0] == pytest.approx(0.7)
 
     def test_average_state_fraction_zero(self):
-        state = to_density(bell_state(BellLabel.PHI_PLUS, 0.5))
+        state = bell_state(BellLabel.PHI_PLUS, 0.5)
         np.testing.assert_allclose(intercept_average_state(state, 0.0).rho, state.rho, atol=1e-15)
 
     def test_one_stratum_without_eve(self):
         # At eve_fraction = 0 the mixture is the state alone, and the sampler
         # draws exactly binomial -> multinomial(p) -> poisson from each
         # pair's generator.
-        state = to_density(bell_state(BellLabel.PHI_PLUS, 0.5))
+        state = bell_state(BellLabel.PHI_PLUS, 0.5)
         blochs, weights = intercept_strata(state, 0.0)
         np.testing.assert_array_equal(blochs, state.bloch[None])
         np.testing.assert_array_equal(weights, [1.0])
@@ -368,18 +363,18 @@ class TestInterceptResend:
 
     def test_full_interception_qber(self):
         # Eve's measure-and-resend on phi+ leaves 25% error in each key basis.
-        state = to_density(bell_state(BellLabel.PHI_PLUS))
+        state = bell_state(BellLabel.PHI_PLUS)
         avg = intercept_average_state(state, 1.0)
         assert qber_for_basis(avg, BellLabel.PHI_PLUS, 0.0) == pytest.approx(0.25, abs=1e-12)
         assert qber_for_basis(avg, BellLabel.PHI_PLUS, math.pi / 4) == pytest.approx(0.25, abs=1e-12)
 
     def test_qber_linear_in_fraction(self):
-        state = to_density(bell_state(BellLabel.PHI_PLUS))
+        state = bell_state(BellLabel.PHI_PLUS)
         avg = intercept_average_state(state, 0.5)
         assert qber_for_basis(avg, BellLabel.PHI_PLUS, 0.0) == pytest.approx(0.125, abs=1e-12)
 
     def test_sampled_interception_matches_average(self):
-        state = to_density(bell_state(BellLabel.PHI_PLUS))
+        state = bell_state(BellLabel.PHI_PLUS)
         n = 400_000
         bases = (setting(0),)
         pair_idx = np.zeros(n, dtype=np.uint8)
@@ -388,7 +383,7 @@ class TestInterceptResend:
         assert abs(wrong - 0.25) < 5 * math.sqrt(0.25 * 0.75 / n)
 
     def test_fraction_range(self):
-        state = to_density(bell_state(BellLabel.PHI_PLUS))
+        state = bell_state(BellLabel.PHI_PLUS)
         with pytest.raises(ValueError):
             intercept_strata(state, 1.5)
 

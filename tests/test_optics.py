@@ -12,10 +12,11 @@ from ebqkd.optics import (
     ChannelModel,
     SourceModel,
     apply_channel,
+    bell_state,
     generate,
     werner_state,
 )
-from ebqkd.qstate import BellLabel, PureTwoQubit, TwoQubitState, bell_state, to_density
+from ebqkd.qstate import BellLabel, TwoQubitState
 
 SQ2 = math.sqrt(2.0)
 HV = 0.0
@@ -31,9 +32,8 @@ class TestSourceModel:
 
     def test_perfect_visibility_gives_pure_singlet(self):
         state = generate(SourceModel(BellLabel.PSI_MINUS, math.pi / 4, 1.0))
-        np.testing.assert_allclose(
-            state.rho, to_density(bell_state(BellLabel.PSI_MINUS)).rho, atol=1e-15
-        )
+        singlet = np.array([0, 1, -1, 0]) / SQ2
+        np.testing.assert_allclose(state.rho, np.outer(singlet, singlet), atol=1e-15)
 
     def test_zero_visibility_fully_dephased(self):
         state = generate(SourceModel(BellLabel.PSI_MINUS, math.pi / 4, 0.0))
@@ -68,22 +68,22 @@ class TestSourceModel:
 
 class TestApplyChannel:
     def test_identity(self):
-        singlet = to_density(bell_state(BellLabel.PSI_MINUS))
+        singlet = bell_state(BellLabel.PSI_MINUS)
         out = apply_channel(singlet, ChannelModel.identity())
         np.testing.assert_allclose(out.rho, singlet.rho)
 
     def test_depolarizing_zero_is_identity(self):
-        singlet = to_density(bell_state(BellLabel.PSI_MINUS))
+        singlet = bell_state(BellLabel.PSI_MINUS)
         out = apply_channel(singlet, ChannelModel.depolarizing(0.0))
         np.testing.assert_allclose(out.rho, singlet.rho, atol=1e-15)
 
     def test_full_werner_mixing(self):
-        singlet = to_density(bell_state(BellLabel.PSI_MINUS))
+        singlet = bell_state(BellLabel.PSI_MINUS)
         out = apply_channel(singlet, ChannelModel.depolarizing(1.0, arm="both"))
         np.testing.assert_allclose(out.rho, np.eye(4) / 4, atol=1e-15)
 
     def test_one_arm_formula(self):
-        state = to_density(bell_state(BellLabel.PHI_PLUS, math.pi / 6))
+        state = bell_state(BellLabel.PHI_PLUS, math.pi / 6)
         p = 0.3
         out = apply_channel(state, ChannelModel.depolarizing(p, arm="a"))
         bob_marginal = np.einsum("ajal->jl", state.rho.reshape(2, 2, 2, 2))
@@ -100,7 +100,7 @@ class TestApplyChannel:
             np.testing.assert_allclose(out.rho, _oracles.depolarize(rho, p, arm), atol=1e-14)
 
     def test_one_arm_on_maximal_equals_werner(self):
-        maximal = to_density(bell_state(BellLabel.PHI_PLUS))
+        maximal = bell_state(BellLabel.PHI_PLUS)
         one_arm = apply_channel(maximal, ChannelModel.depolarizing(0.4, arm="a"))
         werner = apply_channel(maximal, ChannelModel.depolarizing(0.4, arm="both"))
         np.testing.assert_allclose(one_arm.rho, werner.rho, atol=1e-12)
@@ -111,7 +111,7 @@ class TestApplyChannel:
         assert est.s == pytest.approx(2 * SQ2 * 0.8, abs=1e-12)
 
     def test_intercept_tag_leaves_state(self):
-        singlet = to_density(bell_state(BellLabel.PSI_MINUS))
+        singlet = bell_state(BellLabel.PSI_MINUS)
         out = apply_channel(singlet, ChannelModel.intercept_resend(0.7))
         np.testing.assert_allclose(out.rho, singlet.rho)
         assert ChannelModel.intercept_resend(0.7).eve_fraction == 0.7
@@ -126,7 +126,7 @@ class TestApplyChannel:
     def test_outputs_remain_valid(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            state = to_density(PureTwoQubit(random_pure_state(rng)))
+            state = TwoQubitState(random_pure_state(rng))
             ch = ChannelModel.depolarizing(rng.uniform(0, 1), arm=rng.choice(["a", "b", "both"]))
             out = apply_channel(state, ch)
             assert np.linalg.eigvalsh(out.rho).min() >= -1e-9
@@ -150,7 +150,7 @@ class TestDisturbanceLaws:
 
     @pytest.mark.parametrize("eps", np.linspace(0.1, math.pi / 4, 7))
     def test_imbalance_sweep(self, eps):
-        state = to_density(bell_state(BellLabel.PHI_PLUS, eps))
+        state = bell_state(BellLabel.PHI_PLUS, eps)
         assert qber_for_basis(state, BellLabel.PHI_PLUS, HV) == pytest.approx(0.0, abs=1e-9)
         assert qber_for_basis(state, BellLabel.PHI_PLUS, DA) == pytest.approx(
             (1 - math.sin(2 * eps)) / 2, abs=1e-9

@@ -1,7 +1,8 @@
 """Every third-party module the package or its tests import is declared.
 
 The package needs only numpy at run time; scipy and pytest are test
-dependencies (``pyproject.toml``'s ``test`` extra).
+dependencies (``pyproject.toml``'s ``test`` extra).  No package module
+imports another's underscore-prefixed (private) name.
 """
 
 import ast
@@ -53,3 +54,18 @@ def test_test_imports_are_declared(path):
 
 def test_runtime_dependencies_are_numpy_only():
     assert _requirement_names(_project()["dependencies"]) == {"numpy"}
+
+
+def _private_package_imports(path: Path) -> list[str]:
+    """``module.name`` for each underscore-prefixed name ``path`` imports from an ebqkd module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").split(".")[0] == "ebqkd"):
+            found += [f"{node.module or '.'}.{a.name}" for a in node.names if a.name.startswith("_")]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_modules_import_no_private_names(path):
+    """A name with a leading underscore stays inside the module that defines it."""
+    assert _private_package_imports(path) == []

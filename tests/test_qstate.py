@@ -7,16 +7,14 @@ import _oracles
 from conftest import random_density_matrix, random_pure_state
 from ebqkd import qstate
 from ebqkd.measurement import AnalyzerSetting
+from ebqkd.optics import bell_state
 from ebqkd.qstate import (
     BellLabel,
     InvariantViolation,
     JointDistribution,
-    PureTwoQubit,
     TwoQubitState,
-    bell_state,
     born_table,
     joint_probabilities,
-    to_density,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -26,23 +24,28 @@ def setting(pol_deg: float) -> AnalyzerSetting:
     return AnalyzerSetting.from_polarization(pol_deg)
 
 
+def pure(amplitudes) -> np.ndarray:
+    amp = np.asarray(amplitudes, dtype=complex)
+    return np.outer(amp, amp.conj())
+
+
 class TestBellState:
     def test_phi_plus_maximal(self):
-        psi = bell_state(BellLabel.PHI_PLUS, math.pi / 4)
-        np.testing.assert_allclose(psi.amplitudes, [1 / SQ2, 0, 0, 1 / SQ2], atol=1e-15)
+        rho = bell_state(BellLabel.PHI_PLUS, math.pi / 4).rho
+        np.testing.assert_allclose(rho, pure([1 / SQ2, 0, 0, 1 / SQ2]), atol=1e-15)
 
     def test_singlet(self):
-        psi = bell_state(BellLabel.PSI_MINUS, math.pi / 4)
-        np.testing.assert_allclose(psi.amplitudes, [0, 1 / SQ2, -1 / SQ2, 0], atol=1e-15)
+        rho = bell_state(BellLabel.PSI_MINUS, math.pi / 4).rho
+        np.testing.assert_allclose(rho, pure([0, 1 / SQ2, -1 / SQ2, 0]), atol=1e-15)
 
     def test_zero_entanglement_is_product(self):
-        psi = bell_state(BellLabel.PHI_PLUS, 0.0)
-        np.testing.assert_allclose(psi.amplitudes, [1, 0, 0, 0], atol=1e-15)
+        rho = bell_state(BellLabel.PHI_PLUS, 0.0).rho
+        np.testing.assert_allclose(rho, pure([1, 0, 0, 0]), atol=1e-15)
 
     def test_default_is_maximal(self):
         np.testing.assert_allclose(
-            bell_state(BellLabel.PSI_PLUS).amplitudes,
-            bell_state(BellLabel.PSI_PLUS, math.pi / 4).amplitudes,
+            bell_state(BellLabel.PSI_PLUS).rho,
+            bell_state(BellLabel.PSI_PLUS, math.pi / 4).rho,
         )
 
     @pytest.mark.parametrize("epsilon", [-0.01, math.pi / 2 + 0.01, 10.0])
@@ -52,41 +55,26 @@ class TestBellState:
 
     @pytest.mark.parametrize("label", list(BellLabel))
     def test_swap_symmetry(self, label):
-        """psi- is the antisymmetric singlet; the other three are symmetric."""
+        """psi- is the antisymmetric singlet, Tr(SWAP rho) = -1; the other three are symmetric."""
         swap = np.array(
             [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
         )
-        psi = bell_state(label).amplitudes
         expected = -1.0 if label is BellLabel.PSI_MINUS else 1.0
-        np.testing.assert_allclose(swap @ psi, expected * psi, atol=1e-12)
+        assert np.trace(swap @ bell_state(label).rho) == pytest.approx(expected, abs=1e-12)
 
-
-class TestPureTwoQubit:
-    def test_rejects_unnormalized(self):
-        with pytest.raises(InvariantViolation):
-            PureTwoQubit(np.array([1.0, 1.0, 0.0, 0.0]))
-
-    def test_explicit_normalization(self):
-        psi = PureTwoQubit.normalized([3.0, 0.0, 0.0, 4.0])
-        np.testing.assert_allclose(psi.amplitudes, [0.6, 0, 0, 0.8])
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(InvariantViolation):
-            PureTwoQubit.normalized(np.zeros(4))
-
-    def test_amplitudes_read_only(self):
-        psi = bell_state(BellLabel.PHI_PLUS)
+    def test_rho_read_only(self):
+        state = bell_state(BellLabel.PHI_PLUS)
         with pytest.raises(ValueError):
-            psi.amplitudes[0] = 1.0
+            state.rho[0, 0] = 1.0
 
 
-class TestToDensity:
+class TestBellDensity:
     def test_product_state(self):
-        rho = to_density(bell_state(BellLabel.PHI_PLUS, 0.0)).rho
+        rho = bell_state(BellLabel.PHI_PLUS, 0.0).rho
         np.testing.assert_allclose(rho, np.diag([1.0, 0, 0, 0]), atol=1e-15)
 
     def test_singlet_matrix(self):
-        rho = to_density(bell_state(BellLabel.PSI_MINUS)).rho
+        rho = bell_state(BellLabel.PSI_MINUS).rho
         expected = np.zeros((4, 4))
         expected[1, 1] = expected[2, 2] = 0.5
         expected[1, 2] = expected[2, 1] = -0.5
@@ -95,7 +83,7 @@ class TestToDensity:
     def test_imbalanced_phi_plus(self):
         # Hand outer product: cos(pi/6)^2 = 3/4, sin(pi/6)^2 = 1/4,
         # cross term cos*sin = sqrt(3)/4.
-        rho = to_density(bell_state(BellLabel.PHI_PLUS, math.pi / 6)).rho
+        rho = bell_state(BellLabel.PHI_PLUS, math.pi / 6).rho
         assert rho[0, 0].real == pytest.approx(0.75, abs=1e-12)
         assert rho[3, 3].real == pytest.approx(0.25, abs=1e-12)
         assert rho[0, 3].real == pytest.approx(math.sqrt(3) / 4, abs=1e-12)
@@ -104,7 +92,7 @@ class TestToDensity:
     def test_preserves_trace_and_purity(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
-            state = to_density(PureTwoQubit(random_pure_state(rng)))
+            state = TwoQubitState(random_pure_state(rng))
             assert abs(np.trace(state.rho).real - 1.0) < 1e-12
             assert abs(state.purity() - 1.0) < 1e-12
 
@@ -127,7 +115,7 @@ class TestTwoQubitState:
 
     def test_partial_traces(self):
         # Both marginals are diag(3/4, 1/4): Bloch vectors (0, 0, 1/2).
-        c = to_density(bell_state(BellLabel.PHI_PLUS, math.pi / 6)).bloch
+        c = bell_state(BellLabel.PHI_PLUS, math.pi / 6).bloch
         np.testing.assert_allclose(c[1:, 0], [0, 0, 0.5], atol=1e-12)
         np.testing.assert_allclose(c[0, 1:], [0, 0, 0.5], atol=1e-12)
 
@@ -146,24 +134,24 @@ class TestTwoQubitState:
                 np.testing.assert_allclose(back.rho, state.rho, atol=1e-14)
 
     def test_bloch_read_only(self):
-        state = to_density(bell_state(BellLabel.PHI_PLUS))
+        state = bell_state(BellLabel.PHI_PLUS)
         with pytest.raises(ValueError):
             state.bloch[0, 0] = 2.0
 
 
 class TestJointProbabilities:
     def test_singlet_parallel_analyzers(self):
-        dist = joint_probabilities(to_density(bell_state(BellLabel.PSI_MINUS)), setting(0), setting(0))
+        dist = joint_probabilities(bell_state(BellLabel.PSI_MINUS), setting(0), setting(0))
         np.testing.assert_allclose(dist.as_array(), [0, 0.5, 0.5, 0], atol=1e-12)
 
     def test_singlet_at_45(self):
-        dist = joint_probabilities(to_density(bell_state(BellLabel.PSI_MINUS)), setting(0), setting(45))
+        dist = joint_probabilities(bell_state(BellLabel.PSI_MINUS), setting(0), setting(45))
         np.testing.assert_allclose(dist.as_array(), [0.25] * 4, atol=1e-12)
 
     def test_phi_plus_equal_rotation(self):
         # phi+ is invariant under equal real rotations of both analyzers.
         dist = joint_probabilities(
-            to_density(bell_state(BellLabel.PHI_PLUS)), setting(22.5), setting(22.5)
+            bell_state(BellLabel.PHI_PLUS), setting(22.5), setting(22.5)
         )
         np.testing.assert_allclose(dist.as_array(), [0.5, 0, 0, 0.5], atol=1e-12)
 
@@ -179,7 +167,7 @@ class TestJointProbabilities:
 
     def test_singlet_correlator_analytic_law(self):
         """Singlet correlator is -cos 2(a - b) for any angle pair."""
-        singlet = to_density(bell_state(BellLabel.PSI_MINUS))
+        singlet = bell_state(BellLabel.PSI_MINUS)
         rng = np.random.default_rng(17)
         for _ in range(300):
             a_deg = rng.uniform(0, 360)
