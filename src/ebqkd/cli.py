@@ -346,6 +346,8 @@ def cmd_session(args: argparse.Namespace) -> int:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    except ValueError as exc:  # not UTF-8, or an integer past Python's digit limit
+        raise ConfigError(f"config {path} cannot be read: {exc}")
     cfg = _session_config(doc, args)
     try:
         record = protocol.run_session(cfg)

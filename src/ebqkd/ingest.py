@@ -326,7 +326,8 @@ def analyze_counts(
     Raises:
         ValueError: if ``accidental_window`` is negative or not finite.
         CountFileError: listing any missing (alice, bob) HWP pairs, or
-            naming a compatible basis with zero coincidences.
+            naming a compatible basis with zero coincidences, and saying
+            so when the accidental subtraction removed them all.
         chsh.IncompleteTableError: if a CHSH setting pair has zero
             coincidences.
     """
@@ -352,8 +353,19 @@ def analyze_counts(
         pretty = ", ".join(f"({a:g}, {b:g})" for a, b in dict.fromkeys(missing))
         raise CountFileError(f"missing required HWP angle pairs: {pretty}")
 
+    table = CoincidenceTable(tuple(rows))
     try:
-        est = estimate(CoincidenceTable(tuple(rows)), record.state_label, protocol, settings)
+        est = estimate(table, record.state_label, protocol, settings)
     except EmptyBasisError as exc:
+        # estimate names the first empty key basis; say whether the file or
+        # the subtraction emptied it.
+        a, b = next((a, b) for a, b in protocol.key_pairs() if table.find(a, b).total == 0)
+        raw = sum(record.find(ah, bh).coincidences for ah, bh in _projector_pairs(a, b))
+        if raw > 0:
+            raise CountFileError(
+                f"the accidental subtraction at window {accidental_window:g} removed every"
+                f" coincidence of the compatible basis at {a.polarization_angle_deg % 180.0:g} deg"
+                f" polarization ({raw} before subtraction)"
+            ) from exc
         raise CountFileError(str(exc)) from exc
     return est.chsh, est.report

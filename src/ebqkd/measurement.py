@@ -3,11 +3,14 @@
 A coincidence is both photons of one emitted pair being detected in the
 same emission slot; detector efficiency is applied independently per arm
 and accidental coincidences follow a Poisson model spread uniformly over
-the four outcomes.  All sampling is deterministic given a seed.  Session
-samplers take a pair's settings as one index ``pair_idx = a * n_b + b``
-and turn one uniform per pair into its outcome.  Eve's intercept-resend
-attack is sampled as the mixture of :func:`intercept_strata`: her records
-never leave the sampler, so no draw of hers is needed.
+the four outcomes.  All sampling is deterministic given a seed.  The
+session sampler turns one uniform per emitted pair into its cell
+``(a * n_b + b) * 4 + outcome``, or ``n_a * n_b * 4`` for a pair that is
+not coincident: one joint CDF per correlation matrix covers the setting
+pair, the coincidence and the outcome, and a uint8 table over equal
+buckets of the uniform inverts it exactly.  Eve's intercept-resend attack
+is sampled as the mixture of :func:`intercept_strata`: her records never
+leave the sampler, so no draw of hers is needed.
 """
 
 from __future__ import annotations
@@ -240,52 +243,98 @@ def sample_outcomes(
     return tuple(rows)
 
 
+#: Equal buckets of ``[0, 1)`` in the lookup table of :func:`_invert_cdfs`;
+#: a power of two, so a uniform's bucket ``floor(u * _BUCKETS)`` is exact.
+_BUCKETS = 1 << 12
+
+#: Table entry of a bucket that holds a CDF threshold; no cell reaches it,
+#: since a protocol layout has at most 63 setting pairs (252 cells).
+_SPLIT = 255
+
+
+def _bucket_table(cdf: np.ndarray) -> np.ndarray:
+    """uint8 ``table[j] = searchsorted(cdf, u, side="right")`` for every ``u``
+    in bucket ``[j, j + 1) / _BUCKETS``, or :data:`_SPLIT` where a threshold
+    lies strictly inside the bucket and the cell depends on ``u``.
+
+    The cell in bucket ``j`` counts the thresholds ``c <= j / _BUCKETS``,
+    that is ``ceil(c * _BUCKETS) <= j``; a threshold with
+    ``floor(c * _BUCKETS) < ceil(c * _BUCKETS)`` splits bucket ``floor``.
+    """
+    scaled = cdf * _BUCKETS
+    first = np.ceil(scaled).astype(np.intp)
+    last = np.floor(scaled).astype(np.intp)
+    cells = np.arange(len(cdf) + 1, dtype=np.uint8)
+    table = np.repeat(cells, np.diff(first, prepend=0, append=_BUCKETS))
+    table[last[last < first]] = _SPLIT
+    return table
+
+
+def _invert_cdfs(cdfs: np.ndarray, stratum_idx: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdfs[stratum], u, side="right")`` for each pair, as uint8.
+
+    ``cdfs`` is a ``(k, n)`` stack of nondecreasing CDFs with ``n < 255``
+    and last value at most 1; ``stratum_idx`` picks each pair's row and
+    ``u`` in ``[0, 1)`` is its uniform.  One uint8 table per CDF over
+    :data:`_BUCKETS` equal buckets of ``u`` answers every pair whose bucket
+    holds no threshold with one lookup; the few pairs whose bucket does
+    fall back to the exact ``searchsorted``, so every result is exactly its
+    uniform's inverse-CDF draw.
+    """
+    table = np.concatenate([_bucket_table(cdf) for cdf in cdfs])
+    bucket = (u * _BUCKETS).astype(np.intp)
+    if len(cdfs) > 1:
+        bucket += stratum_idx.astype(np.intp) * _BUCKETS
+    cells = table.take(bucket)
+    split = np.flatnonzero(cells == _SPLIT)
+    for s, cdf in enumerate(cdfs):
+        mine = split[stratum_idx[split] == s]
+        cells[mine] = cdf.searchsorted(u[mine], side="right")
+    return cells
+
+
 def sample_outcome_stream(
     blochs: np.ndarray,
     stratum_idx: np.ndarray,
     a_settings: Sequence[AnalyzerSetting],
     b_settings: Sequence[AnalyzerSetting],
-    pair_idx: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Per-pair joint outcomes (0..3 encoding ++, +-, -+, --).
+    """Per-pair cells: a uniform setting pair, coincidence and outcome in one draw.
 
     ``blochs`` is a ``(k, 4, 4)`` stack of correlation matrices that
-    ``stratum_idx`` indexes; ``pair_idx`` holds each pair's setting pair
-    ``a * len(b_settings) + b``.  Each pair's normalised Born-rule CDF is
-    read, under the key ``stratum * n_a * n_b + pair``, from one
-    :func:`~ebqkd.qstate.born_table` of the whole stack built up front.  One
+    ``stratum_idx`` indexes, each possibly sub-normalised: ``C[0, 0]`` is the
+    probability that the pair is coincident.  A pair's cell is
+    ``(a * n_b + b) * 4 + outcome`` (``n_b = len(b_settings)``, outcome
+    0..3 for ``++, +-, -+, --``) for a coincidence with setting pair
+    ``(a, b)``, and ``n_cells = n_a * n_b * 4`` when it is not coincident.
+    The joint CDF of a stratum runs over the cells in that order: its
+    :func:`~ebqkd.qstate.born_table` flattened, accumulated and scaled so
+    that its last value is ``C[0, 0]`` (every setting pair is equally
+    likely), and the missing trace is the last cell.  One
     ``rng.random(n)`` call draws a uniform ``u`` per pair in stream order,
-    and the outcome is ``sum(u >= cdf[j] for j < 3)``, which equals
-    ``searchsorted(cdf, u, side="right")`` (``cdf[3]`` is 1 and ``u < 1``).
-    No sort: the cost is a few passes over the stream.
+    and the cell is ``searchsorted(cdf, u, side="right")``, read through
+    :func:`_invert_cdfs`.
     """
-    n = len(stratum_idx)
-    if len(pair_idx) != n:
-        raise ValueError("stratum and setting-pair index streams must have equal length")
-    n_pairs = len(a_settings) * len(b_settings)
-    key = stratum_idx.astype(np.min_scalar_type(len(blochs) * n_pairs - 1))
-    key *= n_pairs
-    key += pair_idx.astype(key.dtype, copy=False)
-    probs = born_table(blochs, a_settings, b_settings).reshape(-1, 4)
-    cdfs = (probs / probs.sum(axis=1, keepdims=True)).cumsum(axis=1)
+    probs = born_table(blochs, a_settings, b_settings).reshape(len(blochs), -1)
+    cdfs = probs.cumsum(axis=1)
     cdfs /= cdfs[:, -1:]
-    u = rng.random(n)
-    out = np.zeros(n, dtype=np.uint8)
-    for column in cdfs[:, :3].T:
-        out += u >= column[key]
-    return out
+    cdfs *= blochs[:, :1, 0]
+    return _invert_cdfs(cdfs, stratum_idx, rng.random(len(stratum_idx)))
 
 
 def intercept_resend(
     state: TwoQubitState,
     a_settings: Sequence[AnalyzerSetting],
     b_settings: Sequence[AnalyzerSetting],
-    pair_idx: np.ndarray,
+    n_pairs: int,
     eve_fraction: float,
+    efficiency: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Joint outcomes for a stream of pairs under partial intercept-resend.
+    """Cells of :func:`sample_outcome_stream` for ``n_pairs`` pairs under
+    partial intercept-resend, both photons of a pair detected with
+    probability ``efficiency``.
 
     For an intercepted pair Eve measures Bob's photon in a uniformly random
     key basis (H/V or D/A) and forwards a re-prepared eigenstate.  She acts
@@ -293,13 +342,14 @@ def intercept_resend(
     returned, so every pair is drawn from the weighted
     :func:`intercept_strata` mixture as one stratum: the same distribution
     as drawing her interception, basis and result first, with no Eve
-    randomness consumed.  At ``eve_fraction = 0`` the mixture is
-    ``state.bloch`` and the stream is identical to an attack-free run.
+    randomness consumed.  The mixture's correlation matrix is scaled by
+    ``efficiency``, whose missing trace is the "not coincident" cell.  At
+    ``eve_fraction = 0`` the mixture is ``state.bloch``.
     """
     blochs, weights = intercept_strata(state, eve_fraction)
-    mixture = np.tensordot(weights, blochs, axes=1)[None]
-    stratum_idx = np.zeros(len(pair_idx), dtype=np.uint8)
-    return sample_outcome_stream(mixture, stratum_idx, a_settings, b_settings, pair_idx, rng)
+    mixture = efficiency * np.tensordot(weights, blochs, axes=1)
+    stratum_idx = np.zeros(n_pairs, dtype=np.uint8)
+    return sample_outcome_stream(mixture[None], stratum_idx, a_settings, b_settings, rng)
 
 
 def expected_counts(

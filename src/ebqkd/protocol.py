@@ -1,12 +1,14 @@
 """BBM92 and E91 session engines.
 
-A session emits entangled pairs in fixed blocks; per block it draws a
-uniform setting pair for each pair (the same as independent uniform bases
-for Alice and Bob), whether both arms detected it, and its joint analyzer
-outcome, and keeps the coincident ones.  It then adds accidentals, sifts
-on announced bases and estimates the QBER from a disclosed random subset
-(those bits are consumed).  E91 additionally routes the four designated
-unmatched setting combinations into a CHSH estimate.
+A session emits entangled pairs in blocks; per block it draws one
+``random(m)``, one uniform per pair, which picks the pair's setting pair
+(uniform, the same as independent uniform bases for Alice and Bob),
+whether both arms detected it and its joint analyzer outcome together, and
+keeps the coincident ones.  It then draws the accidentals, sifts on
+announced bases and estimates the QBER from a disclosed random subset
+(those bits are consumed).  Since a block draws nothing but its uniforms,
+the block size does not change the stream.  E91 additionally routes the
+four designated unmatched setting combinations into a CHSH estimate.
 
 Bit mapping: the transmitted port is bit 0.  Bob inverts his bit in a
 matched basis exactly when the session's ideal Bell state is
@@ -17,9 +19,11 @@ agree only by chance (QBER 0.5).
 
 Cell index: a session carries each pair as one uint8 cell
 ``(a * n_b + b) * 4 + outcome`` (setting indices ``a``, ``b``; outcome 0..3
-for ``++, +-, -+, --``).  Its setting pair ``cell >> 2`` decides sifting and
-Bob's flip, ``cell >> 1 & 1`` and ``cell & 1`` are the raw bits, and the
-counts table is one bincount of the cells.
+for ``++, +-, -+, --``); the cell ``n_cells = n_a * n_b * 4`` means "not
+coincident" and is dropped as it is drawn.  A cell's setting pair
+``cell >> 2`` decides sifting and Bob's flip, ``cell >> 1 & 1`` and
+``cell & 1`` are the raw bits, and the counts table is one bincount of the
+cells.
 
 :func:`estimate` is the one estimator behind ``sweep``, ``session`` and
 ``analyze``: it turns a :class:`~ebqkd.measurement.CoincidenceTable` into
@@ -211,7 +215,8 @@ def _complement(n: int, taken: np.ndarray) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-#: Pairs drawn per block by :func:`run_session`.
+#: Pairs drawn per block by :func:`run_session`; it bounds the block's
+#: arrays and changes no draw.
 _BLOCK = 1 << 18
 
 
@@ -227,30 +232,29 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
     rng = spawn_rng(cfg.seed)
     state = optics.apply_channel(optics.generate(cfg.source), cfg.channel)
     alice, bob = cfg.kind.alice_settings(), cfg.kind.bob_settings()
-    n, n_settings = cfg.n_pairs, len(alice) * len(bob)
+    n, n_cells = cfg.n_pairs, len(alice) * len(bob) * 4
 
-    # Fixed draw order: per block of pairs the setting pairs, the
-    # coincidences and the outcomes; then accidentals and disclosure.
-    # Changing the order or the block size changes the streams, so both
-    # are part of the reproducibility contract. A block's arrays are
-    # uint8 or bool where they can be; across blocks only the coincident
-    # cells are kept, in a buffer allocated once (an impossible n_pairs
-    # fails here, before any draw).
+    # Fixed draw order, part of the reproducibility contract: one uniform
+    # per pair, block by block, which picks the setting pair, coincidence
+    # and outcome together; then accidentals and disclosure. Across blocks
+    # only the coincident cells are kept, in a buffer allocated once (an
+    # impossible n_pairs fails here, before any draw).
+    efficiency = cfg.detector.coincidence_efficiency()
     cells = np.empty(n, dtype=np.uint8)
     n_coincident = 0
     for start in range(0, n, _BLOCK):
-        m = min(_BLOCK, n - start)
-        pair_idx = rng.integers(0, n_settings, size=m, dtype=np.uint8)
-        coincident = rng.random(m) < cfg.detector.coincidence_efficiency()
-        outcomes = intercept_resend(state, alice, bob, pair_idx, cfg.channel.eve_fraction, rng)
+        drawn = intercept_resend(
+            state, alice, bob, min(_BLOCK, n - start), cfg.channel.eve_fraction, efficiency, rng
+        )
+        coincident = drawn < n_cells
         k = np.count_nonzero(coincident)
-        np.compress(coincident, (pair_idx << 2) + outcomes, out=cells[n_coincident:n_coincident + k])
+        np.compress(coincident, drawn, out=cells[n_coincident:n_coincident + k])
         n_coincident += k
     cells = cells[:n_coincident]
 
     n_acc = int(rng.poisson(cfg.detector.expected_accidentals(n)))
     if n_acc:
-        cells = np.concatenate([cells, rng.integers(0, n_settings * 4, size=n_acc, dtype=np.uint8)])
+        cells = np.concatenate([cells, rng.integers(0, n_cells, size=n_acc, dtype=np.uint8)])
 
     sifted = sift(cfg.kind, cfg.source.label, cells)
     n_sifted = sifted.kept.size
@@ -264,7 +268,6 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
 
     # One count per cell; retained key bits go to an overflow cell, so the
     # matched bases count only the disclosed sample.
-    n_cells = n_settings * 4
     cells[sifted.kept[retained]] = n_cells
     counts = np.bincount(cells, minlength=n_cells + 1)[:n_cells].reshape(len(alice), len(bob), 4)
     table = CoincidenceTable(tuple(

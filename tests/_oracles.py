@@ -205,17 +205,43 @@ def ideal_correlator(label: BellLabel, pol_rad: float) -> float:
     return float(p[0] + p[3] - p[1] - p[2])
 
 
-def sample_outcome_stream_grouped(blochs, stratum_idx, a_settings, b_settings, pair_idx, rng) -> np.ndarray:
-    """Per-pair joint outcomes, one group at a time.
+def sample_outcome_stream_grouped(blochs, stratum_idx, a_settings, b_settings, rng) -> np.ndarray:
+    """Per-pair cells by one joint inverse CDF per stratum, one group at a time.
+
+    One ``rng.random(n)`` call draws a uniform per pair in stream order.
+    Each stratum's members are found by a scan of the whole stream; their
+    cell is ``searchsorted(cdf, u, side="right")`` in the joint CDF over the
+    cells ``(a * n_b + b) * 4 + outcome``, taken by kron/trace from the
+    (possibly sub-normalised) density matrix of the stratum's correlation
+    matrix and scaled so that its last value is the trace ``C[0, 0]``; a
+    uniform beyond it gives ``n_a * n_b * 4``, "not coincident".  The
+    library reads a bucket table instead.
+    """
+    u = rng.random(len(stratum_idx))
+    out = np.zeros(len(stratum_idx), dtype=np.uint8)
+    for s, c in enumerate(blochs):
+        members = np.nonzero(stratum_idx == s)[0]
+        rho = density_from_bloch(c)
+        p = np.concatenate([
+            joint_probabilities(rho, a, b).clip(0.0, 1.0) for a in a_settings for b in b_settings
+        ])
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        cdf *= c[0, 0]
+        out[members] = cdf.searchsorted(u[members], side="right")
+    return out
+
+
+def outcomes_by_setting_group(blochs, stratum_idx, a_settings, b_settings, pair_idx, rng) -> np.ndarray:
+    """Per-pair joint outcomes for given setting pairs, one group at a time.
 
     One ``rng.random(n)`` call draws a uniform per pair in stream order.
     The group key ``stratum * n_a * n_b + pair`` is visited in ascending
     order of its distinct values; each group's members are found by a scan
     of the whole stream, and each member's outcome is
-    ``searchsorted(cdf, u, side="right")`` in the group's CDF, normalised as
-    ``numpy.random.Generator.choice`` does, from the Born-rule distribution
-    taken by kron/trace from the density matrix of its stratum's
-    correlation matrix.  The library reads the CDFs without grouping.
+    ``searchsorted(cdf, u, side="right")`` in the group's normalised CDF,
+    from the Born-rule distribution taken by kron/trace from the density
+    matrix of its stratum's correlation matrix.
     """
     u = rng.random(len(stratum_idx))
     out = np.zeros(len(stratum_idx), dtype=np.uint8)
@@ -236,8 +262,8 @@ def intercept_resend_strata(rho, a_settings, b_settings, pair_idx, eve_fraction,
     """Per-pair outcomes under intercept-resend with Eve's draws made.
 
     Three Eve draws per pair (interception, basis, result), her stratum by
-    masked assignment into an int64 array, then the grouped sampler over
-    the partial-trace strata.  The library draws from their mixture
+    masked assignment into an int64 array, then
+    :func:`outcomes_by_setting_group` over the partial-trace strata.  The library draws from their mixture
     instead, which has the same outcome distribution.
     """
     n = len(pair_idx)
@@ -250,7 +276,7 @@ def intercept_resend_strata(rho, a_settings, b_settings, pair_idx, eve_fraction,
         eve_outcome = (rng.random(n) >= p_plus[eve_basis]).astype(np.int64)
         stratum_idx[intercepted] = 1 + 2 * eve_basis[intercepted] + eve_outcome[intercepted]
     blochs = np.array([pauli_bloch(r) for r in states])
-    return sample_outcome_stream_grouped(blochs, stratum_idx, a_settings, b_settings, pair_idx, rng)
+    return outcomes_by_setting_group(blochs, stratum_idx, a_settings, b_settings, pair_idx, rng)
 
 
 def session_cells_strata(kind, rho, det, eve_fraction, n_pairs, rng) -> np.ndarray:

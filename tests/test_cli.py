@@ -299,6 +299,23 @@ class TestSession:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid session config") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text,reason", [
+        ('{"n_pairs": 1' + "0" * 5000 + "}", "integer string conversion"),
+        (b'{"n_pairs": "\xff"}', "can't decode byte 0xff"),
+    ])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, text, reason):
+        # Python's 4,300-digit limit on int() and UTF-8 decoding both raise
+        # ValueError before any config field is read.
+        cfg = tmp_path / "session.json"
+        if isinstance(text, bytes):
+            cfg.write_bytes(text)
+        else:
+            cfg.write_text(text)
+        assert cli.main(["session", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {cfg} cannot be read: ") and reason in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("overrides,field", [
         ({"n_pairs": 2000.7}, "n_pairs"),
         ({"n_pairs": True}, "n_pairs"),
@@ -511,6 +528,18 @@ class TestAnalyze:
         assert rc == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "line 4" in err
+
+    def test_window_that_subtracts_every_coincidence_is_named(self, fixtures_dir, capsys):
+        # The file alone gives S = 2.82; at this window the subtraction, not
+        # the file, leaves the H/V basis empty.
+        counts = fixtures_dir / "counts" / "phi_plus_maximal.txt"
+        assert cli.main(["analyze", str(counts), "--accidental-window", "0.001"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: the accidental subtraction at window 0.001 removed every coincidence"
+            " of the compatible basis at 0 deg polarization ("
+        )
+        assert err.count("\n") == 1
 
     def test_missing_file(self, tmp_path):
         assert cli.main(["analyze", str(tmp_path / "nope.txt")]) == EXIT_IO

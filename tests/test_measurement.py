@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, chisquare
 
 import _oracles
@@ -183,10 +185,10 @@ class TestSampleOutcomes:
         assert not np.array_equal(a, c)
 
 
-def _both_samplers(blochs, stratum_idx, a_settings, b_settings, pair_idx, seed):
-    """Library and oracle outcomes from equal generators, plus each
+def _both_samplers(blochs, stratum_idx, a_settings, b_settings, seed):
+    """Library and oracle cells from equal generators, plus each
     generator's next uniform (equal when both consumed the same draws)."""
-    args = (blochs, stratum_idx, a_settings, b_settings, pair_idx)
+    args = (blochs, stratum_idx, a_settings, b_settings)
     rng_lib, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     lib = sample_outcome_stream(*args, rng_lib)
     ref = sample_outcome_stream_grouped(*args, rng_ref)
@@ -200,68 +202,126 @@ E91_BOB = tuple(AnalyzerSetting(t) for t in (11.25, 22.5, 33.75))
 class TestSampleOutcomeStream:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_matches_grouped_oracle_over_all_strata(self, seed):
-        # Every pair's outcome is searchsorted(cdf[key], u, side="right") of
-        # its own uniform, for a k = 5 stack and all nine setting pairs.
+        # Every pair's cell is searchsorted(cdf[stratum], u, side="right") of
+        # its own uniform, for a k = 5 stack whose traces run from 1 (no
+        # loss) down to 0.3, over all nine setting pairs and the lost cell.
         rng = np.random.default_rng([99, seed])
         state = bell_state(list(BellLabel)[seed % 4], 0.6)
         blochs, _ = intercept_strata(state, 0.4)
+        blochs = blochs * np.array([1.0, 0.8, 0.6, 0.45, 0.3])[:, None, None]
         n = 20_000
-        stratum_idx = rng.integers(0, len(blochs), size=n)
-        pair_idx = rng.integers(0, 9, size=n).astype(np.uint8)
-        lib, ref, next_lib, next_ref = _both_samplers(
-            blochs, stratum_idx, E91_ALICE, E91_BOB, pair_idx, seed
-        )
+        stratum_idx = rng.integers(0, len(blochs), size=n).astype(np.uint8)
+        lib, ref, next_lib, next_ref = _both_samplers(blochs, stratum_idx, E91_ALICE, E91_BOB, seed)
         assert set(np.unique(stratum_idx)) == set(range(5))
-        assert set(np.unique(pair_idx)) == set(range(9))
         assert lib.dtype == np.uint8 and lib.shape == (n,)
         assert np.array_equal(lib, ref)
         assert next_lib == next_ref
+        lost = lib == 36
+        assert not lost[stratum_idx == 0].any() and all(lost[stratum_idx == s].any() for s in range(1, 5))
+        assert set(np.unique(lib[~lost] >> 2)) == set(range(9))
 
     def test_single_group(self):
-        # One key in a k = 5 stack: stratum 3, Alice setting 1, Bob setting 2.
+        # One stratum of a k = 5 stack: every pair in stratum 3.
         blochs, _ = intercept_strata(bell_state(BellLabel.PHI_PLUS), 0.5)
         n = 5_000
         stratum_idx = np.full(n, 3, dtype=np.uint8)
-        pair_idx = np.full(n, 1 * 3 + 2, dtype=np.uint8)
-        lib, ref, next_lib, next_ref = _both_samplers(
-            blochs, stratum_idx, E91_ALICE, E91_BOB, pair_idx, 7
-        )
+        lib, ref, next_lib, next_ref = _both_samplers(0.7 * blochs, stratum_idx, E91_ALICE, E91_BOB, 7)
         assert np.array_equal(lib, ref)
         assert next_lib == next_ref
 
     def test_zero_probability_outcomes(self):
         # Maximal phi+ with equal analyzers never gives +- or -+ (k = 1).
-        blochs = bell_state(BellLabel.PHI_PLUS).bloch[None]
+        blochs = 0.5 * bell_state(BellLabel.PHI_PLUS).bloch[None]
         bases = (setting(0), setting(45))
-        rng = np.random.default_rng(5)
         n = 10_000
-        pair_idx = rng.integers(0, 4, size=n).astype(np.uint8)
-        lib, ref, next_lib, next_ref = _both_samplers(
-            blochs, np.zeros(n, dtype=np.uint8), bases, bases, pair_idx, 6
-        )
+        lib, ref, next_lib, next_ref = _both_samplers(blochs, np.zeros(n, dtype=np.uint8), bases, bases, 6)
         assert np.array_equal(lib, ref)
         assert next_lib == next_ref
-        matched = np.isin(pair_idx, (0, 3))  # (H/V, H/V) and (D/A, D/A)
-        assert not np.isin(lib[matched], (1, 2)).any()
-        assert np.isin(lib[~matched], (1, 2)).any()
+        coincident = lib[lib < 16]
+        matched = np.isin(coincident >> 2, (0, 3))  # (H/V, H/V) and (D/A, D/A)
+        assert not np.isin(coincident[matched] & 3, (1, 2)).any()
+        assert np.isin(coincident[~matched] & 3, (1, 2)).any()
 
     def test_empty_stream(self):
         blochs = bell_state(BellLabel.PHI_PLUS).bloch[None]
         empty = np.zeros(0, dtype=np.uint8)
-        lib, ref, next_lib, next_ref = _both_samplers(
-            blochs, empty, E91_ALICE, E91_BOB, empty, 8
-        )
+        lib, ref, next_lib, next_ref = _both_samplers(blochs, empty, E91_ALICE, E91_BOB, 8)
         assert lib.dtype == np.uint8 and lib.shape == (0,)
         assert np.array_equal(lib, ref)
         assert next_lib == next_ref == np.random.default_rng(8).random()
 
-    def test_unequal_lengths_raise(self):
-        blochs = bell_state(BellLabel.PHI_PLUS).bloch[None]
-        with pytest.raises(ValueError, match="equal length"):
-            sample_outcome_stream(
-                blochs, np.zeros(3, dtype=np.uint8), E91_ALICE, E91_BOB,
-                np.zeros(2, dtype=np.uint8), np.random.default_rng(0),
-            )
+
+def _sub_normalised_cdfs():
+    """Nondecreasing CDFs over 1..36 cells with last value ``trace`` in
+    (0, 1]: zero-mass cells, thresholds snapped onto bucket edges ``k / B``
+    and trace exactly 1 all occur."""
+    buckets = measurement._BUCKETS
+    weight = st.one_of(st.just(0.0), st.floats(1e-12, 1e-3), st.floats(1e-3, 1.0))
+    snap = st.one_of(st.none(), st.integers(0, buckets))
+
+    @st.composite
+    def cdfs(draw):
+        weights = draw(st.lists(weight, min_size=1, max_size=36))
+        if sum(weights) == 0.0:
+            weights[-1] = 1.0
+        trace = draw(st.one_of(st.just(1.0), st.floats(1e-3, 1.0)))
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        cdf *= trace
+        for i in range(len(cdf) - 1):
+            k = draw(snap)
+            if k is not None:
+                cdf[i] = k / buckets
+        return np.maximum.accumulate(np.clip(cdf, 0.0, trace))
+
+    return cdfs()
+
+
+def _uniforms_at_edges(cdf: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Uniforms on and next to every bucket edge and every threshold,
+    plus random ones, all in [0, 1)."""
+    buckets = measurement._BUCKETS
+    points = np.concatenate((np.arange(buckets + 1) / buckets, cdf))
+    u = np.concatenate((points, np.nextafter(points, 0.0), np.nextafter(points, 1.0), rng.random(2_000)))
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+class TestBucketLookup:
+    @settings(max_examples=150, deadline=None)
+    @given(cdf=_sub_normalised_cdfs(), seed=st.integers(0, 2**32 - 1))
+    def test_lookup_equals_searchsorted(self, cdf, seed):
+        u = _uniforms_at_edges(cdf, np.random.default_rng(seed))
+        cells = measurement._invert_cdfs(cdf[None], np.zeros(len(u), dtype=np.uint8), u)
+        assert cells.dtype == np.uint8
+        assert np.array_equal(cells, cdf.searchsorted(u, side="right"))
+
+    @settings(max_examples=50, deadline=None)
+    @given(first=_sub_normalised_cdfs(), second=_sub_normalised_cdfs(), seed=st.integers(0, 2**32 - 1))
+    def test_lookup_per_stratum(self, first, second, seed):
+        n = max(len(first), len(second))
+        cdfs = np.array([np.pad(c, (0, n - len(c)), constant_values=c[-1]) for c in (first, second)])
+        rng = np.random.default_rng(seed)
+        u = np.concatenate([_uniforms_at_edges(c, rng) for c in cdfs])
+        stratum_idx = rng.integers(0, 2, size=len(u)).astype(np.uint8)
+        cells = measurement._invert_cdfs(cdfs, stratum_idx, u)
+        expected = np.where(
+            stratum_idx == 0, cdfs[0].searchsorted(u, side="right"), cdfs[1].searchsorted(u, side="right")
+        )
+        assert np.array_equal(cells, expected)
+
+    def test_table_marks_only_buckets_holding_a_threshold(self):
+        # Thresholds inside buckets 0 and 1, on the edges 0, 1 / B and 1 / 2,
+        # a zero-mass cell and trace 1.
+        buckets = measurement._BUCKETS
+        cdf = np.array([0.0, 0.5, 1.0, 1.5, 1.5, buckets / 2, buckets]) / buckets
+        table = measurement._bucket_table(cdf)
+        assert table.dtype == np.uint8 and table.shape == (buckets,)
+        assert list(table[:3]) == [measurement._SPLIT, measurement._SPLIT, 5]
+        assert table[buckets // 2 - 1] == 5 and table[buckets // 2] == 6 and table[-1] == 6
+        assert np.count_nonzero(table == measurement._SPLIT) == 2
+        u = _uniforms_at_edges(cdf, np.random.default_rng(0))
+        cells = measurement._invert_cdfs(cdf[None], np.zeros(len(u), dtype=np.uint8), u)
+        assert np.array_equal(cells, cdf.searchsorted(u, side="right"))
 
 
 class TestInterceptResend:
@@ -277,36 +337,38 @@ class TestInterceptResend:
             measurement, "intercept_strata",
             lambda *args: strata.append(args) or intercept_strata(*args),
         )
-        pair_idx = np.zeros(100, dtype=np.uint8)
         for eve_fraction in (0.5, 0.0):
             built.clear()
             strata.clear()
-            intercept_resend(state, E91_ALICE, E91_BOB, pair_idx, eve_fraction, np.random.default_rng(0))
+            intercept_resend(state, E91_ALICE, E91_BOB, 100, eve_fraction, 0.6, np.random.default_rng(0))
             assert built == [] and len(strata) == 1
 
     @pytest.mark.parametrize("eve_fraction", [0.0, 0.3, 1.0])
     def test_stream_matches_masked_strata_and_grouped_oracle(self, eve_fraction):
-        # The library draws one uniform per pair from the strata mixture: on
-        # an equal generator it must equal the grouped sampler over the
-        # partial-trace mixture, and in distribution the masked-strata
-        # engine, which makes Eve's three draws per pair.
+        # The library draws one uniform per pair from the strata mixture
+        # scaled by the coincidence efficiency: on an equal generator it must
+        # equal the grouped joint-CDF sampler over the partial-trace mixture,
+        # and its coincident cells must follow in distribution the masked-
+        # strata engine, which makes Eve's three draws per pair.
         rho = bell_state(BellLabel.PSI_PLUS, 0.6).rho
-        n = 20_000
-        pair_idx = np.random.default_rng(41).integers(0, 9, size=n).astype(np.uint8)
+        n, efficiency = 40_000, 0.6
         rng_lib, rng = np.random.default_rng(42), np.random.default_rng(42)
-        lib = intercept_resend(TwoQubitState(rho), E91_ALICE, E91_BOB, pair_idx, eve_fraction, rng_lib)
+        lib = intercept_resend(TwoQubitState(rho), E91_ALICE, E91_BOB, n, eve_fraction, efficiency, rng_lib)
         states, weights = _oracles.intercept_strata(rho, eve_fraction)
         mixture = _oracles.pauli_bloch(sum(w * r for w, r in zip(weights, states)))[None]
         ref = sample_outcome_stream_grouped(
-            mixture, np.zeros(n, dtype=np.uint8), E91_ALICE, E91_BOB, pair_idx, rng
+            efficiency * mixture, np.zeros(n, dtype=np.uint8), E91_ALICE, E91_BOB, rng
         )
         assert np.array_equal(lib, ref)
         assert rng_lib.random() == rng.random()
+        coincident = np.count_nonzero(lib < 36)
+        assert abs(coincident - efficiency * n) < 5 * math.sqrt(n * efficiency * (1 - efficiency))
 
+        pair_idx = np.random.default_rng(41).integers(0, 9, size=n).astype(np.uint8)
         masked = _oracles.intercept_resend_strata(
             rho, E91_ALICE, E91_BOB, pair_idx, eve_fraction, np.random.default_rng(43)
         )
-        lib_cells = np.bincount(pair_idx * 4 + lib, minlength=36)
+        lib_cells = np.bincount(lib, minlength=37)[:36]
         masked_cells = np.bincount(pair_idx * 4 + masked, minlength=36)
         observed = np.array([lib_cells, masked_cells])[:, (lib_cells + masked_cells) > 0]
         assert chi2_contingency(observed).pvalue > 1e-3
@@ -377,8 +439,7 @@ class TestInterceptResend:
         state = bell_state(BellLabel.PHI_PLUS)
         n = 400_000
         bases = (setting(0),)
-        pair_idx = np.zeros(n, dtype=np.uint8)
-        outcomes = intercept_resend(state, bases, bases, pair_idx, 1.0, np.random.default_rng(8))
+        outcomes = intercept_resend(state, bases, bases, n, 1.0, 1.0, np.random.default_rng(8))
         wrong = np.isin(outcomes, (1, 2)).mean()
         assert abs(wrong - 0.25) < 5 * math.sqrt(0.25 * 0.75 / n)
 

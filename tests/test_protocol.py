@@ -223,14 +223,22 @@ class TestRunSession:
             run_session(cfg)
 
     def test_e91_empty_chsh_row_raises(self):
-        # Seed 112 leaves the (45, 67.5) CHSH pair empty while both key
-        # bases are disclosed; there is no fallback to the linear law.
-        cfg = config(
-            kind=E91, source=SourceModel(BellLabel.PSI_MINUS), n_pairs=40,
-            qber_sample_fraction=0.9, seed=112,
+        # A session's own table with the (45, 67.5) CHSH row emptied, both
+        # key bases still disclosed: the estimator the session runs raises,
+        # with no fallback to the linear law.
+        cfg = config(kind=E91, source=SourceModel(BellLabel.PSI_MINUS), n_pairs=20_000, seed=4)
+        rec = run_session(cfg)
+        settings = chsh.canonical_settings(BellLabel.PSI_MINUS)
+        empty = (settings.a_prime.polarization_angle_deg, settings.b_prime.polarization_angle_deg)
+        assert empty == (45.0, 67.5)
+        rows = tuple(
+            CoincidenceRow(r.a, r.b, 0, 0, 0, 0) if (r.a, r.b) == (settings.a_prime, settings.b_prime) else r
+            for r in rec.counts.rows
         )
+        assert rec.counts.find(settings.a_prime, settings.b_prime).total > 0
+        assert all(rec.counts.find(a, b).total > 0 for a, b in E91.key_pairs())
         with pytest.raises(chsh.IncompleteTableError, match=r"\(45, 67.5\)"):
-            run_session(cfg)
+            estimate(CoincidenceTable(rows), BellLabel.PSI_MINUS, E91, settings)
 
     def test_counts_table_reproduces_record(self):
         cfg = config(kind=E91, source=SourceModel(BellLabel.PSI_MINUS), n_pairs=100_000, seed=4)
@@ -374,6 +382,21 @@ class TestSessionSampler:
         cfg = config(kind=E91, channel=channel, n_pairs=2 * _BLOCK + 5)
         run_session(cfg)
         assert calls == [(_BLOCK, True), (_BLOCK, True), (5, True)]
+
+    def test_block_size_does_not_change_the_record(self, monkeypatch):
+        # A block draws nothing but one uniform per pair, so the blocks of a
+        # session split one stream of uniforms wherever they fall.
+        cfg = config(
+            kind=E91, source=SourceModel(BellLabel.PHI_MINUS, epsilon_rad=0.7),
+            channel=ChannelModel.intercept_resend(0.3), detector=DetectorModel(0.7, dark_rate=0.01),
+            n_pairs=50_001,
+        )
+        whole = run_session(cfg)
+        monkeypatch.setattr(protocol, "_BLOCK", 999)
+        split = run_session(cfg)
+        assert (split.n_coincident, split.counts, split.report) == (whole.n_coincident, whole.counts, whole.report)
+        assert np.array_equal(split.key_bits_alice, whole.key_bits_alice)
+        assert np.array_equal(split.key_bits_bob, whole.key_bits_bob)
 
     @pytest.mark.parametrize("channel", SESSION_CHANNELS)
     @pytest.mark.parametrize("kind", [BBM92, E91])
