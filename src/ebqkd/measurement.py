@@ -8,7 +8,8 @@ session sampler turns one uniform per emitted pair into its cell
 ``(a * n_b + b) * 4 + outcome``, or ``n_a * n_b * 4`` for a pair that is
 not coincident: one joint CDF per correlation matrix covers the setting
 pair, the coincidence and the outcome, and a uint8 table over equal
-buckets of the uniform inverts it exactly.  Eve's intercept-resend attack
+buckets of the uniform inverts it exactly (:class:`JointCdf`, built once
+per session).  Eve's intercept-resend attack
 is sampled as the mixture of :func:`intercept_strata`: her records never
 leave the sampler, so no draw of hers is needed.
 """
@@ -16,7 +17,7 @@ leave the sampler, so no draw of hers is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -243,7 +244,7 @@ def sample_outcomes(
     return tuple(rows)
 
 
-#: Equal buckets of ``[0, 1)`` in the lookup table of :func:`_invert_cdfs`;
+#: Equal buckets of ``[0, 1)`` in the lookup table of :class:`JointCdf`;
 #: a power of two, so a uniform's bucket ``floor(u * _BUCKETS)`` is exact.
 _BUCKETS = 1 << 12
 
@@ -260,9 +261,11 @@ def _bucket_table(cdf: np.ndarray) -> np.ndarray:
     The cell in bucket ``j`` counts the thresholds ``c <= j / _BUCKETS``,
     that is ``ceil(c * _BUCKETS) <= j``; a threshold with
     ``floor(c * _BUCKETS) < ceil(c * _BUCKETS)`` splits bucket ``floor``.
+    A threshold at or above 1 (a trace that rounds to ``1 + 2**-52``) is
+    reached by no ``u`` and counts in no bucket.
     """
     scaled = cdf * _BUCKETS
-    first = np.ceil(scaled).astype(np.intp)
+    first = np.minimum(np.ceil(scaled), _BUCKETS).astype(np.intp)
     last = np.floor(scaled).astype(np.intp)
     cells = np.arange(len(cdf) + 1, dtype=np.uint8)
     table = np.repeat(cells, np.diff(first, prepend=0, append=_BUCKETS))
@@ -270,71 +273,90 @@ def _bucket_table(cdf: np.ndarray) -> np.ndarray:
     return table
 
 
-def _invert_cdfs(cdfs: np.ndarray, stratum_idx: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``searchsorted(cdfs[stratum], u, side="right")`` for each pair, as uint8.
+@dataclass(frozen=True, eq=False)
+class JointCdf:
+    """Joint CDFs of a stack of strata over the session cells, with the
+    uint8 table that inverts them.
 
-    ``cdfs`` is a ``(k, n)`` stack of nondecreasing CDFs with ``n < 255``
-    and last value at most 1; ``stratum_idx`` picks each pair's row and
-    ``u`` in ``[0, 1)`` is its uniform.  One uint8 table per CDF over
-    :data:`_BUCKETS` equal buckets of ``u`` answers every pair whose bucket
-    holds no threshold with one lookup; the few pairs whose bucket does
-    fall back to the exact ``searchsorted``, so every result is exactly its
-    uniform's inverse-CDF draw.
+    ``cdfs`` is a ``(k, n)`` stack of nondecreasing CDFs with ``n < 255``;
+    row ``s`` belongs to stratum ``s``, and a uniform ``u`` of that stratum
+    draws cell ``searchsorted(cdfs[s], u, side="right")``, which is ``n``
+    when ``u`` lies beyond the last value.  ``table`` holds one
+    :func:`_bucket_table` per row over :data:`_BUCKETS` equal buckets of
+    ``u``; it is built once, so one ``JointCdf`` serves every block of a
+    session.
     """
-    table = np.concatenate([_bucket_table(cdf) for cdf in cdfs])
-    bucket = (u * _BUCKETS).astype(np.intp)
-    if len(cdfs) > 1:
-        bucket += stratum_idx.astype(np.intp) * _BUCKETS
-    cells = table.take(bucket)
-    split = np.flatnonzero(cells == _SPLIT)
-    for s, cdf in enumerate(cdfs):
-        mine = split[stratum_idx[split] == s]
-        cells[mine] = cdf.searchsorted(u[mine], side="right")
-    return cells
+
+    cdfs: np.ndarray
+    table: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "table", np.concatenate([_bucket_table(cdf) for cdf in self.cdfs]))
+
+    @classmethod
+    def of(
+        cls,
+        blochs: np.ndarray,
+        a_settings: Sequence[AnalyzerSetting],
+        b_settings: Sequence[AnalyzerSetting],
+    ) -> "JointCdf":
+        """Joint CDFs of a ``(k, 4, 4)`` stack of correlation matrices.
+
+        Each may be sub-normalised: ``C[0, 0]`` is the probability that the
+        pair is coincident.  A row runs over the cells
+        ``(a * n_b + b) * 4 + outcome`` (``n_b = len(b_settings)``, outcome
+        0..3 for ``++, +-, -+, --``): its
+        :func:`~ebqkd.qstate.born_table` flattened, accumulated and scaled
+        so that its last value is ``C[0, 0]`` (every setting pair is equally
+        likely).  The missing trace is the last cell,
+        ``n_cells = n_a * n_b * 4``: "not coincident".
+        """
+        probs = born_table(blochs, a_settings, b_settings).reshape(len(blochs), -1)
+        cdfs = probs.cumsum(axis=1)
+        cdfs /= cdfs[:, -1:]
+        cdfs *= blochs[:, :1, 0]
+        return cls(cdfs)
+
+    def invert(self, stratum_idx: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``searchsorted(cdfs[stratum], u, side="right")`` per pair, as uint8.
+
+        ``stratum_idx`` picks each pair's row and ``u`` in ``[0, 1)`` is its
+        uniform.  A pair whose bucket holds no threshold is answered by one
+        table lookup; the few whose bucket does fall back to the exact
+        ``searchsorted``, so every result is exactly its uniform's
+        inverse-CDF draw.
+        """
+        bucket = (u * _BUCKETS).astype(np.intp)
+        if len(self.cdfs) > 1:
+            bucket += stratum_idx.astype(np.intp) * _BUCKETS
+        cells = self.table.take(bucket)
+        split = np.flatnonzero(cells == _SPLIT)
+        for s, cdf in enumerate(self.cdfs):
+            mine = split[stratum_idx[split] == s]
+            cells[mine] = cdf.searchsorted(u[mine], side="right")
+        return cells
 
 
-def sample_outcome_stream(
-    blochs: np.ndarray,
-    stratum_idx: np.ndarray,
-    a_settings: Sequence[AnalyzerSetting],
-    b_settings: Sequence[AnalyzerSetting],
-    rng: np.random.Generator,
-) -> np.ndarray:
+def sample_outcome_stream(joint: JointCdf, stratum_idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Per-pair cells: a uniform setting pair, coincidence and outcome in one draw.
 
-    ``blochs`` is a ``(k, 4, 4)`` stack of correlation matrices that
-    ``stratum_idx`` indexes, each possibly sub-normalised: ``C[0, 0]`` is the
-    probability that the pair is coincident.  A pair's cell is
-    ``(a * n_b + b) * 4 + outcome`` (``n_b = len(b_settings)``, outcome
-    0..3 for ``++, +-, -+, --``) for a coincidence with setting pair
-    ``(a, b)``, and ``n_cells = n_a * n_b * 4`` when it is not coincident.
-    The joint CDF of a stratum runs over the cells in that order: its
-    :func:`~ebqkd.qstate.born_table` flattened, accumulated and scaled so
-    that its last value is ``C[0, 0]`` (every setting pair is equally
-    likely), and the missing trace is the last cell.  One
-    ``rng.random(n)`` call draws a uniform ``u`` per pair in stream order,
-    and the cell is ``searchsorted(cdf, u, side="right")``, read through
-    :func:`_invert_cdfs`.
+    ``stratum_idx`` indexes the rows of ``joint`` (see :meth:`JointCdf.of`
+    for the cells).  One ``rng.random(n)`` call draws a uniform per pair in
+    stream order, and :meth:`JointCdf.invert` turns each into its cell.
     """
-    probs = born_table(blochs, a_settings, b_settings).reshape(len(blochs), -1)
-    cdfs = probs.cumsum(axis=1)
-    cdfs /= cdfs[:, -1:]
-    cdfs *= blochs[:, :1, 0]
-    return _invert_cdfs(cdfs, stratum_idx, rng.random(len(stratum_idx)))
+    return joint.invert(stratum_idx, rng.random(len(stratum_idx)))
 
 
 def intercept_resend(
     state: TwoQubitState,
     a_settings: Sequence[AnalyzerSetting],
     b_settings: Sequence[AnalyzerSetting],
-    n_pairs: int,
     eve_fraction: float,
     efficiency: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Cells of :func:`sample_outcome_stream` for ``n_pairs`` pairs under
-    partial intercept-resend, both photons of a pair detected with
-    probability ``efficiency``.
+) -> JointCdf:
+    """One-stratum :class:`JointCdf` of the pairs under partial
+    intercept-resend, both photons of a pair detected with probability
+    ``efficiency``.
 
     For an intercepted pair Eve measures Bob's photon in a uniformly random
     key basis (H/V or D/A) and forwards a re-prepared eigenstate.  She acts
@@ -348,8 +370,7 @@ def intercept_resend(
     """
     blochs, weights = intercept_strata(state, eve_fraction)
     mixture = efficiency * np.tensordot(weights, blochs, axes=1)
-    stratum_idx = np.zeros(n_pairs, dtype=np.uint8)
-    return sample_outcome_stream(mixture[None], stratum_idx, a_settings, b_settings, rng)
+    return JointCdf.of(mixture[None], a_settings, b_settings)
 
 
 def expected_counts(

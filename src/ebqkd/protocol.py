@@ -45,6 +45,7 @@ from .measurement import (
     DetectorModel,
     bob_flip,
     intercept_resend,
+    sample_outcome_stream,
     spawn_rng,
     wrong_outcomes,
 )
@@ -236,16 +237,17 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
 
     # Fixed draw order, part of the reproducibility contract: one uniform
     # per pair, block by block, which picks the setting pair, coincidence
-    # and outcome together; then accidentals and disclosure. Across blocks
-    # only the coincident cells are kept, in a buffer allocated once (an
-    # impossible n_pairs fails here, before any draw).
-    efficiency = cfg.detector.coincidence_efficiency()
+    # and outcome together; then accidentals and disclosure. One joint CDF
+    # serves every block. Across blocks only the coincident cells are kept,
+    # in a buffer allocated once (an impossible n_pairs fails here, before
+    # any draw).
+    joint = intercept_resend(
+        state, alice, bob, cfg.channel.eve_fraction, cfg.detector.coincidence_efficiency()
+    )
     cells = np.empty(n, dtype=np.uint8)
     n_coincident = 0
     for start in range(0, n, _BLOCK):
-        drawn = intercept_resend(
-            state, alice, bob, min(_BLOCK, n - start), cfg.channel.eve_fraction, efficiency, rng
-        )
+        drawn = sample_outcome_stream(joint, np.zeros(min(_BLOCK, n - start), dtype=np.uint8), rng)
         coincident = drawn < n_cells
         k = np.count_nonzero(coincident)
         np.compress(coincident, drawn, out=cells[n_coincident:n_coincident + k])

@@ -16,6 +16,7 @@ from ebqkd.measurement import (
     CoincidenceRow,
     CoincidenceTable,
     DetectorModel,
+    JointCdf,
     bob_flip,
     intercept_average_state,
     intercept_resend,
@@ -188,10 +189,9 @@ class TestSampleOutcomes:
 def _both_samplers(blochs, stratum_idx, a_settings, b_settings, seed):
     """Library and oracle cells from equal generators, plus each
     generator's next uniform (equal when both consumed the same draws)."""
-    args = (blochs, stratum_idx, a_settings, b_settings)
     rng_lib, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    lib = sample_outcome_stream(*args, rng_lib)
-    ref = sample_outcome_stream_grouped(*args, rng_ref)
+    lib = sample_outcome_stream(JointCdf.of(blochs, a_settings, b_settings), stratum_idx, rng_lib)
+    ref = sample_outcome_stream_grouped(blochs, stratum_idx, a_settings, b_settings, rng_ref)
     return lib, ref, rng_lib.random(), rng_ref.random()
 
 
@@ -253,8 +253,9 @@ class TestSampleOutcomeStream:
 
 def _sub_normalised_cdfs():
     """Nondecreasing CDFs over 1..36 cells with last value ``trace`` in
-    (0, 1]: zero-mass cells, thresholds snapped onto bucket edges ``k / B``
-    and trace exactly 1 all occur."""
+    (0, 1] or one ulp above 1: zero-mass cells, thresholds snapped onto
+    bucket edges ``k / B``, trace exactly 1 and a trace that rounded up all
+    occur."""
     buckets = measurement._BUCKETS
     weight = st.one_of(st.just(0.0), st.floats(1e-12, 1e-3), st.floats(1e-3, 1.0))
     snap = st.one_of(st.none(), st.integers(0, buckets))
@@ -264,7 +265,7 @@ def _sub_normalised_cdfs():
         weights = draw(st.lists(weight, min_size=1, max_size=36))
         if sum(weights) == 0.0:
             weights[-1] = 1.0
-        trace = draw(st.one_of(st.just(1.0), st.floats(1e-3, 1.0)))
+        trace = draw(st.one_of(st.just(1.0), st.just(_ABOVE_ONE), st.floats(1e-3, 1.0)))
         cdf = np.cumsum(weights)
         cdf /= cdf[-1]
         cdf *= trace
@@ -275,6 +276,11 @@ def _sub_normalised_cdfs():
         return np.maximum.accumulate(np.clip(cdf, 0.0, trace))
 
     return cdfs()
+
+
+#: A trace of 1 that rounded up: ``cos^2 + sin^2`` or a mixture's weights
+#: can sum to it.
+_ABOVE_ONE = float(np.nextafter(1.0, 2.0))
 
 
 def _uniforms_at_edges(cdf: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -291,7 +297,7 @@ class TestBucketLookup:
     @given(cdf=_sub_normalised_cdfs(), seed=st.integers(0, 2**32 - 1))
     def test_lookup_equals_searchsorted(self, cdf, seed):
         u = _uniforms_at_edges(cdf, np.random.default_rng(seed))
-        cells = measurement._invert_cdfs(cdf[None], np.zeros(len(u), dtype=np.uint8), u)
+        cells = JointCdf(cdf[None]).invert(np.zeros(len(u), dtype=np.uint8), u)
         assert cells.dtype == np.uint8
         assert np.array_equal(cells, cdf.searchsorted(u, side="right"))
 
@@ -303,7 +309,7 @@ class TestBucketLookup:
         rng = np.random.default_rng(seed)
         u = np.concatenate([_uniforms_at_edges(c, rng) for c in cdfs])
         stratum_idx = rng.integers(0, 2, size=len(u)).astype(np.uint8)
-        cells = measurement._invert_cdfs(cdfs, stratum_idx, u)
+        cells = JointCdf(cdfs).invert(stratum_idx, u)
         expected = np.where(
             stratum_idx == 0, cdfs[0].searchsorted(u, side="right"), cdfs[1].searchsorted(u, side="right")
         )
@@ -320,8 +326,31 @@ class TestBucketLookup:
         assert table[buckets // 2 - 1] == 5 and table[buckets // 2] == 6 and table[-1] == 6
         assert np.count_nonzero(table == measurement._SPLIT) == 2
         u = _uniforms_at_edges(cdf, np.random.default_rng(0))
-        cells = measurement._invert_cdfs(cdf[None], np.zeros(len(u), dtype=np.uint8), u)
+        cells = JointCdf(cdf[None]).invert(np.zeros(len(u), dtype=np.uint8), u)
         assert np.array_equal(cells, cdf.searchsorted(u, side="right"))
+
+    def test_trace_above_one_fills_no_bucket(self):
+        # Last threshold 1 + 2^-52: no uniform in [0, 1) reaches it, so the
+        # "not coincident" cell gets no bucket and every u draws a cell.
+        buckets = measurement._BUCKETS
+        cdf = np.array([0.25, 0.5, 0.75, _ABOVE_ONE])
+        table = measurement._bucket_table(cdf)
+        assert table.shape == (buckets,) and table[-1] == 3
+        u = _uniforms_at_edges(cdf, np.random.default_rng(1))
+        cells = JointCdf(cdf[None]).invert(np.zeros(len(u), dtype=np.uint8), u)
+        assert np.array_equal(cells, cdf.searchsorted(u, side="right"))
+        assert cells.max() == 3
+
+    def test_stack_with_trace_above_one_matches_grouped_oracle(self):
+        # A trace that rounds to 1 + 2^-52 (a valid state at efficiency 1)
+        # samples like any other: no pair is lost in that stratum.
+        blochs, _ = intercept_strata(bell_state(BellLabel.PSI_MINUS, 0.6), 0.4)
+        blochs = blochs * np.array([_ABOVE_ONE, 1.0, 0.5, _ABOVE_ONE, 0.9])[:, None, None]
+        stratum_idx = np.random.default_rng(5).integers(0, 5, size=20_000).astype(np.uint8)
+        lib, ref, next_lib, next_ref = _both_samplers(blochs, stratum_idx, E91_ALICE, E91_BOB, 9)
+        assert np.array_equal(lib, ref)
+        assert next_lib == next_ref
+        assert not (lib[np.isin(stratum_idx, (0, 1, 3))] == 36).any()
 
 
 class TestInterceptResend:
@@ -340,7 +369,7 @@ class TestInterceptResend:
         for eve_fraction in (0.5, 0.0):
             built.clear()
             strata.clear()
-            intercept_resend(state, E91_ALICE, E91_BOB, 100, eve_fraction, 0.6, np.random.default_rng(0))
+            intercept_resend(state, E91_ALICE, E91_BOB, eve_fraction, 0.6)
             assert built == [] and len(strata) == 1
 
     @pytest.mark.parametrize("eve_fraction", [0.0, 0.3, 1.0])
@@ -353,7 +382,8 @@ class TestInterceptResend:
         rho = bell_state(BellLabel.PSI_PLUS, 0.6).rho
         n, efficiency = 40_000, 0.6
         rng_lib, rng = np.random.default_rng(42), np.random.default_rng(42)
-        lib = intercept_resend(TwoQubitState(rho), E91_ALICE, E91_BOB, n, eve_fraction, efficiency, rng_lib)
+        joint = intercept_resend(TwoQubitState(rho), E91_ALICE, E91_BOB, eve_fraction, efficiency)
+        lib = sample_outcome_stream(joint, np.zeros(n, dtype=np.uint8), rng_lib)
         states, weights = _oracles.intercept_strata(rho, eve_fraction)
         mixture = _oracles.pauli_bloch(sum(w * r for w, r in zip(weights, states)))[None]
         ref = sample_outcome_stream_grouped(
@@ -439,7 +469,8 @@ class TestInterceptResend:
         state = bell_state(BellLabel.PHI_PLUS)
         n = 400_000
         bases = (setting(0),)
-        outcomes = intercept_resend(state, bases, bases, n, 1.0, 1.0, np.random.default_rng(8))
+        joint = intercept_resend(state, bases, bases, 1.0, 1.0)
+        outcomes = sample_outcome_stream(joint, np.zeros(n, dtype=np.uint8), np.random.default_rng(8))
         wrong = np.isin(outcomes, (1, 2)).mean()
         assert abs(wrong - 0.25) < 5 * math.sqrt(0.25 * 0.75 / n)
 

@@ -185,6 +185,15 @@ class TestRunSession:
         assert rec_eve0.qber_hat == rec_ident.qber_hat
         np.testing.assert_array_equal(rec_eve0.key_bits_alice, rec_ident.key_bits_alice)
 
+    @pytest.mark.parametrize("kind", [BBM92, E91])
+    def test_trace_rounded_above_one_at_full_efficiency(self, kind):
+        # This depolarized non-maximal state has trace 1 + 2^-52 by rounding;
+        # at efficiency 1 every pair is coincident.
+        source, channel = SourceModel(BellLabel.PHI_PLUS, epsilon_rad=0.627), ChannelModel.depolarizing(0.2)
+        assert optics.apply_channel(optics.generate(source), channel).bloch[0, 0] > 1.0
+        rec = run_session(config(kind=kind, source=source, channel=channel, n_pairs=100_000, seed=15))
+        assert rec.n_coincident == rec.n_pairs
+
     def test_determinism(self):
         cfg = config(channel=ChannelModel.werner(0.85), detector=DetectorModel(0.6), seed=14)
         a = run_session(cfg)
@@ -360,27 +369,25 @@ class TestSessionMemory:
 class TestSessionSampler:
     @pytest.mark.parametrize("channel", SESSION_CHANNELS)
     def test_stream_sampler_sees_every_pair_once_through_intercept_resend(self, monkeypatch, channel):
-        # The bench counts the pairs of every sample_outcome_stream call,
-        # reached through protocol.intercept_resend: one session must feed
-        # it exactly n_pairs pairs, block by block.
-        calls, inside = [], []
-        resend, stream = protocol.intercept_resend, measurement.sample_outcome_stream
+        # The bench counts the pairs of every sample_outcome_stream call: one
+        # session must feed it exactly n_pairs pairs, block by block, all
+        # drawn from the one joint CDF that intercept_resend builds.
+        joints, calls = [], []
+        resend, stream = protocol.intercept_resend, protocol.sample_outcome_stream
 
         def traced_resend(*args):
-            inside.append(True)
-            try:
-                return resend(*args)
-            finally:
-                inside.pop()
+            joints.append(resend(*args))
+            return joints[-1]
 
-        def traced_stream(blochs, stratum_idx, *rest):
-            calls.append((len(stratum_idx), bool(inside)))
-            return stream(blochs, stratum_idx, *rest)
+        def traced_stream(joint, stratum_idx, rng):
+            calls.append((len(stratum_idx), joint is joints[-1]))
+            return stream(joint, stratum_idx, rng)
 
         monkeypatch.setattr(protocol, "intercept_resend", traced_resend)
-        monkeypatch.setattr(measurement, "sample_outcome_stream", traced_stream)
+        monkeypatch.setattr(protocol, "sample_outcome_stream", traced_stream)
         cfg = config(kind=E91, channel=channel, n_pairs=2 * _BLOCK + 5)
         run_session(cfg)
+        assert len(joints) == 1
         assert calls == [(_BLOCK, True), (_BLOCK, True), (5, True)]
 
     def test_block_size_does_not_change_the_record(self, monkeypatch):
