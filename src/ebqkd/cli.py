@@ -333,6 +333,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     rows = run_sweep(spec, args.seed, workers=args.workers)
     table = io.StringIO()
     write_sweep_table(rows, spec, args.seed, table, "," if args.format == "csv" else "\t")

@@ -4,11 +4,13 @@ A session emits entangled pairs in blocks; per block it draws one
 ``random(m)``, one uniform per pair, which picks the pair's setting pair
 (uniform, the same as independent uniform bases for Alice and Bob),
 whether both arms detected it and its joint analyzer outcome together, and
-keeps the coincident ones.  It then draws the accidentals, sifts on
-announced bases and estimates the QBER from a disclosed random subset
-(those bits are consumed).  Since a block draws nothing but its uniforms,
-the block size does not change the stream.  E91 additionally routes the
-four designated unmatched setting combinations into a CHSH estimate.
+keeps only the coincidences that the key or the counts table can use
+(matched bases and, for E91, the CHSH setting pairs); the others are only
+counted.  It then draws the accidentals, sifts on announced bases and
+estimates the QBER from a disclosed random subset (those bits are
+consumed).  Since a block draws nothing but its uniforms, the block size
+does not change the stream.  E91 additionally routes the four designated
+unmatched setting combinations into a CHSH estimate.
 
 Bit mapping: the transmitted port is bit 0.  Bob inverts his bit in a
 matched basis exactly when the session's ideal Bell state is
@@ -21,9 +23,10 @@ Cell index: a session carries each pair as one uint8 cell
 ``(a * n_b + b) * 4 + outcome`` (setting indices ``a``, ``b``; outcome 0..3
 for ``++, +-, -+, --``); the cell ``n_cells = n_a * n_b * 4`` means "not
 coincident" and is dropped as it is drawn.  A cell's setting pair
-``cell >> 2`` decides sifting and Bob's flip, ``cell >> 1 & 1`` and
-``cell & 1`` are the raw bits, and the counts table is one bincount of the
-cells.
+``cell >> 2`` decides, by uint8 compares, whether it is kept, sifted and
+flipped by Bob; ``cell >> 1 & 1`` and ``cell & 1`` are the raw bits.  The
+CHSH rows of the counts table are a bincount of the kept cells, the
+matched rows one of the disclosed sifted cells.
 
 :func:`estimate` is the one estimator behind ``sweep``, ``session`` and
 ``analyze``: it turns a :class:`~ebqkd.measurement.CoincidenceTable` into
@@ -174,29 +177,43 @@ class SessionRecord:
 
 @dataclass(frozen=True)
 class SiftResult:
-    kept: np.ndarray
+    cells: np.ndarray
     bits_alice: np.ndarray
     bits_bob: np.ndarray
+
+
+def _in_pairs(cells: np.ndarray, pairs: tuple[tuple[int, int], ...], n_b: int) -> np.ndarray:
+    """Mask of the cells whose setting pair ``cell >> 2`` is one of ``pairs``.
+
+    One uint8 compare per pair: a lookup table indexed by the cells would
+    first copy them to an intp array, eight bytes per cell.
+    """
+    setting_pair = cells >> 2
+    mask = np.zeros(len(cells), dtype=bool)
+    for i, j in pairs:
+        mask |= setting_pair == i * n_b + j
+    return mask
 
 
 def sift(kind: ProtocolKind, label: BellLabel, cells: np.ndarray) -> SiftResult:
     """Keep matched-basis events and map outcomes to key bits.
 
     ``cells`` holds one uint8 cell index per coincidence (see the module
-    docstring).  Two tables indexed by setting pair, "matched" and "Bob
-    flips", decide each event from ``cell >> 2``.  Deterministic and
+    docstring); the result holds the matched-basis cells in stream order
+    and their bits.  The setting pair ``cell >> 2`` decides both whether a
+    cell is kept and whether Bob flips its bit.  Deterministic and
     order-preserving; sifting looks only at the announced setting pair,
     never at outcomes.
     """
     n_b = len(kind.bob_hwp_deg)
-    matched = np.zeros(len(kind.alice_hwp_deg) * n_b, dtype=bool)
-    flips = np.zeros_like(matched)
-    for i, j in kind.matched_pairs():
-        matched[i * n_b + j] = True
-        flips[i * n_b + j] = bob_flip(label, math.radians(2.0 * kind.alice_hwp_deg[i]))
-    kept = np.flatnonzero(matched[cells >> 2])
-    kept_cells = cells[kept]
-    return SiftResult(kept, (kept_cells >> 1) & 1, (kept_cells & 1) ^ flips[kept_cells >> 2])
+    matched = kind.matched_pairs()
+    flipped = tuple((i, j) for i, j in matched if bob_flip(label, math.radians(2.0 * kind.alice_hwp_deg[i])))
+    kept = cells[_in_pairs(cells, matched, n_b)]
+    bits_alice = kept >> 1
+    bits_alice &= 1
+    bits_bob = kept & 1
+    bits_bob ^= _in_pairs(kept, flipped, n_b)
+    return SiftResult(kept, bits_alice, bits_bob)
 
 
 def _wilson_interval(errors: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -210,15 +227,15 @@ def _wilson_interval(errors: int, n: int, z: float = 1.96) -> tuple[float, float
 
 
 def _complement(n: int, taken: np.ndarray) -> np.ndarray:
-    """Sorted indices of ``range(n)`` not in ``taken``, by an O(n) mask."""
+    """Mask over ``range(n)`` that is False exactly at the indices in ``taken``."""
     keep = np.ones(n, dtype=bool)
     keep[taken] = False
-    return np.flatnonzero(keep)
+    return keep
 
 
 #: Pairs drawn per block by :func:`run_session`; it bounds the block's
 #: arrays and changes no draw.
-_BLOCK = 1 << 18
+_BLOCK = 1 << 17
 
 
 def run_session(cfg: SessionConfig) -> SessionRecord:
@@ -238,51 +255,63 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
     # Fixed draw order, part of the reproducibility contract: one uniform
     # per pair, block by block, which picks the setting pair, coincidence
     # and outcome together; then accidentals and disclosure. One joint CDF
-    # serves every block. Across blocks only the coincident cells are kept,
-    # in a buffer allocated once (an impossible n_pairs fails here, before
-    # any draw).
+    # serves every block. Across blocks only the cells the counts table or
+    # the key can use (matched bases and CHSH pairs) are kept, in a buffer
+    # allocated once (an impossible n_pairs fails here, before any draw);
+    # the other coincidences are only counted.
     joint = intercept_resend(
         state, alice, bob, cfg.channel.eve_fraction, cfg.detector.coincidence_efficiency()
     )
+    counted = cfg.kind.matched_pairs() + cfg.kind.chsh_pairs
     cells = np.empty(n, dtype=np.uint8)
-    n_coincident = 0
+    n_coincident = n_kept = 0
     for start in range(0, n, _BLOCK):
         drawn = sample_outcome_stream(joint, np.zeros(min(_BLOCK, n - start), dtype=np.uint8), rng)
-        coincident = drawn < n_cells
-        k = np.count_nonzero(coincident)
-        np.compress(coincident, drawn, out=cells[n_coincident:n_coincident + k])
-        n_coincident += k
-    cells = cells[:n_coincident]
+        n_coincident += int(np.count_nonzero(drawn < n_cells))
+        kept = _in_pairs(drawn, counted, len(bob))
+        k = int(np.count_nonzero(kept))
+        np.compress(kept, drawn, out=cells[n_kept:n_kept + k])
+        n_kept += k
+    cells = cells[:n_kept]
 
     n_acc = int(rng.poisson(cfg.detector.expected_accidentals(n)))
     if n_acc:
-        cells = np.concatenate([cells, rng.integers(0, n_cells, size=n_acc, dtype=np.uint8)])
+        accidentals = rng.integers(0, n_cells, size=n_acc, dtype=np.uint8)
+        cells = np.concatenate([cells, accidentals[_in_pairs(accidentals, counted, len(bob))]])
+        n_coincident += n_acc
 
+    # The CHSH rows count every kept cell, the matched rows only the
+    # disclosed sample. bincount copies its input to intp, so the kept
+    # cells are counted block by block.
+    kept_counts = np.zeros(n_cells, dtype=np.intp)
+    if cfg.kind.chsh_pairs:
+        for start in range(0, len(cells), _BLOCK):
+            kept_counts += np.bincount(cells[start:start + _BLOCK], minlength=n_cells)
     sifted = sift(cfg.kind, cfg.source.label, cells)
-    n_sifted = sifted.kept.size
+    del cells  # frees the n-byte buffer before the disclosure draw
+    n_sifted = len(sifted.cells)
     if n_sifted == 0:
         raise NoSiftedBitsError(
             f"no sifted bits: {n_coincident} coincidences, none in matched bases"
         )
 
     n_disclose = max(1, int(round(cfg.qber_sample_fraction * n_sifted)))
-    retained = _complement(n_sifted, rng.choice(n_sifted, size=n_disclose, replace=False))
-
-    # One count per cell; retained key bits go to an overflow cell, so the
-    # matched bases count only the disclosed sample.
-    cells[sifted.kept[retained]] = n_cells
-    counts = np.bincount(cells, minlength=n_cells + 1)[:n_cells].reshape(len(alice), len(bob), 4)
+    disclosed = rng.choice(n_sifted, size=n_disclose, replace=False)
+    retained = _complement(n_sifted, disclosed)
+    disclosed_counts = np.bincount(sifted.cells[disclosed], minlength=n_cells)
+    rows = ((cfg.kind.matched_pairs(), disclosed_counts), (cfg.kind.chsh_pairs, kept_counts))
     table = CoincidenceTable(tuple(
-        CoincidenceRow(alice[i], bob[j], *(int(c) for c in counts[i, j]))
-        for i, j in cfg.kind.matched_pairs() + cfg.kind.chsh_pairs
+        CoincidenceRow(alice[i], bob[j], *(int(c) for c in counts.reshape(-1, 4)[i * len(bob) + j]))
+        for pairs, counts in rows
+        for i, j in pairs
     ))
     settings = chsh.canonical_settings(cfg.source.label) if cfg.kind.chsh_pairs else None
     est = estimate(table, cfg.source.label, cfg.kind, settings)
     return SessionRecord(
         n_pairs=cfg.n_pairs,
-        n_coincident=len(cells),
-        sifted_length=int(n_sifted),
-        disclosed_length=int(n_disclose),
+        n_coincident=n_coincident,
+        sifted_length=n_sifted,
+        disclosed_length=n_disclose,
         qber_hat=est.qber,
         qber_ci=est.qber_ci,
         per_basis_qber=est.per_basis_qber,

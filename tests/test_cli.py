@@ -169,12 +169,20 @@ class TestSweep:
         ["--efficiency", "0"],
         ["--seed", "-1"],
         ["--n-pairs", str(2**63)],
+        ["--workers", "0"],
+        ["--workers", "-3"],
     ])
     def test_out_of_range_flag_is_a_config_error(self, capsys, flags):
         argv = ["sweep", "--mechanism", "werner", "--grid", "0.9", "--n-pairs", "100", *flags]
         assert cli.main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_names_the_flag(self, capsys, workers):
+        argv = ["sweep", "--mechanism", "werner", "--grid", "0.9", "--n-pairs", "100", "--workers", workers]
+        assert cli.main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: --workers must be >= 1, got {workers}\n"
 
     def test_header_names_the_measured_bases(self, tmp_path):
         # QBER columns are always measured in BBM92's H/V and D/A bases, so
@@ -231,6 +239,19 @@ class TestSession:
         for verdict in ("individual_bound_ok", "collective_bound_ok", "mi_positive"):
             assert doc["security"][verdict] is True
         assert "key_alice" not in doc["record"]
+
+    @pytest.mark.parametrize("protocol_name", ["bbm92", "e91"])
+    def test_report_with_accidentals_is_json(self, tmp_path, protocol_name):
+        # Every count in the report must be a Python int: json.dumps cannot
+        # write numpy integers.
+        cfg = session_config(
+            tmp_path, protocol=protocol_name, detector={"efficiency": 0.8, "dark_rate": 0.01}
+        )
+        out = tmp_path / "report.json"
+        assert cli.main(["session", str(cfg), "--out", str(out)]) == EXIT_OK
+        record = json.loads(out.read_text())["record"]
+        assert record["disclosed_length"] + record["retained_length"] == record["sifted_length"]
+        assert record["sifted_length"] < record["n_coincident"]
 
     def test_werner_086_verdicts(self, tmp_path):
         cfg = session_config(

@@ -95,28 +95,29 @@ class TestSift:
     def test_all_matched_kept(self):
         cells = np.arange(10, dtype=np.uint8) % 4  # (H/V, H/V), every outcome
         res = sift(BBM92, BellLabel.PHI_PLUS, cells)
-        np.testing.assert_array_equal(res.kept, np.arange(10))
+        np.testing.assert_array_equal(res.cells, cells)
 
     def test_bbm92_keep_fraction(self):
         n = 200_000
         *_, cells = random_stream(BBM92, n, 1)
         res = sift(BBM92, BellLabel.PHI_PLUS, cells)
-        assert abs(res.kept.size / n - 0.5) < binom_5sigma(0.5, n)
+        assert abs(res.cells.size / n - 0.5) < binom_5sigma(0.5, n)
 
     def test_e91_keep_fraction_two_ninths(self):
         n = 900_000
         *_, cells = random_stream(E91, n, 2)
         res = sift(E91, BellLabel.PSI_MINUS, cells)
-        assert abs(res.kept.size / n - 2 / 9) < binom_5sigma(2 / 9, n)
+        assert abs(res.cells.size / n - 2 / 9) < binom_5sigma(2 / 9, n)
 
     def test_order_preserving_and_outcome_blind(self):
         a, b, outcomes, cells = random_stream(BBM92, 5000, 3)
+        kept, *_ = _oracles.sift_masked(BBM92, BellLabel.PHI_PLUS, a, b, outcomes)
         res = sift(BBM92, BellLabel.PHI_PLUS, cells)
-        assert np.all(np.diff(res.kept) > 0)
-        # permuting outcome labels must not change which indices are kept
-        permuted = ((outcomes + 1) % 4).astype(np.uint8)
-        res2 = sift(BBM92, BellLabel.PHI_PLUS, cells_of(BBM92, a, b, permuted))
-        np.testing.assert_array_equal(res.kept, res2.kept)
+        np.testing.assert_array_equal(res.cells, cells[kept])
+        # permuting outcome labels must not change which events are kept
+        permuted = cells_of(BBM92, a, b, ((outcomes + 1) % 4).astype(np.uint8))
+        res2 = sift(BBM92, BellLabel.PHI_PLUS, permuted)
+        np.testing.assert_array_equal(res2.cells, permuted[kept])
 
     @pytest.mark.parametrize("label", list(BellLabel))
     @pytest.mark.parametrize("kind", [BBM92, E91])
@@ -124,7 +125,7 @@ class TestSift:
         a, b, outcomes, cells = random_stream(kind, 20_000, [4, len(kind.bob_hwp_deg)])
         res = sift(kind, label, cells)
         kept, bits_a, bits_b = _oracles.sift_masked(kind, label, a, b, outcomes)
-        assert np.array_equal(res.kept, kept)
+        assert np.array_equal(res.cells, cells[kept])
         assert np.array_equal(res.bits_alice, bits_a)
         assert np.array_equal(res.bits_bob, bits_b)
         assert bits_a.size and (bits_a != bits_b).any() and (bits_a == bits_b).any()
@@ -272,6 +273,26 @@ class TestRunSession:
         assert rec.n_coincident > 100_000
         assert 0.002 < rec.qber_hat < 0.03
 
+    @pytest.mark.parametrize("kind", [BBM92, E91])
+    def test_count_fields_are_python_ints(self, kind):
+        # numpy counts (np.count_nonzero gives numpy.int64) would reach the
+        # JSON report, which json.dumps cannot write.
+        cfg = config(kind=kind, detector=DetectorModel(0.8, dark_rate=0.01), n_pairs=50_000, seed=16)
+        rec = run_session(cfg)
+        assert type(rec.n_coincident) is int
+        assert type(rec.sifted_length) is int
+        assert type(rec.disclosed_length) is int
+
+    def test_impossible_n_pairs_fails_before_any_draw(self, monkeypatch):
+        # The n-byte cell buffer is allocated before the first block; 2**62
+        # bytes exceed the address space whatever the overcommit mode.
+        def no_draw(*args):
+            raise AssertionError("sample_outcome_stream called")
+
+        monkeypatch.setattr(protocol, "sample_outcome_stream", no_draw)
+        with pytest.raises(MemoryError):
+            run_session(config(n_pairs=2**62))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             config(n_pairs=0)
@@ -365,6 +386,19 @@ class TestSessionMemory:
         cfg = config(kind=kind, channel=channel, detector=DetectorModel(), n_pairs=2_000_000, seed=3)
         assert peak_bytes_per_pair(cfg) <= 10.0
 
+    @pytest.mark.parametrize("channel", SESSION_CHANNELS)
+    @pytest.mark.parametrize("kind", [BBM92, E91])
+    def test_peak_slope_per_pair(self, kind, channel):
+        # Beyond the constant block arrays, peak memory grows by the cell
+        # buffer (one byte per pair) and by what sifting and the disclosure
+        # draw keep per kept coincidence, not by eight bytes per coincidence.
+        cfgs = [
+            config(kind=kind, channel=channel, detector=DetectorModel(), n_pairs=n, seed=3)
+            for n in (2_000_000, 8_000_000)
+        ]
+        small, large = (peak_bytes_per_pair(cfg) * cfg.n_pairs for cfg in cfgs)
+        assert (large - small) / 6_000_000 <= 3.5
+
 
 class TestSessionSampler:
     @pytest.mark.parametrize("channel", SESSION_CHANNELS)
@@ -412,9 +446,13 @@ class TestSessionSampler:
         # (Eve's three draws per pair), pooled over seeds, against the
         # kron/trace cell probabilities: both must fit, seed by seed too.
         captured = []
-        monkeypatch.setattr(
-            protocol, "sift", lambda k, label, cells: captured.append(cells.copy()) or sift(k, label, cells)
-        )
+        stream = protocol.sample_outcome_stream
+
+        def traced_stream(joint, stratum_idx, rng):
+            captured.append(stream(joint, stratum_idx, rng))
+            return captured[-1]
+
+        monkeypatch.setattr(protocol, "sample_outcome_stream", traced_stream)
         source = SourceModel(BellLabel.PHI_PLUS, epsilon_rad=0.6)
         det = DetectorModel()
         rho = optics.apply_channel(optics.generate(source), channel).rho
@@ -425,7 +463,9 @@ class TestSessionSampler:
         for i, seed in enumerate(seeds):
             cfg = config(kind=kind, source=source, channel=channel, detector=det, n_pairs=20_000, seed=seed)
             run_session(cfg)
-            lib[i] = np.bincount(captured.pop(), minlength=n_cells)
+            drawn = np.concatenate(captured)
+            captured.clear()
+            lib[i] = np.bincount(drawn[drawn < n_cells], minlength=n_cells)
             cells = _oracles.session_cells_strata(
                 kind, rho, det, channel.eve_fraction, 20_000, np.random.default_rng(seed)
             )
@@ -534,7 +574,9 @@ class TestRetainedIndices:
         n = int(rng.integers(1, 5_000))
         taken = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
         retained = _complement(n, taken)
-        assert np.array_equal(retained, np.setdiff1d(np.arange(n), taken))
+        assert retained.dtype == bool and retained.size == n
+        assert np.array_equal(np.flatnonzero(retained), np.setdiff1d(np.arange(n), taken))
 
     def test_complement_of_everything_is_empty(self):
-        assert _complement(3, np.array([2, 0, 1])).size == 0
+        retained = _complement(3, np.array([2, 0, 1]))
+        assert retained.size == 3 and not retained.any()
