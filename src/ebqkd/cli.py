@@ -353,6 +353,8 @@ def cmd_session(args: argparse.Namespace) -> int:
     cfg = _session_config(doc, args)
     try:
         record = protocol.run_session(cfg)
+    except protocol.AccidentalsMemoryError as exc:
+        raise ConfigError(f"invalid session config: {exc}")
     except MemoryError:
         raise ConfigError(f"config field 'n_pairs': {cfg.n_pairs} pairs do not fit in memory")
     report = protocol.security_report(cfg, record)

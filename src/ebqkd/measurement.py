@@ -4,12 +4,14 @@ A coincidence is both photons of one emitted pair being detected in the
 same emission slot; detector efficiency is applied independently per arm
 and accidental coincidences follow a Poisson model spread uniformly over
 the four outcomes.  All sampling is deterministic given a seed.  The
-session sampler turns one uniform per emitted pair into its cell
-``(a * n_b + b) * 4 + outcome``, or ``n_a * n_b * 4`` for a pair that is
-not coincident: one joint CDF per correlation matrix covers the setting
-pair, the coincidence and the outcome, and a uint8 table over equal
-buckets of the uniform inverts it exactly (:class:`JointCdf`, built once
-per session).  Eve's intercept-resend attack
+session sampler turns one exact 53-bit uniform per emitted pair into its
+cell ``(a * n_b + b) * 4 + outcome``, or ``n_a * n_b * 4`` for a pair that
+is not coincident: one joint CDF per correlation matrix covers the setting
+pair, the coincidence and the outcome.  A pair's top 16 bits are a lane of
+a raw generator word, four pairs per word (:class:`PairStream`), and index
+a uint8 table over 2^16 equal buckets (:class:`JointCdf`, built once per
+session); only a pair whose bucket holds a CDF threshold draws its other
+37 bits.  Eve's intercept-resend attack
 is sampled as the mixture of :func:`intercept_strata`: her records never
 leave the sampler, so no draw of hers is needed.
 """
@@ -244,9 +246,14 @@ def sample_outcomes(
     return tuple(rows)
 
 
-#: Equal buckets of ``[0, 1)`` in the lookup table of :class:`JointCdf`;
-#: a power of two, so a uniform's bucket ``floor(u * _BUCKETS)`` is exact.
-_BUCKETS = 1 << 12
+#: Top bits of a pair's uniform, read from its lane: lane ``j`` is the
+#: bucket ``[j, j + 1) / _BUCKETS`` of the lookup table of :class:`JointCdf`.
+_LANE_BITS = 16
+_BUCKETS = 1 << _LANE_BITS
+
+#: Low bits of a pair's uniform, drawn only where its bucket is split: the
+#: uniform is ``((lane << 37) | r) * 2**-53``, exact in float64.
+_REFINE_BITS = 53 - _LANE_BITS
 
 #: Table entry of a bucket that holds a CDF threshold; no cell reaches it,
 #: since a protocol layout has at most 63 setting pairs (252 cells).
@@ -273,6 +280,41 @@ def _bucket_table(cdf: np.ndarray) -> np.ndarray:
     return table
 
 
+class PairStream:
+    """The random bits of a stream of pairs, in stream order.
+
+    Pair ``i`` reads lane ``i % 4`` of raw word ``w = i // 4`` of
+    ``words``, the 16 bits ``(w >> 16 * (i % 4)) & 0xFFFF``: the top bits
+    of its uniform.  Lanes that one :meth:`lanes` call leaves over are the
+    first of the next, so however the pairs are cut into blocks, each pair
+    reads the same lane.  ``refine`` gives the low :data:`_REFINE_BITS`
+    bits (the top bits of one raw word) of each pair whose bucket is split,
+    in stream order; it is a generator of its own, so those words do not
+    depend on the blocks either.
+    """
+
+    def __init__(self, words: np.random.BitGenerator, refine: np.random.BitGenerator) -> None:
+        self.words = words
+        self.refine = refine
+        self._carry = np.zeros(0, dtype="<u2")
+
+    @classmethod
+    def spawn(cls, seed_seq: np.random.SeedSequence) -> "PairStream":
+        """A stream on the next two children of ``seed_seq``: words, then refinement."""
+        words, refine = seed_seq.spawn(2)
+        return cls(np.random.PCG64(words), np.random.PCG64(refine))
+
+    def lanes(self, n: int) -> np.ndarray:
+        """The next ``n`` lanes, as little-endian uint16: on a little-endian
+        host a view of the raw words."""
+        lanes = self._carry
+        if n > len(lanes):
+            words = self.words.random_raw(-(-(n - len(lanes)) // 4)).astype("<u8", copy=False).view("<u2")
+            lanes = np.concatenate((lanes, words)) if len(lanes) else words
+        self._carry = lanes[n:].copy()
+        return lanes[:n]
+
+
 @dataclass(frozen=True, eq=False)
 class JointCdf:
     """Joint CDFs of a stack of strata over the session cells, with the
@@ -283,8 +325,8 @@ class JointCdf:
     draws cell ``searchsorted(cdfs[s], u, side="right")``, which is ``n``
     when ``u`` lies beyond the last value.  ``table`` holds one
     :func:`_bucket_table` per row over :data:`_BUCKETS` equal buckets of
-    ``u``; it is built once, so one ``JointCdf`` serves every block of a
-    session.
+    ``u`` (64 KiB per row); it is built once, so one ``JointCdf`` serves
+    every block of a session.
     """
 
     cdfs: np.ndarray
@@ -317,34 +359,44 @@ class JointCdf:
         cdfs *= blochs[:, :1, 0]
         return cls(cdfs)
 
-    def invert(self, stratum_idx: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def invert(
+        self, stratum_idx: np.ndarray, lanes: np.ndarray, refine: np.random.BitGenerator
+    ) -> np.ndarray:
         """``searchsorted(cdfs[stratum], u, side="right")`` per pair, as uint8.
 
-        ``stratum_idx`` picks each pair's row and ``u`` in ``[0, 1)`` is its
-        uniform.  A pair whose bucket holds no threshold is answered by one
-        table lookup; the few whose bucket does fall back to the exact
-        ``searchsorted``, so every result is exactly its uniform's
-        inverse-CDF draw.
+        ``stratum_idx`` picks each pair's row and its uint16 lane is the
+        bucket of its uniform ``u``, whose cell one table lookup gives.  A
+        pair whose bucket holds a threshold takes ``r``, the top
+        :data:`_REFINE_BITS` bits of the next raw word of ``refine``, in
+        stream order; its cell is the exact ``searchsorted`` of
+        ``u = ((lane << 37) | r) * 2**-53``, built as an integer so that no
+        rounding moves it out of its bucket.
         """
-        bucket = (u * _BUCKETS).astype(np.intp)
+        bucket = lanes
         if len(self.cdfs) > 1:
-            bucket += stratum_idx.astype(np.intp) * _BUCKETS
+            bucket = stratum_idx.astype(np.intp) << _LANE_BITS
+            bucket |= lanes
         cells = self.table.take(bucket)
         split = np.flatnonzero(cells == _SPLIT)
-        for s, cdf in enumerate(self.cdfs):
-            mine = split[stratum_idx[split] == s]
-            cells[mine] = cdf.searchsorted(u[mine], side="right")
+        if len(split):
+            u = lanes[split].astype(np.uint64) << _REFINE_BITS
+            u |= refine.random_raw(len(split)) >> (64 - _REFINE_BITS)
+            u = u * 2.0**-53
+            for s, cdf in enumerate(self.cdfs):
+                mine = stratum_idx[split] == s
+                cells[split[mine]] = cdf.searchsorted(u[mine], side="right")
         return cells
 
 
-def sample_outcome_stream(joint: JointCdf, stratum_idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def sample_outcome_stream(joint: JointCdf, stratum_idx: np.ndarray, stream: PairStream) -> np.ndarray:
     """Per-pair cells: a uniform setting pair, coincidence and outcome in one draw.
 
     ``stratum_idx`` indexes the rows of ``joint`` (see :meth:`JointCdf.of`
-    for the cells).  One ``rng.random(n)`` call draws a uniform per pair in
-    stream order, and :meth:`JointCdf.invert` turns each into its cell.
+    for the cells).  The pairs read the next ``len(stratum_idx)`` lanes of
+    ``stream``, and :meth:`JointCdf.invert` turns each into its cell,
+    refining split buckets from ``stream.refine``.
     """
-    return joint.invert(stratum_idx, rng.random(len(stratum_idx)))
+    return joint.invert(stratum_idx, stream.lanes(len(stratum_idx)), stream.refine)
 
 
 def intercept_resend(

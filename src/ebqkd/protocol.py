@@ -1,16 +1,20 @@
 """BBM92 and E91 session engines.
 
-A session emits entangled pairs in blocks; per block it draws one
-``random(m)``, one uniform per pair, which picks the pair's setting pair
-(uniform, the same as independent uniform bases for Alice and Bob),
-whether both arms detected it and its joint analyzer outcome together, and
-keeps only the coincidences that the key or the counts table can use
-(matched bases and, for E91, the CHSH setting pairs); the others are only
-counted.  It then draws the accidentals, sifts on announced bases and
-estimates the QBER from a disclosed random subset (those bits are
-consumed).  Since a block draws nothing but its uniforms, the block size
-does not change the stream.  E91 additionally routes the four designated
-unmatched setting combinations into a CHSH estimate.
+A session emits entangled pairs in blocks.  Each pair's uniform picks its
+setting pair (uniform, the same as independent uniform bases for Alice and
+Bob), whether both arms detected it and its joint analyzer outcome
+together; of each block only the coincidences that the key or the counts
+table can use (matched bases and, for E91, the CHSH setting pairs) are
+kept, and the others are only counted.  The session seed gives three
+generators: its first child's raw words hold the pairs' 16-bit lanes, four
+per word; its second child refines the few pairs whose lane is a bucket
+split by a CDF threshold; the session generator itself then draws the
+accidentals and the disclosure.  Lanes carry over from block to block and
+refinements come in stream order, so the block size does not change the
+stream.  The session then sifts on announced bases and estimates the QBER
+from a disclosed random subset (those bits are consumed).  E91
+additionally routes the four designated unmatched setting combinations
+into a CHSH estimate.
 
 Bit mapping: the transmitted port is bit 0.  Bob inverts his bit in a
 matched basis exactly when the session's ideal Bell state is
@@ -46,10 +50,10 @@ from .measurement import (
     CoincidenceRow,
     CoincidenceTable,
     DetectorModel,
+    PairStream,
     bob_flip,
     intercept_resend,
     sample_outcome_stream,
-    spawn_rng,
     wrong_outcomes,
 )
 from .optics import ChannelModel, SourceModel
@@ -62,6 +66,10 @@ class EmptyBasisError(ValueError):
 
 class NoSiftedBitsError(EmptyBasisError):
     """A session produced no compatible-basis coincidences."""
+
+
+class AccidentalsMemoryError(MemoryError):
+    """A session's accidental coincidences do not fit in memory."""
 
 
 @dataclass(frozen=True)
@@ -127,6 +135,11 @@ def protocol_by_name(name: str) -> ProtocolKind:
         raise ValueError(f"unknown protocol {name!r}; expected one of {sorted(PROTOCOLS)}")
 
 
+#: Largest mean that numpy's Poisson sampler accepts ("lam value too large"
+#: above it).
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     kind: ProtocolKind
@@ -145,6 +158,12 @@ class SessionConfig:
         if not 0.0 < self.qber_sample_fraction < 1.0:
             raise ValueError(
                 f"qber_sample_fraction must be in (0, 1), got {self.qber_sample_fraction!r}"
+            )
+        accidentals = self.detector.expected_accidentals(self.n_pairs)
+        if not accidentals <= _POISSON_LAM_MAX:
+            raise ValueError(
+                f"detector.dark_rate gives {accidentals:.6g} expected accidental coincidences"
+                f" over {self.n_pairs} pairs, above the Poisson sampler's limit {_POISSON_LAM_MAX:.6g}"
             )
 
 
@@ -234,7 +253,8 @@ def _complement(n: int, taken: np.ndarray) -> np.ndarray:
 
 
 #: Pairs drawn per block by :func:`run_session`; it bounds the block's
-#: arrays and changes no draw.
+#: arrays and changes no draw (a multiple of 4, so that no block leaves a
+#: word's lanes over for the next).
 _BLOCK = 1 << 17
 
 
@@ -242,42 +262,57 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
     """Run a full protocol session; identical configs give identical records.
 
     Raises:
+        AccidentalsMemoryError: if the dark rate asks for more accidental
+            coincidences than fit in memory.
         NoSiftedBitsError: if no compatible-basis coincidence survived.
         EmptyBasisError: if the disclosed sample misses a matched basis.
         chsh.IncompleteTableError: if an E91 CHSH setting pair saw no
             coincidence.
     """
-    rng = spawn_rng(cfg.seed)
+    seed_seq = np.random.SeedSequence(cfg.seed)
+    rng = np.random.default_rng(seed_seq)
+    stream = PairStream.spawn(seed_seq)
     state = optics.apply_channel(optics.generate(cfg.source), cfg.channel)
     alice, bob = cfg.kind.alice_settings(), cfg.kind.bob_settings()
     n, n_cells = cfg.n_pairs, len(alice) * len(bob) * 4
 
     # Fixed draw order, part of the reproducibility contract: one uniform
-    # per pair, block by block, which picks the setting pair, coincidence
-    # and outcome together; then accidentals and disclosure. One joint CDF
-    # serves every block. Across blocks only the cells the counts table or
-    # the key can use (matched bases and CHSH pairs) are kept, in a buffer
-    # allocated once (an impossible n_pairs fails here, before any draw);
-    # the other coincidences are only counted.
+    # per pair, in stream order, which picks the setting pair, coincidence
+    # and outcome together (its lane from the first child generator of the
+    # session seed, its refinement, if its bucket is split, from the
+    # second); then accidentals and disclosure from the session generator.
+    # One joint CDF serves every block. Across blocks only the cells the
+    # counts table or the key can use (matched bases and CHSH pairs) are
+    # kept, in a buffer allocated once (an impossible n_pairs fails here,
+    # before any draw); the other coincidences are only counted.
     joint = intercept_resend(
         state, alice, bob, cfg.channel.eve_fraction, cfg.detector.coincidence_efficiency()
     )
     counted = cfg.kind.matched_pairs() + cfg.kind.chsh_pairs
     cells = np.empty(n, dtype=np.uint8)
+    one_stratum = np.zeros(min(_BLOCK, n), dtype=np.uint8)
     n_coincident = n_kept = 0
     for start in range(0, n, _BLOCK):
-        drawn = sample_outcome_stream(joint, np.zeros(min(_BLOCK, n - start), dtype=np.uint8), rng)
+        drawn = sample_outcome_stream(joint, one_stratum[:n - start], stream)
         n_coincident += int(np.count_nonzero(drawn < n_cells))
         kept = _in_pairs(drawn, counted, len(bob))
         k = int(np.count_nonzero(kept))
         np.compress(kept, drawn, out=cells[n_kept:n_kept + k])
         n_kept += k
     cells = cells[:n_kept]
+    del one_stratum, joint, stream  # frees the sampler's table and block buffer before sifting
 
-    n_acc = int(rng.poisson(cfg.detector.expected_accidentals(n)))
+    expected_acc = cfg.detector.expected_accidentals(n)
+    n_acc = int(rng.poisson(expected_acc))
     if n_acc:
-        accidentals = rng.integers(0, n_cells, size=n_acc, dtype=np.uint8)
-        cells = np.concatenate([cells, accidentals[_in_pairs(accidentals, counted, len(bob))]])
+        try:
+            accidentals = rng.integers(0, n_cells, size=n_acc, dtype=np.uint8)
+            cells = np.concatenate([cells, accidentals[_in_pairs(accidentals, counted, len(bob))]])
+        except MemoryError:
+            raise AccidentalsMemoryError(
+                f"detector.dark_rate: {expected_acc:.6g} expected accidental coincidences"
+                " do not fit in memory"
+            ) from None
         n_coincident += n_acc
 
     # The CHSH rows count every kept cell, the matched rows only the

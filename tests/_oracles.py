@@ -205,22 +205,27 @@ def ideal_correlator(label: BellLabel, pol_rad: float) -> float:
     return float(p[0] + p[3] - p[1] - p[2])
 
 
-def sample_outcome_stream_grouped(blochs, stratum_idx, a_settings, b_settings, rng) -> np.ndarray:
+def sample_outcome_stream_grouped(blochs, stratum_idx, a_settings, b_settings, words, refine) -> np.ndarray:
     """Per-pair cells by one joint inverse CDF per stratum, one group at a time.
 
-    One ``rng.random(n)`` call draws a uniform per pair in stream order.
-    Each stratum's members are found by a scan of the whole stream; their
-    cell is ``searchsorted(cdf, u, side="right")`` in the joint CDF over the
-    cells ``(a * n_b + b) * 4 + outcome``, taken by kron/trace from the
-    (possibly sub-normalised) density matrix of the stratum's correlation
-    matrix and scaled so that its last value is the trace ``C[0, 0]``; a
-    uniform beyond it gives ``n_a * n_b * 4``, "not coincident".  The
-    library reads a bucket table instead.
+    Pair ``i`` takes the 16 bits ``(w >> 16 * (i % 4)) & 0xFFFF`` of raw
+    word ``w = i // 4`` of the bit generator ``words`` as its lane, by
+    Python-int shifts.  Its cell is ``searchsorted(cdf, u, side="right")``
+    in its stratum's joint CDF over the cells ``(a * n_b + b) * 4 +
+    outcome``, taken by kron/trace from the (possibly sub-normalised)
+    density matrix of the stratum's correlation matrix and scaled so that
+    its last value is the trace ``C[0, 0]``; a uniform beyond it gives
+    ``n_a * n_b * 4``, "not coincident".  Where a threshold ``c`` of that
+    CDF has ``lane < c * 2**16 < lane + 1``, the pair takes the top 37 bits
+    ``r`` of the next raw word of ``refine``, in stream order, and
+    ``u = ((lane << 37) | r) / 2**53``; elsewhere ``u = lane / 2**16``.
+    The library reads a bucket table instead.
     """
-    u = rng.random(len(stratum_idx))
-    out = np.zeros(len(stratum_idx), dtype=np.uint8)
-    for s, c in enumerate(blochs):
-        members = np.nonzero(stratum_idx == s)[0]
+    n = len(stratum_idx)
+    raw = [int(w) for w in words.random_raw(-(-n // 4))]
+    lanes = [(raw[i // 4] >> (16 * (i % 4))) & 0xFFFF for i in range(n)]
+    cdfs = []
+    for c in blochs:
         rho = density_from_bloch(c)
         p = np.concatenate([
             joint_probabilities(rho, a, b).clip(0.0, 1.0) for a in a_settings for b in b_settings
@@ -228,6 +233,17 @@ def sample_outcome_stream_grouped(blochs, stratum_idx, a_settings, b_settings, r
         cdf = np.cumsum(p)
         cdf /= cdf[-1]
         cdf *= c[0, 0]
+        cdfs.append(cdf)
+    lane_col = np.array(lanes, dtype=np.float64)[:, None]
+    scaled = np.array(cdfs)[stratum_idx] * 2**16
+    split = ((lane_col < scaled) & (scaled < lane_col + 1)).any(axis=1)
+    low = iter(int(w) >> 27 for w in refine.random_raw(int(split.sum())))
+    u = np.array([
+        ((lane << 37) | next(low)) / 2**53 if cut else lane / 2**16 for lane, cut in zip(lanes, split)
+    ])
+    out = np.zeros(n, dtype=np.uint8)
+    for s, cdf in enumerate(cdfs):
+        members = np.nonzero(stratum_idx == s)[0]
         out[members] = cdf.searchsorted(u[members], side="right")
     return out
 

@@ -473,6 +473,23 @@ class TestSession:
         err = capsys.readouterr().err
         assert err.startswith("error: config field 'n_pairs': 1000000000000") and err.count("\n") == 1
 
+    def test_accidentals_past_the_poisson_limit_name_the_dark_rate(self, tmp_path, capsys):
+        cfg = session_config(tmp_path, detector={"dark_rate": 1e30}, n_pairs=1_000_000)
+        assert cli.main(["session", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: invalid session config: detector.dark_rate gives 1e+36 expected accidental coincidences"
+        ) and err.count("\n") == 1
+
+    def test_accidentals_out_of_memory_name_the_dark_rate(self, tmp_path, capsys):
+        # 1e18 bytes exceed the address space whatever the overcommit mode.
+        cfg = session_config(tmp_path, detector={"dark_rate": 1e12}, n_pairs=1_000_000)
+        assert cli.main(["session", str(cfg)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: invalid session config: detector.dark_rate: 1e+18 expected accidental coincidences"
+            " do not fit in memory\n"
+        )
+
     def test_missing_protocol_field(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"source": {"label": "phi_plus"}}))

@@ -17,6 +17,7 @@ from ebqkd.measurement import (
     CoincidenceTable,
     DetectorModel,
     JointCdf,
+    PairStream,
     bob_flip,
     intercept_average_state,
     intercept_resend,
@@ -186,13 +187,25 @@ class TestSampleOutcomes:
         assert not np.array_equal(a, c)
 
 
+def _fresh_generators(seed):
+    """The lane and refinement bit generators of ``seed``'s stream, built
+    apart from :class:`PairStream`: its first two children."""
+    return tuple(np.random.PCG64(child) for child in np.random.SeedSequence(seed).spawn(2))
+
+
+def _next_words(*generators):
+    return tuple(int(g.random_raw()) for g in generators)
+
+
 def _both_samplers(blochs, stratum_idx, a_settings, b_settings, seed):
-    """Library and oracle cells from equal generators, plus each
-    generator's next uniform (equal when both consumed the same draws)."""
-    rng_lib, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    lib = sample_outcome_stream(JointCdf.of(blochs, a_settings, b_settings), stratum_idx, rng_lib)
-    ref = sample_outcome_stream_grouped(blochs, stratum_idx, a_settings, b_settings, rng_ref)
-    return lib, ref, rng_lib.random(), rng_ref.random()
+    """Library and oracle cells from equal seeds, plus the next raw word of
+    each side's lane and refinement generators (equal when both consumed
+    the same draws)."""
+    stream = PairStream.spawn(np.random.SeedSequence(seed))
+    lib = sample_outcome_stream(JointCdf.of(blochs, a_settings, b_settings), stratum_idx, stream)
+    words, refine = _fresh_generators(seed)
+    ref = sample_outcome_stream_grouped(blochs, stratum_idx, a_settings, b_settings, words, refine)
+    return lib, ref, _next_words(stream.words, stream.refine), _next_words(words, refine)
 
 
 E91_ALICE = tuple(AnalyzerSetting(t) for t in (0.0, 11.25, 22.5))
@@ -204,7 +217,8 @@ class TestSampleOutcomeStream:
     def test_matches_grouped_oracle_over_all_strata(self, seed):
         # Every pair's cell is searchsorted(cdf[stratum], u, side="right") of
         # its own uniform, for a k = 5 stack whose traces run from 1 (no
-        # loss) down to 0.3, over all nine setting pairs and the lost cell.
+        # loss) down to 0.3, over all nine setting pairs and the lost cell;
+        # some pairs fall in split buckets and draw refinement words.
         rng = np.random.default_rng([99, seed])
         state = bell_state(list(BellLabel)[seed % 4], 0.6)
         blochs, _ = intercept_strata(state, 0.4)
@@ -216,6 +230,7 @@ class TestSampleOutcomeStream:
         assert lib.dtype == np.uint8 and lib.shape == (n,)
         assert np.array_equal(lib, ref)
         assert next_lib == next_ref
+        assert next_lib[1] != _next_words(_fresh_generators(seed)[1])[0]
         lost = lib == 36
         assert not lost[stratum_idx == 0].any() and all(lost[stratum_idx == s].any() for s in range(1, 5))
         assert set(np.unique(lib[~lost] >> 2)) == set(range(9))
@@ -248,7 +263,19 @@ class TestSampleOutcomeStream:
         lib, ref, next_lib, next_ref = _both_samplers(blochs, empty, E91_ALICE, E91_BOB, 8)
         assert lib.dtype == np.uint8 and lib.shape == (0,)
         assert np.array_equal(lib, ref)
-        assert next_lib == next_ref == np.random.default_rng(8).random()
+        assert next_lib == next_ref == _next_words(*_fresh_generators(8))
+
+    @pytest.mark.parametrize("sizes", [(3, 1, 5, 4097, 6), (4, 4, 8), (1,) * 11])
+    def test_lanes_carry_over_between_draws(self, sizes):
+        # Pairs read lanes in stream order however the draws cut the words:
+        # lane j of word w is (w >> 16 j) & 0xFFFF.
+        stream = PairStream.spawn(np.random.SeedSequence(4))
+        drawn = np.concatenate([stream.lanes(n) for n in sizes])
+        words, _ = _fresh_generators(4)
+        raw = [int(w) for w in words.random_raw(-(-sum(sizes) // 4))]
+        assert drawn.dtype == np.dtype("<u2")
+        assert drawn.tolist() == [(raw[i // 4] >> (16 * (i % 4))) & 0xFFFF for i in range(sum(sizes))]
+        assert _next_words(stream.words) == _next_words(words)
 
 
 def _sub_normalised_cdfs():
@@ -283,23 +310,71 @@ def _sub_normalised_cdfs():
 _ABOVE_ONE = float(np.nextafter(1.0, 2.0))
 
 
-def _uniforms_at_edges(cdf: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Uniforms on and next to every bucket edge and every threshold,
-    plus random ones, all in [0, 1)."""
+class _RawWords:
+    """A bit generator stand-in whose raw words are given, in order."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words, self.used = words, 0
+
+    def random_raw(self, size: int) -> np.ndarray:
+        self.used += size
+        assert self.used <= len(self.words), "more refinement words drawn than split pairs"
+        return self.words[self.used - size:self.used]
+
+
+_LOW = 1 << 37
+
+
+def _pairs_at_edges(cdf: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``(lanes, low)``: every lane with random low 37 bits; the lanes at and
+    beside every threshold's bucket, and the first and last, with low bits 0,
+    ``2**37 - 1`` and random ones; and the 53-bit uniforms on and next to
+    every threshold."""
     buckets = measurement._BUCKETS
-    points = np.concatenate((np.arange(buckets + 1) / buckets, cdf))
-    u = np.concatenate((points, np.nextafter(points, 0.0), np.nextafter(points, 1.0), rng.random(2_000)))
-    return u[(u >= 0.0) & (u < 1.0)]
+    near = np.floor(cdf * buckets).astype(np.int64)
+    near = np.concatenate((near - 1, near, near + 1, [0, buckets - 1]))
+    near = np.repeat(near[(near >= 0) & (near < buckets)], 3)
+    on = np.array([math.floor(c * 2.0**53) + d for c in cdf for d in (-1, 0, 1, 2)], dtype=np.int64)
+    on = on[(on >= 0) & (on < 1 << 53)]
+    lanes = np.concatenate((np.arange(buckets), near, on >> 37))
+    low = np.concatenate((
+        rng.integers(0, _LOW, size=buckets),
+        np.tile([0, _LOW - 1, int(rng.integers(0, _LOW))], len(near) // 3),
+        on & (_LOW - 1),
+    ))
+    return lanes, low.astype(np.uint64)
+
+
+def _check_lookup(cdfs, stratum_idx, lanes, low) -> np.ndarray:
+    """Cells of ``JointCdf(cdfs).invert`` against
+    ``searchsorted(cdfs[stratum], ((lane << 37) | low) * 2**-53)``; the
+    pairs whose bucket a threshold ``c`` splits (``lane < c * 2**16 <
+    lane + 1``) must draw exactly their refinement words, in stream order,
+    and only their top 37 bits may count."""
+    buckets = measurement._BUCKETS
+    split = np.zeros(len(lanes), dtype=bool)
+    expected = np.zeros(len(lanes), dtype=np.int64)
+    u = ((lanes.astype(np.uint64) << 37) | low).astype(np.float64) * 2.0**-53
+    for s, cdf in enumerate(cdfs):
+        mine = stratum_idx == s
+        scaled = cdf * buckets
+        split[mine] = scaled.searchsorted(lanes[mine], side="right") < scaled.searchsorted(lanes[mine] + 1)
+        expected[mine] = cdf.searchsorted(u[mine], side="right")
+    junk = np.arange(len(lanes), dtype=np.uint64) % np.uint64(1 << 27)
+    refine = _RawWords(((low << 27) | junk)[split])
+    cells = JointCdf(cdfs).invert(stratum_idx, lanes.astype(np.uint16), refine)
+    assert cells.dtype == np.uint8
+    assert np.array_equal(cells, expected)
+    assert refine.used == np.count_nonzero(split)
+    return cells
 
 
 class TestBucketLookup:
     @settings(max_examples=150, deadline=None)
     @given(cdf=_sub_normalised_cdfs(), seed=st.integers(0, 2**32 - 1))
     def test_lookup_equals_searchsorted(self, cdf, seed):
-        u = _uniforms_at_edges(cdf, np.random.default_rng(seed))
-        cells = JointCdf(cdf[None]).invert(np.zeros(len(u), dtype=np.uint8), u)
-        assert cells.dtype == np.uint8
-        assert np.array_equal(cells, cdf.searchsorted(u, side="right"))
+        lanes, low = _pairs_at_edges(cdf, np.random.default_rng(seed))
+        _check_lookup(cdf[None], np.zeros(len(lanes), dtype=np.uint8), lanes, low)
 
     @settings(max_examples=50, deadline=None)
     @given(first=_sub_normalised_cdfs(), second=_sub_normalised_cdfs(), seed=st.integers(0, 2**32 - 1))
@@ -307,13 +382,9 @@ class TestBucketLookup:
         n = max(len(first), len(second))
         cdfs = np.array([np.pad(c, (0, n - len(c)), constant_values=c[-1]) for c in (first, second)])
         rng = np.random.default_rng(seed)
-        u = np.concatenate([_uniforms_at_edges(c, rng) for c in cdfs])
-        stratum_idx = rng.integers(0, 2, size=len(u)).astype(np.uint8)
-        cells = JointCdf(cdfs).invert(stratum_idx, u)
-        expected = np.where(
-            stratum_idx == 0, cdfs[0].searchsorted(u, side="right"), cdfs[1].searchsorted(u, side="right")
-        )
-        assert np.array_equal(cells, expected)
+        lanes, low = (np.concatenate(parts) for parts in zip(*(_pairs_at_edges(c, rng) for c in cdfs)))
+        stratum_idx = rng.integers(0, 2, size=len(lanes)).astype(np.uint8)
+        _check_lookup(cdfs, stratum_idx, lanes, low)
 
     def test_table_marks_only_buckets_holding_a_threshold(self):
         # Thresholds inside buckets 0 and 1, on the edges 0, 1 / B and 1 / 2,
@@ -325,9 +396,8 @@ class TestBucketLookup:
         assert list(table[:3]) == [measurement._SPLIT, measurement._SPLIT, 5]
         assert table[buckets // 2 - 1] == 5 and table[buckets // 2] == 6 and table[-1] == 6
         assert np.count_nonzero(table == measurement._SPLIT) == 2
-        u = _uniforms_at_edges(cdf, np.random.default_rng(0))
-        cells = JointCdf(cdf[None]).invert(np.zeros(len(u), dtype=np.uint8), u)
-        assert np.array_equal(cells, cdf.searchsorted(u, side="right"))
+        lanes, low = _pairs_at_edges(cdf, np.random.default_rng(0))
+        _check_lookup(cdf[None], np.zeros(len(lanes), dtype=np.uint8), lanes, low)
 
     def test_trace_above_one_fills_no_bucket(self):
         # Last threshold 1 + 2^-52: no uniform in [0, 1) reaches it, so the
@@ -336,9 +406,8 @@ class TestBucketLookup:
         cdf = np.array([0.25, 0.5, 0.75, _ABOVE_ONE])
         table = measurement._bucket_table(cdf)
         assert table.shape == (buckets,) and table[-1] == 3
-        u = _uniforms_at_edges(cdf, np.random.default_rng(1))
-        cells = JointCdf(cdf[None]).invert(np.zeros(len(u), dtype=np.uint8), u)
-        assert np.array_equal(cells, cdf.searchsorted(u, side="right"))
+        lanes, low = _pairs_at_edges(cdf, np.random.default_rng(1))
+        cells = _check_lookup(cdf[None], np.zeros(len(lanes), dtype=np.uint8), lanes, low)
         assert cells.max() == 3
 
     def test_stack_with_trace_above_one_matches_grouped_oracle(self):
@@ -375,22 +444,23 @@ class TestInterceptResend:
     @pytest.mark.parametrize("eve_fraction", [0.0, 0.3, 1.0])
     def test_stream_matches_masked_strata_and_grouped_oracle(self, eve_fraction):
         # The library draws one uniform per pair from the strata mixture
-        # scaled by the coincidence efficiency: on an equal generator it must
+        # scaled by the coincidence efficiency: on an equal seed it must
         # equal the grouped joint-CDF sampler over the partial-trace mixture,
         # and its coincident cells must follow in distribution the masked-
         # strata engine, which makes Eve's three draws per pair.
         rho = bell_state(BellLabel.PSI_PLUS, 0.6).rho
         n, efficiency = 40_000, 0.6
-        rng_lib, rng = np.random.default_rng(42), np.random.default_rng(42)
+        stream = PairStream.spawn(np.random.SeedSequence(42))
         joint = intercept_resend(TwoQubitState(rho), E91_ALICE, E91_BOB, eve_fraction, efficiency)
-        lib = sample_outcome_stream(joint, np.zeros(n, dtype=np.uint8), rng_lib)
+        lib = sample_outcome_stream(joint, np.zeros(n, dtype=np.uint8), stream)
         states, weights = _oracles.intercept_strata(rho, eve_fraction)
         mixture = _oracles.pauli_bloch(sum(w * r for w, r in zip(weights, states)))[None]
+        words, refine = _fresh_generators(42)
         ref = sample_outcome_stream_grouped(
-            efficiency * mixture, np.zeros(n, dtype=np.uint8), E91_ALICE, E91_BOB, rng
+            efficiency * mixture, np.zeros(n, dtype=np.uint8), E91_ALICE, E91_BOB, words, refine
         )
         assert np.array_equal(lib, ref)
-        assert rng_lib.random() == rng.random()
+        assert _next_words(stream.words, stream.refine) == _next_words(words, refine)
         coincident = np.count_nonzero(lib < 36)
         assert abs(coincident - efficiency * n) < 5 * math.sqrt(n * efficiency * (1 - efficiency))
 
@@ -470,7 +540,8 @@ class TestInterceptResend:
         n = 400_000
         bases = (setting(0),)
         joint = intercept_resend(state, bases, bases, 1.0, 1.0)
-        outcomes = sample_outcome_stream(joint, np.zeros(n, dtype=np.uint8), np.random.default_rng(8))
+        stream = PairStream.spawn(np.random.SeedSequence(8))
+        outcomes = sample_outcome_stream(joint, np.zeros(n, dtype=np.uint8), stream)
         wrong = np.isin(outcomes, (1, 2)).mean()
         assert abs(wrong - 0.25) < 5 * math.sqrt(0.25 * 0.75 / n)
 

@@ -293,6 +293,20 @@ class TestRunSession:
         with pytest.raises(MemoryError):
             run_session(config(n_pairs=2**62))
 
+    def test_accidentals_that_exceed_the_address_space_name_the_dark_rate(self):
+        # 1e18 expected accidentals pass the Poisson sampler but not memory.
+        cfg = config(detector=DetectorModel(dark_rate=1e12), n_pairs=1_000_000)
+        with pytest.raises(protocol.AccidentalsMemoryError, match=r"^detector\.dark_rate: 1e\+18 expected"):
+            run_session(cfg)
+
+    def test_accidentals_past_the_poisson_limit_are_rejected(self):
+        limit = protocol._POISSON_LAM_MAX
+        config(detector=DetectorModel(dark_rate=limit), n_pairs=1)
+        np.random.default_rng(0).poisson(limit)
+        for dark_rate in (float(np.nextafter(limit, math.inf)), 1e30):
+            with pytest.raises(ValueError, match=r"^detector\.dark_rate gives .* Poisson sampler's limit"):
+                config(detector=DetectorModel(dark_rate=dark_rate), n_pairs=1)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             config(n_pairs=0)
@@ -373,9 +387,18 @@ class TestSessionMemory:
     @pytest.mark.parametrize("kind", [BBM92, E91])
     def test_peak_bytes_per_pair(self, kind, channel):
         # Per-pair arrays are uint8 or bool once drawn; the only 8-byte ones
-        # are a block's uniforms and CDF values and the sifted indices.
+        # are a block's intp bucket index (the take of its uint16 lanes) and
+        # the disclosure draw's indices over the sifted bits.
         cfg = config(kind=kind, channel=channel, detector=DetectorModel(), n_pairs=250_000, seed=3)
         assert peak_bytes_per_pair(cfg) <= 32.0
+
+    @pytest.mark.parametrize("channel", SESSION_CHANNELS)
+    @pytest.mark.parametrize("kind", [BBM92, E91])
+    def test_one_block_peak_bytes_per_pair(self, kind, channel):
+        # Two blocks' worth of pairs: a block draws 2 bytes of raw words per
+        # pair, not a float64 uniform, its float64 product and an intp bucket.
+        cfg = config(kind=kind, channel=channel, detector=DetectorModel(), n_pairs=250_000, seed=3)
+        assert peak_bytes_per_pair(cfg) <= 10.0
 
     @pytest.mark.parametrize("channel", SESSION_CHANNELS)
     @pytest.mark.parametrize("kind", [BBM92, E91])
@@ -434,6 +457,22 @@ class TestSessionSampler:
         )
         whole = run_session(cfg)
         monkeypatch.setattr(protocol, "_BLOCK", 999)
+        split = run_session(cfg)
+        assert (split.n_coincident, split.counts, split.report) == (whole.n_coincident, whole.counts, whole.report)
+        assert np.array_equal(split.key_bits_alice, whole.key_bits_alice)
+        assert np.array_equal(split.key_bits_bob, whole.key_bits_bob)
+
+    @pytest.mark.parametrize("block", [3, 4097])
+    def test_block_sizes_that_cut_words_do_not_change_the_record(self, monkeypatch, block):
+        # Blocks that end inside a word of four lanes carry its other lanes
+        # over; split pairs refine from their own generator in stream order.
+        cfg = config(
+            kind=E91, source=SourceModel(BellLabel.PHI_MINUS, epsilon_rad=0.7),
+            channel=ChannelModel.intercept_resend(0.3), detector=DetectorModel(0.7, dark_rate=0.01),
+            n_pairs=50_001,
+        )
+        whole = run_session(cfg)
+        monkeypatch.setattr(protocol, "_BLOCK", block)
         split = run_session(cfg)
         assert (split.n_coincident, split.counts, split.report) == (whole.n_coincident, whole.counts, whole.report)
         assert np.array_equal(split.key_bits_alice, whole.key_bits_alice)
