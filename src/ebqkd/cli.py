@@ -416,10 +416,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if window is not None and not 0.0 <= window < math.inf:
         raise ConfigError(f"--accidental-window must be finite and >= 0, got {window!r}")
     record = ingest.parse_counts(args.counts)
-    settings = chsh.canonical_settings(record.state_label)
     estimate, report = ingest.analyze_counts(
         record,
-        settings=settings,
         protocol=protocol.protocol_by_name(args.protocol),
         accidental_window=window,
     )

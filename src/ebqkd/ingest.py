@@ -152,7 +152,7 @@ def parse_counts(source: str | Path | bytes | IO[str] | IO[bytes]) -> CountRecor
             f"{[l.value for l in BellLabel]}"
         )
     try:
-        seconds = float(header["seconds-per-row"])
+        seconds = _number(float, header["seconds-per-row"])
     except ValueError:
         raise CountFileError(f"seconds-per-row is not a number: {header['seconds-per-row']!r}")
     if not math.isfinite(seconds) or seconds <= 0.0:
@@ -171,6 +171,15 @@ def parse_counts(source: str | Path | bytes | IO[str] | IO[bytes]) -> CountRecor
 _COLUMNS = ("alice_hwp_deg", "bob_hwp_deg", "singles_a", "singles_b", "coincidences")
 
 
+def _number(kind: type, token: str) -> float | int:
+    """``kind(token)`` for an ASCII token without ``_``: Python also reads
+    digit-group underscores and non-ASCII digits, which the grammar does not
+    have."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(token)
+    return kind(token)
+
+
 def _parse_row(content: str, lineno: int, seen: dict[tuple[float, float], int]) -> CountRow:
     tokens = content.split()
     if len(tokens) != 5:
@@ -181,7 +190,7 @@ def _parse_row(content: str, lineno: int, seen: dict[tuple[float, float], int]) 
     angles = []
     for col, token in enumerate(tokens[:2]):
         try:
-            value = float(token)
+            value = _number(float, token)
         except ValueError:
             raise CountFileError(
                 f"malformed row: column {col + 1} ({_COLUMNS[col]}) must be decimal degrees,"
@@ -201,7 +210,7 @@ def _parse_row(content: str, lineno: int, seen: dict[tuple[float, float], int]) 
     counts = []
     for col, token in enumerate(tokens[2:], start=2):
         try:
-            value = int(token)
+            value = _number(int, token)
         except ValueError:
             raise CountFileError(
                 f"malformed row: column {col + 1} ({_COLUMNS[col]}) count {token!r}"
@@ -224,15 +233,19 @@ def _parse_row(content: str, lineno: int, seen: dict[tuple[float, float], int]) 
 
 
 def write_counts(record: CountRecordFile, dest: str | Path | IO[str]) -> None:
-    """Serialize a count file in the exact shape ``parse_counts`` reads."""
+    """Serialize a count file in the exact shape ``parse_counts`` reads.
+
+    Numbers are written as Python's shortest round-tripping ``repr``, so
+    ``parse_counts`` reads back the same record, line numbers aside.
+    """
     buf = io.StringIO()
     buf.write(f"format: {FORMAT_NAME}/{FORMAT_VERSION}\n")
     buf.write(f"state: {record.state_label.value}\n")
-    buf.write(f"seconds-per-row: {record.seconds_per_row:g}\n")
+    buf.write(f"seconds-per-row: {float(record.seconds_per_row)!r}\n")
     buf.write("# alice_hwp_deg bob_hwp_deg singles_a singles_b coincidences\n")
     for row in record.rows:
         buf.write(
-            f"{row.alice_hwp_deg:g} {row.bob_hwp_deg:g} "
+            f"{float(row.alice_hwp_deg)!r} {float(row.bob_hwp_deg)!r} "
             f"{row.singles_a} {row.singles_b} {row.coincidences}\n"
         )
     if isinstance(dest, (str, Path)):

@@ -6,7 +6,7 @@ and accidental coincidences follow a Poisson model spread uniformly over
 the four outcomes.  All sampling is deterministic given a seed.  The
 session sampler turns one exact 53-bit uniform per emitted pair into its
 cell ``(a * n_b + b) * 4 + outcome``, or ``n_a * n_b * 4`` for a pair that
-is not coincident: one joint CDF per correlation matrix covers the setting
+is not coincident: one joint CDF of a correlation matrix covers the setting
 pair, the coincidence and the outcome.  A pair's top 16 bits are a lane of
 a raw generator word, four pairs per word (:class:`PairStream`), and index
 a uint8 table over 2^16 equal buckets (:class:`JointCdf`, built once per
@@ -151,14 +151,12 @@ class CoincidenceTable:
         return self._index.get(hwp_key(a.hwp_angle_deg, b.hwp_angle_deg))
 
 
-def spawn_rng(seed: int | np.random.Generator, *stream: int) -> np.random.Generator:
+def spawn_rng(seed: int, *stream: int) -> np.random.Generator:
     """Deterministic child generator for (master seed, stream indices).
 
     The fixed splitting rule makes parallel work independent of scheduling
     order: every task keyed by the same indices sees the same stream.
     """
-    if isinstance(seed, np.random.Generator):
-        return seed
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(stream)))
 
 
@@ -213,11 +211,11 @@ def sample_outcomes(
     pairs: Sequence[tuple[AnalyzerSetting, AnalyzerSetting]],
     det: DetectorModel,
     n_pairs: int,
-    rngs: Sequence[int | np.random.Generator],
+    rngs: Sequence[np.random.Generator],
 ) -> tuple[CoincidenceRow, ...]:
     """Coincidence counts for each analyzer setting pair.
 
-    Pair ``j`` draws from ``spawn_rng(rngs[j])`` alone: the coincidences
+    Pair ``j`` draws from the generator ``rngs[j]`` alone: the coincidences
     among ``n_pairs`` emitted pairs (binomial in the product of the per-arm
     detection efficiencies), their Born-rule outcomes (multinomial), and
     Poisson accidentals spread uniformly over the four outcomes.  One
@@ -235,8 +233,7 @@ def sample_outcomes(
     tables = born_table(state.bloch, a_settings, b_settings)[on_pair, on_pair]
     tables /= tables.sum(axis=-1, keepdims=True)
     rows = []
-    for (a, b), p, seed in zip(pairs, tables, rngs, strict=True):
-        rng = spawn_rng(seed)
+    for (a, b), p, rng in zip(pairs, tables, rngs, strict=True):
         n_coinc = int(rng.binomial(n_pairs, det.coincidence_efficiency()))
         counts = rng.multinomial(n_coinc, p)
         n_acc = int(rng.poisson(det.expected_accidentals(n_pairs)))
@@ -317,86 +314,75 @@ class PairStream:
 
 @dataclass(frozen=True, eq=False)
 class JointCdf:
-    """Joint CDFs of a stack of strata over the session cells, with the
-    uint8 table that inverts them.
+    """Joint CDF over the session cells, with the uint8 table that inverts it.
 
-    ``cdfs`` is a ``(k, n)`` stack of nondecreasing CDFs with ``n < 255``;
-    row ``s`` belongs to stratum ``s``, and a uniform ``u`` of that stratum
-    draws cell ``searchsorted(cdfs[s], u, side="right")``, which is ``n``
-    when ``u`` lies beyond the last value.  ``table`` holds one
-    :func:`_bucket_table` per row over :data:`_BUCKETS` equal buckets of
-    ``u`` (64 KiB per row); it is built once, so one ``JointCdf`` serves
-    every block of a session.
+    ``cdf`` is a nondecreasing ``(n,)`` CDF with ``n < 255``: a uniform
+    ``u`` draws cell ``searchsorted(cdf, u, side="right")``, which is ``n``
+    when ``u`` lies beyond the last value.  ``table`` is its
+    :func:`_bucket_table` over :data:`_BUCKETS` equal buckets of ``u``
+    (64 KiB); it is built once, so one ``JointCdf`` serves every block of a
+    session.
     """
 
-    cdfs: np.ndarray
+    cdf: np.ndarray
     table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "table", np.concatenate([_bucket_table(cdf) for cdf in self.cdfs]))
+        object.__setattr__(self, "table", _bucket_table(self.cdf))
 
     @classmethod
     def of(
         cls,
-        blochs: np.ndarray,
+        bloch: np.ndarray,
         a_settings: Sequence[AnalyzerSetting],
         b_settings: Sequence[AnalyzerSetting],
     ) -> "JointCdf":
-        """Joint CDFs of a ``(k, 4, 4)`` stack of correlation matrices.
+        """Joint CDF of a ``(4, 4)`` correlation matrix ``C``.
 
-        Each may be sub-normalised: ``C[0, 0]`` is the probability that the
-        pair is coincident.  A row runs over the cells
+        ``C`` may be sub-normalised: ``C[0, 0]`` is the probability that the
+        pair is coincident.  The CDF runs over the cells
         ``(a * n_b + b) * 4 + outcome`` (``n_b = len(b_settings)``, outcome
-        0..3 for ``++, +-, -+, --``): its
+        0..3 for ``++, +-, -+, --``): the
         :func:`~ebqkd.qstate.born_table` flattened, accumulated and scaled
         so that its last value is ``C[0, 0]`` (every setting pair is equally
         likely).  The missing trace is the last cell,
         ``n_cells = n_a * n_b * 4``: "not coincident".
         """
-        probs = born_table(blochs, a_settings, b_settings).reshape(len(blochs), -1)
-        cdfs = probs.cumsum(axis=1)
-        cdfs /= cdfs[:, -1:]
-        cdfs *= blochs[:, :1, 0]
-        return cls(cdfs)
+        cdf = born_table(bloch, a_settings, b_settings).cumsum()
+        cdf /= cdf[-1]
+        cdf *= bloch[0, 0]
+        return cls(cdf)
 
-    def invert(
-        self, stratum_idx: np.ndarray, lanes: np.ndarray, refine: np.random.BitGenerator
-    ) -> np.ndarray:
-        """``searchsorted(cdfs[stratum], u, side="right")`` per pair, as uint8.
+    def invert(self, lanes: np.ndarray, refine: np.random.BitGenerator) -> np.ndarray:
+        """``searchsorted(cdf, u, side="right")`` per pair, as uint8.
 
-        ``stratum_idx`` picks each pair's row and its uint16 lane is the
-        bucket of its uniform ``u``, whose cell one table lookup gives.  A
-        pair whose bucket holds a threshold takes ``r``, the top
-        :data:`_REFINE_BITS` bits of the next raw word of ``refine``, in
-        stream order; its cell is the exact ``searchsorted`` of
-        ``u = ((lane << 37) | r) * 2**-53``, built as an integer so that no
-        rounding moves it out of its bucket.
+        Each pair's uint16 lane is the bucket of its uniform ``u``, whose
+        cell one table lookup gives.  A pair whose bucket holds a threshold
+        takes ``r``, the top :data:`_REFINE_BITS` bits of the next raw word
+        of ``refine``, in stream order; its cell is the exact
+        ``searchsorted`` of ``u = ((lane << 37) | r) * 2**-53``, built as an
+        integer so that no rounding moves it out of its bucket.
         """
-        bucket = lanes
-        if len(self.cdfs) > 1:
-            bucket = stratum_idx.astype(np.intp) << _LANE_BITS
-            bucket |= lanes
-        cells = self.table.take(bucket)
+        cells = self.table.take(lanes)
         split = np.flatnonzero(cells == _SPLIT)
         if len(split):
             u = lanes[split].astype(np.uint64) << _REFINE_BITS
             u |= refine.random_raw(len(split)) >> (64 - _REFINE_BITS)
-            u = u * 2.0**-53
-            for s, cdf in enumerate(self.cdfs):
-                mine = stratum_idx[split] == s
-                cells[split[mine]] = cdf.searchsorted(u[mine], side="right")
+            cells[split] = self.cdf.searchsorted(u * 2.0**-53, side="right")
         return cells
 
 
 def sample_outcome_stream(joint: JointCdf, stratum_idx: np.ndarray, stream: PairStream) -> np.ndarray:
     """Per-pair cells: a uniform setting pair, coincidence and outcome in one draw.
 
-    ``stratum_idx`` indexes the rows of ``joint`` (see :meth:`JointCdf.of`
-    for the cells).  The pairs read the next ``len(stratum_idx)`` lanes of
-    ``stream``, and :meth:`JointCdf.invert` turns each into its cell,
-    refining split buckets from ``stream.refine``.
+    Only ``len(stratum_idx)`` is read: the pairs read the next that many
+    lanes of ``stream``, and :meth:`JointCdf.invert` turns each into its
+    cell (see :meth:`JointCdf.of`), refining split buckets from
+    ``stream.refine``.  The argument stays because the benchmark's layer
+    tracing counts pairs from it, until the bench reads the package's own
+    stage counters (ROADMAP direction 7).
     """
-    return joint.invert(stratum_idx, stream.lanes(len(stratum_idx)), stream.refine)
+    return joint.invert(stream.lanes(len(stratum_idx)), stream.refine)
 
 
 def intercept_resend(
@@ -406,23 +392,22 @@ def intercept_resend(
     eve_fraction: float,
     efficiency: float,
 ) -> JointCdf:
-    """One-stratum :class:`JointCdf` of the pairs under partial
-    intercept-resend, both photons of a pair detected with probability
-    ``efficiency``.
+    """The :class:`JointCdf` of the pairs under partial intercept-resend,
+    both photons of a pair detected with probability ``efficiency``.
 
     For an intercepted pair Eve measures Bob's photon in a uniformly random
     key basis (H/V or D/A) and forwards a re-prepared eigenstate.  She acts
     on each pair independently of its settings and her records are not
     returned, so every pair is drawn from the weighted
-    :func:`intercept_strata` mixture as one stratum: the same distribution
-    as drawing her interception, basis and result first, with no Eve
-    randomness consumed.  The mixture's correlation matrix is scaled by
-    ``efficiency``, whose missing trace is the "not coincident" cell.  At
-    ``eve_fraction = 0`` the mixture is ``state.bloch``.
+    :func:`intercept_strata` mixture: the same distribution as drawing her
+    interception, basis and result first, with no Eve randomness consumed.
+    The mixture's correlation matrix is scaled by ``efficiency``, whose
+    missing trace is the "not coincident" cell.  At ``eve_fraction = 0``
+    the mixture is ``state.bloch``.
     """
     blochs, weights = intercept_strata(state, eve_fraction)
     mixture = efficiency * np.tensordot(weights, blochs, axes=1)
-    return JointCdf.of(mixture[None], a_settings, b_settings)
+    return JointCdf.of(mixture, a_settings, b_settings)
 
 
 def expected_counts(

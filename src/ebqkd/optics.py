@@ -128,10 +128,8 @@ def apply_channel(state: TwoQubitState, channel: ChannelModel) -> TwoQubitState:
     Alice's rows 1..3 for ``arm="a"``, Bob's columns 1..3 for ``"b"`` and
     every entry but ``C[0, 0]`` for ``"both"``.
     """
-    if channel.kind is ChannelKind.IDENTITY:
-        return state
-    if channel.kind is ChannelKind.INTERCEPT_RESEND:
-        # Tag only; per-pair attack statistics live in the sampling layer.
+    if channel.kind in (ChannelKind.IDENTITY, ChannelKind.INTERCEPT_RESEND):
+        # Intercept-resend is a tag only; per-pair attack statistics live in the sampling layer.
         return state
     keep = 1.0 - channel.parameter
     c = state.bloch.copy()

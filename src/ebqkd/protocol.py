@@ -290,17 +290,17 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
     )
     counted = cfg.kind.matched_pairs() + cfg.kind.chsh_pairs
     cells = np.empty(n, dtype=np.uint8)
-    one_stratum = np.zeros(min(_BLOCK, n), dtype=np.uint8)
     n_coincident = n_kept = 0
     for start in range(0, n, _BLOCK):
-        drawn = sample_outcome_stream(joint, one_stratum[:n - start], stream)
+        one_stratum = np.broadcast_to(np.uint8(0), (min(_BLOCK, n - start),))  # read for its length
+        drawn = sample_outcome_stream(joint, one_stratum, stream)
         n_coincident += int(np.count_nonzero(drawn < n_cells))
         kept = _in_pairs(drawn, counted, len(bob))
         k = int(np.count_nonzero(kept))
         np.compress(kept, drawn, out=cells[n_kept:n_kept + k])
         n_kept += k
     cells = cells[:n_kept]
-    del one_stratum, joint, stream  # frees the sampler's table and block buffer before sifting
+    del joint, stream  # frees the sampler's table and block buffer before sifting
 
     expected_acc = cfg.detector.expected_accidentals(n)
     n_acc = int(rng.poisson(expected_acc))

@@ -5,10 +5,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebqkd import chsh, ingest
 from ebqkd.ingest import CountFileError, analyze_counts, parse_counts, synthesize_counts, write_counts
-from ebqkd.measurement import CoincidenceRow, CoincidenceTable, DetectorModel
+from ebqkd.measurement import AnalyzerSetting, CoincidenceRow, CoincidenceTable, DetectorModel, hwp_key
 from ebqkd.optics import bell_state, werner_state
 from ebqkd.protocol import BBM92, E91, estimate
 from ebqkd.qstate import BellLabel
@@ -102,8 +104,82 @@ class TestParse:
         assert rec.rows[0].coincidences == 9
         assert rec.rows[0].line == 7
 
+    @pytest.mark.parametrize("token", ["1_000", "\u0663", "1\u0660"])
+    @pytest.mark.parametrize("col", range(5))
+    def test_numbers_outside_the_grammar_name_their_column(self, col, token):
+        # Python's int and float read digit-group underscores and non-ASCII
+        # digits; the grammar has neither.
+        row = ["10.5", "20", "7", "8", "9"]
+        row[col] = token
+        text = f"format: qkd-counts/1\nstate: phi_plus\nseconds-per-row: 1\n{' '.join(row)}\n"
+        kind = "must be decimal degrees" if col < 2 else "is not an integer"
+        with pytest.raises(CountFileError, match=f"line 4: malformed row: column {col + 1} .*{kind}"):
+            parse_counts(text.encode())
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", "0.5\u0660"])
+    def test_seconds_outside_the_grammar(self, token):
+        text = f"format: qkd-counts/1\nstate: phi_plus\nseconds-per-row: {token}\n0 0 1 1 1\n"
+        with pytest.raises(CountFileError, match="seconds-per-row is not a number"):
+            parse_counts(text.encode())
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        head=st.sampled_from([b"", b"format: qkd-counts/1\nstate: phi_plus\nseconds-per-row: 1\n"]),
+        body=st.one_of(
+            st.binary(max_size=300),
+            st.text(alphabet="0123456789 ._-+eEinfatx:\t\n#\u0663\u00a0", max_size=300).map(str.encode),
+            st.text(max_size=100).map(lambda t: t.encode("utf-8", "surrogatepass")),
+        ),
+    )
+    def test_arbitrary_bytes_parse_or_raise_count_file_error(self, head, body):
+        try:
+            parse_counts(head + body)
+        except CountFileError:
+            pass
+
+
+def _records():
+    """Count records with finite angles in [0, 180), distinct angle pairs,
+    any nonnegative counts and any positive finite seconds per row."""
+    angle = st.floats(0.0, 180.0, exclude_max=True)
+    count = st.integers(0, 2**64)
+    row = st.builds(ingest.CountRow, angle, angle, count, count, count)
+    return st.builds(
+        ingest.CountRecordFile,
+        st.just(ingest.FORMAT_VERSION),
+        st.sampled_from(BellLabel),
+        st.floats(0.0, exclude_min=True, allow_infinity=False),
+        st.lists(row, min_size=1, max_size=20, unique_by=lambda r: hwp_key(r.alice_hwp_deg, r.bob_hwp_deg))
+        .map(tuple),
+    )
+
+
+def _written_and_parsed(record):
+    buf = io.StringIO()
+    write_counts(record, buf)
+    parsed = parse_counts(buf.getvalue().encode())
+    return dataclasses.replace(parsed, rows=tuple(dataclasses.replace(r, line=0) for r in parsed.rows))
+
 
 class TestRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(record=_records())
+    def test_write_then_parse_gives_the_record(self, record):
+        assert _written_and_parsed(record) == record
+
+    def test_full_precision_settings_and_seconds_round_trip(self):
+        # At 6 significant digits 11.2345678 would read back as 11.2346,
+        # which no required angle pair matches, and 0.1234567 as 0.123457.
+        settings = chsh.ChshSettings(*(AnalyzerSetting(t) for t in (0.0, 22.5, 11.2345678, 33.7654321)))
+        rec = synthesize_counts(
+            werner_state(BellLabel.PHI_PLUS, 0.9), BellLabel.PHI_PLUS, n_pairs_per_row=10_000, seed=3,
+            settings=settings, seconds_per_row=0.1234567,
+        )
+        reparsed = _written_and_parsed(rec)
+        assert reparsed == rec
+        assert reparsed.seconds_per_row == 0.1234567
+        assert analyze_counts(reparsed, settings=settings) == analyze_counts(rec, settings=settings)
+
     def test_serialize_parse_analyze_bit_for_bit(self):
         state = werner_state(BellLabel.PHI_PLUS, 0.9)
         rec = synthesize_counts(

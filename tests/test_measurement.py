@@ -38,7 +38,7 @@ def setting(pol_deg):
 
 def sample_pair(state, a, b, det, n, seed):
     """Counts of one setting pair, drawn by the batched sampler."""
-    (row,) = sample_outcomes(state, [(a, b)], det, n, [seed])
+    (row,) = sample_outcomes(state, [(a, b)], det, n, [spawn_rng(seed)])
     return row.counts()
 
 
@@ -172,12 +172,12 @@ class TestSampleOutcomes:
         pairs = [(setting(0), setting(22.5)), (setting(45), setting(45)), (setting(30), setting(100))]
         det = DetectorModel(efficiency=0.8, dark_rate=0.01)
         for sampled in (state, intercept_average_state(state, 0.3)):
-            rows = sample_outcomes(sampled, pairs, det, 20_000, [11, 12, 13])
+            rows = sample_outcomes(sampled, pairs, det, 20_000, [spawn_rng(s) for s in (11, 12, 13)])
             assert [(r.a, r.b) for r in rows] == pairs
             for (a, b), seed, row in zip(pairs, (11, 12, 13), rows):
                 assert row.counts() == sample_pair(sampled, a, b, det, 20_000, seed)
         with pytest.raises(ValueError):
-            sample_outcomes(state, pairs, det, 20_000, [11, 12])
+            sample_outcomes(state, pairs, det, 20_000, [spawn_rng(11), spawn_rng(12)])
 
     def test_spawn_rng_is_deterministic_per_stream(self):
         a = spawn_rng(7, 3).random(4)
@@ -197,14 +197,15 @@ def _next_words(*generators):
     return tuple(int(g.random_raw()) for g in generators)
 
 
-def _both_samplers(blochs, stratum_idx, a_settings, b_settings, seed):
-    """Library and oracle cells from equal seeds, plus the next raw word of
-    each side's lane and refinement generators (equal when both consumed
-    the same draws)."""
+def _both_samplers(bloch, n, a_settings, b_settings, seed):
+    """Library and oracle cells of ``n`` pairs from equal seeds, plus the
+    next raw word of each side's lane and refinement generators (equal when
+    both consumed the same draws)."""
     stream = PairStream.spawn(np.random.SeedSequence(seed))
-    lib = sample_outcome_stream(JointCdf.of(blochs, a_settings, b_settings), stratum_idx, stream)
+    joint = JointCdf.of(bloch, a_settings, b_settings)
+    lib = sample_outcome_stream(joint, np.zeros(n, dtype=np.uint8), stream)
     words, refine = _fresh_generators(seed)
-    ref = sample_outcome_stream_grouped(blochs, stratum_idx, a_settings, b_settings, words, refine)
+    ref = sample_outcome_stream_grouped(bloch, n, a_settings, b_settings, words, refine)
     return lib, ref, _next_words(stream.words, stream.refine), _next_words(words, refine)
 
 
@@ -213,43 +214,32 @@ E91_BOB = tuple(AnalyzerSetting(t) for t in (11.25, 22.5, 33.75))
 
 
 class TestSampleOutcomeStream:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_matches_grouped_oracle_over_all_strata(self, seed):
-        # Every pair's cell is searchsorted(cdf[stratum], u, side="right") of
-        # its own uniform, for a k = 5 stack whose traces run from 1 (no
-        # loss) down to 0.3, over all nine setting pairs and the lost cell;
-        # some pairs fall in split buckets and draw refinement words.
-        rng = np.random.default_rng([99, seed])
-        state = bell_state(list(BellLabel)[seed % 4], 0.6)
+    @pytest.mark.parametrize("stratum", [0, 1, 2, 3, 4])
+    def test_matches_grouped_oracle_over_all_strata(self, stratum):
+        # Every pair's cell is searchsorted(cdf, u, side="right") of its own
+        # uniform, for each matrix of an intercept-resend stack scaled to
+        # traces from 1 (no loss) down to 0.3, over all nine setting pairs
+        # and the lost cell; some pairs fall in split buckets and draw
+        # refinement words.
+        state = bell_state(list(BellLabel)[stratum % 4], 0.6)
         blochs, _ = intercept_strata(state, 0.4)
-        blochs = blochs * np.array([1.0, 0.8, 0.6, 0.45, 0.3])[:, None, None]
+        bloch = blochs[stratum] * (1.0, 0.8, 0.6, 0.45, 0.3)[stratum]
         n = 20_000
-        stratum_idx = rng.integers(0, len(blochs), size=n).astype(np.uint8)
-        lib, ref, next_lib, next_ref = _both_samplers(blochs, stratum_idx, E91_ALICE, E91_BOB, seed)
-        assert set(np.unique(stratum_idx)) == set(range(5))
+        lib, ref, next_lib, next_ref = _both_samplers(bloch, n, E91_ALICE, E91_BOB, stratum)
         assert lib.dtype == np.uint8 and lib.shape == (n,)
         assert np.array_equal(lib, ref)
         assert next_lib == next_ref
-        assert next_lib[1] != _next_words(_fresh_generators(seed)[1])[0]
+        assert next_lib[1] != _next_words(_fresh_generators(stratum)[1])[0]
         lost = lib == 36
-        assert not lost[stratum_idx == 0].any() and all(lost[stratum_idx == s].any() for s in range(1, 5))
+        assert lost.any() == (stratum > 0)
         assert set(np.unique(lib[~lost] >> 2)) == set(range(9))
 
-    def test_single_group(self):
-        # One stratum of a k = 5 stack: every pair in stratum 3.
-        blochs, _ = intercept_strata(bell_state(BellLabel.PHI_PLUS), 0.5)
-        n = 5_000
-        stratum_idx = np.full(n, 3, dtype=np.uint8)
-        lib, ref, next_lib, next_ref = _both_samplers(0.7 * blochs, stratum_idx, E91_ALICE, E91_BOB, 7)
-        assert np.array_equal(lib, ref)
-        assert next_lib == next_ref
-
     def test_zero_probability_outcomes(self):
-        # Maximal phi+ with equal analyzers never gives +- or -+ (k = 1).
-        blochs = 0.5 * bell_state(BellLabel.PHI_PLUS).bloch[None]
+        # Maximal phi+ with equal analyzers never gives +- or -+.
+        bloch = 0.5 * bell_state(BellLabel.PHI_PLUS).bloch
         bases = (setting(0), setting(45))
         n = 10_000
-        lib, ref, next_lib, next_ref = _both_samplers(blochs, np.zeros(n, dtype=np.uint8), bases, bases, 6)
+        lib, ref, next_lib, next_ref = _both_samplers(bloch, n, bases, bases, 6)
         assert np.array_equal(lib, ref)
         assert next_lib == next_ref
         coincident = lib[lib < 16]
@@ -258,9 +248,8 @@ class TestSampleOutcomeStream:
         assert np.isin(coincident[~matched] & 3, (1, 2)).any()
 
     def test_empty_stream(self):
-        blochs = bell_state(BellLabel.PHI_PLUS).bloch[None]
-        empty = np.zeros(0, dtype=np.uint8)
-        lib, ref, next_lib, next_ref = _both_samplers(blochs, empty, E91_ALICE, E91_BOB, 8)
+        bloch = bell_state(BellLabel.PHI_PLUS).bloch
+        lib, ref, next_lib, next_ref = _both_samplers(bloch, 0, E91_ALICE, E91_BOB, 8)
         assert lib.dtype == np.uint8 and lib.shape == (0,)
         assert np.array_equal(lib, ref)
         assert next_lib == next_ref == _next_words(*_fresh_generators(8))
@@ -345,24 +334,19 @@ def _pairs_at_edges(cdf: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarr
     return lanes, low.astype(np.uint64)
 
 
-def _check_lookup(cdfs, stratum_idx, lanes, low) -> np.ndarray:
-    """Cells of ``JointCdf(cdfs).invert`` against
-    ``searchsorted(cdfs[stratum], ((lane << 37) | low) * 2**-53)``; the
-    pairs whose bucket a threshold ``c`` splits (``lane < c * 2**16 <
-    lane + 1``) must draw exactly their refinement words, in stream order,
-    and only their top 37 bits may count."""
-    buckets = measurement._BUCKETS
-    split = np.zeros(len(lanes), dtype=bool)
-    expected = np.zeros(len(lanes), dtype=np.int64)
+def _check_lookup(cdf, lanes, low) -> np.ndarray:
+    """Cells of ``JointCdf(cdf).invert`` against
+    ``searchsorted(cdf, ((lane << 37) | low) * 2**-53)``; the pairs whose
+    bucket a threshold ``c`` splits (``lane < c * 2**16 < lane + 1``) must
+    draw exactly their refinement words, in stream order, and only their
+    top 37 bits may count."""
+    scaled = cdf * measurement._BUCKETS
+    split = scaled.searchsorted(lanes, side="right") < scaled.searchsorted(lanes + 1)
     u = ((lanes.astype(np.uint64) << 37) | low).astype(np.float64) * 2.0**-53
-    for s, cdf in enumerate(cdfs):
-        mine = stratum_idx == s
-        scaled = cdf * buckets
-        split[mine] = scaled.searchsorted(lanes[mine], side="right") < scaled.searchsorted(lanes[mine] + 1)
-        expected[mine] = cdf.searchsorted(u[mine], side="right")
+    expected = cdf.searchsorted(u, side="right")
     junk = np.arange(len(lanes), dtype=np.uint64) % np.uint64(1 << 27)
     refine = _RawWords(((low << 27) | junk)[split])
-    cells = JointCdf(cdfs).invert(stratum_idx, lanes.astype(np.uint16), refine)
+    cells = JointCdf(cdf).invert(lanes.astype(np.uint16), refine)
     assert cells.dtype == np.uint8
     assert np.array_equal(cells, expected)
     assert refine.used == np.count_nonzero(split)
@@ -374,17 +358,7 @@ class TestBucketLookup:
     @given(cdf=_sub_normalised_cdfs(), seed=st.integers(0, 2**32 - 1))
     def test_lookup_equals_searchsorted(self, cdf, seed):
         lanes, low = _pairs_at_edges(cdf, np.random.default_rng(seed))
-        _check_lookup(cdf[None], np.zeros(len(lanes), dtype=np.uint8), lanes, low)
-
-    @settings(max_examples=50, deadline=None)
-    @given(first=_sub_normalised_cdfs(), second=_sub_normalised_cdfs(), seed=st.integers(0, 2**32 - 1))
-    def test_lookup_per_stratum(self, first, second, seed):
-        n = max(len(first), len(second))
-        cdfs = np.array([np.pad(c, (0, n - len(c)), constant_values=c[-1]) for c in (first, second)])
-        rng = np.random.default_rng(seed)
-        lanes, low = (np.concatenate(parts) for parts in zip(*(_pairs_at_edges(c, rng) for c in cdfs)))
-        stratum_idx = rng.integers(0, 2, size=len(lanes)).astype(np.uint8)
-        _check_lookup(cdfs, stratum_idx, lanes, low)
+        _check_lookup(cdf, lanes, low)
 
     def test_table_marks_only_buckets_holding_a_threshold(self):
         # Thresholds inside buckets 0 and 1, on the edges 0, 1 / B and 1 / 2,
@@ -397,7 +371,7 @@ class TestBucketLookup:
         assert table[buckets // 2 - 1] == 5 and table[buckets // 2] == 6 and table[-1] == 6
         assert np.count_nonzero(table == measurement._SPLIT) == 2
         lanes, low = _pairs_at_edges(cdf, np.random.default_rng(0))
-        _check_lookup(cdf[None], np.zeros(len(lanes), dtype=np.uint8), lanes, low)
+        _check_lookup(cdf, lanes, low)
 
     def test_trace_above_one_fills_no_bucket(self):
         # Last threshold 1 + 2^-52: no uniform in [0, 1) reaches it, so the
@@ -407,19 +381,20 @@ class TestBucketLookup:
         table = measurement._bucket_table(cdf)
         assert table.shape == (buckets,) and table[-1] == 3
         lanes, low = _pairs_at_edges(cdf, np.random.default_rng(1))
-        cells = _check_lookup(cdf[None], np.zeros(len(lanes), dtype=np.uint8), lanes, low)
+        cells = _check_lookup(cdf, lanes, low)
         assert cells.max() == 3
 
     def test_stack_with_trace_above_one_matches_grouped_oracle(self):
         # A trace that rounds to 1 + 2^-52 (a valid state at efficiency 1)
-        # samples like any other: no pair is lost in that stratum.
+        # samples like any other: no pair of such a matrix is lost.
         blochs, _ = intercept_strata(bell_state(BellLabel.PSI_MINUS, 0.6), 0.4)
-        blochs = blochs * np.array([_ABOVE_ONE, 1.0, 0.5, _ABOVE_ONE, 0.9])[:, None, None]
-        stratum_idx = np.random.default_rng(5).integers(0, 5, size=20_000).astype(np.uint8)
-        lib, ref, next_lib, next_ref = _both_samplers(blochs, stratum_idx, E91_ALICE, E91_BOB, 9)
-        assert np.array_equal(lib, ref)
-        assert next_lib == next_ref
-        assert not (lib[np.isin(stratum_idx, (0, 1, 3))] == 36).any()
+        for stratum, trace in enumerate((_ABOVE_ONE, 1.0, 0.5, _ABOVE_ONE, 0.9)):
+            lib, ref, next_lib, next_ref = _both_samplers(
+                trace * blochs[stratum], 4_000, E91_ALICE, E91_BOB, 9 + stratum
+            )
+            assert np.array_equal(lib, ref)
+            assert next_lib == next_ref
+            assert (lib == 36).any() == (trace < 1.0)
 
 
 class TestInterceptResend:
@@ -454,11 +429,9 @@ class TestInterceptResend:
         joint = intercept_resend(TwoQubitState(rho), E91_ALICE, E91_BOB, eve_fraction, efficiency)
         lib = sample_outcome_stream(joint, np.zeros(n, dtype=np.uint8), stream)
         states, weights = _oracles.intercept_strata(rho, eve_fraction)
-        mixture = _oracles.pauli_bloch(sum(w * r for w, r in zip(weights, states)))[None]
+        mixture = _oracles.pauli_bloch(sum(w * r for w, r in zip(weights, states)))
         words, refine = _fresh_generators(42)
-        ref = sample_outcome_stream_grouped(
-            efficiency * mixture, np.zeros(n, dtype=np.uint8), E91_ALICE, E91_BOB, words, refine
-        )
+        ref = sample_outcome_stream_grouped(efficiency * mixture, n, E91_ALICE, E91_BOB, words, refine)
         assert np.array_equal(lib, ref)
         assert _next_words(stream.words, stream.refine) == _next_words(words, refine)
         coincident = np.count_nonzero(lib < 36)
