@@ -169,20 +169,28 @@ def write_sweep_table(
 
 
 def read_sweep_table(source: str | Path) -> dict[str, list[float]]:
-    """Parse a sweep table back into columns (round-trip of the schema)."""
+    """Parse a sweep table back into columns (round-trip of the schema).
+
+    Raises:
+        ValueError: if the header is not :data:`SWEEP_COLUMNS`, or a data
+            row does not hold one value per column (naming its line).
+    """
     columns: list[str] | None = None
     data: dict[str, list[float]] = {}
-    for raw in Path(source).read_text(encoding="utf-8").splitlines():
+    for number, raw in enumerate(Path(source).read_text(encoding="utf-8").splitlines(), start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
         delimiter = "\t" if "\t" in raw else ","
+        tokens = raw.split(delimiter)
         if columns is None:
-            columns = raw.split(delimiter)
+            columns = tokens
             if tuple(columns) != SWEEP_COLUMNS:
                 raise ValueError(f"unexpected sweep columns: {columns!r}")
             data = {c: [] for c in columns}
             continue
-        for c, token in zip(columns, raw.split(delimiter)):
+        if len(tokens) != len(columns):
+            raise ValueError(f"line {number}: {len(tokens)} values for {len(columns)} sweep columns: {raw!r}")
+        for c, token in zip(columns, tokens):
             data[c].append(float(token))
     if columns is None:
         raise ValueError("no header row found")
@@ -353,7 +361,7 @@ def cmd_session(args: argparse.Namespace) -> int:
     cfg = _session_config(doc, args)
     try:
         record = protocol.run_session(cfg)
-    except protocol.AccidentalsMemoryError as exc:
+    except protocol.KeyMemoryError as exc:
         raise ConfigError(f"invalid session config: {exc}")
     except MemoryError:
         raise ConfigError(f"config field 'n_pairs': {cfg.n_pairs} pairs do not fit in memory")

@@ -1,25 +1,22 @@
-"""Analyzer settings, per-pair outcome sampling and coincidence counting.
+"""Analyzer settings, outcome sampling and coincidence counting.
 
 A coincidence is both photons of one emitted pair being detected in the
 same emission slot; detector efficiency is applied independently per arm
 and accidental coincidences follow a Poisson model spread uniformly over
-the four outcomes.  All sampling is deterministic given a seed.  The
-session sampler turns one exact 53-bit uniform per emitted pair into its
-cell ``(a * n_b + b) * 4 + outcome``, or ``n_a * n_b * 4`` for a pair that
-is not coincident: one joint CDF of a correlation matrix covers the setting
-pair, the coincidence and the outcome.  A pair's top 16 bits are a lane of
-a raw generator word, four pairs per word (:class:`PairStream`), and index
-a uint8 table over 2^16 equal buckets (:class:`JointCdf`, built once per
-session); only a pair whose bucket holds a CDF threshold draws its other
-37 bits.  Eve's intercept-resend attack
-is sampled as the mixture of :func:`intercept_strata`: her records never
-leave the sampler, so no draw of hers is needed.
+the four outcomes.  All sampling is deterministic given a seed.  A session
+draws the counts of its cells ``(a * n_b + b) * 4 + outcome`` in one
+multinomial (:func:`sample_outcome_stream`) from the cell probabilities of
+:func:`intercept_resend`, which cover the setting pair, the coincidence and
+the outcome together; the pairs that are not coincident are one more cell.
+Eve's intercept-resend attack is sampled as the mixture of
+:func:`intercept_strata`: her records never leave the sampler, so no draw
+of hers is needed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -243,146 +240,17 @@ def sample_outcomes(
     return tuple(rows)
 
 
-#: Top bits of a pair's uniform, read from its lane: lane ``j`` is the
-#: bucket ``[j, j + 1) / _BUCKETS`` of the lookup table of :class:`JointCdf`.
-_LANE_BITS = 16
-_BUCKETS = 1 << _LANE_BITS
+def sample_outcome_stream(joint: np.ndarray, stratum_idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Cell counts of ``len(stratum_idx)`` pairs, in one multinomial draw.
 
-#: Low bits of a pair's uniform, drawn only where its bucket is split: the
-#: uniform is ``((lane << 37) | r) * 2**-53``, exact in float64.
-_REFINE_BITS = 53 - _LANE_BITS
-
-#: Table entry of a bucket that holds a CDF threshold; no cell reaches it,
-#: since a protocol layout has at most 63 setting pairs (252 cells).
-_SPLIT = 255
-
-
-def _bucket_table(cdf: np.ndarray) -> np.ndarray:
-    """uint8 ``table[j] = searchsorted(cdf, u, side="right")`` for every ``u``
-    in bucket ``[j, j + 1) / _BUCKETS``, or :data:`_SPLIT` where a threshold
-    lies strictly inside the bucket and the cell depends on ``u``.
-
-    The cell in bucket ``j`` counts the thresholds ``c <= j / _BUCKETS``,
-    that is ``ceil(c * _BUCKETS) <= j``; a threshold with
-    ``floor(c * _BUCKETS) < ceil(c * _BUCKETS)`` splits bucket ``floor``.
-    A threshold at or above 1 (a trace that rounds to ``1 + 2**-52``) is
-    reached by no ``u`` and counts in no bucket.
+    ``joint`` holds the cell probabilities of :func:`intercept_resend`; the
+    result has one more entry than ``joint``, the pairs that are not
+    coincident (the missing probability, none if ``joint`` sums to 1 or
+    rounds above it).  Only ``len(stratum_idx)`` is read: the argument
+    stays because the benchmark's layer tracing counts pairs from it, until
+    the bench reads the package's own stage counters (ROADMAP direction 7).
     """
-    scaled = cdf * _BUCKETS
-    first = np.minimum(np.ceil(scaled), _BUCKETS).astype(np.intp)
-    last = np.floor(scaled).astype(np.intp)
-    cells = np.arange(len(cdf) + 1, dtype=np.uint8)
-    table = np.repeat(cells, np.diff(first, prepend=0, append=_BUCKETS))
-    table[last[last < first]] = _SPLIT
-    return table
-
-
-class PairStream:
-    """The random bits of a stream of pairs, in stream order.
-
-    Pair ``i`` reads lane ``i % 4`` of raw word ``w = i // 4`` of
-    ``words``, the 16 bits ``(w >> 16 * (i % 4)) & 0xFFFF``: the top bits
-    of its uniform.  Lanes that one :meth:`lanes` call leaves over are the
-    first of the next, so however the pairs are cut into blocks, each pair
-    reads the same lane.  ``refine`` gives the low :data:`_REFINE_BITS`
-    bits (the top bits of one raw word) of each pair whose bucket is split,
-    in stream order; it is a generator of its own, so those words do not
-    depend on the blocks either.
-    """
-
-    def __init__(self, words: np.random.BitGenerator, refine: np.random.BitGenerator) -> None:
-        self.words = words
-        self.refine = refine
-        self._carry = np.zeros(0, dtype="<u2")
-
-    @classmethod
-    def spawn(cls, seed_seq: np.random.SeedSequence) -> "PairStream":
-        """A stream on the next two children of ``seed_seq``: words, then refinement."""
-        words, refine = seed_seq.spawn(2)
-        return cls(np.random.PCG64(words), np.random.PCG64(refine))
-
-    def lanes(self, n: int) -> np.ndarray:
-        """The next ``n`` lanes, as little-endian uint16: on a little-endian
-        host a view of the raw words."""
-        lanes = self._carry
-        if n > len(lanes):
-            words = self.words.random_raw(-(-(n - len(lanes)) // 4)).astype("<u8", copy=False).view("<u2")
-            lanes = np.concatenate((lanes, words)) if len(lanes) else words
-        self._carry = lanes[n:].copy()
-        return lanes[:n]
-
-
-@dataclass(frozen=True, eq=False)
-class JointCdf:
-    """Joint CDF over the session cells, with the uint8 table that inverts it.
-
-    ``cdf`` is a nondecreasing ``(n,)`` CDF with ``n < 255``: a uniform
-    ``u`` draws cell ``searchsorted(cdf, u, side="right")``, which is ``n``
-    when ``u`` lies beyond the last value.  ``table`` is its
-    :func:`_bucket_table` over :data:`_BUCKETS` equal buckets of ``u``
-    (64 KiB); it is built once, so one ``JointCdf`` serves every block of a
-    session.
-    """
-
-    cdf: np.ndarray
-    table: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "table", _bucket_table(self.cdf))
-
-    @classmethod
-    def of(
-        cls,
-        bloch: np.ndarray,
-        a_settings: Sequence[AnalyzerSetting],
-        b_settings: Sequence[AnalyzerSetting],
-    ) -> "JointCdf":
-        """Joint CDF of a ``(4, 4)`` correlation matrix ``C``.
-
-        ``C`` may be sub-normalised: ``C[0, 0]`` is the probability that the
-        pair is coincident.  The CDF runs over the cells
-        ``(a * n_b + b) * 4 + outcome`` (``n_b = len(b_settings)``, outcome
-        0..3 for ``++, +-, -+, --``): the
-        :func:`~ebqkd.qstate.born_table` flattened, accumulated and scaled
-        so that its last value is ``C[0, 0]`` (every setting pair is equally
-        likely).  The missing trace is the last cell,
-        ``n_cells = n_a * n_b * 4``: "not coincident".
-        """
-        cdf = born_table(bloch, a_settings, b_settings).cumsum()
-        cdf /= cdf[-1]
-        cdf *= bloch[0, 0]
-        return cls(cdf)
-
-    def invert(self, lanes: np.ndarray, refine: np.random.BitGenerator) -> np.ndarray:
-        """``searchsorted(cdf, u, side="right")`` per pair, as uint8.
-
-        Each pair's uint16 lane is the bucket of its uniform ``u``, whose
-        cell one table lookup gives.  A pair whose bucket holds a threshold
-        takes ``r``, the top :data:`_REFINE_BITS` bits of the next raw word
-        of ``refine``, in stream order; its cell is the exact
-        ``searchsorted`` of ``u = ((lane << 37) | r) * 2**-53``, built as an
-        integer so that no rounding moves it out of its bucket.
-        """
-        cells = self.table.take(lanes)
-        split = np.flatnonzero(cells == _SPLIT)
-        if len(split):
-            u = lanes[split].astype(np.uint64) << _REFINE_BITS
-            u |= refine.random_raw(len(split)) >> (64 - _REFINE_BITS)
-            cells[split] = self.cdf.searchsorted(u * 2.0**-53, side="right")
-        return cells
-
-
-def sample_outcome_stream(joint: JointCdf, stratum_idx: np.ndarray, stream: PairStream) -> np.ndarray:
-    """Per-pair cells: a uniform setting pair, coincidence and outcome in one draw.
-
-    Only ``len(stratum_idx)`` is read: the pairs read the next that many
-    lanes of ``stream``, and :meth:`JointCdf.invert` turns each into its
-    cell (see :meth:`JointCdf.of`), refining split buckets from
-    ``stream.refine``.  The argument stays because the benchmark's layer
-    tracing counts pairs from it, until the bench reads the package's own
-    stage counters (ROADMAP direction 7).
-    """
-    return joint.invert(stream.lanes(len(stratum_idx)), stream.refine)
+    return rng.multinomial(len(stratum_idx), np.append(joint, max(0.0, 1.0 - joint.sum())))
 
 
 def intercept_resend(
@@ -391,9 +259,9 @@ def intercept_resend(
     b_settings: Sequence[AnalyzerSetting],
     eve_fraction: float,
     efficiency: float,
-) -> JointCdf:
-    """The :class:`JointCdf` of the pairs under partial intercept-resend,
-    both photons of a pair detected with probability ``efficiency``.
+) -> np.ndarray:
+    """Cell probabilities of a pair under partial intercept-resend, both
+    photons of a pair detected with probability ``efficiency``.
 
     For an intercepted pair Eve measures Bob's photon in a uniformly random
     key basis (H/V or D/A) and forwards a re-prepared eigenstate.  She acts
@@ -401,13 +269,19 @@ def intercept_resend(
     returned, so every pair is drawn from the weighted
     :func:`intercept_strata` mixture: the same distribution as drawing her
     interception, basis and result first, with no Eve randomness consumed.
-    The mixture's correlation matrix is scaled by ``efficiency``, whose
-    missing trace is the "not coincident" cell.  At ``eve_fraction = 0``
-    the mixture is ``state.bloch``.
+    At ``eve_fraction = 0`` the mixture is ``state.bloch``.
+
+    The result is the mixture's :func:`~ebqkd.qstate.born_table` flattened
+    over the cells ``(a * n_b + b) * 4 + outcome`` (``n_b =
+    len(b_settings)``, outcome 0..3 for ``++, +-, -+, --``) and scaled to
+    sum to ``efficiency * C[0, 0]``, so every setting pair is equally
+    likely; what it misses of 1 is "not coincident".
     """
     blochs, weights = intercept_strata(state, eve_fraction)
     mixture = efficiency * np.tensordot(weights, blochs, axes=1)
-    return JointCdf.of(mixture, a_settings, b_settings)
+    joint = born_table(mixture, a_settings, b_settings).ravel()
+    joint *= mixture[0, 0] / joint.sum()
+    return joint
 
 
 def expected_counts(

@@ -1,18 +1,15 @@
 """BBM92 and E91 session engines.
 
-A session emits entangled pairs in blocks.  Each pair's uniform picks its
-setting pair (uniform, the same as independent uniform bases for Alice and
-Bob), whether both arms detected it and its joint analyzer outcome
-together; of each block only the coincidences that the key or the counts
-table can use (matched bases and, for E91, the CHSH setting pairs) are
-kept, and the others are only counted.  The session seed gives three
-generators: its first child's raw words hold the pairs' 16-bit lanes, four
-per word; its second child refines the few pairs whose lane is a bucket
-split by a CDF threshold; the session generator itself then draws the
-accidentals and the disclosure.  Lanes carry over from block to block and
-refinements come in stream order, so the block size does not change the
-stream.  The session then sifts on announced bases and estimates the QBER
-from a disclosed random subset (those bits are consumed).  E91
+A session draws the counts of its cells, not its pairs one by one: one
+multinomial over every (setting pair, outcome) cell and "not coincident"
+(the setting pair is uniform, the same as independent uniform bases for
+Alice and Bob).  Accidental coincidences follow as a Poisson count spread
+over the cells by a second multinomial.  Only the sifted coincidences
+(matched bases) are expanded into a stream, one uint8 cell each, and
+shuffled; the first ones form the disclosed random sample that estimates
+the QBER (those bits are consumed), the rest the key.  Pairs are
+independent, so given the counts the sifted stream is a uniformly random
+arrangement of its cells, which is what the shuffle draws.  E91
 additionally routes the four designated unmatched setting combinations
 into a CHSH estimate.
 
@@ -23,14 +20,13 @@ family then yields agreeing keys in BBM92 on a noiseless channel; in E91,
 phi- and psi+ are uncorrelated in the 22.5-degree key basis, whose bits
 agree only by chance (QBER 0.5).
 
-Cell index: a session carries each pair as one uint8 cell
-``(a * n_b + b) * 4 + outcome`` (setting indices ``a``, ``b``; outcome 0..3
-for ``++, +-, -+, --``); the cell ``n_cells = n_a * n_b * 4`` means "not
-coincident" and is dropped as it is drawn.  A cell's setting pair
-``cell >> 2`` decides, by uint8 compares, whether it is kept, sifted and
-flipped by Bob; ``cell >> 1 & 1`` and ``cell & 1`` are the raw bits.  The
-CHSH rows of the counts table are a bincount of the kept cells, the
-matched rows one of the disclosed sifted cells.
+Cell index: cell ``(a * n_b + b) * 4 + outcome`` (setting indices ``a``,
+``b``; outcome 0..3 for ``++, +-, -+, --``) counts the coincidences of one
+setting pair and outcome; ``n_cells = n_a * n_b * 4`` is "not coincident".
+In the sifted stream a cell's setting pair ``cell >> 2`` decides, by uint8
+compares, whether Bob flips its bit; ``cell >> 1 & 1`` and ``cell & 1`` are
+the raw bits.  The CHSH rows of the counts table are the cell counts, the
+matched rows a bincount of the disclosed cells.
 
 :func:`estimate` is the one estimator behind ``sweep``, ``session`` and
 ``analyze``: it turns a :class:`~ebqkd.measurement.CoincidenceTable` into
@@ -50,7 +46,6 @@ from .measurement import (
     CoincidenceRow,
     CoincidenceTable,
     DetectorModel,
-    PairStream,
     bob_flip,
     intercept_resend,
     sample_outcome_stream,
@@ -68,8 +63,8 @@ class NoSiftedBitsError(EmptyBasisError):
     """A session produced no compatible-basis coincidences."""
 
 
-class AccidentalsMemoryError(MemoryError):
-    """A session's accidental coincidences do not fit in memory."""
+class KeyMemoryError(MemoryError):
+    """A session's sifted coincidences do not fit in memory."""
 
 
 @dataclass(frozen=True)
@@ -245,99 +240,62 @@ def _wilson_interval(errors: int, n: int, z: float = 1.96) -> tuple[float, float
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _complement(n: int, taken: np.ndarray) -> np.ndarray:
-    """Mask over ``range(n)`` that is False exactly at the indices in ``taken``."""
-    keep = np.ones(n, dtype=bool)
-    keep[taken] = False
-    return keep
-
-
-#: Pairs drawn per block by :func:`run_session`; it bounds the block's
-#: arrays and changes no draw (a multiple of 4, so that no block leaves a
-#: word's lanes over for the next).
-_BLOCK = 1 << 17
-
-
 def run_session(cfg: SessionConfig) -> SessionRecord:
     """Run a full protocol session; identical configs give identical records.
 
     Raises:
-        AccidentalsMemoryError: if the dark rate asks for more accidental
-            coincidences than fit in memory.
+        KeyMemoryError: if the sifted coincidences do not fit in memory.
         NoSiftedBitsError: if no compatible-basis coincidence survived.
         EmptyBasisError: if the disclosed sample misses a matched basis.
         chsh.IncompleteTableError: if an E91 CHSH setting pair saw no
             coincidence.
     """
-    seed_seq = np.random.SeedSequence(cfg.seed)
-    rng = np.random.default_rng(seed_seq)
-    stream = PairStream.spawn(seed_seq)
+    rng = np.random.default_rng(cfg.seed)
     state = optics.apply_channel(optics.generate(cfg.source), cfg.channel)
     alice, bob = cfg.kind.alice_settings(), cfg.kind.bob_settings()
-    n, n_cells = cfg.n_pairs, len(alice) * len(bob) * 4
+    n_b, n_cells = len(bob), len(alice) * len(bob) * 4
 
-    # Fixed draw order, part of the reproducibility contract: one uniform
-    # per pair, in stream order, which picks the setting pair, coincidence
-    # and outcome together (its lane from the first child generator of the
-    # session seed, its refinement, if its bucket is split, from the
-    # second); then accidentals and disclosure from the session generator.
-    # One joint CDF serves every block. Across blocks only the cells the
-    # counts table or the key can use (matched bases and CHSH pairs) are
-    # kept, in a buffer allocated once (an impossible n_pairs fails here,
-    # before any draw); the other coincidences are only counted.
+    # Fixed draw order, part of the reproducibility contract: the cell
+    # counts of all n_pairs pairs, the number of accidentals and their
+    # cells, then the shuffle of the sifted cells. Totals are Python ints:
+    # coincidences and accidentals together can pass 2**63.
     joint = intercept_resend(
         state, alice, bob, cfg.channel.eve_fraction, cfg.detector.coincidence_efficiency()
     )
-    counted = cfg.kind.matched_pairs() + cfg.kind.chsh_pairs
-    cells = np.empty(n, dtype=np.uint8)
-    n_coincident = n_kept = 0
-    for start in range(0, n, _BLOCK):
-        one_stratum = np.broadcast_to(np.uint8(0), (min(_BLOCK, n - start),))  # read for its length
-        drawn = sample_outcome_stream(joint, one_stratum, stream)
-        n_coincident += int(np.count_nonzero(drawn < n_cells))
-        kept = _in_pairs(drawn, counted, len(bob))
-        k = int(np.count_nonzero(kept))
-        np.compress(kept, drawn, out=cells[n_kept:n_kept + k])
-        n_kept += k
-    cells = cells[:n_kept]
-    del joint, stream  # frees the sampler's table and block buffer before sifting
-
-    expected_acc = cfg.detector.expected_accidentals(n)
-    n_acc = int(rng.poisson(expected_acc))
+    every_pair = np.broadcast_to(np.uint8(0), (cfg.n_pairs,))  # read for its length
+    counts = sample_outcome_stream(joint, every_pair, rng)[:n_cells].tolist()
+    n_acc = int(rng.poisson(cfg.detector.expected_accidentals(cfg.n_pairs)))
     if n_acc:
-        try:
-            accidentals = rng.integers(0, n_cells, size=n_acc, dtype=np.uint8)
-            cells = np.concatenate([cells, accidentals[_in_pairs(accidentals, counted, len(bob))]])
-        except MemoryError:
-            raise AccidentalsMemoryError(
-                f"detector.dark_rate: {expected_acc:.6g} expected accidental coincidences"
-                " do not fit in memory"
-            ) from None
-        n_coincident += n_acc
+        accidentals = rng.multinomial(n_acc, np.full(n_cells, 1.0 / n_cells)).tolist()
+        counts = [c + a for c, a in zip(counts, accidentals)]
+    n_coincident = sum(counts)
 
-    # The CHSH rows count every kept cell, the matched rows only the
-    # disclosed sample. bincount copies its input to intp, so the kept
-    # cells are counted block by block.
-    kept_counts = np.zeros(n_cells, dtype=np.intp)
-    if cfg.kind.chsh_pairs:
-        for start in range(0, len(cells), _BLOCK):
-            kept_counts += np.bincount(cells[start:start + _BLOCK], minlength=n_cells)
-    sifted = sift(cfg.kind, cfg.source.label, cells)
-    del cells  # frees the n-byte buffer before the disclosure draw
-    n_sifted = len(sifted.cells)
+    matched = cfg.kind.matched_pairs()
+    sifted_cells = [4 * (i * n_b + j) + k for i, j in matched for k in range(4)]
+    sifted_counts = [counts[c] for c in sifted_cells]
+    n_sifted = sum(sifted_counts)
     if n_sifted == 0:
         raise NoSiftedBitsError(
             f"no sifted bits: {n_coincident} coincidences, none in matched bases"
         )
+    try:
+        if n_sifted >= 2**63:  # np.repeat would wrap the total
+            raise MemoryError
+        stream = np.repeat(np.array(sifted_cells, dtype=np.uint8), sifted_counts)
+    except MemoryError:
+        raise KeyMemoryError(
+            f"n_pairs {cfg.n_pairs} at detector.dark_rate {cfg.detector.dark_rate:g}"
+            f" give {n_sifted} sifted coincidences, which do not fit in memory"
+        ) from None
+    rng.shuffle(stream)
 
     n_disclose = max(1, int(round(cfg.qber_sample_fraction * n_sifted)))
-    disclosed = rng.choice(n_sifted, size=n_disclose, replace=False)
-    retained = _complement(n_sifted, disclosed)
-    disclosed_counts = np.bincount(sifted.cells[disclosed], minlength=n_cells)
-    rows = ((cfg.kind.matched_pairs(), disclosed_counts), (cfg.kind.chsh_pairs, kept_counts))
+    disclosed_counts = np.bincount(stream[:n_disclose], minlength=n_cells).tolist()
+    sifted = sift(cfg.kind, cfg.source.label, stream[n_disclose:])
+    rows = ((matched, disclosed_counts), (cfg.kind.chsh_pairs, counts))
     table = CoincidenceTable(tuple(
-        CoincidenceRow(alice[i], bob[j], *(int(c) for c in counts.reshape(-1, 4)[i * len(bob) + j]))
-        for pairs, counts in rows
+        CoincidenceRow(alice[i], bob[j], *cells[4 * (i * n_b + j):4 * (i * n_b + j + 1)])
+        for pairs, cells in rows
         for i, j in pairs
     ))
     settings = chsh.canonical_settings(cfg.source.label) if cfg.kind.chsh_pairs else None
@@ -351,8 +309,8 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
         qber_ci=est.qber_ci,
         per_basis_qber=est.per_basis_qber,
         chsh_subset=est.chsh,
-        key_bits_alice=sifted.bits_alice[retained],
-        key_bits_bob=sifted.bits_bob[retained],
+        key_bits_alice=sifted.bits_alice,
+        key_bits_bob=sifted.bits_bob,
         counts=table,
         report=est.report,
     )

@@ -205,39 +205,27 @@ def ideal_correlator(label: BellLabel, pol_rad: float) -> float:
     return float(p[0] + p[3] - p[1] - p[2])
 
 
-def sample_outcome_stream_grouped(bloch, n, a_settings, b_settings, words, refine) -> np.ndarray:
-    """Per-pair cells of ``n`` pairs by one joint inverse CDF.
+def sample_cell_counts_grouped(bloch, n, a_settings, b_settings, rng) -> np.ndarray:
+    """Cell counts of ``n`` pairs, drawn setting pair by setting pair.
 
-    Pair ``i`` takes the 16 bits ``(w >> 16 * (i % 4)) & 0xFFFF`` of raw
-    word ``w = i // 4`` of the bit generator ``words`` as its lane, by
-    Python-int shifts.  Its cell is ``searchsorted(cdf, u, side="right")``
-    in the joint CDF over the cells ``(a * n_b + b) * 4 + outcome``, taken
-    by kron/trace from the density matrix of the (possibly sub-normalised)
-    correlation matrix ``bloch`` and scaled so that its last value is the
-    trace ``C[0, 0]``; a uniform beyond it gives ``n_a * n_b * 4``, "not
-    coincident".  Where a threshold ``c`` of that CDF has
-    ``lane < c * 2**16 < lane + 1``, the pair takes the top 37 bits ``r`` of
-    the next raw word of ``refine``, in stream order, and
-    ``u = ((lane << 37) | r) / 2**53``; elsewhere ``u = lane / 2**16``.
-    The library reads a bucket table instead.
+    ``bloch`` is a (possibly sub-normalised) correlation matrix whose trace
+    ``C[0, 0]`` is the probability that a pair is coincident.  One
+    multinomial splits the pairs over the setting pairs (uniform, times
+    that trace) and "not coincident" (the rest, none above a trace of 1);
+    then each setting pair splits its coincidences over the four outcomes
+    by the kron/trace Born rule of the density matrix.  Returns the counts
+    of the cells ``(a * n_b + b) * 4 + outcome`` followed by "not
+    coincident".  The library draws all cells in one multinomial instead.
     """
-    raw = [int(w) for w in words.random_raw(-(-n // 4))]
-    lanes = [(raw[i // 4] >> (16 * (i % 4))) & 0xFFFF for i in range(n)]
-    rho = density_from_bloch(bloch)
-    p = np.concatenate([
-        joint_probabilities(rho, a, b).clip(0.0, 1.0) for a in a_settings for b in b_settings
-    ])
-    cdf = np.cumsum(p)
-    cdf /= cdf[-1]
-    cdf *= bloch[0, 0]
-    lane_col = np.array(lanes, dtype=np.float64)[:, None]
-    scaled = cdf * 2**16
-    split = ((lane_col < scaled) & (scaled < lane_col + 1)).any(axis=1)
-    low = iter(int(w) >> 27 for w in refine.random_raw(int(split.sum())))
-    u = np.array([
-        ((lane << 37) | next(low)) / 2**53 if cut else lane / 2**16 for lane, cut in zip(lanes, split)
-    ])
-    return cdf.searchsorted(u, side="right").astype(np.uint8)
+    rho = density_from_bloch(bloch / bloch[0, 0])
+    n_pairs = len(a_settings) * len(b_settings)
+    coincident = min(1.0, bloch[0, 0])
+    per_pair = rng.multinomial(n, [coincident / n_pairs] * n_pairs + [1.0 - coincident])
+    counts = []
+    for k, (a, b) in enumerate((a, b) for a in a_settings for b in b_settings):
+        p = joint_probabilities(rho, a, b).clip(0.0, 1.0)
+        counts.extend(rng.multinomial(per_pair[k], p / p.sum()))
+    return np.array(counts + [per_pair[-1]])
 
 
 def outcomes_by_setting_group(blochs, stratum_idx, a_settings, b_settings, pair_idx, rng) -> np.ndarray:

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import io
 import json
 import math
 import os
@@ -92,6 +93,20 @@ class TestSweep:
         for column in SWEEP_COLUMNS:
             written = [row[column] for row in rows]
             assert data[column] == pytest.approx(written, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("cut", ["short", "long"])
+    def test_ragged_row_names_its_line(self, tmp_path, cut):
+        spec = cli.SweepSpec(mechanism="werner", grid=(0.95, 0.8, 0.7), n_pairs=5000)
+        table = io.StringIO()
+        cli.write_sweep_table(cli.run_sweep(spec, seed=4), spec, 4, table)
+        lines = table.getvalue().splitlines()
+        values = lines[4].split("\t")
+        lines[4] = "\t".join(values[:2] if cut == "short" else values + values[:2])
+        out = tmp_path / "ragged.tsv"
+        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        n_values = 2 if cut == "short" else len(SWEEP_COLUMNS) + 2
+        with pytest.raises(ValueError, match=rf"^line 5: {n_values} values for {len(SWEEP_COLUMNS)} sweep columns"):
+            cli.read_sweep_table(out)
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -482,13 +497,34 @@ class TestSession:
         ) and err.count("\n") == 1
 
     def test_accidentals_out_of_memory_name_the_dark_rate(self, tmp_path, capsys):
-        # 1e18 bytes exceed the address space whatever the overcommit mode.
+        # About 5e17 sifted bytes exceed the address space whatever the
+        # overcommit mode.
         cfg = session_config(tmp_path, detector={"dark_rate": 1e12}, n_pairs=1_000_000)
         assert cli.main(["session", str(cfg)]) == EXIT_USAGE
-        assert capsys.readouterr().err == (
-            "error: invalid session config: detector.dark_rate: 1e+18 expected accidental coincidences"
-            " do not fit in memory\n"
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: invalid session config: n_pairs 1000000 at detector\.dark_rate 1e\+12"
+            r" give \d{18} sifted coincidences, which do not fit in memory\n",
+            err,
         )
+
+    def test_largest_n_pairs_at_the_poisson_limit_names_the_key(self, tmp_path, capsys):
+        # 2**63 - 1 pairs and as many accidentals: about 1.8e19 coincidences
+        # and 9.2e18 sifted ones, past int64; the count in the message is
+        # the exact one, never a wrapped one.
+        n = 2**63 - 1
+        dark_rate = protocol._POISSON_LAM_MAX / n
+        cfg = session_config(tmp_path, detector={"efficiency": 1.0, "dark_rate": dark_rate}, n_pairs=n)
+        assert cli.main(["session", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        match = re.fullmatch(
+            rf"error: invalid session config: n_pairs {n} at detector\.dark_rate {dark_rate:g}"
+            r" give (\d+) sifted coincidences, which do not fit in memory\n",
+            err,
+        )
+        assert match, err
+        expected = 0.5 * n + 0.5 * protocol._POISSON_LAM_MAX
+        assert abs(int(match[1]) - expected) < 6 * math.sqrt(expected)
 
     def test_missing_protocol_field(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

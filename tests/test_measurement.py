@@ -2,12 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, chisquare
 
 import _oracles
-from _oracles import ideal_correlator, sample_outcome_stream_grouped
+from _oracles import ideal_correlator, sample_cell_counts_grouped
 from conftest import random_density_matrix
 
 from ebqkd import measurement
@@ -16,8 +14,6 @@ from ebqkd.measurement import (
     CoincidenceRow,
     CoincidenceTable,
     DetectorModel,
-    JointCdf,
-    PairStream,
     bob_flip,
     intercept_average_state,
     intercept_resend,
@@ -29,6 +25,7 @@ from ebqkd.measurement import (
     wrong_outcomes,
 )
 from ebqkd.optics import bell_state
+from ebqkd.protocol import BBM92, E91
 from ebqkd.qstate import BellLabel, TwoQubitState, joint_probabilities
 
 
@@ -187,214 +184,104 @@ class TestSampleOutcomes:
         assert not np.array_equal(a, c)
 
 
-def _fresh_generators(seed):
-    """The lane and refinement bit generators of ``seed``'s stream, built
-    apart from :class:`PairStream`: its first two children."""
-    return tuple(np.random.PCG64(child) for child in np.random.SeedSequence(seed).spawn(2))
-
-
-def _next_words(*generators):
-    return tuple(int(g.random_raw()) for g in generators)
-
-
-def _both_samplers(bloch, n, a_settings, b_settings, seed):
-    """Library and oracle cells of ``n`` pairs from equal seeds, plus the
-    next raw word of each side's lane and refinement generators (equal when
-    both consumed the same draws)."""
-    stream = PairStream.spawn(np.random.SeedSequence(seed))
-    joint = JointCdf.of(bloch, a_settings, b_settings)
-    lib = sample_outcome_stream(joint, np.zeros(n, dtype=np.uint8), stream)
-    words, refine = _fresh_generators(seed)
-    ref = sample_outcome_stream_grouped(bloch, n, a_settings, b_settings, words, refine)
-    return lib, ref, _next_words(stream.words, stream.refine), _next_words(words, refine)
-
-
 E91_ALICE = tuple(AnalyzerSetting(t) for t in (0.0, 11.25, 22.5))
 E91_BOB = tuple(AnalyzerSetting(t) for t in (11.25, 22.5, 33.75))
-
-
-class TestSampleOutcomeStream:
-    @pytest.mark.parametrize("stratum", [0, 1, 2, 3, 4])
-    def test_matches_grouped_oracle_over_all_strata(self, stratum):
-        # Every pair's cell is searchsorted(cdf, u, side="right") of its own
-        # uniform, for each matrix of an intercept-resend stack scaled to
-        # traces from 1 (no loss) down to 0.3, over all nine setting pairs
-        # and the lost cell; some pairs fall in split buckets and draw
-        # refinement words.
-        state = bell_state(list(BellLabel)[stratum % 4], 0.6)
-        blochs, _ = intercept_strata(state, 0.4)
-        bloch = blochs[stratum] * (1.0, 0.8, 0.6, 0.45, 0.3)[stratum]
-        n = 20_000
-        lib, ref, next_lib, next_ref = _both_samplers(bloch, n, E91_ALICE, E91_BOB, stratum)
-        assert lib.dtype == np.uint8 and lib.shape == (n,)
-        assert np.array_equal(lib, ref)
-        assert next_lib == next_ref
-        assert next_lib[1] != _next_words(_fresh_generators(stratum)[1])[0]
-        lost = lib == 36
-        assert lost.any() == (stratum > 0)
-        assert set(np.unique(lib[~lost] >> 2)) == set(range(9))
-
-    def test_zero_probability_outcomes(self):
-        # Maximal phi+ with equal analyzers never gives +- or -+.
-        bloch = 0.5 * bell_state(BellLabel.PHI_PLUS).bloch
-        bases = (setting(0), setting(45))
-        n = 10_000
-        lib, ref, next_lib, next_ref = _both_samplers(bloch, n, bases, bases, 6)
-        assert np.array_equal(lib, ref)
-        assert next_lib == next_ref
-        coincident = lib[lib < 16]
-        matched = np.isin(coincident >> 2, (0, 3))  # (H/V, H/V) and (D/A, D/A)
-        assert not np.isin(coincident[matched] & 3, (1, 2)).any()
-        assert np.isin(coincident[~matched] & 3, (1, 2)).any()
-
-    def test_empty_stream(self):
-        bloch = bell_state(BellLabel.PHI_PLUS).bloch
-        lib, ref, next_lib, next_ref = _both_samplers(bloch, 0, E91_ALICE, E91_BOB, 8)
-        assert lib.dtype == np.uint8 and lib.shape == (0,)
-        assert np.array_equal(lib, ref)
-        assert next_lib == next_ref == _next_words(*_fresh_generators(8))
-
-    @pytest.mark.parametrize("sizes", [(3, 1, 5, 4097, 6), (4, 4, 8), (1,) * 11])
-    def test_lanes_carry_over_between_draws(self, sizes):
-        # Pairs read lanes in stream order however the draws cut the words:
-        # lane j of word w is (w >> 16 j) & 0xFFFF.
-        stream = PairStream.spawn(np.random.SeedSequence(4))
-        drawn = np.concatenate([stream.lanes(n) for n in sizes])
-        words, _ = _fresh_generators(4)
-        raw = [int(w) for w in words.random_raw(-(-sum(sizes) // 4))]
-        assert drawn.dtype == np.dtype("<u2")
-        assert drawn.tolist() == [(raw[i // 4] >> (16 * (i % 4))) & 0xFFFF for i in range(sum(sizes))]
-        assert _next_words(stream.words) == _next_words(words)
-
-
-def _sub_normalised_cdfs():
-    """Nondecreasing CDFs over 1..36 cells with last value ``trace`` in
-    (0, 1] or one ulp above 1: zero-mass cells, thresholds snapped onto
-    bucket edges ``k / B``, trace exactly 1 and a trace that rounded up all
-    occur."""
-    buckets = measurement._BUCKETS
-    weight = st.one_of(st.just(0.0), st.floats(1e-12, 1e-3), st.floats(1e-3, 1.0))
-    snap = st.one_of(st.none(), st.integers(0, buckets))
-
-    @st.composite
-    def cdfs(draw):
-        weights = draw(st.lists(weight, min_size=1, max_size=36))
-        if sum(weights) == 0.0:
-            weights[-1] = 1.0
-        trace = draw(st.one_of(st.just(1.0), st.just(_ABOVE_ONE), st.floats(1e-3, 1.0)))
-        cdf = np.cumsum(weights)
-        cdf /= cdf[-1]
-        cdf *= trace
-        for i in range(len(cdf) - 1):
-            k = draw(snap)
-            if k is not None:
-                cdf[i] = k / buckets
-        return np.maximum.accumulate(np.clip(cdf, 0.0, trace))
-
-    return cdfs()
-
 
 #: A trace of 1 that rounded up: ``cos^2 + sin^2`` or a mixture's weights
 #: can sum to it.
 _ABOVE_ONE = float(np.nextafter(1.0, 2.0))
 
 
-class _RawWords:
-    """A bit generator stand-in whose raw words are given, in order."""
-
-    def __init__(self, words: np.ndarray) -> None:
-        self.words, self.used = words, 0
-
-    def random_raw(self, size: int) -> np.ndarray:
-        self.used += size
-        assert self.used <= len(self.words), "more refinement words drawn than split pairs"
-        return self.words[self.used - size:self.used]
+def _joint(bloch, a_settings, b_settings):
+    """Library cell probabilities of a sub-normalised correlation matrix:
+    the state ``bloch / trace`` detected with efficiency ``trace``."""
+    trace = bloch[0, 0]
+    return intercept_resend(TwoQubitState.from_bloch(bloch / trace), a_settings, b_settings, 0.0, trace)
 
 
-_LOW = 1 << 37
+def _oracle_probabilities(bloch, a_settings, b_settings):
+    """Kron/trace cell probabilities of ``bloch`` and "not coincident"."""
+    rho = _oracles.density_from_bloch(bloch / bloch[0, 0])
+    p = np.concatenate([
+        _oracles.joint_probabilities(rho, a, b).clip(0.0, 1.0) for a in a_settings for b in b_settings
+    ])
+    coincident = min(1.0, bloch[0, 0])
+    return np.append(p / p.sum() * coincident, 1.0 - coincident)
 
 
-def _pairs_at_edges(cdf: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """``(lanes, low)``: every lane with random low 37 bits; the lanes at and
-    beside every threshold's bucket, and the first and last, with low bits 0,
-    ``2**37 - 1`` and random ones; and the 53-bit uniforms on and next to
-    every threshold."""
-    buckets = measurement._BUCKETS
-    near = np.floor(cdf * buckets).astype(np.int64)
-    near = np.concatenate((near - 1, near, near + 1, [0, buckets - 1]))
-    near = np.repeat(near[(near >= 0) & (near < buckets)], 3)
-    on = np.array([math.floor(c * 2.0**53) + d for c in cdf for d in (-1, 0, 1, 2)], dtype=np.int64)
-    on = on[(on >= 0) & (on < 1 << 53)]
-    lanes = np.concatenate((np.arange(buckets), near, on >> 37))
-    low = np.concatenate((
-        rng.integers(0, _LOW, size=buckets),
-        np.tile([0, _LOW - 1, int(rng.integers(0, _LOW))], len(near) // 3),
-        on & (_LOW - 1),
-    ))
-    return lanes, low.astype(np.uint64)
+def _check_against_grouped_oracle(bloch, n, a_settings, b_settings, seed):
+    """Library counts of ``n`` pairs, after checking them and the grouped
+    oracle's counts on another seed against the kron/trace probabilities
+    and against each other."""
+    lib = sample_outcome_stream(_joint(bloch, a_settings, b_settings), np.zeros(n, np.uint8), np.random.default_rng(seed))
+    ref = sample_cell_counts_grouped(bloch, n, a_settings, b_settings, np.random.default_rng(seed + 1000))
+    p = _oracle_probabilities(bloch, a_settings, b_settings)
+    assert lib.shape == ref.shape == p.shape and lib.sum() == ref.sum() == n
+    possible = p > 1e-12
+    assert not lib[~possible].any() and not ref[~possible].any()
+    for counts in (lib, ref):
+        assert chisquare(counts[possible], n * p[possible]).pvalue > 1e-3
+    both = np.array([lib, ref])[:, possible]
+    assert chi2_contingency(both).pvalue > 1e-3
+    return lib
 
 
-def _check_lookup(cdf, lanes, low) -> np.ndarray:
-    """Cells of ``JointCdf(cdf).invert`` against
-    ``searchsorted(cdf, ((lane << 37) | low) * 2**-53)``; the pairs whose
-    bucket a threshold ``c`` splits (``lane < c * 2**16 < lane + 1``) must
-    draw exactly their refinement words, in stream order, and only their
-    top 37 bits may count."""
-    scaled = cdf * measurement._BUCKETS
-    split = scaled.searchsorted(lanes, side="right") < scaled.searchsorted(lanes + 1)
-    u = ((lanes.astype(np.uint64) << 37) | low).astype(np.float64) * 2.0**-53
-    expected = cdf.searchsorted(u, side="right")
-    junk = np.arange(len(lanes), dtype=np.uint64) % np.uint64(1 << 27)
-    refine = _RawWords(((low << 27) | junk)[split])
-    cells = JointCdf(cdf).invert(lanes.astype(np.uint16), refine)
-    assert cells.dtype == np.uint8
-    assert np.array_equal(cells, expected)
-    assert refine.used == np.count_nonzero(split)
-    return cells
+class TestSampleOutcomeStream:
+    @pytest.mark.parametrize("stratum", [0, 1, 2, 3, 4])
+    def test_matches_grouped_oracle_over_all_strata(self, stratum):
+        # One multinomial over the cells of each matrix of an
+        # intercept-resend stack, scaled to traces from 1 (no loss) down to
+        # 0.3, over all nine setting pairs and the lost cell, fits the
+        # kron/trace probabilities as the setting-pair-by-setting-pair
+        # oracle does.
+        state = bell_state(list(BellLabel)[stratum % 4], 0.6)
+        blochs, _ = intercept_strata(state, 0.4)
+        bloch = blochs[stratum] * (1.0, 0.8, 0.6, 0.45, 0.3)[stratum]
+        lib = _check_against_grouped_oracle(bloch, 200_000, E91_ALICE, E91_BOB, stratum)
+        assert lib.dtype == np.int64 and lib.shape == (37,)
+        assert (lib[36] > 0) == (stratum > 0)
+        assert (lib[:36].reshape(9, 4).sum(axis=1) > 0).all()
 
+    def test_zero_probability_outcomes(self):
+        # Maximal phi+ with equal analyzers never gives +- or -+.
+        bloch = 0.5 * bell_state(BellLabel.PHI_PLUS).bloch
+        bases = (setting(0), setting(45))
+        counts = _check_against_grouped_oracle(bloch, 10_000, bases, bases, 6)[:16].reshape(4, 4)
+        matched = [0, 3]  # (H/V, H/V) and (D/A, D/A)
+        assert not counts[matched][:, 1:3].any()
+        assert counts[[1, 2]][:, 1:3].all()
 
-class TestBucketLookup:
-    @settings(max_examples=150, deadline=None)
-    @given(cdf=_sub_normalised_cdfs(), seed=st.integers(0, 2**32 - 1))
-    def test_lookup_equals_searchsorted(self, cdf, seed):
-        lanes, low = _pairs_at_edges(cdf, np.random.default_rng(seed))
-        _check_lookup(cdf, lanes, low)
+    def test_empty_stream(self):
+        joint = _joint(bell_state(BellLabel.PHI_PLUS).bloch, E91_ALICE, E91_BOB)
+        counts = sample_outcome_stream(joint, np.zeros(0, np.uint8), np.random.default_rng(8))
+        assert counts.shape == (37,) and not counts.any()
 
-    def test_table_marks_only_buckets_holding_a_threshold(self):
-        # Thresholds inside buckets 0 and 1, on the edges 0, 1 / B and 1 / 2,
-        # a zero-mass cell and trace 1.
-        buckets = measurement._BUCKETS
-        cdf = np.array([0.0, 0.5, 1.0, 1.5, 1.5, buckets / 2, buckets]) / buckets
-        table = measurement._bucket_table(cdf)
-        assert table.dtype == np.uint8 and table.shape == (buckets,)
-        assert list(table[:3]) == [measurement._SPLIT, measurement._SPLIT, 5]
-        assert table[buckets // 2 - 1] == 5 and table[buckets // 2] == 6 and table[-1] == 6
-        assert np.count_nonzero(table == measurement._SPLIT) == 2
-        lanes, low = _pairs_at_edges(cdf, np.random.default_rng(0))
-        _check_lookup(cdf, lanes, low)
+    def test_reads_only_the_length_of_stratum_idx(self):
+        # A broadcast view of n_pairs zeros costs no memory at any n.
+        joint = _joint(bell_state(BellLabel.PHI_PLUS).bloch, E91_ALICE, E91_BOB)
+        every_pair = np.broadcast_to(np.uint8(0), (2**63 - 1,))
+        counts = sample_outcome_stream(joint, every_pair, np.random.default_rng(9))
+        assert sum(counts.tolist()) == 2**63 - 1
+        np.testing.assert_array_equal(
+            sample_outcome_stream(joint, np.ones(50, np.uint8), np.random.default_rng(9)),
+            sample_outcome_stream(joint, np.zeros(50, np.uint8), np.random.default_rng(9)),
+        )
 
-    def test_trace_above_one_fills_no_bucket(self):
-        # Last threshold 1 + 2^-52: no uniform in [0, 1) reaches it, so the
-        # "not coincident" cell gets no bucket and every u draws a cell.
-        buckets = measurement._BUCKETS
-        cdf = np.array([0.25, 0.5, 0.75, _ABOVE_ONE])
-        table = measurement._bucket_table(cdf)
-        assert table.shape == (buckets,) and table[-1] == 3
-        lanes, low = _pairs_at_edges(cdf, np.random.default_rng(1))
-        cells = _check_lookup(cdf, lanes, low)
-        assert cells.max() == 3
+    def test_trace_above_one_loses_no_pair(self):
+        # Probabilities that sum to 1 + 2^-52 leave nothing to the "not
+        # coincident" cell, so every pair draws a cell.
+        bloch = bell_state(BellLabel.PSI_MINUS, 0.6).bloch * _ABOVE_ONE
+        joint = _joint(bloch, E91_ALICE, E91_BOB)
+        counts = sample_outcome_stream(joint, np.zeros(100_000, np.uint8), np.random.default_rng(1))
+        assert counts[-1] == 0 and counts.sum() == 100_000
 
-    def test_stack_with_trace_above_one_matches_grouped_oracle(self):
+    def test_stack_above_one_matches_grouped_oracle(self):
         # A trace that rounds to 1 + 2^-52 (a valid state at efficiency 1)
         # samples like any other: no pair of such a matrix is lost.
         blochs, _ = intercept_strata(bell_state(BellLabel.PSI_MINUS, 0.6), 0.4)
         for stratum, trace in enumerate((_ABOVE_ONE, 1.0, 0.5, _ABOVE_ONE, 0.9)):
-            lib, ref, next_lib, next_ref = _both_samplers(
-                trace * blochs[stratum], 4_000, E91_ALICE, E91_BOB, 9 + stratum
-            )
-            assert np.array_equal(lib, ref)
-            assert next_lib == next_ref
-            assert (lib == 36).any() == (trace < 1.0)
+            lib = _check_against_grouped_oracle(trace * blochs[stratum], 40_000, E91_ALICE, E91_BOB, 9 + stratum)
+            assert (lib[36] > 0) == (trace < 1.0)
 
 
 class TestInterceptResend:
@@ -416,34 +303,43 @@ class TestInterceptResend:
             intercept_resend(state, E91_ALICE, E91_BOB, eve_fraction, 0.6)
             assert built == [] and len(strata) == 1
 
+    @pytest.mark.parametrize("kind", [BBM92, E91])
+    @pytest.mark.parametrize("eve_fraction", [0.0, 0.3])
+    def test_cell_probabilities_match_kron_trace_oracle(self, kind, eve_fraction):
+        # Coincident cells: the partial-trace strata mixture's Born rule by
+        # kron/trace, every setting pair equally likely, scaled by the
+        # coincidence efficiency.
+        rho = bell_state(BellLabel.PSI_PLUS, 0.6).rho
+        joint = intercept_resend(TwoQubitState(rho), kind.alice_settings(), kind.bob_settings(), eve_fraction, 0.36)
+        expected = 0.36 * _oracles.cell_probabilities(kind, rho, eve_fraction)
+        assert joint.shape == (len(kind.alice_hwp_deg) * len(kind.bob_hwp_deg) * 4,)
+        np.testing.assert_allclose(joint, expected, rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize("eve_fraction", [0.0, 0.3, 1.0])
     def test_stream_matches_masked_strata_and_grouped_oracle(self, eve_fraction):
-        # The library draws one uniform per pair from the strata mixture
-        # scaled by the coincidence efficiency: on an equal seed it must
-        # equal the grouped joint-CDF sampler over the partial-trace mixture,
-        # and its coincident cells must follow in distribution the masked-
-        # strata engine, which makes Eve's three draws per pair.
+        # The library draws the cell counts of all pairs from the strata
+        # mixture scaled by the coincidence efficiency: they must follow in
+        # distribution the grouped oracle over the partial-trace mixture,
+        # and their coincident cells the masked-strata engine, which makes
+        # Eve's three draws per pair.
         rho = bell_state(BellLabel.PSI_PLUS, 0.6).rho
         n, efficiency = 40_000, 0.6
-        stream = PairStream.spawn(np.random.SeedSequence(42))
         joint = intercept_resend(TwoQubitState(rho), E91_ALICE, E91_BOB, eve_fraction, efficiency)
-        lib = sample_outcome_stream(joint, np.zeros(n, dtype=np.uint8), stream)
+        lib = sample_outcome_stream(joint, np.zeros(n, dtype=np.uint8), np.random.default_rng(42))
         states, weights = _oracles.intercept_strata(rho, eve_fraction)
         mixture = _oracles.pauli_bloch(sum(w * r for w, r in zip(weights, states)))
-        words, refine = _fresh_generators(42)
-        ref = sample_outcome_stream_grouped(efficiency * mixture, n, E91_ALICE, E91_BOB, words, refine)
-        assert np.array_equal(lib, ref)
-        assert _next_words(stream.words, stream.refine) == _next_words(words, refine)
-        coincident = np.count_nonzero(lib < 36)
+        ref = sample_cell_counts_grouped(efficiency * mixture, n, E91_ALICE, E91_BOB, np.random.default_rng(44))
+        observed = np.array([lib, ref])[:, (lib + ref) > 0]
+        assert chi2_contingency(observed).pvalue > 1e-3
+        coincident = lib[:36].sum()
         assert abs(coincident - efficiency * n) < 5 * math.sqrt(n * efficiency * (1 - efficiency))
 
         pair_idx = np.random.default_rng(41).integers(0, 9, size=n).astype(np.uint8)
         masked = _oracles.intercept_resend_strata(
             rho, E91_ALICE, E91_BOB, pair_idx, eve_fraction, np.random.default_rng(43)
         )
-        lib_cells = np.bincount(lib, minlength=37)[:36]
         masked_cells = np.bincount(pair_idx * 4 + masked, minlength=36)
-        observed = np.array([lib_cells, masked_cells])[:, (lib_cells + masked_cells) > 0]
+        observed = np.array([lib[:36], masked_cells])[:, (lib[:36] + masked_cells) > 0]
         assert chi2_contingency(observed).pvalue > 1e-3
 
     def test_strata_match_partial_trace_oracle(self):
@@ -513,9 +409,8 @@ class TestInterceptResend:
         n = 400_000
         bases = (setting(0),)
         joint = intercept_resend(state, bases, bases, 1.0, 1.0)
-        stream = PairStream.spawn(np.random.SeedSequence(8))
-        outcomes = sample_outcome_stream(joint, np.zeros(n, dtype=np.uint8), stream)
-        wrong = np.isin(outcomes, (1, 2)).mean()
+        counts = sample_outcome_stream(joint, np.zeros(n, dtype=np.uint8), np.random.default_rng(8))
+        wrong = (counts[1] + counts[2]) / n
         assert abs(wrong - 0.25) < 5 * math.sqrt(0.25 * 0.75 / n)
 
     def test_fraction_range(self):

@@ -17,8 +17,6 @@ from ebqkd.protocol import (
     NoSiftedBitsError,
     ProtocolKind,
     SessionConfig,
-    _BLOCK,
-    _complement,
     estimate,
     protocol_by_name,
     run_session,
@@ -26,7 +24,7 @@ from ebqkd.protocol import (
     sift,
 )
 from ebqkd.qstate import BellLabel
-from ebqkd.security import evaluate
+from ebqkd.security import binary_entropy, evaluate, mi_alice_eve
 
 SQ2 = math.sqrt(2.0)
 
@@ -283,20 +281,24 @@ class TestRunSession:
         assert type(rec.sifted_length) is int
         assert type(rec.disclosed_length) is int
 
-    def test_impossible_n_pairs_fails_before_any_draw(self, monkeypatch):
-        # The n-byte cell buffer is allocated before the first block; 2**62
-        # bytes exceed the address space whatever the overcommit mode.
-        def no_draw(*args):
-            raise AssertionError("sample_outcome_stream called")
-
-        monkeypatch.setattr(protocol, "sample_outcome_stream", no_draw)
-        with pytest.raises(MemoryError):
+    def test_impossible_n_pairs_names_the_key_that_does_not_fit(self):
+        # 2**62 pairs sift about 2**61 cells, one byte each: more than the
+        # address space whatever the overcommit mode.
+        with pytest.raises(protocol.KeyMemoryError, match=(
+            r"^n_pairs 4611686018427387904 at detector\.dark_rate 0 give (\d+) sifted coincidences,"
+            r" which do not fit in memory$"
+        )) as raised:
             run_session(config(n_pairs=2**62))
+        n_sifted = int(raised.value.args[0].split(" give ")[1].split()[0])
+        assert abs(n_sifted - 2**61) < 6 * math.sqrt(2**60)
 
     def test_accidentals_that_exceed_the_address_space_name_the_dark_rate(self):
-        # 1e18 expected accidentals pass the Poisson sampler but not memory.
+        # 1e18 expected accidentals pass the Poisson sampler but their
+        # sifted half does not fit in memory.
         cfg = config(detector=DetectorModel(dark_rate=1e12), n_pairs=1_000_000)
-        with pytest.raises(protocol.AccidentalsMemoryError, match=r"^detector\.dark_rate: 1e\+18 expected"):
+        with pytest.raises(protocol.KeyMemoryError, match=(
+            r"^n_pairs 1000000 at detector\.dark_rate 1e\+12 give \d{18} sifted coincidences"
+        )):
             run_session(cfg)
 
     def test_accidentals_past_the_poisson_limit_are_rejected(self):
@@ -364,8 +366,11 @@ class TestMixedDisturbances:
         # loss is basis misalignment, not leakage.
         rep = security_report(cfg, rec)
         assert rec.chsh_subset.s == pytest.approx(2 * SQ2, abs=5 * rec.chsh_subset.sigma_s)
-        assert rep.i_ae == pytest.approx(0.0, abs=0.05)
-        assert abs(rep.r) < 0.05
+        # I_AE falls as S rises, so the S tolerance bounds it; r adds the
+        # coin-flip basis's 1 - H(e_b), within the per-basis tolerance.
+        i_ae_max = mi_alice_eve(2 * SQ2 - 5 * rec.chsh_subset.sigma_s)
+        assert 0.0 <= rep.i_ae <= i_ae_max
+        assert abs(rep.r) <= i_ae_max + 1.0 - binary_entropy(0.45)
         assert not rep.collective_bound_ok
 
 
@@ -386,35 +391,33 @@ class TestSessionMemory:
     @pytest.mark.parametrize("channel", SESSION_CHANNELS)
     @pytest.mark.parametrize("kind", [BBM92, E91])
     def test_peak_bytes_per_pair(self, kind, channel):
-        # Per-pair arrays are uint8 or bool once drawn; the only 8-byte ones
-        # are a block's intp bucket index (the take of its uint16 lanes) and
-        # the disclosure draw's indices over the sifted bits.
+        # Only the sifted coincidences become arrays, uint8 or bool; the
+        # only 8-byte ones are bincount's copy of the disclosed cells.
         cfg = config(kind=kind, channel=channel, detector=DetectorModel(), n_pairs=250_000, seed=3)
         assert peak_bytes_per_pair(cfg) <= 32.0
 
     @pytest.mark.parametrize("channel", SESSION_CHANNELS)
     @pytest.mark.parametrize("kind", [BBM92, E91])
     def test_one_block_peak_bytes_per_pair(self, kind, channel):
-        # Two blocks' worth of pairs: a block draws 2 bytes of raw words per
-        # pair, not a float64 uniform, its float64 product and an intp bucket.
+        # No per-pair array exists: no float64 uniform, no intp index and no
+        # byte per pair that is not sifted.
         cfg = config(kind=kind, channel=channel, detector=DetectorModel(), n_pairs=250_000, seed=3)
         assert peak_bytes_per_pair(cfg) <= 10.0
 
     @pytest.mark.parametrize("channel", SESSION_CHANNELS)
     @pytest.mark.parametrize("kind", [BBM92, E91])
     def test_peak_bytes_per_pair_at_bench_size(self, kind, channel):
-        # Pairs are drawn in fixed blocks: beyond one block only the
-        # coincident cells (one byte per pair, allocated once) and the
-        # sifted indices grow with n_pairs.
+        # Only the sifted cells (one byte each, plus sifting's masks and
+        # bits) grow with n_pairs.
         cfg = config(kind=kind, channel=channel, detector=DetectorModel(), n_pairs=2_000_000, seed=3)
         assert peak_bytes_per_pair(cfg) <= 10.0
 
     @pytest.mark.parametrize("channel", SESSION_CHANNELS)
     @pytest.mark.parametrize("kind", [BBM92, E91])
     def test_peak_slope_per_pair(self, kind, channel):
-        # Beyond the constant block arrays, peak memory grows by the cell
-        # buffer (one byte per pair) and by what sifting and the disclosure
-        # draw keep per kept coincidence, not by eight bytes per coincidence.
+        # Peak memory grows by what the sifted stream, sifting and the
+        # disclosure keep per sifted coincidence, not by eight bytes per
+        # coincidence.
         cfgs = [
             config(kind=kind, channel=channel, detector=DetectorModel(), n_pairs=n, seed=3)
             for n in (2_000_000, 8_000_000)
@@ -423,12 +426,33 @@ class TestSessionMemory:
         assert (large - small) / 6_000_000 <= 3.5
 
 
+def session_model(kind, source, channel, det):
+    """Kron/trace probability of each cell per emitted pair, then "not
+    coincident"; accidentals are left out (dark rate 0)."""
+    rho = optics.apply_channel(optics.generate(source), channel).rho
+    p = det.coincidence_efficiency() * _oracles.cell_probabilities(kind, rho, channel.eve_fraction)
+    return np.append(p, 1.0 - p.sum())
+
+
+def fits(counts, p):
+    """Counts of many sessions (one row each) fit the probabilities ``p``
+    pooled and seed by seed, by chi-square."""
+    counts = np.asarray(counts)
+    possible = p > 0.0
+    assert not counts[:, ~possible].any()
+    counts, p = counts[:, possible], p[possible]
+    pooled = counts.sum(axis=0)
+    assert chisquare(pooled, pooled.sum() * p).pvalue > 1e-3
+    per_seed = sum(chisquare(c, c.sum() * p).statistic for c in counts)
+    assert chi2.sf(per_seed, len(counts) * (len(p) - 1)) > 1e-3
+
+
 class TestSessionSampler:
     @pytest.mark.parametrize("channel", SESSION_CHANNELS)
     def test_stream_sampler_sees_every_pair_once_through_intercept_resend(self, monkeypatch, channel):
         # The bench counts the pairs of every sample_outcome_stream call: one
-        # session must feed it exactly n_pairs pairs, block by block, all
-        # drawn from the one joint CDF that intercept_resend builds.
+        # session makes one call for exactly n_pairs pairs, drawn from the
+        # cell probabilities that intercept_resend returns.
         joints, calls = [], []
         resend, stream = protocol.intercept_resend, protocol.sample_outcome_stream
 
@@ -442,48 +466,17 @@ class TestSessionSampler:
 
         monkeypatch.setattr(protocol, "intercept_resend", traced_resend)
         monkeypatch.setattr(protocol, "sample_outcome_stream", traced_stream)
-        cfg = config(kind=E91, channel=channel, n_pairs=2 * _BLOCK + 5)
+        cfg = config(kind=E91, channel=channel, n_pairs=262_149)
         run_session(cfg)
         assert len(joints) == 1
-        assert calls == [(_BLOCK, True), (_BLOCK, True), (5, True)]
-
-    def test_block_size_does_not_change_the_record(self, monkeypatch):
-        # A block draws nothing but one uniform per pair, so the blocks of a
-        # session split one stream of uniforms wherever they fall.
-        cfg = config(
-            kind=E91, source=SourceModel(BellLabel.PHI_MINUS, epsilon_rad=0.7),
-            channel=ChannelModel.intercept_resend(0.3), detector=DetectorModel(0.7, dark_rate=0.01),
-            n_pairs=50_001,
-        )
-        whole = run_session(cfg)
-        monkeypatch.setattr(protocol, "_BLOCK", 999)
-        split = run_session(cfg)
-        assert (split.n_coincident, split.counts, split.report) == (whole.n_coincident, whole.counts, whole.report)
-        assert np.array_equal(split.key_bits_alice, whole.key_bits_alice)
-        assert np.array_equal(split.key_bits_bob, whole.key_bits_bob)
-
-    @pytest.mark.parametrize("block", [3, 4097])
-    def test_block_sizes_that_cut_words_do_not_change_the_record(self, monkeypatch, block):
-        # Blocks that end inside a word of four lanes carry its other lanes
-        # over; split pairs refine from their own generator in stream order.
-        cfg = config(
-            kind=E91, source=SourceModel(BellLabel.PHI_MINUS, epsilon_rad=0.7),
-            channel=ChannelModel.intercept_resend(0.3), detector=DetectorModel(0.7, dark_rate=0.01),
-            n_pairs=50_001,
-        )
-        whole = run_session(cfg)
-        monkeypatch.setattr(protocol, "_BLOCK", block)
-        split = run_session(cfg)
-        assert (split.n_coincident, split.counts, split.report) == (whole.n_coincident, whole.counts, whole.report)
-        assert np.array_equal(split.key_bits_alice, whole.key_bits_alice)
-        assert np.array_equal(split.key_bits_bob, whole.key_bits_bob)
+        assert calls == [(262_149, True)]
 
     @pytest.mark.parametrize("channel", SESSION_CHANNELS)
     @pytest.mark.parametrize("kind", [BBM92, E91])
     def test_cells_match_model_and_strata_oracle(self, monkeypatch, kind, channel):
-        # Coincident cells of run_session and of the per-pair strata engine
-        # (Eve's three draws per pair), pooled over seeds, against the
-        # kron/trace cell probabilities: both must fit, seed by seed too.
+        # Cell counts of run_session and of the per-pair strata engine
+        # (Eve's three draws per pair), over seeds, against the kron/trace
+        # cell probabilities: both must fit, pooled and seed by seed.
         captured = []
         stream = protocol.sample_outcome_stream
 
@@ -502,18 +495,68 @@ class TestSessionSampler:
         for i, seed in enumerate(seeds):
             cfg = config(kind=kind, source=source, channel=channel, detector=det, n_pairs=20_000, seed=seed)
             run_session(cfg)
-            drawn = np.concatenate(captured)
+            (drawn,) = captured
             captured.clear()
-            lib[i] = np.bincount(drawn[drawn < n_cells], minlength=n_cells)
+            lib[i] = drawn[:n_cells]
             cells = _oracles.session_cells_strata(
                 kind, rho, det, channel.eve_fraction, 20_000, np.random.default_rng(seed)
             )
             ref[i] = np.bincount(cells, minlength=n_cells)
         for counts in (lib, ref):
-            pooled = counts.sum(axis=0)
-            assert chisquare(pooled, pooled.sum() * p).pvalue > 1e-3
-            per_seed = sum(chisquare(c, c.sum() * p).statistic for c in counts)
-            assert chi2.sf(per_seed, len(seeds) * (n_cells - 1)) > 1e-3
+            fits(counts, p)
+
+    @pytest.mark.parametrize("channel", SESSION_CHANNELS)
+    @pytest.mark.parametrize("kind", [BBM92, E91])
+    def test_record_counts_match_model_over_seeds(self, kind, channel):
+        # What a record holds of its cell counts: the CHSH cells, the sifted
+        # and the other coincident ones and the lost pairs split the
+        # emitted pairs by the model; the disclosed cells are a fixed-size
+        # random sample of the sifted ones, so they split the disclosed
+        # length by the model's matched cells.
+        source = SourceModel(BellLabel.PHI_PLUS, epsilon_rad=0.6)
+        det = DetectorModel()
+        p = session_model(kind, source, channel, det)
+        n_b, a_set, b_set = len(kind.bob_hwp_deg), kind.alice_settings(), kind.bob_settings()
+
+        def cells(pairs):
+            return [4 * (i * n_b + j) + k for i, j in pairs for k in range(4)]
+
+        def row_counts(rec, pairs):
+            return [c for i, j in pairs for c in rec.counts.find(a_set[i], b_set[j]).counts()]
+
+        chsh_cells, matched_cells = cells(kind.chsh_pairs), cells(kind.matched_pairs())
+        funnel_p = np.concatenate((
+            p[chsh_cells],
+            [p[matched_cells].sum(), p[:-1].sum() - p[chsh_cells + matched_cells].sum(), p[-1]],
+        ))
+        disclosed_p = p[matched_cells] / p[matched_cells].sum()
+        funnel, disclosed = [], []
+        for seed in range(40):
+            cfg = config(kind=kind, source=source, channel=channel, detector=det, n_pairs=20_000, seed=seed)
+            rec = run_session(cfg)
+            chsh_counts = row_counts(rec, kind.chsh_pairs)
+            rest = rec.n_coincident - rec.sifted_length - sum(chsh_counts)
+            funnel.append(chsh_counts + [rec.sifted_length, rest, rec.n_pairs - rec.n_coincident])
+            disclosed.append(row_counts(rec, kind.matched_pairs()))
+        fits(funnel, funnel_p)
+        fits(disclosed, disclosed_p)
+
+    @pytest.mark.parametrize("kind", [BBM92, E91])
+    @pytest.mark.parametrize("dark_rate", [0.0, 0.05])
+    def test_funnel_identity_and_fixed_size_disclosure(self, kind, dark_rate):
+        for seed, fraction in ((1, 0.1), (2, 0.37), (3, 0.9)):
+            cfg = config(
+                kind=kind, channel=ChannelModel.intercept_resend(0.3),
+                detector=DetectorModel(0.7, dark_rate=dark_rate), n_pairs=30_001,
+                qber_sample_fraction=fraction, seed=seed,
+            )
+            rec = run_session(cfg)
+            retained = len(rec.key_bits_alice)
+            assert rec.disclosed_length + retained == rec.sifted_length <= rec.n_coincident
+            assert rec.disclosed_length == max(1, round(fraction * rec.sifted_length))
+            assert len(rec.key_bits_bob) == retained
+            disclosed_rows = [rec.counts.find(a, b) for a, b in kind.key_pairs()]
+            assert sum(row.total for row in disclosed_rows) == rec.disclosed_length
 
 
 class TestSecurityReport:
@@ -604,18 +647,3 @@ class TestEstimate:
         rows.append(CoincidenceRow(settings.a_prime, settings.b_prime, 0, 0, 0, 0))
         with pytest.raises(chsh.IncompleteTableError, match="zero total"):
             estimate(CoincidenceTable(tuple(rows)), BellLabel.PHI_PLUS, BBM92, settings)
-
-
-class TestRetainedIndices:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_complement_matches_setdiff1d(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 5_000))
-        taken = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
-        retained = _complement(n, taken)
-        assert retained.dtype == bool and retained.size == n
-        assert np.array_equal(np.flatnonzero(retained), np.setdiff1d(np.arange(n), taken))
-
-    def test_complement_of_everything_is_empty(self):
-        retained = _complement(3, np.array([2, 0, 1]))
-        assert retained.size == 3 and not retained.any()
