@@ -101,8 +101,9 @@ def parse_counts(source: str | Path | bytes | IO[str] | IO[bytes]) -> CountRecor
 
     Raises:
         CountFileError: naming the offending line for malformed rows,
-            negative counts, duplicate angle pairs, unknown versions and
-            empty files, and for input that is not valid UTF-8.
+            negative counts or counts above 2**63 - 1, duplicate angle
+            pairs, unknown versions and empty files, and for input that is
+            not valid UTF-8.
     """
     try:
         if isinstance(source, (str, Path)):
@@ -221,6 +222,8 @@ def _parse_row(content: str, lineno: int, seen: dict[tuple[float, float], int]) 
             raise CountFileError(
                 f"negative count {value} in column {col + 1} ({_COLUMNS[col]})", lineno
             )
+        if value > 2**63 - 1:  # a 64-bit counter; larger counts overflow the float estimator
+            raise CountFileError(f"count in column {col + 1} ({_COLUMNS[col]}) is above 2**63 - 1", lineno)
         counts.append(value)
     a_deg, b_deg = angles
     key = hwp_key(a_deg, b_deg)

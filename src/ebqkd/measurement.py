@@ -3,14 +3,13 @@
 A coincidence is both photons of one emitted pair being detected in the
 same emission slot; detector efficiency is applied independently per arm
 and accidental coincidences follow a Poisson model spread uniformly over
-the four outcomes.  All sampling is deterministic given a seed.  A session
-draws the counts of its cells ``(a * n_b + b) * 4 + outcome`` in one
-multinomial (:func:`sample_outcome_stream`) from the cell probabilities of
-:func:`intercept_resend`, which cover the setting pair, the coincidence and
-the outcome together; the pairs that are not coincident are one more cell.
-Eve's intercept-resend attack is sampled as the mixture of
-:func:`intercept_strata`: her records never leave the sampler, so no draw
-of hers is needed.
+the cells.  All sampling is deterministic given a seed and is one count
+draw, :func:`sample_outcome_stream`: a sweep makes it once per setting
+pair over that pair's four outcomes (:func:`sample_outcomes`), a session
+once over its cells ``(a * n_b + b) * 4 + outcome`` (probabilities from
+:func:`intercept_resend`).  Eve's intercept-resend attack is sampled as
+the mixture of :func:`intercept_strata`: her records never leave the
+sampler, so no draw of hers is needed.
 """
 
 from __future__ import annotations
@@ -22,9 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from .qstate import BellLabel, TwoQubitState, born_table, joint_probabilities
-
-#: Polarization angles (radians) of the two key-generation bases, H/V and D/A.
-KEY_BASES_RAD = (0.0, math.pi / 4)
 
 
 @dataclass(frozen=True)
@@ -81,8 +77,8 @@ class DetectorModel:
                 raise ValueError(f"{name} must be in (0, 1], got {eff!r}")
         if not (math.isfinite(self.dark_rate) and self.dark_rate >= 0.0):
             raise ValueError(f"dark_rate must be finite and >= 0, got {self.dark_rate!r}")
-        if self.window_pairs < 1:
-            raise ValueError(f"window_pairs must be >= 1, got {self.window_pairs!r}")
+        if not 1 <= self.window_pairs < 2**63:
+            raise ValueError(f"window_pairs must be in [1, 2**63), got {self.window_pairs!r}")
 
     @property
     def eff_alice(self) -> float:
@@ -163,31 +159,19 @@ def intercept_strata(state: TwoQubitState, eve_fraction: float) -> tuple[np.ndar
     Returns ``(blochs, weights)``: a ``(k, 4, 4)`` stack of the components'
     Pauli correlation matrices and their weights.  Index 0 is the untouched
     ``state.bloch`` (weight ``1 - eve_fraction``); at ``eve_fraction = 0``
-    it is the only component (k = 1), otherwise k = 5.  Eve measures Bob's
-    photon in one of :data:`KEY_BASES_RAD` (chosen uniformly) and forwards
-    a freshly prepared eigenstate of her result; indices
-    ``1 + 2 * basis + outcome`` are those product states, with weight
-    ``eve_fraction / 2`` times the Born-rule probability of her result.  In
-    the Pauli picture of :mod:`ebqkd.qstate`, her outcome ``+/-`` along
-    Bloch direction ``e`` has ``p = (1 +/- e.r_B) / 2``, leaves Alice with
-    Bloch vector ``(r_A +/- T e) / (2 p)`` and forwards the product state
-    ``C = outer((1, r_A'), (1, +/-e))``.
+    it is the only component (k = 1), otherwise k = 2.  Eve measures Bob's
+    photon in H/V or D/A (Bloch axis z or x, chosen uniformly) and
+    forwards an eigenstate of her result, which keeps only Bob's Bloch
+    component along her axis.  Her basis and result are discarded, so
+    index 1 (weight ``eve_fraction``) scales Bob's columns ``(I, x, y, z)``
+    of ``C`` by ``(1, 1/2, 0, 1/2)``.
     """
     if not 0.0 <= eve_fraction <= 1.0:
         raise ValueError(f"eve_fraction must be in [0, 1], got {eve_fraction!r}")
     c = state.bloch
     if eve_fraction == 0.0:
         return c[None], np.ones(1)
-    e = np.array([[math.sin(2.0 * theta), 0.0, math.cos(2.0 * theta)] for theta in KEY_BASES_RAD])
-    forwarded = np.stack([e, -e], axis=1).reshape(-1, 3)
-    p = np.maximum(0.0, (1.0 + forwarded @ c[0, 1:]) / 2.0)
-    # An unreachable outcome keeps a maximally mixed Alice as a placeholder.
-    r_alice = c[1:, 0] + forwarded @ c[1:, 1:].T
-    r_alice = np.divide(r_alice, 2.0 * p[:, None], out=np.zeros_like(r_alice), where=p[:, None] > 0.0)
-    ones = np.ones((len(p), 1))
-    products = np.einsum("si,sj->sij", np.hstack((ones, r_alice)), np.hstack((ones, forwarded)))
-    weights = np.concatenate(([1.0 - eve_fraction], eve_fraction * 0.5 * p))
-    return np.concatenate((c[None], products)), weights
+    return np.stack((c, c * [1.0, 0.5, 0.0, 0.5])), np.array([1.0 - eve_fraction, eve_fraction])
 
 
 def intercept_average_state(state: TwoQubitState, eve_fraction: float) -> TwoQubitState:
@@ -212,12 +196,10 @@ def sample_outcomes(
 ) -> tuple[CoincidenceRow, ...]:
     """Coincidence counts for each analyzer setting pair.
 
-    Pair ``j`` draws from the generator ``rngs[j]`` alone: the coincidences
-    among ``n_pairs`` emitted pairs (binomial in the product of the per-arm
-    detection efficiencies), their Born-rule outcomes (multinomial), and
-    Poisson accidentals spread uniformly over the four outcomes.  One
-    :func:`~ebqkd.qstate.born_table` for all pairs is built per call.  Under
-    intercept-resend pass :func:`intercept_average_state`.
+    Pair ``j`` is one :func:`sample_outcome_stream` of ``n_pairs`` emitted
+    pairs over its four Born-rule outcomes, from the generator ``rngs[j]``
+    alone.  One :func:`~ebqkd.qstate.born_table` for all pairs is built per
+    call.  Under intercept-resend pass :func:`intercept_average_state`.
 
     Returns:
         One :class:`CoincidenceRow` per pair, in order, deterministic given
@@ -229,28 +211,33 @@ def sample_outcomes(
     on_pair = np.arange(len(pairs))
     tables = born_table(state.bloch, a_settings, b_settings)[on_pair, on_pair]
     tables /= tables.sum(axis=-1, keepdims=True)
-    rows = []
-    for (a, b), p, rng in zip(pairs, tables, rngs, strict=True):
-        n_coinc = int(rng.binomial(n_pairs, det.coincidence_efficiency()))
-        counts = rng.multinomial(n_coinc, p)
-        n_acc = int(rng.poisson(det.expected_accidentals(n_pairs)))
-        if n_acc:
-            counts += rng.multinomial(n_acc, np.full(4, 0.25))
-        rows.append(CoincidenceRow(a, b, *(int(c) for c in counts)))
-    return tuple(rows)
+    every_pair = np.broadcast_to(np.uint8(0), (n_pairs,))  # read for its length
+    return tuple(
+        CoincidenceRow(a, b, *sample_outcome_stream(p, every_pair, rng, det))
+        for (a, b), p, rng in zip(pairs, tables, rngs, strict=True)
+    )
 
 
-def sample_outcome_stream(joint: np.ndarray, stratum_idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Cell counts of ``len(stratum_idx)`` pairs, in one multinomial draw.
+def sample_outcome_stream(
+    joint: np.ndarray, stratum_idx: np.ndarray, rng: np.random.Generator, det: DetectorModel
+) -> list[int]:
+    """Coincidence counts per cell of ``len(stratum_idx)`` emitted pairs.
 
-    ``joint`` holds the cell probabilities of :func:`intercept_resend`; the
-    result has one more entry than ``joint``, the pairs that are not
-    coincident (the missing probability, none if ``joint`` sums to 1 or
-    rounds above it).  Only ``len(stratum_idx)`` is read: the argument
-    stays because the benchmark's layer tracing counts pairs from it, until
-    the bench reads the package's own stage counters (ROADMAP direction 7).
+    Drawn in this order: the coincidences (binomial), their cells
+    (multinomial in ``joint``, one pair's cell probabilities, summing to
+    1), the accidentals (Poisson) and, if any, their cells (multinomial
+    over uniform cells).  Counts are Python ints: their total can pass
+    2**63.  Only ``len(stratum_idx)`` is read: the argument stays because
+    the benchmark's layer tracing counts pairs from it, until the bench
+    reads the package's own stage counters (ROADMAP direction 7).
     """
-    return rng.multinomial(len(stratum_idx), np.append(joint, max(0.0, 1.0 - joint.sum())))
+    n_pairs = len(stratum_idx)
+    counts = rng.multinomial(rng.binomial(n_pairs, det.coincidence_efficiency()), joint).tolist()
+    n_acc = int(rng.poisson(det.expected_accidentals(n_pairs)))
+    if n_acc:
+        accidentals = rng.multinomial(n_acc, np.full(len(joint), 1.0 / len(joint))).tolist()
+        counts = [c + a for c, a in zip(counts, accidentals)]
+    return counts
 
 
 def intercept_resend(
@@ -258,10 +245,8 @@ def intercept_resend(
     a_settings: Sequence[AnalyzerSetting],
     b_settings: Sequence[AnalyzerSetting],
     eve_fraction: float,
-    efficiency: float,
 ) -> np.ndarray:
-    """Cell probabilities of a pair under partial intercept-resend, both
-    photons of a pair detected with probability ``efficiency``.
+    """Cell probabilities of a coincident pair under partial intercept-resend.
 
     For an intercepted pair Eve measures Bob's photon in a uniformly random
     key basis (H/V or D/A) and forwards a re-prepared eigenstate.  She acts
@@ -274,14 +259,11 @@ def intercept_resend(
     The result is the mixture's :func:`~ebqkd.qstate.born_table` flattened
     over the cells ``(a * n_b + b) * 4 + outcome`` (``n_b =
     len(b_settings)``, outcome 0..3 for ``++, +-, -+, --``) and scaled to
-    sum to ``efficiency * C[0, 0]``, so every setting pair is equally
-    likely; what it misses of 1 is "not coincident".
+    sum to 1, so every setting pair is equally likely.
     """
     blochs, weights = intercept_strata(state, eve_fraction)
-    mixture = efficiency * np.tensordot(weights, blochs, axes=1)
-    joint = born_table(mixture, a_settings, b_settings).ravel()
-    joint *= mixture[0, 0] / joint.sum()
-    return joint
+    joint = born_table(np.tensordot(weights, blochs, axes=1), a_settings, b_settings).ravel()
+    return joint / joint.sum()
 
 
 def expected_counts(

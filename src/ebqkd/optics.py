@@ -64,9 +64,10 @@ class ChannelModel:
     ``DEPOLARIZING`` with ``arm="both"`` is the Werner form
     ``rho -> (1-p) rho + p I/4`` (Werner weight W = 1 - p); ``arm="a"`` or
     ``"b"`` depolarizes a single arm towards its marginal.
-    ``INTERCEPT_RESEND`` only tags the stream here: the attack is not a
-    per-pair CP map without Eve's outcome records, so it is realized in
-    the sampling layer (see :mod:`ebqkd.measurement`).
+    ``INTERCEPT_RESEND`` only tags the stream here.  With Eve's records
+    discarded the attack is a per-pair CP map on Bob's arm, but the
+    sampling layer applies it (:mod:`ebqkd.measurement`): the benchmark's
+    session check applies :func:`apply_channel` and then Eve's average.
     """
 
     kind: ChannelKind = ChannelKind.IDENTITY

@@ -1,17 +1,17 @@
 """BBM92 and E91 session engines.
 
-A session draws the counts of its cells, not its pairs one by one: one
-multinomial over every (setting pair, outcome) cell and "not coincident"
-(the setting pair is uniform, the same as independent uniform bases for
-Alice and Bob).  Accidental coincidences follow as a Poisson count spread
-over the cells by a second multinomial.  Only the sifted coincidences
-(matched bases) are expanded into a stream, one uint8 cell each, and
-shuffled; the first ones form the disclosed random sample that estimates
-the QBER (those bits are consumed), the rest the key.  Pairs are
-independent, so given the counts the sifted stream is a uniformly random
-arrangement of its cells, which is what the shuffle draws.  E91
-additionally routes the four designated unmatched setting combinations
-into a CHSH estimate.
+A session draws the counts of its cells, not its pairs one by one, with
+:func:`~ebqkd.measurement.sample_outcome_stream`: the coincidences among
+the emitted pairs (binomial), their (setting pair, outcome) cells
+(multinomial; the setting pair is uniform, the same as independent
+uniform bases for Alice and Bob), then Poisson accidentals spread over the
+cells by a second multinomial.  Only the sifted coincidences (matched
+bases) are expanded into a stream, one uint8 cell each, and shuffled; the
+first ones form the disclosed random sample that estimates the QBER (those
+bits are consumed), the rest the key.  Pairs are independent, so given the
+counts the sifted stream is a uniformly random arrangement of its cells,
+which is what the shuffle draws.  E91 additionally routes the four
+designated unmatched setting combinations into a CHSH estimate.
 
 Bit mapping: the transmitted port is bit 0.  Bob inverts his bit in a
 matched basis exactly when the session's ideal Bell state is
@@ -22,11 +22,11 @@ agree only by chance (QBER 0.5).
 
 Cell index: cell ``(a * n_b + b) * 4 + outcome`` (setting indices ``a``,
 ``b``; outcome 0..3 for ``++, +-, -+, --``) counts the coincidences of one
-setting pair and outcome; ``n_cells = n_a * n_b * 4`` is "not coincident".
-In the sifted stream a cell's setting pair ``cell >> 2`` decides, by uint8
-compares, whether Bob flips its bit; ``cell >> 1 & 1`` and ``cell & 1`` are
-the raw bits.  The CHSH rows of the counts table are the cell counts, the
-matched rows a bincount of the disclosed cells.
+setting pair and outcome.  In the sifted stream a cell's setting pair
+``cell >> 2`` decides, by uint8 compares, whether Bob flips its bit;
+``cell >> 1 & 1`` and ``cell & 1`` are the raw bits.  The CHSH rows of the
+counts table are the cell counts, the matched rows a bincount of the
+disclosed cells.
 
 :func:`estimate` is the one estimator behind ``sweep``, ``session`` and
 ``analyze``: it turns a :class:`~ebqkd.measurement.CoincidenceTable` into
@@ -256,18 +256,11 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
     n_b, n_cells = len(bob), len(alice) * len(bob) * 4
 
     # Fixed draw order, part of the reproducibility contract: the cell
-    # counts of all n_pairs pairs, the number of accidentals and their
-    # cells, then the shuffle of the sifted cells. Totals are Python ints:
-    # coincidences and accidentals together can pass 2**63.
-    joint = intercept_resend(
-        state, alice, bob, cfg.channel.eve_fraction, cfg.detector.coincidence_efficiency()
-    )
+    # counts of all n_pairs pairs (sample_outcome_stream's own order), then
+    # the shuffle of the sifted cells.
+    joint = intercept_resend(state, alice, bob, cfg.channel.eve_fraction)
     every_pair = np.broadcast_to(np.uint8(0), (cfg.n_pairs,))  # read for its length
-    counts = sample_outcome_stream(joint, every_pair, rng)[:n_cells].tolist()
-    n_acc = int(rng.poisson(cfg.detector.expected_accidentals(cfg.n_pairs)))
-    if n_acc:
-        accidentals = rng.multinomial(n_acc, np.full(n_cells, 1.0 / n_cells)).tolist()
-        counts = [c + a for c, a in zip(counts, accidentals)]
+    counts = sample_outcome_stream(joint, every_pair, rng, cfg.detector)
     n_coincident = sum(counts)
 
     matched = cfg.kind.matched_pairs()

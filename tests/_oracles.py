@@ -9,9 +9,12 @@ import math
 
 import numpy as np
 
-from ebqkd.measurement import KEY_BASES_RAD, AnalyzerSetting, bob_flip
+from ebqkd.measurement import AnalyzerSetting, bob_flip
 from ebqkd.optics import bell_state
 from ebqkd.qstate import BellLabel, TwoQubitState
+
+#: Polarization angles (radians) of the two key bases Eve measures in, H/V and D/A.
+KEY_BASES_RAD = (0.0, math.pi / 4)
 
 _PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -215,7 +218,8 @@ def sample_cell_counts_grouped(bloch, n, a_settings, b_settings, rng) -> np.ndar
     then each setting pair splits its coincidences over the four outcomes
     by the kron/trace Born rule of the density matrix.  Returns the counts
     of the cells ``(a * n_b + b) * 4 + outcome`` followed by "not
-    coincident".  The library draws all cells in one multinomial instead.
+    coincident".  The library draws the coincidences in one binomial and
+    their cells in one multinomial instead.
     """
     rho = density_from_bloch(bloch / bloch[0, 0])
     n_pairs = len(a_settings) * len(b_settings)

@@ -231,6 +231,21 @@ class TestSweep:
         assert 1 <= len(states) <= 2
         assert len(tables) <= 2
 
+    def test_point_draws_once_per_setting_pair(self, monkeypatch):
+        # Every sampled setting pair (four CHSH, two key bases) is one call
+        # of the one count draw, over n_pairs pairs of its own generator.
+        calls = []
+        stream = measurement.sample_outcome_stream
+
+        def traced(joint, stratum_idx, rng, det):
+            calls.append((len(joint), len(stratum_idx), det))
+            return stream(joint, stratum_idx, rng, det)
+
+        monkeypatch.setattr(measurement, "sample_outcome_stream", traced)
+        spec = cli.SweepSpec("werner", (0.9,), n_pairs=12_345, detector=measurement.DetectorModel(0.8))
+        cli.sweep_point(spec, 0, 0.9, seed=3)
+        assert calls == [(4, 12_345, spec.detector)] * 6
+
     def test_intercept_mechanism(self, tmp_path):
         out = tmp_path / "eve.tsv"
         rc = cli.main(["sweep", "--mechanism", "intercept_fraction", "--grid", "0.0,1.0",
@@ -434,6 +449,10 @@ class TestSession:
          "invalid session config: qber_sample_fraction must be in (0, 1), got 1.5"),
         ({"detector": {"dark_rate": 10**400}},
          "invalid session config: field 'detector.dark_rate' is too large for a float"),
+        ({"detector": {"window_pairs": 2**63}},
+         f"invalid session config: detector.window_pairs must be in [1, 2**63), got {2**63}"),
+        ({"detector": {"window_pairs": 10**400}},
+         f"invalid session config: detector.window_pairs must be in [1, 2**63), got {10**400}"),
     ])
     def test_field_error_names_the_field(self, tmp_path, capsys, overrides, message):
         cfg = session_config(tmp_path, **overrides)
@@ -617,6 +636,23 @@ class TestAnalyze:
 
     def test_missing_file(self, tmp_path):
         assert cli.main(["analyze", str(tmp_path / "nope.txt")]) == EXIT_IO
+
+    @pytest.mark.parametrize("window", [[], ["--accidental-window", "1e-40"]])
+    def test_counts_past_the_64_bit_range_are_rejected(self, fixtures_dir, tmp_path, capsys, window):
+        # Counts at 2**63 - 1 analyze; one digit more would overflow the
+        # float arithmetic of the estimator and of the accidental estimate.
+        lines = (fixtures_dir / "counts" / "phi_plus_maximal.txt").read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line[:1].isdigit())
+        counts = tmp_path / "counts.txt"
+        for big in (str(2**63 - 1), "1" + "0" * 400):
+            edited = [" ".join(line.split()[:2] + [big] * 3) if i >= row and line[:1].isdigit() else line
+                      for i, line in enumerate(lines)]
+            counts.write_text("\n".join(edited) + "\n")
+            code = cli.main(["analyze", str(counts), *window, "--out", str(tmp_path / "an.json")])
+            assert code == (EXIT_OK if len(big) < 20 else EXIT_VALIDATION)
+        assert capsys.readouterr().err == (
+            f"error: line {row + 1}: count in column 3 (singles_a) is above 2**63 - 1\n"
+        )
 
     @pytest.mark.parametrize("window,code", [
         ("-1e-5", EXIT_USAGE), ("nan", EXIT_USAGE), ("inf", EXIT_USAGE), ("1e300", EXIT_VALIDATION),

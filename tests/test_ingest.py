@@ -116,6 +116,18 @@ class TestParse:
         with pytest.raises(CountFileError, match=f"line 4: malformed row: column {col + 1} .*{kind}"):
             parse_counts(text.encode())
 
+    @pytest.mark.parametrize("col", range(2, 5))
+    def test_counts_above_the_64_bit_range_name_their_column(self, col):
+        row = ["10.5", "20", "7", "8", "9"]
+        row[col] = str(2**63 - 1)
+        text = f"format: qkd-counts/1\nstate: phi_plus\nseconds-per-row: 1\n{' '.join(row)}\n"
+        assert parse_counts(text.encode()).rows[0].line == 4
+        for token in (str(2**63), "9" * 400):
+            row[col] = token
+            text = f"format: qkd-counts/1\nstate: phi_plus\nseconds-per-row: 1\n{' '.join(row)}\n"
+            with pytest.raises(CountFileError, match=rf"^line 4: count in column {col + 1} .* above 2\*\*63 - 1$"):
+                parse_counts(text.encode())
+
     @pytest.mark.parametrize("token", ["1_0", "\u0663", "0.5\u0660"])
     def test_seconds_outside_the_grammar(self, token):
         text = f"format: qkd-counts/1\nstate: phi_plus\nseconds-per-row: {token}\n0 0 1 1 1\n"
@@ -142,7 +154,7 @@ def _records():
     """Count records with finite angles in [0, 180), distinct angle pairs,
     any nonnegative counts and any positive finite seconds per row."""
     angle = st.floats(0.0, 180.0, exclude_max=True)
-    count = st.integers(0, 2**64)
+    count = st.integers(0, 2**63 - 1)
     row = st.builds(ingest.CountRow, angle, angle, count, count, count)
     return st.builds(
         ingest.CountRecordFile,

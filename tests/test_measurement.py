@@ -24,7 +24,7 @@ from ebqkd.measurement import (
     spawn_rng,
     wrong_outcomes,
 )
-from ebqkd.optics import bell_state
+from ebqkd.optics import ChannelModel, SourceModel, apply_channel, bell_state, generate
 from ebqkd.protocol import BBM92, E91
 from ebqkd.qstate import BellLabel, TwoQubitState, joint_probabilities
 
@@ -74,6 +74,13 @@ class TestDetectorModel:
             DetectorModel(dark_rate=-1.0)
         with pytest.raises(ValueError):
             DetectorModel(window_pairs=0)
+
+    @pytest.mark.parametrize("window_pairs", [0, 2**63, 10**400])
+    def test_window_pairs_must_be_a_64_bit_count(self, window_pairs):
+        # Past 2**63 the accidentals' mean would overflow the float division.
+        with pytest.raises(ValueError, match=r"^window_pairs must be in \[1, 2\*\*63\)"):
+            DetectorModel(window_pairs=window_pairs)
+        assert DetectorModel(dark_rate=1.0, window_pairs=2**63 - 1).expected_accidentals(2**63 - 1) == 1.0
 
     @pytest.mark.parametrize("dark_rate", [-1.0, math.nan, math.inf, -math.inf])
     def test_dark_rate_must_be_finite_and_nonnegative(self, dark_rate):
@@ -187,16 +194,18 @@ class TestSampleOutcomes:
 E91_ALICE = tuple(AnalyzerSetting(t) for t in (0.0, 11.25, 22.5))
 E91_BOB = tuple(AnalyzerSetting(t) for t in (11.25, 22.5, 33.75))
 
-#: A trace of 1 that rounded up: ``cos^2 + sin^2`` or a mixture's weights
-#: can sum to it.
-_ABOVE_ONE = float(np.nextafter(1.0, 2.0))
+
+def _lost(efficiency):
+    """A detector that detects both photons of a pair with probability
+    ``efficiency``, all of the loss in Alice's arm."""
+    return DetectorModel(efficiency, efficiency_b=1.0)
 
 
-def _joint(bloch, a_settings, b_settings):
-    """Library cell probabilities of a sub-normalised correlation matrix:
-    the state ``bloch / trace`` detected with efficiency ``trace``."""
-    trace = bloch[0, 0]
-    return intercept_resend(TwoQubitState.from_bloch(bloch / trace), a_settings, b_settings, 0.0, trace)
+def _stream(state, eve_fraction, a_settings, b_settings, n, det, seed):
+    """Library cell counts of ``n`` pairs with the lost pairs appended."""
+    joint = intercept_resend(state, a_settings, b_settings, eve_fraction)
+    counts = sample_outcome_stream(joint, np.zeros(n, np.uint8), np.random.default_rng(seed), det)
+    return np.array(counts + [n - sum(counts)])
 
 
 def _oracle_probabilities(bloch, a_settings, b_settings):
@@ -209,11 +218,14 @@ def _oracle_probabilities(bloch, a_settings, b_settings):
     return np.append(p / p.sum() * coincident, 1.0 - coincident)
 
 
-def _check_against_grouped_oracle(bloch, n, a_settings, b_settings, seed):
-    """Library counts of ``n`` pairs, after checking them and the grouped
-    oracle's counts on another seed against the kron/trace probabilities
+def _check_against_grouped_oracle(rho, eve_fraction, efficiency, n, a_settings, b_settings, seed):
+    """Library counts of ``n`` pairs of ``rho`` under intercept-resend, after
+    checking them and the grouped oracle's counts (of the partial-trace
+    strata mixture, on another seed) against the kron/trace probabilities
     and against each other."""
-    lib = sample_outcome_stream(_joint(bloch, a_settings, b_settings), np.zeros(n, np.uint8), np.random.default_rng(seed))
+    lib = _stream(TwoQubitState(rho), eve_fraction, a_settings, b_settings, n, _lost(efficiency), seed)
+    states, weights = _oracles.intercept_strata(rho, eve_fraction)
+    bloch = efficiency * _oracles.pauli_bloch(sum(w * r for w, r in zip(weights, states)))
     ref = sample_cell_counts_grouped(bloch, n, a_settings, b_settings, np.random.default_rng(seed + 1000))
     p = _oracle_probabilities(bloch, a_settings, b_settings)
     assert lib.shape == ref.shape == p.shape and lib.sum() == ref.sum() == n
@@ -229,59 +241,46 @@ def _check_against_grouped_oracle(bloch, n, a_settings, b_settings, seed):
 class TestSampleOutcomeStream:
     @pytest.mark.parametrize("stratum", [0, 1, 2, 3, 4])
     def test_matches_grouped_oracle_over_all_strata(self, stratum):
-        # One multinomial over the cells of each matrix of an
-        # intercept-resend stack, scaled to traces from 1 (no loss) down to
-        # 0.3, over all nine setting pairs and the lost cell, fits the
-        # kron/trace probabilities as the setting-pair-by-setting-pair
-        # oracle does.
-        state = bell_state(list(BellLabel)[stratum % 4], 0.6)
-        blochs, _ = intercept_strata(state, 0.4)
-        bloch = blochs[stratum] * (1.0, 0.8, 0.6, 0.45, 0.3)[stratum]
-        lib = _check_against_grouped_oracle(bloch, 200_000, E91_ALICE, E91_BOB, stratum)
-        assert lib.dtype == np.int64 and lib.shape == (37,)
+        # The untouched state alone (fraction 0), the intercepted stratum
+        # alone (fraction 1) and mixtures of the two, at efficiencies from
+        # 1 (no loss) down to 0.3, over all nine setting pairs and the lost
+        # pairs, fit the kron/trace probabilities as the
+        # setting-pair-by-setting-pair oracle does.
+        rho = bell_state(list(BellLabel)[stratum % 4], 0.6).rho
+        fraction = (0.0, 1.0, 0.4, 0.7, 0.2)[stratum]
+        efficiency = (1.0, 0.8, 0.6, 0.45, 0.3)[stratum]
+        lib = _check_against_grouped_oracle(rho, fraction, efficiency, 200_000, E91_ALICE, E91_BOB, stratum)
+        assert lib.shape == (37,)
         assert (lib[36] > 0) == (stratum > 0)
         assert (lib[:36].reshape(9, 4).sum(axis=1) > 0).all()
 
     def test_zero_probability_outcomes(self):
         # Maximal phi+ with equal analyzers never gives +- or -+.
-        bloch = 0.5 * bell_state(BellLabel.PHI_PLUS).bloch
+        rho = bell_state(BellLabel.PHI_PLUS).rho
         bases = (setting(0), setting(45))
-        counts = _check_against_grouped_oracle(bloch, 10_000, bases, bases, 6)[:16].reshape(4, 4)
+        counts = _check_against_grouped_oracle(rho, 0.0, 0.5, 10_000, bases, bases, 6)[:16].reshape(4, 4)
         matched = [0, 3]  # (H/V, H/V) and (D/A, D/A)
         assert not counts[matched][:, 1:3].any()
         assert counts[[1, 2]][:, 1:3].all()
 
     def test_empty_stream(self):
-        joint = _joint(bell_state(BellLabel.PHI_PLUS).bloch, E91_ALICE, E91_BOB)
-        counts = sample_outcome_stream(joint, np.zeros(0, np.uint8), np.random.default_rng(8))
-        assert counts.shape == (37,) and not counts.any()
+        joint = intercept_resend(bell_state(BellLabel.PHI_PLUS), E91_ALICE, E91_BOB, 0.0)
+        det = DetectorModel(dark_rate=5.0)
+        assert sample_outcome_stream(joint, np.zeros(0, np.uint8), np.random.default_rng(8), det) == [0] * 36
 
     def test_reads_only_the_length_of_stratum_idx(self):
-        # A broadcast view of n_pairs zeros costs no memory at any n.
-        joint = _joint(bell_state(BellLabel.PHI_PLUS).bloch, E91_ALICE, E91_BOB)
+        # A broadcast view of n_pairs zeros costs no memory at any n, and
+        # coincidences plus accidentals pass 2**63 as Python ints.
+        joint = intercept_resend(bell_state(BellLabel.PHI_PLUS), E91_ALICE, E91_BOB, 0.0)
+        det = DetectorModel(1.0, dark_rate=0.5)
         every_pair = np.broadcast_to(np.uint8(0), (2**63 - 1,))
-        counts = sample_outcome_stream(joint, every_pair, np.random.default_rng(9))
-        assert sum(counts.tolist()) == 2**63 - 1
-        np.testing.assert_array_equal(
-            sample_outcome_stream(joint, np.ones(50, np.uint8), np.random.default_rng(9)),
-            sample_outcome_stream(joint, np.zeros(50, np.uint8), np.random.default_rng(9)),
+        counts = sample_outcome_stream(joint, every_pair, np.random.default_rng(9), det)
+        assert all(type(c) is int for c in counts)
+        n_acc = sum(counts) - (2**63 - 1)
+        assert abs(n_acc - 2**62) < 6 * math.sqrt(2**62)
+        assert sample_outcome_stream(joint, np.ones(50, np.uint8), np.random.default_rng(9), det) == (
+            sample_outcome_stream(joint, np.zeros(50, np.uint8), np.random.default_rng(9), det)
         )
-
-    def test_trace_above_one_loses_no_pair(self):
-        # Probabilities that sum to 1 + 2^-52 leave nothing to the "not
-        # coincident" cell, so every pair draws a cell.
-        bloch = bell_state(BellLabel.PSI_MINUS, 0.6).bloch * _ABOVE_ONE
-        joint = _joint(bloch, E91_ALICE, E91_BOB)
-        counts = sample_outcome_stream(joint, np.zeros(100_000, np.uint8), np.random.default_rng(1))
-        assert counts[-1] == 0 and counts.sum() == 100_000
-
-    def test_stack_above_one_matches_grouped_oracle(self):
-        # A trace that rounds to 1 + 2^-52 (a valid state at efficiency 1)
-        # samples like any other: no pair of such a matrix is lost.
-        blochs, _ = intercept_strata(bell_state(BellLabel.PSI_MINUS, 0.6), 0.4)
-        for stratum, trace in enumerate((_ABOVE_ONE, 1.0, 0.5, _ABOVE_ONE, 0.9)):
-            lib = _check_against_grouped_oracle(trace * blochs[stratum], 40_000, E91_ALICE, E91_BOB, 9 + stratum)
-            assert (lib[36] > 0) == (trace < 1.0)
 
 
 class TestInterceptResend:
@@ -300,32 +299,30 @@ class TestInterceptResend:
         for eve_fraction in (0.5, 0.0):
             built.clear()
             strata.clear()
-            intercept_resend(state, E91_ALICE, E91_BOB, eve_fraction, 0.6)
+            intercept_resend(state, E91_ALICE, E91_BOB, eve_fraction)
             assert built == [] and len(strata) == 1
 
     @pytest.mark.parametrize("kind", [BBM92, E91])
     @pytest.mark.parametrize("eve_fraction", [0.0, 0.3])
     def test_cell_probabilities_match_kron_trace_oracle(self, kind, eve_fraction):
         # Coincident cells: the partial-trace strata mixture's Born rule by
-        # kron/trace, every setting pair equally likely, scaled by the
-        # coincidence efficiency.
+        # kron/trace, every setting pair equally likely.
         rho = bell_state(BellLabel.PSI_PLUS, 0.6).rho
-        joint = intercept_resend(TwoQubitState(rho), kind.alice_settings(), kind.bob_settings(), eve_fraction, 0.36)
-        expected = 0.36 * _oracles.cell_probabilities(kind, rho, eve_fraction)
+        joint = intercept_resend(TwoQubitState(rho), kind.alice_settings(), kind.bob_settings(), eve_fraction)
+        expected = _oracles.cell_probabilities(kind, rho, eve_fraction)
         assert joint.shape == (len(kind.alice_hwp_deg) * len(kind.bob_hwp_deg) * 4,)
         np.testing.assert_allclose(joint, expected, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("eve_fraction", [0.0, 0.3, 1.0])
     def test_stream_matches_masked_strata_and_grouped_oracle(self, eve_fraction):
         # The library draws the cell counts of all pairs from the strata
-        # mixture scaled by the coincidence efficiency: they must follow in
-        # distribution the grouped oracle over the partial-trace mixture,
-        # and their coincident cells the masked-strata engine, which makes
-        # Eve's three draws per pair.
+        # mixture, thinned by the coincidence efficiency: they must follow
+        # in distribution the grouped oracle over the partial-trace
+        # mixture, and their coincident cells the masked-strata engine,
+        # which makes Eve's three draws per pair.
         rho = bell_state(BellLabel.PSI_PLUS, 0.6).rho
         n, efficiency = 40_000, 0.6
-        joint = intercept_resend(TwoQubitState(rho), E91_ALICE, E91_BOB, eve_fraction, efficiency)
-        lib = sample_outcome_stream(joint, np.zeros(n, dtype=np.uint8), np.random.default_rng(42))
+        lib = _stream(TwoQubitState(rho), eve_fraction, E91_ALICE, E91_BOB, n, _lost(efficiency), 42)
         states, weights = _oracles.intercept_strata(rho, eve_fraction)
         mixture = _oracles.pauli_bloch(sum(w * r for w, r in zip(weights, states)))
         ref = sample_cell_counts_grouped(efficiency * mixture, n, E91_ALICE, E91_BOB, np.random.default_rng(44))
@@ -342,28 +339,32 @@ class TestInterceptResend:
         observed = np.array([lib[:36], masked_cells])[:, (lib[:36] + masked_cells) > 0]
         assert chi2_contingency(observed).pvalue > 1e-3
 
-    def test_strata_match_partial_trace_oracle(self):
+    def test_mixture_matches_partial_trace_oracle(self):
+        # Two closed-form strata mix to the five partial-trace strata of
+        # Eve's basis and result: for random states and fractions, and for
+        # the states the program makes (every label, non-maximal,
+        # HOM-degraded, depolarized), down to |HH>, where Eve never sees V.
         rng = np.random.default_rng(31)
-        for _ in range(200):
-            rho = random_density_matrix(rng)
+        rhos = [random_density_matrix(rng, rank=int(rng.integers(1, 5))) for _ in range(200)]
+        for i in range(200):
+            source = SourceModel(
+                list(BellLabel)[i % 4], epsilon_rad=rng.uniform(0, math.pi / 2), hom_visibility=rng.uniform(0, 1)
+            )
+            rhos.append(apply_channel(generate(source), ChannelModel.werner(rng.uniform(0, 1))).rho)
+        rhos.append(bell_state(BellLabel.PHI_PLUS, 0.0).rho)
+        for rho in rhos:
             fraction = rng.uniform(0, 1)
             blochs, weights = intercept_strata(TwoQubitState(rho), fraction)
-            expected_rhos, expected_weights = _oracles.intercept_strata(rho, fraction)
-            assert blochs.shape == (5, 4, 4)
-            np.testing.assert_allclose(weights, expected_weights, rtol=0, atol=1e-14)
-            expected = [_oracles.pauli_bloch(r) for r in expected_rhos]
-            np.testing.assert_allclose(blochs, expected, rtol=0, atol=1e-14)
-
-    def test_unreachable_eve_outcome_keeps_placeholder(self):
-        # |HH>: Eve never sees V in H/V; that stratum has weight 0.
-        blochs, weights = intercept_strata(bell_state(BellLabel.PHI_PLUS, 0.0), 1.0)
-        assert weights[2] == 0.0
-        np.testing.assert_allclose(blochs[2, 1:, 0], 0.0, atol=1e-15)
+            assert blochs.shape == (2, 4, 4)
+            np.testing.assert_array_equal(weights, [1.0 - fraction, fraction])
+            states, expected_weights = _oracles.intercept_strata(rho, fraction)
+            expected = _oracles.pauli_bloch(sum(w * r for w, r in zip(expected_weights, states)))
+            np.testing.assert_allclose(np.tensordot(weights, blochs, axes=1), expected, rtol=0, atol=1e-15)
 
     def test_strata_weights_sum_to_one(self):
         state = bell_state(BellLabel.PHI_PLUS)
         blochs, weights = intercept_strata(state, 0.3)
-        assert len(blochs) == 5
+        assert len(blochs) == 2
         assert weights.sum() == pytest.approx(1.0)
         assert weights[0] == pytest.approx(0.7)
 
@@ -408,8 +409,8 @@ class TestInterceptResend:
         state = bell_state(BellLabel.PHI_PLUS)
         n = 400_000
         bases = (setting(0),)
-        joint = intercept_resend(state, bases, bases, 1.0, 1.0)
-        counts = sample_outcome_stream(joint, np.zeros(n, dtype=np.uint8), np.random.default_rng(8))
+        joint = intercept_resend(state, bases, bases, 1.0)
+        counts = sample_outcome_stream(joint, np.zeros(n, dtype=np.uint8), np.random.default_rng(8), DetectorModel(1.0))
         wrong = (counts[1] + counts[2]) / n
         assert abs(wrong - 0.25) < 5 * math.sqrt(0.25 * 0.75 / n)
 

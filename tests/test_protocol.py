@@ -460,16 +460,16 @@ class TestSessionSampler:
             joints.append(resend(*args))
             return joints[-1]
 
-        def traced_stream(joint, stratum_idx, rng):
-            calls.append((len(stratum_idx), joint is joints[-1]))
-            return stream(joint, stratum_idx, rng)
+        def traced_stream(joint, stratum_idx, rng, det):
+            calls.append((len(stratum_idx), joint is joints[-1], det))
+            return stream(joint, stratum_idx, rng, det)
 
         monkeypatch.setattr(protocol, "intercept_resend", traced_resend)
         monkeypatch.setattr(protocol, "sample_outcome_stream", traced_stream)
         cfg = config(kind=E91, channel=channel, n_pairs=262_149)
         run_session(cfg)
         assert len(joints) == 1
-        assert calls == [(262_149, True)]
+        assert calls == [(262_149, True, cfg.detector)]
 
     @pytest.mark.parametrize("channel", SESSION_CHANNELS)
     @pytest.mark.parametrize("kind", [BBM92, E91])
@@ -480,8 +480,8 @@ class TestSessionSampler:
         captured = []
         stream = protocol.sample_outcome_stream
 
-        def traced_stream(joint, stratum_idx, rng):
-            captured.append(stream(joint, stratum_idx, rng))
+        def traced_stream(joint, stratum_idx, rng, det):
+            captured.append(stream(joint, stratum_idx, rng, det))
             return captured[-1]
 
         monkeypatch.setattr(protocol, "sample_outcome_stream", traced_stream)
@@ -497,13 +497,39 @@ class TestSessionSampler:
             run_session(cfg)
             (drawn,) = captured
             captured.clear()
-            lib[i] = drawn[:n_cells]
+            lib[i] = drawn
             cells = _oracles.session_cells_strata(
                 kind, rho, det, channel.eve_fraction, 20_000, np.random.default_rng(seed)
             )
             ref[i] = np.bincount(cells, minlength=n_cells)
         for counts in (lib, ref):
             fits(counts, p)
+
+    @pytest.mark.parametrize("kind", [BBM92, E91])
+    def test_counts_are_the_by_hand_draw(self, kind):
+        # From default_rng(seed), by hand: coincidences (binomial), their
+        # cells (multinomial), accidentals (Poisson), their cells
+        # (multinomial over uniform cells), then the shuffle of the sifted
+        # cells. The record's counts and key are exactly these draws.
+        det = DetectorModel(0.7, dark_rate=0.05, window_pairs=2)
+        cfg = config(kind=kind, channel=ChannelModel.intercept_resend(0.3), detector=det, n_pairs=30_000, seed=21)
+        rec = run_session(cfg)
+        rng = np.random.default_rng(21)
+        state = optics.apply_channel(optics.generate(cfg.source), cfg.channel)
+        joint = measurement.intercept_resend(state, kind.alice_settings(), kind.bob_settings(), 0.3)
+        counts = rng.multinomial(rng.binomial(30_000, 0.7 * 0.7), joint)
+        counts += rng.multinomial(rng.poisson(0.05 * 30_000 / 2), np.full(len(joint), 1 / len(joint)))
+        n_b, a_set, b_set = len(kind.bob_hwp_deg), kind.alice_settings(), kind.bob_settings()
+        assert rec.n_coincident == counts.sum()
+        for i, j in kind.chsh_pairs:
+            assert rec.counts.find(a_set[i], b_set[j]).counts() == tuple(counts[4 * (i * n_b + j):][:4])
+        sifted = [4 * (i * n_b + j) + k for i, j in kind.matched_pairs() for k in range(4)]
+        stream = np.repeat(np.array(sifted, dtype=np.uint8), counts[sifted])
+        rng.shuffle(stream)
+        assert rec.sifted_length == len(stream)
+        key = sift(kind, cfg.source.label, stream[rec.disclosed_length:])
+        np.testing.assert_array_equal(rec.key_bits_alice, key.bits_alice)
+        np.testing.assert_array_equal(rec.key_bits_bob, key.bits_bob)
 
     @pytest.mark.parametrize("channel", SESSION_CHANNELS)
     @pytest.mark.parametrize("kind", [BBM92, E91])
