@@ -263,6 +263,17 @@ def _named(parse: Callable[[str], Any], names: list[str]) -> Callable[[Any, str]
 #: JSON keys that differ from their model field's name.
 _JSON_KEYS = {(protocol.SessionConfig, "kind"): "protocol"}
 
+#: The value of a key given twice in one JSON object: no JSON value decodes to it.
+_REPEATED = Ellipsis
+
+
+def _json_object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A config JSON object, with :data:`_REPEATED` for a key given twice."""
+    doc: dict[str, Any] = {}
+    for key, value in pairs:
+        doc[key] = _REPEATED if key in doc else value
+    return doc
+
 
 def _model(cls: type, doc: Any, section: str) -> Any:
     """Read one config section into the model dataclass ``cls``.
@@ -275,7 +286,9 @@ def _model(cls: type, doc: Any, section: str) -> Any:
         raise ConfigError(f"config field '{section}' must be a JSON object")
     prefix = f"{section}." if section else ""
     fields = {_JSON_KEYS.get((cls, f.name), f.name): f for f in dataclasses.fields(cls)}
-    for key in doc:
+    for key, value in doc.items():
+        if value is _REPEATED:
+            raise ConfigError(f"duplicate config field '{prefix}{key}'")
         if key not in fields:
             raise ConfigError(f"unknown config field '{prefix}{key}'")
     values = {}
@@ -307,12 +320,13 @@ _READERS: dict[str, Callable[[Any, str], Any]] = {
 
 
 def _session_config(doc: Any, args: argparse.Namespace) -> protocol.SessionConfig:
-    """The session a config document describes, ``--n-pairs``/``--seed`` overriding it."""
+    """The session a config document describes, ``--n-pairs``/``--seed``
+    overriding it; a field the document repeats stays an error."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     flags = {"n_pairs": args.n_pairs, "seed": args.seed}
-    doc = {**doc, **{key: value for key, value in flags.items() if value is not None}}
-    return _model(protocol.SessionConfig, doc, "")
+    flags = {key: value for key, value in flags.items() if value is not None and doc.get(key) is not _REPEATED}
+    return _model(protocol.SessionConfig, {**doc, **flags}, "")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -353,7 +367,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_session(args: argparse.Namespace) -> int:
     path = _resolve_config_path(args.config)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     except ValueError as exc:  # not UTF-8, or an integer past Python's digit limit

@@ -87,6 +87,12 @@ class CountRecordFile:
         return self._index.get(hwp_key(alice_hwp_deg, bob_hwp_deg))
 
 
+def _echo(text: str) -> str:
+    """``text`` cut to 40 characters and ``...``, so that an error message
+    that echoes it does not grow with the input."""
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _iter_content_lines(text: str) -> Iterable[tuple[int, str]]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         content = raw.split("#", 1)[0].strip()
@@ -125,7 +131,7 @@ def parse_counts(source: str | Path | bytes | IO[str] | IO[bytes]) -> CountRecor
         raise CountFileError(f"expected 'format: {FORMAT_NAME}/{FORMAT_VERSION}' header", lineno)
     declared = first.split(":", 1)[1].strip()
     if declared != f"{FORMAT_NAME}/{FORMAT_VERSION}":
-        raise CountFileError(f"unknown format version {declared!r}", lineno)
+        raise CountFileError(f"unknown format version {_echo(declared)!r}", lineno)
 
     header: dict[str, str] = {}
     rows: list[CountRow] = []
@@ -135,7 +141,7 @@ def parse_counts(source: str | Path | bytes | IO[str] | IO[bytes]) -> CountRecor
             key, _, value = content.partition(":")
             key = key.strip().lower()
             if key not in _HEADER_KEYS:
-                raise CountFileError(f"unknown header key {key!r}", lineno)
+                raise CountFileError(f"unknown header key {_echo(key)!r}", lineno)
             if key in header:
                 raise CountFileError(f"duplicate header key {key!r}", lineno)
             header[key] = value.strip()
@@ -149,13 +155,13 @@ def parse_counts(source: str | Path | bytes | IO[str] | IO[bytes]) -> CountRecor
         label = BellLabel(header["state"])
     except ValueError:
         raise CountFileError(
-            f"unknown state {header['state']!r}; expected one of "
+            f"unknown state {_echo(header['state'])!r}; expected one of "
             f"{[l.value for l in BellLabel]}"
         )
     try:
         seconds = _number(float, header["seconds-per-row"])
     except ValueError:
-        raise CountFileError(f"seconds-per-row is not a number: {header['seconds-per-row']!r}")
+        raise CountFileError(f"seconds-per-row is not a number: {_echo(header['seconds-per-row'])!r}")
     if not math.isfinite(seconds) or seconds <= 0.0:
         raise CountFileError(f"seconds-per-row must be positive and finite, got {seconds!r}")
     if not rows:
@@ -195,7 +201,7 @@ def _parse_row(content: str, lineno: int, seen: dict[tuple[float, float], int]) 
         except ValueError:
             raise CountFileError(
                 f"malformed row: column {col + 1} ({_COLUMNS[col]}) must be decimal degrees,"
-                f" got {token!r}",
+                f" got {_echo(token)!r}",
                 lineno,
             )
         if not math.isfinite(value):
@@ -213,14 +219,17 @@ def _parse_row(content: str, lineno: int, seen: dict[tuple[float, float], int]) 
         try:
             value = _number(int, token)
         except ValueError:
-            raise CountFileError(
-                f"malformed row: column {col + 1} ({_COLUMNS[col]}) count {token!r}"
-                f" is not an integer",
-                lineno,
-            )
+            if not (token.isascii() and token.isdigit()):
+                raise CountFileError(
+                    f"malformed row: column {col + 1} ({_COLUMNS[col]}) count {_echo(token)!r}"
+                    f" is not an integer",
+                    lineno,
+                )
+            digits = token.lstrip("0")  # past int()'s 4,300-digit limit
+            value = int(digits or "0") if len(digits) <= 19 else 2**63
         if value < 0:
             raise CountFileError(
-                f"negative count {value} in column {col + 1} ({_COLUMNS[col]})", lineno
+                f"negative count {_echo(str(value))} in column {col + 1} ({_COLUMNS[col]})", lineno
             )
         if value > 2**63 - 1:  # a 64-bit counter; larger counts overflow the float estimator
             raise CountFileError(f"count in column {col + 1} ({_COLUMNS[col]}) is above 2**63 - 1", lineno)

@@ -6,7 +6,7 @@ the emitted pairs (binomial), their (setting pair, outcome) cells
 (multinomial; the setting pair is uniform, the same as independent
 uniform bases for Alice and Bob), then Poisson accidentals spread over the
 cells by a second multinomial.  Only the sifted coincidences (matched
-bases) are expanded into a stream, one uint8 cell each, and shuffled; the
+bases) are expanded into a stream, one uint8 code each, and shuffled; the
 first ones form the disclosed random sample that estimates the QBER (those
 bits are consumed), the rest the key.  Pairs are independent, so given the
 counts the sifted stream is a uniformly random arrangement of its cells,
@@ -22,11 +22,11 @@ agree only by chance (QBER 0.5).
 
 Cell index: cell ``(a * n_b + b) * 4 + outcome`` (setting indices ``a``,
 ``b``; outcome 0..3 for ``++, +-, -+, --``) counts the coincidences of one
-setting pair and outcome.  In the sifted stream a cell's setting pair
-``cell >> 2`` decides, by uint8 compares, whether Bob flips its bit;
-``cell >> 1 & 1`` and ``cell & 1`` are the raw bits.  The CHSH rows of the
-counts table are the cell counts, the matched rows a bincount of the
-disclosed cells.
+setting pair and outcome.  :func:`sift` works on these counts: it keeps
+the matched cells and codes each as ``cell ^ flip``, so the sifted stream
+holds Alice's bit in ``code >> 1 & 1`` and Bob's aligned bit in
+``code & 1``.  The CHSH rows of the counts table are the cell counts, the
+matched rows a bincount of the disclosed codes.
 
 :func:`estimate` is the one estimator behind ``sweep``, ``session`` and
 ``analyze``: it turns a :class:`~ebqkd.measurement.CoincidenceTable` into
@@ -189,45 +189,25 @@ class SessionRecord:
     report: security.SecurityReport
 
 
-@dataclass(frozen=True)
-class SiftResult:
-    cells: np.ndarray
-    bits_alice: np.ndarray
-    bits_bob: np.ndarray
+def sift(kind: ProtocolKind, label: BellLabel, counts: list[int]) -> tuple[np.ndarray, list[int]]:
+    """Key cells of a session and their counts, with Bob's bit aligned.
 
-
-def _in_pairs(cells: np.ndarray, pairs: tuple[tuple[int, int], ...], n_b: int) -> np.ndarray:
-    """Mask of the cells whose setting pair ``cell >> 2`` is one of ``pairs``.
-
-    One uint8 compare per pair: a lookup table indexed by the cells would
-    first copy them to an intp array, eight bytes per cell.
-    """
-    setting_pair = cells >> 2
-    mask = np.zeros(len(cells), dtype=bool)
-    for i, j in pairs:
-        mask |= setting_pair == i * n_b + j
-    return mask
-
-
-def sift(kind: ProtocolKind, label: BellLabel, cells: np.ndarray) -> SiftResult:
-    """Keep matched-basis events and map outcomes to key bits.
-
-    ``cells`` holds one uint8 cell index per coincidence (see the module
-    docstring); the result holds the matched-basis cells in stream order
-    and their bits.  The setting pair ``cell >> 2`` decides both whether a
-    cell is kept and whether Bob flips its bit.  Deterministic and
-    order-preserving; sifting looks only at the announced setting pair,
-    never at outcomes.
+    ``counts`` holds the coincidence count of every cell (see the module
+    docstring).  For each matched setting pair and outcome, in order, the
+    result holds the code ``cell ^ flip``, where ``flip`` is 1 when Bob
+    inverts his bit in that basis, and the count of ``cell``: a code's bit 1
+    is Alice's bit and its bit 0 Bob's aligned bit.  Sifting looks only at
+    the announced setting pairs, never at outcomes.
     """
     n_b = len(kind.bob_hwp_deg)
-    matched = kind.matched_pairs()
-    flipped = tuple((i, j) for i, j in matched if bob_flip(label, math.radians(2.0 * kind.alice_hwp_deg[i])))
-    kept = cells[_in_pairs(cells, matched, n_b)]
-    bits_alice = kept >> 1
-    bits_alice &= 1
-    bits_bob = kept & 1
-    bits_bob ^= _in_pairs(kept, flipped, n_b)
-    return SiftResult(kept, bits_alice, bits_bob)
+    codes, sifted = [], []
+    for i, j in kind.matched_pairs():
+        flip = bob_flip(label, math.radians(2.0 * kind.alice_hwp_deg[i]))
+        for k in range(4):
+            cell = 4 * (i * n_b + j) + k
+            codes.append(cell ^ flip)
+            sifted.append(counts[cell])
+    return np.array(codes, dtype=np.uint8), sifted
 
 
 def _wilson_interval(errors: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -257,24 +237,20 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
 
     # Fixed draw order, part of the reproducibility contract: the cell
     # counts of all n_pairs pairs (sample_outcome_stream's own order), then
-    # the shuffle of the sifted cells.
+    # the shuffle of the sifted codes.
     joint = intercept_resend(state, alice, bob, cfg.channel.eve_fraction)
     every_pair = np.broadcast_to(np.uint8(0), (cfg.n_pairs,))  # read for its length
     counts = sample_outcome_stream(joint, every_pair, rng, cfg.detector)
     n_coincident = sum(counts)
 
-    matched = cfg.kind.matched_pairs()
-    sifted_cells = [4 * (i * n_b + j) + k for i, j in matched for k in range(4)]
-    sifted_counts = [counts[c] for c in sifted_cells]
-    n_sifted = sum(sifted_counts)
+    codes, sifted = sift(cfg.kind, cfg.source.label, counts)
+    n_sifted = sum(sifted)
     if n_sifted == 0:
-        raise NoSiftedBitsError(
-            f"no sifted bits: {n_coincident} coincidences, none in matched bases"
-        )
+        raise NoSiftedBitsError(f"no sifted bits: {n_coincident} coincidences, none in matched bases")
     try:
         if n_sifted >= 2**63:  # np.repeat would wrap the total
             raise MemoryError
-        stream = np.repeat(np.array(sifted_cells, dtype=np.uint8), sifted_counts)
+        stream = np.repeat(codes, sifted)
     except MemoryError:
         raise KeyMemoryError(
             f"n_pairs {cfg.n_pairs} at detector.dark_rate {cfg.detector.dark_rate:g}"
@@ -283,13 +259,13 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
     rng.shuffle(stream)
 
     n_disclose = max(1, int(round(cfg.qber_sample_fraction * n_sifted)))
-    disclosed_counts = np.bincount(stream[:n_disclose], minlength=n_cells).tolist()
-    sifted = sift(cfg.kind, cfg.source.label, stream[n_disclose:])
-    rows = ((matched, disclosed_counts), (cfg.kind.chsh_pairs, counts))
-    table = CoincidenceTable(tuple(
-        CoincidenceRow(alice[i], bob[j], *cells[4 * (i * n_b + j):4 * (i * n_b + j + 1)])
-        for pairs, cells in rows
-        for i, j in pairs
+    disclosed = np.bincount(stream[:n_disclose], minlength=n_cells)[codes].tolist()
+    key = stream[n_disclose:]
+    table = CoincidenceTable((
+        *(CoincidenceRow(alice[i], bob[j], *disclosed[4 * m:4 * m + 4])
+          for m, (i, j) in enumerate(cfg.kind.matched_pairs())),
+        *(CoincidenceRow(alice[i], bob[j], *counts[4 * (i * n_b + j):4 * (i * n_b + j + 1)])
+          for i, j in cfg.kind.chsh_pairs),
     ))
     settings = chsh.canonical_settings(cfg.source.label) if cfg.kind.chsh_pairs else None
     est = estimate(table, cfg.source.label, cfg.kind, settings)
@@ -302,8 +278,8 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
         qber_ci=est.qber_ci,
         per_basis_qber=est.per_basis_qber,
         chsh_subset=est.chsh,
-        key_bits_alice=sifted.bits_alice,
-        key_bits_bob=sifted.bits_bob,
+        key_bits_alice=key >> 1 & 1,
+        key_bits_bob=key & 1,
         counts=table,
         report=est.report,
     )

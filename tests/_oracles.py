@@ -311,8 +311,8 @@ def cell_probabilities(kind, rho, eve_fraction) -> np.ndarray:
 
 def sift_masked(kind, label: BellLabel, a_idx, b_idx, outcomes):
     """``(kept, bits_alice, bits_bob)`` by one mask pass per matched basis
-    over separate Alice/Bob setting and outcome streams; the library sifts
-    one cell stream with setting-pair lookup tables."""
+    over separate Alice/Bob setting and outcome streams, event by event; the
+    library sifts cell counts and codes Bob's flip into each kept cell."""
     keep = np.zeros(len(a_idx), dtype=bool)
     flip = np.zeros(len(a_idx), dtype=bool)
     for i, j in kind.matched_pairs():

@@ -430,6 +430,22 @@ class TestSession:
         err = capsys.readouterr().err
         assert err == f"error: unknown config field '{field}'\n"
 
+    @pytest.mark.parametrize("text,field", [
+        ('{"protocol": "bbm92", "source": {"label": "phi_plus"}, "protocol": "e91"}', "protocol"),
+        ('{"protocol": "bbm92", "source": {"label": "phi_plus"}, "seed": 1, "seed": 1}', "seed"),
+        ('{"protocol": "bbm92", "source": {"label": "phi_plus"},'
+         ' "detector": {"efficiency": 0.9, "efficiency": 0.5}}', "detector.efficiency"),
+        ('{"protocol": "bbm92", "source": {"label": "phi_plus", "label": "psi_minus"}}', "source.label"),
+    ])
+    @pytest.mark.parametrize("flags", [[], ["--seed", "3", "--n-pairs", "1000"]])
+    def test_duplicate_key_is_a_config_error(self, tmp_path, capsys, text, field, flags):
+        # A JSON reader keeps the last of two equal keys; the config names it
+        # instead, also where a flag overrides the field.
+        cfg = tmp_path / "session.json"
+        cfg.write_text(text)
+        assert cli.main(["session", str(cfg), *flags]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: duplicate config field '{field}'\n"
+
     @pytest.mark.parametrize("overrides,message", [
         ({"channel": {"kind": "werner"}},
          "config field 'channel.kind' must be one of ['identity', 'depolarizing', 'intercept_resend']"),

@@ -89,44 +89,51 @@ def cells_of(kind, a, b, outcomes):
     return ((a * len(kind.bob_hwp_deg) + b) * 4 + outcomes).astype(np.uint8)
 
 
+def n_cells(kind):
+    return len(kind.alice_hwp_deg) * len(kind.bob_hwp_deg) * 4
+
+
 class TestSift:
-    def test_all_matched_kept(self):
-        cells = np.arange(10, dtype=np.uint8) % 4  # (H/V, H/V), every outcome
-        res = sift(BBM92, BellLabel.PHI_PLUS, cells)
-        np.testing.assert_array_equal(res.cells, cells)
-
-    def test_bbm92_keep_fraction(self):
-        n = 200_000
-        *_, cells = random_stream(BBM92, n, 1)
-        res = sift(BBM92, BellLabel.PHI_PLUS, cells)
-        assert abs(res.cells.size / n - 0.5) < binom_5sigma(0.5, n)
-
-    def test_e91_keep_fraction_two_ninths(self):
-        n = 900_000
-        *_, cells = random_stream(E91, n, 2)
-        res = sift(E91, BellLabel.PSI_MINUS, cells)
-        assert abs(res.cells.size / n - 2 / 9) < binom_5sigma(2 / 9, n)
-
-    def test_order_preserving_and_outcome_blind(self):
-        a, b, outcomes, cells = random_stream(BBM92, 5000, 3)
-        kept, *_ = _oracles.sift_masked(BBM92, BellLabel.PHI_PLUS, a, b, outcomes)
-        res = sift(BBM92, BellLabel.PHI_PLUS, cells)
-        np.testing.assert_array_equal(res.cells, cells[kept])
-        # permuting outcome labels must not change which events are kept
-        permuted = cells_of(BBM92, a, b, ((outcomes + 1) % 4).astype(np.uint8))
-        res2 = sift(BBM92, BellLabel.PHI_PLUS, permuted)
-        np.testing.assert_array_equal(res2.cells, permuted[kept])
-
     @pytest.mark.parametrize("label", list(BellLabel))
     @pytest.mark.parametrize("kind", [BBM92, E91])
     def test_matches_masked_oracle(self, kind, label):
+        # Each code carries the oracle's bits of its raw cell, and its count
+        # is the number of events the oracle keeps in that cell.
         a, b, outcomes, cells = random_stream(kind, 20_000, [4, len(kind.bob_hwp_deg)])
-        res = sift(kind, label, cells)
+        codes, sifted = sift(kind, label, np.bincount(cells, minlength=n_cells(kind)).tolist())
         kept, bits_a, bits_b = _oracles.sift_masked(kind, label, a, b, outcomes)
-        assert np.array_equal(res.cells, cells[kept])
-        assert np.array_equal(res.bits_alice, bits_a)
-        assert np.array_equal(res.bits_bob, bits_b)
+        n_b = len(kind.bob_hwp_deg)
+        raw = [4 * (i * n_b + j) + k for i, j in kind.matched_pairs() for k in range(4)]
+        assert len(codes) == len(sifted) == len(raw)
+        for code, count, cell in zip(codes.tolist(), sifted, raw):
+            in_cell = cells[kept] == cell
+            assert count == np.count_nonzero(in_cell) > 0
+            assert (bits_a[in_cell] == code >> 1 & 1).all()
+            assert (bits_b[in_cell] == code & 1).all()
+        assert sum(sifted) == len(kept)
         assert bits_a.size and (bits_a != bits_b).any() and (bits_a == bits_b).any()
+
+    @pytest.mark.parametrize("label", list(BellLabel))
+    @pytest.mark.parametrize("kind", [BBM92, E91])
+    def test_kept_cells_ignore_outcome_counts(self, kind, label):
+        # Sifting reads only the announced setting pairs: no choice of
+        # counts changes which cells are kept, and unmatched cells never
+        # appear.
+        rng = np.random.default_rng(6)
+        codes, _ = sift(kind, label, [0] * n_cells(kind))
+        n_b = len(kind.bob_hwp_deg)
+        matched = [i * n_b + j for i, j in kind.matched_pairs()]
+        assert [code >> 2 for code in codes.tolist()] == [p for p in matched for _ in range(4)]
+        for counts in (rng.integers(0, 1000, n_cells(kind)), np.arange(n_cells(kind))[::-1]):
+            again, sifted = sift(kind, label, counts.tolist())
+            np.testing.assert_array_equal(again, codes)
+            assert sifted == [int(counts[4 * p + k]) for p in matched for k in range(4)]
+
+    def test_counts_pass_through_as_python_ints(self):
+        # Totals past 2**63 must reach run_session's memory check unwrapped.
+        codes, sifted = sift(BBM92, BellLabel.PHI_PLUS, [2**64 + c for c in range(n_cells(BBM92))])
+        assert codes.dtype == np.uint8
+        assert sifted == [2**64 + c for c in (0, 1, 2, 3, 12, 13, 14, 15)]
 
     @pytest.mark.parametrize("label", list(BellLabel))
     def test_noiseless_agreement_every_label(self, label):
@@ -343,12 +350,13 @@ class TestMixedDisturbances:
     @pytest.mark.parametrize("label", [BellLabel.PHI_MINUS, BellLabel.PSI_PLUS])
     def test_e91_uncorrelated_basis_bits_are_unflipped(self, label):
         # The 22.5-degree basis is uncorrelated for phi- and psi+, so Bob
-        # keeps his raw bit there: errors are exactly the unequal outcomes.
-        rng = np.random.default_rng(5)
-        n = 1000
-        outcomes = rng.integers(0, 4, n).astype(np.uint8)
-        res = sift(E91, label, cells_of(E91, np.full(n, 1), np.full(n, 0), outcomes))
-        np.testing.assert_array_equal(res.bits_alice != res.bits_bob, (outcomes == 1) | (outcomes == 2))
+        # keeps his raw bit there: its codes are the raw cells, and errors
+        # are exactly the unequal outcomes.
+        assert E91.matched_pairs()[0] == (1, 0)
+        codes, _ = sift(E91, label, [0] * n_cells(E91))
+        raw = 4 * (1 * 3 + 0) + np.arange(4)
+        np.testing.assert_array_equal(codes[:4], raw)
+        np.testing.assert_array_equal(codes[:4] >> 1 & 1 != codes[:4] & 1, [False, True, True, False])
 
     def test_degenerate_e91_label_runs_without_error(self):
         # phi- sits badly in E91's rotated bases: zero correlation at the
@@ -505,14 +513,19 @@ class TestSessionSampler:
         for counts in (lib, ref):
             fits(counts, p)
 
+    @pytest.mark.parametrize("label", list(BellLabel))
     @pytest.mark.parametrize("kind", [BBM92, E91])
-    def test_counts_are_the_by_hand_draw(self, kind):
+    def test_counts_are_the_by_hand_draw(self, kind, label):
         # From default_rng(seed), by hand: coincidences (binomial), their
         # cells (multinomial), accidentals (Poisson), their cells
         # (multinomial over uniform cells), then the shuffle of the sifted
-        # cells. The record's counts and key are exactly these draws.
+        # cells. The record's counts and key are exactly these draws, with
+        # the bits mapped by the oracle, not by the library's sift.
         det = DetectorModel(0.7, dark_rate=0.05, window_pairs=2)
-        cfg = config(kind=kind, channel=ChannelModel.intercept_resend(0.3), detector=det, n_pairs=30_000, seed=21)
+        cfg = config(
+            kind=kind, source=SourceModel(label), channel=ChannelModel.intercept_resend(0.3), detector=det,
+            n_pairs=30_000, seed=21,
+        )
         rec = run_session(cfg)
         rng = np.random.default_rng(21)
         state = optics.apply_channel(optics.generate(cfg.source), cfg.channel)
@@ -527,9 +540,14 @@ class TestSessionSampler:
         stream = np.repeat(np.array(sifted, dtype=np.uint8), counts[sifted])
         rng.shuffle(stream)
         assert rec.sifted_length == len(stream)
-        key = sift(kind, cfg.source.label, stream[rec.disclosed_length:])
-        np.testing.assert_array_equal(rec.key_bits_alice, key.bits_alice)
-        np.testing.assert_array_equal(rec.key_bits_bob, key.bits_bob)
+        disclosed, key = np.split(stream, [rec.disclosed_length])
+        disclosed_counts = np.bincount(disclosed, minlength=len(joint))
+        for i, j in kind.matched_pairs():
+            assert rec.counts.find(a_set[i], b_set[j]).counts() == tuple(disclosed_counts[4 * (i * n_b + j):][:4])
+        kept, bits_a, bits_b = _oracles.sift_masked(kind, cfg.source.label, (key >> 2) // n_b, (key >> 2) % n_b, key & 3)
+        assert len(kept) == len(key)
+        np.testing.assert_array_equal(rec.key_bits_alice, bits_a)
+        np.testing.assert_array_equal(rec.key_bits_bob, bits_b)
 
     @pytest.mark.parametrize("channel", SESSION_CHANNELS)
     @pytest.mark.parametrize("kind", [BBM92, E91])
