@@ -34,7 +34,7 @@ from .measurement import (
     spawn_rng,
 )
 from .optics import ChannelKind, ChannelModel, SourceModel
-from .qstate import BellLabel
+from .qstate import BellLabel, echo
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -92,7 +92,7 @@ class SweepSpec:
                     f"grid value {value!r} outside [{lo:g}, {hi:g}] for {self.mechanism}"
                 )
         if not 1 <= self.n_pairs < 2**63:  # numpy's binomial takes a 64-bit n
-            raise ConfigError(f"n_pairs must be in [1, 2**63), got {self.n_pairs!r}")
+            raise ConfigError(f"n_pairs must be in [1, 2**63), got {echo(repr(self.n_pairs))}")
         if self.qber_mode not in ("mean", "worst"):
             raise ConfigError(f"qber mode must be 'mean' or 'worst', got {self.qber_mode!r}")
 
@@ -124,8 +124,7 @@ def sweep_point(spec: SweepSpec, index: int, value: float, seed: int) -> dict[st
     rngs = [spawn_rng(seed, index, k) for k in range(len(pairs))]
     rows = sample_outcomes(state, pairs, spec.detector, spec.n_pairs, rngs)
     est = protocol.estimate(CoincidenceTable(rows), spec.label, protocol.BBM92, settings)
-    basis_qber = est.per_basis_qber.values()
-    qber = max(basis_qber) if spec.qber_mode == "worst" else sum(basis_qber) / 2.0
+    qber = max(est.per_basis_qber.values()) if spec.qber_mode == "worst" else est.report.delta
     return {
         "mechanism_param": value,
         "S_analytic": s_analytic,
@@ -201,7 +200,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError:
-        raise ConfigError(f"grid must be comma-separated numbers, got {text!r}")
+        raise ConfigError(f"grid must be comma-separated numbers, got {echo(text)!r}")
 
 
 def _resolve_config_path(path_arg: str) -> Path:
@@ -223,7 +222,7 @@ def _integer(value: Any, field: str) -> int:
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise ConfigError(f"invalid session config: field '{field}' must be an integer, got {value!r}")
+    raise ConfigError(f"invalid session config: field '{field}' must be an integer, got {echo(repr(value))}")
 
 
 def _real(value: Any, field: str) -> float:
@@ -237,13 +236,13 @@ def _real(value: Any, field: str) -> float:
             return float(value)
         except OverflowError:
             raise ConfigError(f"invalid session config: field '{field}' is too large for a float")
-    raise ConfigError(f"invalid session config: field '{field}' must be a number, got {value!r}")
+    raise ConfigError(f"invalid session config: field '{field}' must be a number, got {echo(repr(value))}")
 
 
 def _string(value: Any, field: str) -> str:
     if isinstance(value, str):
         return value
-    raise ConfigError(f"invalid session config: field '{field}' must be a string, got {value!r}")
+    raise ConfigError(f"invalid session config: field '{field}' must be a string, got {echo(repr(value))}")
 
 
 def _named(parse: Callable[[str], Any], names: list[str]) -> Callable[[Any, str], Any]:
@@ -288,9 +287,9 @@ def _model(cls: type, doc: Any, section: str) -> Any:
     fields = {_JSON_KEYS.get((cls, f.name), f.name): f for f in dataclasses.fields(cls)}
     for key, value in doc.items():
         if value is _REPEATED:
-            raise ConfigError(f"duplicate config field '{prefix}{key}'")
+            raise ConfigError(f"duplicate config field '{prefix}{echo(key)}'")
         if key not in fields:
-            raise ConfigError(f"unknown config field '{prefix}{key}'")
+            raise ConfigError(f"unknown config field '{prefix}{echo(key)}'")
     values = {}
     for key, f in fields.items():
         if key in doc:
@@ -340,6 +339,11 @@ def _write_report(doc: dict, out_path: str | None) -> None:
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", out_path)
 
 
+def _chsh_report(est: chsh.ChshEstimate | None) -> dict[str, Any] | None:
+    """The report's CHSH block, ``None`` where no S was estimated."""
+    return None if est is None else {"S": est.s, "sigma_S": est.sigma_s, "correlators": list(est.correlators)}
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         detector = DetectorModel(efficiency=args.efficiency)
@@ -354,9 +358,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         qber_mode=args.qber,
     )
     if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        raise ConfigError(f"--seed must be >= 0, got {echo(str(args.seed))}")
     if args.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        raise ConfigError(f"--workers must be >= 1, got {echo(str(args.workers))}")
     rows = run_sweep(spec, args.seed, workers=args.workers)
     table = io.StringIO()
     write_sweep_table(rows, spec, args.seed, table, "," if args.format == "csv" else "\t")
@@ -396,13 +400,7 @@ def cmd_session(args: argparse.Namespace) -> int:
             "qber_hat": record.qber_hat,
             "qber_ci95": list(record.qber_ci),
             "per_basis_qber": {f"{k:g}": v for k, v in sorted(record.per_basis_qber.items())},
-            "chsh": None
-            if record.chsh_subset is None
-            else {
-                "S": record.chsh_subset.s,
-                "sigma_S": record.chsh_subset.sigma_s,
-                "correlators": list(record.chsh_subset.correlators),
-            },
+            "chsh": _chsh_report(record.chsh_subset),
         },
         "security": dataclasses.asdict(report),
     }
@@ -449,11 +447,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "kind": "analysis",
             "counts_file": str(args.counts),
             "state": record.state_label.value,
-            "chsh": {
-                "S": estimate.s,
-                "sigma_S": estimate.sigma_s,
-                "correlators": list(estimate.correlators),
-            },
+            "chsh": _chsh_report(estimate),
             "security": dataclasses.asdict(report),
         },
         args.out,

@@ -39,7 +39,7 @@ from .measurement import (
     spawn_rng,
 )
 from .protocol import BBM92, EmptyBasisError, ProtocolKind, estimate
-from .qstate import BellLabel, TwoQubitState, joint_probabilities
+from .qstate import BellLabel, TwoQubitState, echo, joint_probabilities
 
 FORMAT_NAME = "qkd-counts"
 FORMAT_VERSION = 1
@@ -79,18 +79,20 @@ class CountRecordFile:
     rows: tuple[CountRow, ...]
 
     def __post_init__(self) -> None:
-        # Keyed like the parser's duplicate check; the first row wins.
-        index = {hwp_key(r.alice_hwp_deg, r.bob_hwp_deg): r for r in reversed(self.rows)}
+        # The one row index, in row order: a repeated angle pair is an error
+        # whoever built the rows (a hand-built row has line 0).
+        index: dict[tuple[float, float], CountRow] = {}
+        for row in self.rows:
+            key = hwp_key(row.alice_hwp_deg, row.bob_hwp_deg)
+            if (first := index.get(key)) is not None:
+                seen = f", first seen on line {first.line}" if first.line else ""
+                pair = f"({row.alice_hwp_deg}, {row.bob_hwp_deg})"
+                raise CountFileError(f"duplicate angle pair {pair}{seen}", row.line or None)
+            index[key] = row
         object.__setattr__(self, "_index", index)
 
     def find(self, alice_hwp_deg: float, bob_hwp_deg: float) -> CountRow | None:
         return self._index.get(hwp_key(alice_hwp_deg, bob_hwp_deg))
-
-
-def _echo(text: str) -> str:
-    """``text`` cut to 40 characters and ``...``, so that an error message
-    that echoes it does not grow with the input."""
-    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def _iter_content_lines(text: str) -> Iterable[tuple[int, str]]:
@@ -131,22 +133,21 @@ def parse_counts(source: str | Path | bytes | IO[str] | IO[bytes]) -> CountRecor
         raise CountFileError(f"expected 'format: {FORMAT_NAME}/{FORMAT_VERSION}' header", lineno)
     declared = first.split(":", 1)[1].strip()
     if declared != f"{FORMAT_NAME}/{FORMAT_VERSION}":
-        raise CountFileError(f"unknown format version {_echo(declared)!r}", lineno)
+        raise CountFileError(f"unknown format version {echo(declared)!r}", lineno)
 
     header: dict[str, str] = {}
     rows: list[CountRow] = []
-    seen: dict[tuple[float, float], int] = {}
     for lineno, content in lines[1:]:
         if ":" in content and not rows:
             key, _, value = content.partition(":")
             key = key.strip().lower()
             if key not in _HEADER_KEYS:
-                raise CountFileError(f"unknown header key {_echo(key)!r}", lineno)
+                raise CountFileError(f"unknown header key {echo(key)!r}", lineno)
             if key in header:
                 raise CountFileError(f"duplicate header key {key!r}", lineno)
             header[key] = value.strip()
             continue
-        rows.append(_parse_row(content, lineno, seen))
+        rows.append(_parse_row(content, lineno))
 
     for key in _HEADER_KEYS:
         if key not in header:
@@ -155,13 +156,13 @@ def parse_counts(source: str | Path | bytes | IO[str] | IO[bytes]) -> CountRecor
         label = BellLabel(header["state"])
     except ValueError:
         raise CountFileError(
-            f"unknown state {_echo(header['state'])!r}; expected one of "
+            f"unknown state {echo(header['state'])!r}; expected one of "
             f"{[l.value for l in BellLabel]}"
         )
     try:
         seconds = _number(float, header["seconds-per-row"])
     except ValueError:
-        raise CountFileError(f"seconds-per-row is not a number: {_echo(header['seconds-per-row'])!r}")
+        raise CountFileError(f"seconds-per-row is not a number: {echo(header['seconds-per-row'])!r}")
     if not math.isfinite(seconds) or seconds <= 0.0:
         raise CountFileError(f"seconds-per-row must be positive and finite, got {seconds!r}")
     if not rows:
@@ -187,7 +188,7 @@ def _number(kind: type, token: str) -> float | int:
     return kind(token)
 
 
-def _parse_row(content: str, lineno: int, seen: dict[tuple[float, float], int]) -> CountRow:
+def _parse_row(content: str, lineno: int) -> CountRow:
     tokens = content.split()
     if len(tokens) != 5:
         raise CountFileError(
@@ -201,7 +202,7 @@ def _parse_row(content: str, lineno: int, seen: dict[tuple[float, float], int]) 
         except ValueError:
             raise CountFileError(
                 f"malformed row: column {col + 1} ({_COLUMNS[col]}) must be decimal degrees,"
-                f" got {_echo(token)!r}",
+                f" got {echo(token)!r}",
                 lineno,
             )
         if not math.isfinite(value):
@@ -221,7 +222,7 @@ def _parse_row(content: str, lineno: int, seen: dict[tuple[float, float], int]) 
         except ValueError:
             if not (token.isascii() and token.isdigit()):
                 raise CountFileError(
-                    f"malformed row: column {col + 1} ({_COLUMNS[col]}) count {_echo(token)!r}"
+                    f"malformed row: column {col + 1} ({_COLUMNS[col]}) count {echo(token)!r}"
                     f" is not an integer",
                     lineno,
                 )
@@ -229,19 +230,12 @@ def _parse_row(content: str, lineno: int, seen: dict[tuple[float, float], int]) 
             value = int(digits or "0") if len(digits) <= 19 else 2**63
         if value < 0:
             raise CountFileError(
-                f"negative count {_echo(str(value))} in column {col + 1} ({_COLUMNS[col]})", lineno
+                f"negative count {echo(str(value))} in column {col + 1} ({_COLUMNS[col]})", lineno
             )
         if value > 2**63 - 1:  # a 64-bit counter; larger counts overflow the float estimator
             raise CountFileError(f"count in column {col + 1} ({_COLUMNS[col]}) is above 2**63 - 1", lineno)
         counts.append(value)
-    a_deg, b_deg = angles
-    key = hwp_key(a_deg, b_deg)
-    if key in seen:
-        raise CountFileError(
-            f"duplicate angle pair ({a_deg}, {b_deg}), first seen on line {seen[key]}", lineno
-        )
-    seen[key] = lineno
-    return CountRow(a_deg, b_deg, counts[0], counts[1], counts[2], line=lineno)
+    return CountRow(*angles, *counts, line=lineno)
 
 
 def write_counts(record: CountRecordFile, dest: str | Path | IO[str]) -> None:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qstate import BellLabel, TwoQubitState, born_table, joint_probabilities
+from .qstate import BellLabel, TwoQubitState, born_table, echo, joint_probabilities
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class DetectorModel:
         if not (math.isfinite(self.dark_rate) and self.dark_rate >= 0.0):
             raise ValueError(f"dark_rate must be finite and >= 0, got {self.dark_rate!r}")
         if not 1 <= self.window_pairs < 2**63:
-            raise ValueError(f"window_pairs must be in [1, 2**63), got {self.window_pairs!r}")
+            raise ValueError(f"window_pairs must be in [1, 2**63), got {echo(repr(self.window_pairs))}")
 
     @property
     def eff_alice(self) -> float:
@@ -156,34 +156,32 @@ def spawn_rng(seed: int, *stream: int) -> np.random.Generator:
 def intercept_strata(state: TwoQubitState, eve_fraction: float) -> tuple[np.ndarray, np.ndarray]:
     """Mixture components seen downstream of an intercept-resend attack.
 
-    Returns ``(blochs, weights)``: a ``(k, 4, 4)`` stack of the components'
-    Pauli correlation matrices and their weights.  Index 0 is the untouched
-    ``state.bloch`` (weight ``1 - eve_fraction``); at ``eve_fraction = 0``
-    it is the only component (k = 1), otherwise k = 2.  Eve measures Bob's
-    photon in H/V or D/A (Bloch axis z or x, chosen uniformly) and
-    forwards an eigenstate of her result, which keeps only Bob's Bloch
-    component along her axis.  Her basis and result are discarded, so
-    index 1 (weight ``eve_fraction``) scales Bob's columns ``(I, x, y, z)``
-    of ``C`` by ``(1, 1/2, 0, 1/2)``.
+    Returns ``(blochs, weights)``: a ``(2, 4, 4)`` stack of the two
+    components' Pauli correlation matrices and their weights ``(1 -
+    eve_fraction, eve_fraction)``, at every fraction, 0 included.  Index 0
+    is the untouched ``state.bloch``.  Eve measures Bob's photon in H/V or
+    D/A (Bloch axis z or x, chosen uniformly) and forwards an eigenstate of
+    her result, which keeps only Bob's Bloch component along her axis.  Her
+    basis and result are discarded, so index 1 scales Bob's columns ``(I,
+    x, y, z)`` of ``C`` by ``(1, 1/2, 0, 1/2)``.
     """
     if not 0.0 <= eve_fraction <= 1.0:
         raise ValueError(f"eve_fraction must be in [0, 1], got {eve_fraction!r}")
     c = state.bloch
-    if eve_fraction == 0.0:
-        return c[None], np.ones(1)
     return np.stack((c, c * [1.0, 0.5, 0.0, 0.5])), np.array([1.0 - eve_fraction, eve_fraction])
 
 
 def intercept_average_state(state: TwoQubitState, eve_fraction: float) -> TwoQubitState:
     """Ensemble-average state after intercept-resend (Eve's records discarded).
 
-    ``state`` itself at ``eve_fraction = 0``; otherwise the state whose
-    correlation matrix is the weighted sum of the :func:`intercept_strata`
-    components.  Every pair downstream of the attack is drawn from it.
+    ``state`` itself at ``eve_fraction = 0``, without asking for the strata;
+    otherwise the state whose correlation matrix is the weighted sum of the
+    :func:`intercept_strata` components.  Every pair downstream of the
+    attack is drawn from it.
     """
-    blochs, weights = intercept_strata(state, eve_fraction)
-    if len(weights) == 1:
+    if eve_fraction == 0.0:
         return state
+    blochs, weights = intercept_strata(state, eve_fraction)
     return TwoQubitState.from_bloch(np.tensordot(weights, blochs, axes=1))
 
 
@@ -254,7 +252,8 @@ def intercept_resend(
     returned, so every pair is drawn from the weighted
     :func:`intercept_strata` mixture: the same distribution as drawing her
     interception, basis and result first, with no Eve randomness consumed.
-    At ``eve_fraction = 0`` the mixture is ``state.bloch``.
+    At ``eve_fraction = 0`` the weights ``(1, 0)`` mix to ``state.bloch``
+    exactly.
 
     The result is the mixture's :func:`~ebqkd.qstate.born_table` flattened
     over the cells ``(a * n_b + b) * 4 + outcome`` (``n_b =

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import BellLabel, TwoQubitState
+from .qstate import BellLabel, TwoQubitState, echo
 
 # (index of the first basis term, index of the second, relative sign)
 _BELL_TERMS: dict[BellLabel, tuple[int, int, float]] = {
@@ -78,7 +78,7 @@ class ChannelModel:
         if not 0.0 <= self.parameter <= 1.0:
             raise ValueError(f"parameter must be in [0, 1], got {self.parameter!r}")
         if self.arm not in ("a", "b", "both"):
-            raise ValueError(f"arm must be 'a', 'b' or 'both', got {self.arm!r}")
+            raise ValueError(f"arm must be 'a', 'b' or 'both', got {echo(repr(self.arm))}")
 
     @classmethod
     def identity(cls) -> "ChannelModel":

@@ -52,7 +52,7 @@ from .measurement import (
     wrong_outcomes,
 )
 from .optics import ChannelModel, SourceModel
-from .qstate import BellLabel
+from .qstate import BellLabel, echo
 
 
 class EmptyBasisError(ValueError):
@@ -147,9 +147,9 @@ class SessionConfig:
 
     def __post_init__(self) -> None:
         if not 1 <= self.n_pairs < 2**63:
-            raise ValueError(f"n_pairs must be in [1, 2**63), got {self.n_pairs!r}")
+            raise ValueError(f"n_pairs must be in [1, 2**63), got {echo(repr(self.n_pairs))}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+            raise ValueError(f"seed must be >= 0, got {echo(repr(self.seed))}")
         if not 0.0 < self.qber_sample_fraction < 1.0:
             raise ValueError(
                 f"qber_sample_fraction must be in (0, 1), got {self.qber_sample_fraction!r}"

@@ -2,7 +2,9 @@
 
 Density operators over the two-photon product basis {HH, HV, VH, VV} and
 joint outcome probabilities behind linear polarization analyzers.  The
-sources that prepare them live in :mod:`ebqkd.optics`.
+sources that prepare them live in :mod:`ebqkd.optics`.  :func:`echo`, the
+one rule for quoting input in an error message, lives here because every
+other module imports this one.
 
 Conventions
 -----------
@@ -44,6 +46,12 @@ PSD_ATOL = 1e-9
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 #: Row ``4*m + n`` holds the 16 entries of sigma_m x sigma_n in basis order.
 _PAULI_PAIRS = np.einsum("mij,nkl->mnikjl", _PAULI, _PAULI).reshape(16, 16)
+
+
+def echo(text: str) -> str:
+    """``text`` cut to 40 characters and ``...``: the one rule for echoing
+    input in an error message, so that the message does not grow with it."""
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 class InvariantViolation(ValueError):

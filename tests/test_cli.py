@@ -468,7 +468,7 @@ class TestSession:
         ({"detector": {"window_pairs": 2**63}},
          f"invalid session config: detector.window_pairs must be in [1, 2**63), got {2**63}"),
         ({"detector": {"window_pairs": 10**400}},
-         f"invalid session config: detector.window_pairs must be in [1, 2**63), got {10**400}"),
+         f"invalid session config: detector.window_pairs must be in [1, 2**63), got 1{'0' * 39}..."),
     ])
     def test_field_error_names_the_field(self, tmp_path, capsys, overrides, message):
         cfg = session_config(tmp_path, **overrides)

@@ -55,6 +55,23 @@ class TestParse:
         assert err.value.line == line
         assert f"line {line}" in str(err.value)
 
+    def test_a_record_refuses_a_repeated_pair_however_built(self, fixtures_dir):
+        # The record's row index is the one duplicate check: rows made by
+        # hand (line 0) or appended to a parsed record are refused too, so
+        # nothing can analyse or write a file that parse_counts rejects.
+        rows = (ingest.CountRow(0.0, 11.25, 1000, 1000, 500), ingest.CountRow(45.0, 11.25, 1000, 1000, 80))
+        with pytest.raises(CountFileError, match=r"^duplicate angle pair \(0\.0, 11\.25\)$") as err:
+            ingest.CountRecordFile(1, BellLabel.PHI_PLUS, 1.0, rows + (ingest.CountRow(0.0, 11.25, 9, 9, 9),))
+        assert err.value.line is None
+        rec = parse_counts(fixtures_dir / "counts" / "phi_plus_maximal.txt")
+        row = rec.rows[3]
+        pair = rf"duplicate angle pair \({row.alice_hwp_deg}, {row.bob_hwp_deg}\)"
+        pair += f", first seen on line {row.line}"
+        with pytest.raises(CountFileError, match=rf"^{pair}$"):
+            dataclasses.replace(rec, rows=rec.rows + (dataclasses.replace(row, line=0),))
+        with pytest.raises(CountFileError, match=rf"^line {row.line}: {pair}$"):
+            dataclasses.replace(rec, rows=rec.rows + (row,))
+
     def test_errors_name_the_column(self, fixtures_dir):
         with pytest.raises(CountFileError, match="column 5"):
             parse_counts(fixtures_dir / "counts" / "bad_negative.txt")

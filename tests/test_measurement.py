@@ -26,7 +26,7 @@ from ebqkd.measurement import (
 )
 from ebqkd.optics import ChannelModel, SourceModel, apply_channel, bell_state, generate
 from ebqkd.protocol import BBM92, E91
-from ebqkd.qstate import BellLabel, TwoQubitState, joint_probabilities
+from ebqkd.qstate import BellLabel, TwoQubitState, born_table, joint_probabilities
 
 
 def setting(pol_deg):
@@ -373,14 +373,22 @@ class TestInterceptResend:
         np.testing.assert_allclose(intercept_average_state(state, 0.0).rho, state.rho, atol=1e-15)
 
     def test_one_stratum_without_eve(self):
-        # At eve_fraction = 0 the mixture is the state alone, and the sampler
-        # draws exactly binomial -> multinomial(p) -> poisson from each
-        # pair's generator.
+        # At eve_fraction = 0 the two strata weigh (1, 0), their mixture is
+        # the state alone bit for bit, the average state is the state itself,
+        # and the sampler draws exactly binomial -> multinomial(p) -> poisson
+        # from each pair's generator.
         state = bell_state(BellLabel.PHI_PLUS, 0.5)
         blochs, weights = intercept_strata(state, 0.0)
-        np.testing.assert_array_equal(blochs, state.bloch[None])
-        np.testing.assert_array_equal(weights, [1.0])
+        np.testing.assert_array_equal(blochs[0], state.bloch)
+        np.testing.assert_array_equal(weights, [1.0, 0.0])
         assert intercept_average_state(state, 0.0) is state
+        rng = np.random.default_rng(12)
+        sources = [random_density_matrix(rng, rank=int(rng.integers(1, 5))) for _ in range(200)]
+        sources += [generate(SourceModel(label, epsilon_rad=0.6, hom_visibility=0.9)).rho for label in BellLabel]
+        for rho in sources:
+            source = TwoQubitState(rho)
+            table = born_table(source.bloch, E91_ALICE, E91_BOB).ravel()
+            np.testing.assert_array_equal(intercept_resend(source, E91_ALICE, E91_BOB, 0.0), table / table.sum())
 
         a, b = setting(10), setting(55)
         det = DetectorModel(efficiency=0.7)
