@@ -33,7 +33,6 @@ from .optics import (
 )
 from .protocol import BBM92, E91, SessionConfig, SessionRecord, run_session, sift
 from .qstate import (
-    BASIS_LABELS,
     BellLabel,
     InvariantViolation,
     JointDistribution,
@@ -56,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyzerSetting",
-    "BASIS_LABELS",
     "BBM92",
     "BellLabel",
     "ChannelKind",

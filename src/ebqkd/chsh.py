@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measurement import AnalyzerSetting, CoincidenceTable
+from .measurement import AnalyzerSetting, CoincidenceTable, IncompleteTableError, pair_name
 from .qstate import BellLabel, TwoQubitState, born_table, joint_probabilities
 from .security import S_QUANTUM_MAX as TSIRELSON  # quantum ceiling on |S|, re-exported
 
@@ -46,10 +46,6 @@ _CANONICAL_SIGNS: dict[BellLabel, tuple[int, int, int, int]] = {
     BellLabel.PSI_PLUS: (-1, 1, 1, 1),
     BellLabel.PSI_MINUS: (-1, 1, -1, -1),
 }
-
-
-class IncompleteTableError(ValueError):
-    """A coincidence table lacks rows or counts needed by the estimator."""
 
 
 @dataclass(frozen=True)
@@ -224,29 +220,12 @@ def s_from_counts(table: CoincidenceTable, settings: ChshSettings) -> ChshEstima
     the binomial-approximation variance ``sigma_E^2 = (1 - E^2) / n_total``;
     ``sigma_S`` adds the four variances in quadrature.
     """
-    missing: list[str] = []
-    rows = []
-    for a, b in settings.pairs():
-        row = table.find(a, b)
-        if row is None:
-            missing.append(
-                f"({a.polarization_angle_deg:g}, {b.polarization_angle_deg:g}) deg"
-            )
-        else:
-            rows.append(row)
-    if missing:
-        raise IncompleteTableError(
-            "coincidence table is missing setting pairs: " + ", ".join(missing)
-        )
-
     correlators = []
     var_sum = 0.0
-    for row in rows:
+    for a, b in settings.pairs():
+        row = table.row(a, b)
         if row.total == 0:
-            raise IncompleteTableError(
-                f"zero total coincidences for setting pair "
-                f"({row.a.polarization_angle_deg:g}, {row.b.polarization_angle_deg:g}) deg"
-            )
+            raise IncompleteTableError(f"zero total coincidences for setting pair {pair_name(row.a, row.b)}")
         e = (row.n_pp + row.n_mm - row.n_pm - row.n_mp) / row.total
         correlators.append(e)
         var_sum += (1.0 - e * e) / row.total

@@ -21,9 +21,10 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
-from typing import Any, Callable, TextIO
+from typing import Any, Callable, NoReturn, TextIO
 
 from . import chsh, ingest, optics, protocol, security
 from .measurement import (
@@ -405,8 +406,8 @@ def cmd_session(args: argparse.Namespace) -> int:
         "security": dataclasses.asdict(report),
     }
     if args.emit_keys:
-        out["record"]["key_alice"] = "".join(str(b) for b in record.key_bits_alice)
-        out["record"]["key_bob"] = "".join(str(b) for b in record.key_bits_bob)
+        out["record"]["key_alice"] = (record.key_bits_alice + ord("0")).tobytes().decode("ascii")
+        out["record"]["key_bob"] = (record.key_bits_bob + ord("0")).tobytes().decode("ascii")
     _write_report(out, args.out)
     return EXIT_OK
 
@@ -455,8 +456,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with each value it quotes in an error cut by :func:`echo`."""
+
+    def error(self, message: str) -> NoReturn:
+        quoted = r"""(['"])((?:\\.|(?!\1).)*)\1"""  # a value as repr() prints it
+        super().error(re.sub(quoted, lambda m: m[1] + echo(m[2]) + m[1], message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ebqkd",
         description="Entanglement-based QKD simulator and security analysis",
     )

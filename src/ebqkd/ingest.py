@@ -378,7 +378,7 @@ def analyze_counts(
     except EmptyBasisError as exc:
         # estimate names the first empty key basis; say whether the file or
         # the subtraction emptied it.
-        a, b = next((a, b) for a, b in protocol.key_pairs() if table.find(a, b).total == 0)
+        a, b = next((a, b) for a, b in protocol.key_pairs() if table.row(a, b).total == 0)
         raw = sum(record.find(ah, bh).coincidences for ah, bh in _projector_pairs(a, b))
         if raw > 0:
             raise CountFileError(

@@ -125,23 +125,43 @@ def hwp_key(alice_hwp_deg: float, bob_hwp_deg: float) -> tuple[float, float]:
     return (round(alice_hwp_deg % 180.0, 6) % 180.0, round(bob_hwp_deg % 180.0, 6) % 180.0)
 
 
+def pair_name(a: AnalyzerSetting, b: AnalyzerSetting) -> str:
+    """A setting pair as errors name it: its polarization angles, ``(0, 22.5) deg``."""
+    return f"({a.polarization_angle_deg:g}, {b.polarization_angle_deg:g}) deg"
+
+
+class IncompleteTableError(ValueError):
+    """A coincidence table lacks rows or counts needed by the estimator."""
+
+
 @dataclass(frozen=True)
 class CoincidenceTable:
     """Coincidence counts per (Alice setting, Bob setting) combination.
 
     Every front end (sweep, session, analyze) fills one of these and hands
     it to :func:`ebqkd.protocol.estimate`.  Rows are looked up by
-    :func:`hwp_key`; when two rows share a key the first one is found.
+    :func:`hwp_key`, and a table with two rows of one key is refused.
     """
 
     rows: tuple[CoincidenceRow, ...]
 
     def __post_init__(self) -> None:
-        index = {hwp_key(r.a.hwp_angle_deg, r.b.hwp_angle_deg): r for r in reversed(self.rows)}
+        index: dict[tuple[float, float], CoincidenceRow] = {}
+        for r in self.rows:
+            key = hwp_key(r.a.hwp_angle_deg, r.b.hwp_angle_deg)
+            if key in index:
+                raise ValueError(f"duplicate setting pair {pair_name(r.a, r.b)}")
+            index[key] = r
         object.__setattr__(self, "_index", index)
 
     def find(self, a: AnalyzerSetting, b: AnalyzerSetting) -> CoincidenceRow | None:
         return self._index.get(hwp_key(a.hwp_angle_deg, b.hwp_angle_deg))
+
+    def row(self, a: AnalyzerSetting, b: AnalyzerSetting) -> CoincidenceRow:
+        """The row of ``(a, b)``, or :class:`IncompleteTableError` naming the missing pair."""
+        if (found := self.find(a, b)) is None:
+            raise IncompleteTableError(f"coincidence table is missing setting pair {pair_name(a, b)}")
+        return found
 
 
 def spawn_rng(seed: int, *stream: int) -> np.random.Generator:

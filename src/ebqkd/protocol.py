@@ -73,8 +73,8 @@ class ProtocolKind:
 
     ``chsh_pairs`` lists the (Alice index, Bob index) combinations whose
     outcomes feed the security CHSH test (E91 only).  The layout must have
-    two matched bases: the lower polarization angle carries the bit
-    errors, the other the phase errors.
+    two matched bases on distinct polarization axes: the lower polarization
+    angle carries the bit errors, the other the phase errors.
     """
 
     name: str
@@ -83,8 +83,11 @@ class ProtocolKind:
     chsh_pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if len(self.alice_hwp_deg) * len(self.bob_hwp_deg) > 63:
-            raise ValueError("a protocol layout has at most 63 setting pairs (uint8 cells)")
+        if len(self.alice_hwp_deg) * len(self.bob_hwp_deg) > 64:
+            raise ValueError("a protocol layout has at most 64 setting pairs (uint8 cells)")
+        matched = self.matched_pairs()
+        if len(matched) != 2 or len({(2.0 * self.alice_hwp_deg[i]) % 180.0 for i, _ in matched}) != 2:
+            raise ValueError("a protocol layout needs exactly two matched bases on distinct polarization axes")
 
     def alice_settings(self) -> tuple[AnalyzerSetting, ...]:
         return tuple(AnalyzerSetting(t) for t in self.alice_hwp_deg)
@@ -211,8 +214,6 @@ def sift(kind: ProtocolKind, label: BellLabel, counts: list[int]) -> tuple[np.nd
 
 
 def _wilson_interval(errors: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    if n == 0:
-        return (0.0, 1.0)
     p = errors / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -324,15 +325,9 @@ def estimate(
     n_wrong = n_total = 0
     for a, b in kind.key_pairs():
         pol = a.polarization_angle_deg % 180.0
-        row = table.find(a, b)
-        if row is None:
-            raise chsh.IncompleteTableError(
-                f"coincidence table is missing the key basis at {pol:g} deg polarization"
-            )
+        row = table.row(a, b)
         if row.total == 0:
-            raise EmptyBasisError(
-                f"zero coincidences in the compatible basis at {pol:g} deg polarization"
-            )
+            raise EmptyBasisError(f"zero coincidences in the compatible basis at {pol:g} deg polarization")
         counts = row.counts()
         wrong = sum(counts[k] for k in wrong_outcomes(label, math.radians(pol)))
         per_basis[pol] = wrong / row.total

@@ -36,9 +36,6 @@ import numpy as np
 if TYPE_CHECKING:
     from .measurement import AnalyzerSetting
 
-#: Fixed ordering of the two-photon polarization product basis.
-BASIS_LABELS = ("HH", "HV", "VH", "VV")
-
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 PSD_ATOL = 1e-9

@@ -319,6 +319,18 @@ class TestSession:
         assert doc["record"]["key_alice"] == doc["record"]["key_bob"]
         assert len(doc["record"]["key_alice"]) == doc["record"]["retained_length"]
 
+    def test_emitted_keys_are_the_record_bits(self, tmp_path):
+        # Noisy keys, so that Alice's and Bob's strings differ somewhere.
+        cfg = session_config(tmp_path, source={"label": "psi_minus", "epsilon_rad": 0.7},
+                             detector={"efficiency": 0.8, "dark_rate": 0.05}, n_pairs=20_000)
+        out = tmp_path / "report.json"
+        assert cli.main(["session", str(cfg), "--emit-keys", "--out", str(out)]) == EXIT_OK
+        record = json.loads(out.read_text())["record"]
+        rec = protocol.run_session(cli._session_config(json.loads(cfg.read_text()), SimpleNamespace(n_pairs=None, seed=None)))
+        assert record["key_alice"] == "".join(str(b) for b in rec.key_bits_alice)
+        assert record["key_bob"] == "".join(str(b) for b in rec.key_bits_bob)
+        assert record["key_alice"] != record["key_bob"]
+
     def test_schema_violation_names_field(self, tmp_path, capsys):
         cfg = session_config(tmp_path, source={"label": "nope"})
         assert cli.main(["session", str(cfg)]) == EXIT_USAGE

@@ -5,7 +5,9 @@ Every input path is fed a 3,000-character value: each session-config field
 number), an unknown or repeated config key at the top level and inside
 ``detector``, the sweep and session flags, and each counts-file header
 value and row token.  Each must fail with its documented exit code and a message under
-200 characters: echoed input is cut to 40 characters and ``...``.
+200 characters: echoed input is cut to 40 characters and ``...``.  A flag
+value that argparse itself rejects keeps argparse's usage text, and its
+error line is bounded the same way.
 """
 
 import dataclasses
@@ -15,6 +17,7 @@ import pytest
 
 from ebqkd import cli, measurement, optics, protocol
 from ebqkd.cli import EXIT_USAGE, EXIT_VALIDATION
+from ebqkd.qstate import echo
 
 LONG = "x" * 3000
 BIG = 10**2999  # 3,000 digits
@@ -88,6 +91,25 @@ def test_session_flag_errors_are_bounded(tmp_path, capsys, flags):
 ], ids=["grid", "n-pairs", "seed", "workers"])
 def test_sweep_flag_errors_are_bounded(capsys, flags):
     _assert_bounded(*_run(capsys, ["sweep", "--mechanism", "werner", *flags]), EXIT_USAGE)
+
+
+@pytest.mark.parametrize("argv,value", [
+    (["sweep", "--mechanism", LONG, "--grid", "0.5"], LONG),
+    (["sweep", "--mechanism", "x'" + LONG, "--grid", "0.5"], "x'" + LONG),
+    (["sweep", "--mechanism", "werner", "--grid", "0.5", "--n-pairs", LONG], LONG),
+    (["sweep", "--mechanism", "werner", "--grid", "0.5", "--efficiency", LONG], LONG),
+    (["analyze", "counts.txt", "--protocol", LONG], LONG),
+    (["analyze", "counts.txt", "--accidental-window", LONG], LONG),
+    ([LONG], LONG),
+], ids=["mechanism", "mechanism-quote", "n-pairs", "efficiency", "protocol", "accidental-window", "command"])
+def test_argparse_errors_are_bounded(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    line = err.splitlines()[-1]
+    assert exc.value.code == EXIT_USAGE
+    assert err.startswith("usage: ebqkd") and len(err) < 700, (len(err), err[:300])
+    assert "error: argument" in line and echo(value) in line and len(line) < 200, line[:300]
 
 
 HEADER = ["format: qkd-counts/1", "state: phi_plus", "seconds-per-row: 1"]

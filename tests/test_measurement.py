@@ -110,10 +110,26 @@ class TestCoincidenceTable:
         assert table.find(AnalyzerSetting(180.0 - 1e-8), AnalyzerSetting(11.25)) is row
         assert table.find(AnalyzerSetting(1e-4), AnalyzerSetting(11.25)) is None
 
-    def test_first_row_wins_on_duplicate_settings(self):
+    def test_repeated_setting_pair_raises_and_names_it(self):
         first = CoincidenceRow(setting(0), setting(0), 1, 0, 0, 1)
         second = CoincidenceRow(setting(0), setting(0), 0, 1, 1, 0)
-        assert CoincidenceTable((first, second)).find(setting(0), setting(0)) is first
+        with pytest.raises(ValueError, match=r"duplicate setting pair \(0, 0\) deg"):
+            CoincidenceTable((first, second))
+        with pytest.raises(ValueError, match="duplicate setting pair"):
+            CoincidenceTable((first, first))
+
+    def test_row_returns_the_row_or_names_the_missing_pair(self):
+        row = CoincidenceRow(setting(0), setting(22.5), 1, 2, 3, 4)
+        table = CoincidenceTable((row,))
+        assert table.row(AnalyzerSetting(1e-8), setting(22.5)) is row
+        with pytest.raises(measurement.IncompleteTableError,
+                           match=r"^coincidence table is missing setting pair \(45, 45\) deg$"):
+            table.row(setting(45), setting(45))
+
+    def test_incomplete_table_error_is_defined_once(self):
+        from ebqkd import chsh
+
+        assert chsh.IncompleteTableError is measurement.IncompleteTableError
 
 
 class TestSampleOutcomes:

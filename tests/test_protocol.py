@@ -64,11 +64,28 @@ class TestProtocolKinds:
         assert pols == [(0, 22.5), (0, 67.5), (45, 22.5), (45, 67.5)]
 
     def test_cells_fit_in_uint8(self):
-        # A cell is (a * n_b + b) * 4 + outcome and the counts table adds one
-        # overflow cell, so at most 63 setting pairs fit.
-        ProtocolKind("7x9", tuple(range(7)), tuple(range(9)))
-        with pytest.raises(ValueError, match="63 setting pairs"):
-            ProtocolKind("8x8", tuple(range(8)), tuple(range(8)))
+        # A cell is (a * n_b + b) * 4 + outcome, so codes up to 255 take at
+        # most 64 setting pairs.  Both layouts match H/V and D/A only.
+        ProtocolKind("8x8", (0.0, 22.5, *range(1, 7)), (0.0, 22.5, *range(50, 56)))
+        with pytest.raises(ValueError, match="64 setting pairs"):
+            ProtocolKind("5x13", (0.0, 22.5, *range(1, 4)), (0.0, 22.5, *range(50, 61)))
+
+    @pytest.mark.parametrize("label", list(BellLabel))
+    def test_largest_layout_keys_agree(self, label):
+        # Cells up to 255: the last setting pair's codes still fit in uint8.
+        kind = ProtocolKind("8x8", (*range(1, 7), 0.0, 22.5), (*range(50, 56), 0.0, 22.5))
+        rec = run_session(config(kind=kind, source=SourceModel(label), n_pairs=200_000, seed=8))
+        assert rec.qber_hat == 0.0 and rec.key_bits_alice.size > 0
+        np.testing.assert_array_equal(rec.key_bits_alice, rec.key_bits_bob)
+
+    @pytest.mark.parametrize("alice,bob", [
+        ((0.0, 11.25, 22.5), (0.0, 11.25, 22.5)),
+        ((0.0, 22.5), (0.0, 33.75)),
+        ((0.0, 22.5), (0.0, 90.0)),
+    ], ids=["three-matched", "one-matched", "two-matched-on-one-axis"])
+    def test_layout_needs_two_matched_bases_on_distinct_axes(self, alice, bob):
+        with pytest.raises(ValueError, match="two matched bases on distinct polarization axes"):
+            ProtocolKind("bad", alice, bob)
 
     def test_lookup_by_name(self):
         assert protocol_by_name("BBM92") is BBM92
@@ -667,8 +684,14 @@ class TestEstimate:
 
     def test_missing_basis_row_raises(self):
         table = CoincidenceTable((row(0, 0, 50, 0, 0, 50),))
-        with pytest.raises(chsh.IncompleteTableError, match="key basis at 45 deg"):
+        with pytest.raises(chsh.IncompleteTableError, match=r"setting pair \(45, 45\) deg"):
             estimate(table, BellLabel.PHI_PLUS, BBM92)
+
+    def test_repeated_key_row_is_refused_not_skipped(self):
+        # Keeping only the first H/V row would hide the all-error second one (QBER 0).
+        rows = (row(0, 0, 10, 0, 0, 10), row(0, 0, 0, 10, 10, 0), row(45, 45, 10, 0, 0, 10))
+        with pytest.raises(ValueError, match=r"duplicate setting pair \(0, 0\) deg"):
+            estimate(CoincidenceTable(rows), BellLabel.PHI_PLUS, BBM92)
 
     def test_s_above_tsirelson_is_flagged_and_clamped(self):
         # Correlators of +-1 signed to match the CHSH combination give S = 4.
