@@ -16,8 +16,9 @@ All four Bell-state families are tested at the same polarization angles,
 Alice (0, 45) and Bob (22.5, 67.5) degrees.  S is a signed combination of
 the four correlators, ``S = sum_i sign_i E_i`` over
 ``(E(a,b), E(a,b'), E(a',b), E(a',b'))``; the default signs ``(+,-,+,+)``
-suit phi+, and each family carries its own odd-parity sign vector so that
-every label reaches 2*sqrt(2) at maximality:
+suit phi+.  Each family's sign ``i`` is derived: the sign of its maximal
+state's :func:`~ebqkd.qstate.ideal_correlator` (+/-1/sqrt 2) at pair ``i``,
+so every label reaches 2*sqrt(2) at maximality:
 
 ====================  ================
 state                 signs
@@ -31,21 +32,15 @@ psi- (singlet)        (-, +, -, -)
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .measurement import AnalyzerSetting, CoincidenceTable, IncompleteTableError, pair_name
-from .qstate import BellLabel, TwoQubitState, born_table, joint_probabilities
+from .qstate import BellLabel, TwoQubitState, born_table, ideal_correlator, joint_probabilities
 from .security import S_QUANTUM_MAX as TSIRELSON  # quantum ceiling on |S|, re-exported
-
-_CANONICAL_SIGNS: dict[BellLabel, tuple[int, int, int, int]] = {
-    BellLabel.PHI_PLUS: (1, -1, 1, 1),
-    BellLabel.PHI_MINUS: (1, -1, -1, -1),
-    BellLabel.PSI_PLUS: (-1, 1, 1, 1),
-    BellLabel.PSI_MINUS: (-1, 1, -1, -1),
-}
 
 
 @dataclass(frozen=True)
@@ -77,23 +72,15 @@ class ChshSettings:
 
     def pairs(self) -> tuple[tuple[AnalyzerSetting, AnalyzerSetting], ...]:
         """Setting pairs in correlator order (a,b), (a,b'), (a',b), (a',b')."""
-        return (
-            (self.a, self.b),
-            (self.a, self.b_prime),
-            (self.a_prime, self.b),
-            (self.a_prime, self.b_prime),
-        )
+        return tuple(itertools.product((self.a, self.a_prime), (self.b, self.b_prime)))
 
 
 def canonical_settings(label: BellLabel = BellLabel.PHI_PLUS) -> ChshSettings:
-    """Canonical CHSH geometry with the per-family sign convention."""
-    return ChshSettings(
-        a=AnalyzerSetting.from_polarization(0.0),
-        a_prime=AnalyzerSetting.from_polarization(45.0),
-        b=AnalyzerSetting.from_polarization(22.5),
-        b_prime=AnalyzerSetting.from_polarization(67.5),
-        signs=_CANONICAL_SIGNS[label],
-    )
+    """Canonical CHSH geometry; each sign is that of ``label``'s ideal correlator at its pair."""
+    alice, bob = (0.0, 45.0), (22.5, 67.5)  # polarization angles, degrees
+    e = (ideal_correlator(label, math.radians(a), math.radians(b)) for a, b in itertools.product(alice, bob))
+    signs = tuple(1 if x > 0.0 else -1 for x in e)
+    return ChshSettings(*map(AnalyzerSetting.from_polarization, alice + bob), signs=signs)
 
 
 @dataclass(frozen=True)

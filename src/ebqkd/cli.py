@@ -457,11 +457,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, with each value it quotes in an error cut by :func:`echo`."""
+    """argparse's parser; each value it echoes in an error, quoted or unrecognized, is cut by :func:`echo`."""
 
     def error(self, message: str) -> NoReturn:
         quoted = r"""(['"])((?:\\.|(?!\1).)*)\1"""  # a value as repr() prints it
         super().error(re.sub(quoted, lambda m: m[1] + echo(m[2]) + m[1], message))
+
+    def parse_args(self, args=None, namespace=None):
+        parsed, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(map(echo, extra))}")
+        return parsed
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -347,7 +347,7 @@ def analyze_counts(
         CountFileError: listing any missing (alice, bob) HWP pairs, or
             naming a compatible basis with zero coincidences, and saying
             so when the accidental subtraction removed them all.
-        chsh.IncompleteTableError: if a CHSH setting pair has zero
+        measurement.IncompleteTableError: if a CHSH setting pair has zero
             coincidences.
     """
     if accidental_window is not None and not 0.0 <= accidental_window < math.inf:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qstate import BellLabel, TwoQubitState, born_table, echo, joint_probabilities
+from .qstate import BellLabel, TwoQubitState, born_table, echo, ideal_correlator, joint_probabilities
 
 
 @dataclass(frozen=True)
@@ -307,26 +307,14 @@ def qber_for_basis(
     return float(p[i] + p[j])
 
 
-#: Equal-angle correlator E(t, t) of each maximal Bell state at
-#: polarization angle t (radians).
-_IDEAL_CORRELATOR = {
-    BellLabel.PHI_PLUS: lambda t: 1.0,
-    BellLabel.PSI_MINUS: lambda t: -1.0,
-    BellLabel.PHI_MINUS: lambda t: math.cos(4.0 * t),
-    BellLabel.PSI_PLUS: lambda t: -math.cos(4.0 * t),
-}
-
-
 def bob_flip(label: BellLabel, basis_pol_rad: float) -> bool:
-    """Whether Bob inverts his bit in this basis to align keys.
-
-    True when the ideal maximal state of ``label`` is anticorrelated for
-    equal analyzer angles at ``basis_pol_rad`` (the singlet in every
-    basis, psi+ in H/V, phi- in D/A).  Where that state is uncorrelated
-    (phi- and psi+ at 22.5 + k 45 degrees) no flip can align the keys and
-    none is made: the correlator must be below -1e-9.
+    """Whether Bob inverts his bit in this basis to align keys: when the
+    :func:`~ebqkd.qstate.ideal_correlator` of ``label`` at equal angles is
+    below -1e-9 (the singlet in every basis, psi+ in H/V, phi- in D/A).
+    Where it is 0 (phi- and psi+ at 22.5 + k 45 degrees) no flip can align
+    the keys and none is made.
     """
-    return _IDEAL_CORRELATOR[label](basis_pol_rad) < -1e-9
+    return ideal_correlator(label, basis_pol_rad, basis_pol_rad) < -1e-9
 
 
 def wrong_outcomes(label: BellLabel, basis_pol_rad: float) -> tuple[int, int]:

@@ -16,15 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import BellLabel, TwoQubitState, echo
-
-# (index of the first basis term, index of the second, relative sign)
-_BELL_TERMS: dict[BellLabel, tuple[int, int, float]] = {
-    BellLabel.PHI_PLUS: (0, 3, 1.0),
-    BellLabel.PHI_MINUS: (0, 3, -1.0),
-    BellLabel.PSI_PLUS: (1, 2, 1.0),
-    BellLabel.PSI_MINUS: (1, 2, -1.0),
-}
+from .qstate import BELL_TERMS, BellLabel, TwoQubitState, echo
 
 
 @dataclass(frozen=True)
@@ -112,7 +104,7 @@ def generate(source: SourceModel) -> TwoQubitState:
     product state.  Coherence magnitude is nondecreasing in V for fixed
     epsilon, and the output is always a valid density operator.
     """
-    first, second, sign = _BELL_TERMS[source.label]
+    first, second, sign = BELL_TERMS[source.label]
     amp = np.zeros(4, dtype=complex)
     amp[first] = math.cos(source.epsilon_rad)
     amp[second] = sign * math.sin(source.epsilon_rad)

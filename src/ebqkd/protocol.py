@@ -10,8 +10,8 @@ bases) are expanded into a stream, one uint8 code each, and shuffled; the
 first ones form the disclosed random sample that estimates the QBER (those
 bits are consumed), the rest the key.  Pairs are independent, so given the
 counts the sifted stream is a uniformly random arrangement of its cells,
-which is what the shuffle draws.  E91 additionally routes the four
-designated unmatched setting combinations into a CHSH estimate.
+which is what the shuffle draws.  E91 additionally routes its four
+canonical CHSH setting combinations into a CHSH estimate.
 
 Bit mapping: the transmitted port is bit 0.  Bob inverts his bit in a
 matched basis exactly when the session's ideal Bell state is
@@ -36,7 +36,7 @@ S, the per-basis and pooled QBER and the security report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .measurement import (
     CoincidenceTable,
     DetectorModel,
     bob_flip,
+    hwp_key,
     intercept_resend,
     sample_outcome_stream,
     wrong_outcomes,
@@ -71,16 +72,18 @@ class KeyMemoryError(MemoryError):
 class ProtocolKind:
     """Measurement-basis layout of one protocol variant.
 
-    ``chsh_pairs`` lists the (Alice index, Bob index) combinations whose
-    outcomes feed the security CHSH test (E91 only).  The layout must have
-    two matched bases on distinct polarization axes: the lower polarization
-    angle carries the bit errors, the other the phase errors.
+    The layout must have two matched bases on distinct polarization axes:
+    the lower polarization angle carries the bit errors, the other the
+    phase errors.  ``chsh_pairs``, whose outcomes feed the security CHSH
+    test, is derived: the (Alice, Bob) indices of the canonical CHSH
+    settings in ``pairs()`` order, found by the estimator's own
+    :func:`~ebqkd.measurement.hwp_key`, or ``()`` if one is missing.
     """
 
     name: str
     alice_hwp_deg: tuple[float, ...]
     bob_hwp_deg: tuple[float, ...]
-    chsh_pairs: tuple[tuple[int, int], ...] = ()
+    chsh_pairs: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if len(self.alice_hwp_deg) * len(self.bob_hwp_deg) > 64:
@@ -88,6 +91,11 @@ class ProtocolKind:
         matched = self.matched_pairs()
         if len(matched) != 2 or len({(2.0 * self.alice_hwp_deg[i]) % 180.0 for i, _ in matched}) != 2:
             raise ValueError("a protocol layout needs exactly two matched bases on distinct polarization axes")
+        index = {hwp_key(ta, tb): (i, j)
+                 for i, ta in enumerate(self.alice_hwp_deg) for j, tb in enumerate(self.bob_hwp_deg)}
+        canonical = chsh.canonical_settings().pairs()
+        found = [index.get(hwp_key(a.hwp_angle_deg, b.hwp_angle_deg)) for a, b in canonical]
+        object.__setattr__(self, "chsh_pairs", () if None in found else tuple(found))
 
     def alice_settings(self) -> tuple[AnalyzerSetting, ...]:
         return tuple(AnalyzerSetting(t) for t in self.alice_hwp_deg)
@@ -97,12 +105,10 @@ class ProtocolKind:
 
     def matched_pairs(self) -> tuple[tuple[int, int], ...]:
         """Setting-index pairs with equal polarization angles (key events)."""
-        matches = []
-        for i, ta in enumerate(self.alice_hwp_deg):
-            for j, tb in enumerate(self.bob_hwp_deg):
-                if abs((2 * ta) % 180.0 - (2 * tb) % 180.0) < 1e-9:
-                    matches.append((i, j))
-        return tuple(matches)
+        return tuple(
+            (i, j) for i, ta in enumerate(self.alice_hwp_deg) for j, tb in enumerate(self.bob_hwp_deg)
+            if abs((2 * ta) % 180.0 - (2 * tb) % 180.0) < 1e-9
+        )
 
     def key_pairs(self) -> tuple[tuple[AnalyzerSetting, AnalyzerSetting], ...]:
         """(Alice, Bob) settings of each matched basis, as ``matched_pairs``."""
@@ -115,12 +121,7 @@ BBM92 = ProtocolKind("bbm92", (0.0, 22.5), (0.0, 22.5))
 
 #: Three bases per party; the outer combinations form the CHSH test at the
 #: canonical polarization angles (0, 45) x (22.5, 67.5).
-E91 = ProtocolKind(
-    "e91",
-    (0.0, 11.25, 22.5),
-    (11.25, 22.5, 33.75),
-    chsh_pairs=((0, 0), (0, 2), (2, 0), (2, 2)),
-)
+E91 = ProtocolKind("e91", (0.0, 11.25, 22.5), (11.25, 22.5, 33.75))
 
 #: Every protocol variant, by name.
 PROTOCOLS = {k.name: k for k in (BBM92, E91)}
@@ -228,8 +229,8 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
         KeyMemoryError: if the sifted coincidences do not fit in memory.
         NoSiftedBitsError: if no compatible-basis coincidence survived.
         EmptyBasisError: if the disclosed sample misses a matched basis.
-        chsh.IncompleteTableError: if an E91 CHSH setting pair saw no
-            coincidence.
+        measurement.IncompleteTableError: if an E91 CHSH setting pair saw
+            no coincidence.
     """
     rng = np.random.default_rng(cfg.seed)
     state = optics.apply_channel(optics.generate(cfg.source), cfg.channel)
@@ -317,8 +318,8 @@ def estimate(
     measured S; without, the linear disturbance law stands in.
 
     Raises:
-        chsh.IncompleteTableError: a required row is missing, or a CHSH
-            row is empty.
+        measurement.IncompleteTableError: a required row is missing, or a
+            CHSH row is empty.
         EmptyBasisError: a matched basis holds no coincidences.
     """
     per_basis: dict[float, float] = {}

@@ -1,10 +1,10 @@
 """Two-qubit polarization state algebra.
 
-Density operators over the two-photon product basis {HH, HV, VH, VV} and
-joint outcome probabilities behind linear polarization analyzers.  The
-sources that prepare them live in :mod:`ebqkd.optics`.  :func:`echo`, the
-one rule for quoting input in an error message, lives here because every
-other module imports this one.
+Density operators over the two-photon product basis {HH, HV, VH, VV},
+joint outcome probabilities behind linear polarization analyzers, and the
+one definition of each Bell label (:data:`BELL_TERMS`).  The sources live
+in :mod:`ebqkd.optics`.  :func:`echo`, the one rule for quoting input in
+an error message, lives here because every other module imports this one.
 
 Conventions
 -----------
@@ -28,6 +28,7 @@ Conventions
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -62,6 +63,28 @@ class BellLabel(enum.Enum):
     PHI_MINUS = "phi_minus"
     PSI_PLUS = "psi_plus"
     PSI_MINUS = "psi_minus"
+
+
+#: The one per-label table: ``(first, second, sign)`` defines the state
+#: ``(|first> + sign |second>) / sqrt 2`` on two basis indices.
+BELL_TERMS: dict[BellLabel, tuple[int, int, float]] = {
+    BellLabel.PHI_PLUS: (0, 3, 1.0),
+    BellLabel.PHI_MINUS: (0, 3, -1.0),
+    BellLabel.PSI_PLUS: (1, 2, 1.0),
+    BellLabel.PSI_MINUS: (1, 2, -1.0),
+}
+
+
+def ideal_correlator(label: BellLabel, alpha: float, beta: float) -> float:
+    """E(alpha, beta) of the maximal state of ``label`` at polarization
+    angles ``alpha``, ``beta`` (radians): ``sign sin 2alpha sin 2beta + z
+    cos 2alpha cos 2beta``, ``sign`` the relative sign of its terms and ``z``
+    +1 for phi, -1 for psi (``T = diag(sign, -sign z, z)``).  Bob's key
+    flip and the canonical CHSH signs are read from it."""
+    first, _, sign = BELL_TERMS[label]
+    z = 1.0 if first == 0 else -1.0
+    a, b = 2.0 * alpha, 2.0 * beta
+    return sign * math.sin(a) * math.sin(b) + z * math.cos(a) * math.cos(b)
 
 
 def _frozen_array(x, shape, dtype=complex) -> np.ndarray:

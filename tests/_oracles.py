@@ -199,12 +199,13 @@ def _ideal_state(label: BellLabel) -> TwoQubitState:
     return _IDEAL_CACHE[label]
 
 
-def ideal_correlator(label: BellLabel, pol_rad: float) -> float:
-    """Born-rule E(t, t) of the maximal Bell state ``label`` with both
-    analyzers at polarization angle ``pol_rad`` (the library uses a
-    closed form)."""
-    setting = AnalyzerSetting.from_polarization(math.degrees(pol_rad))
-    p = joint_probabilities(_ideal_state(label).rho, setting, setting)
+def ideal_correlator(label: BellLabel, alpha_rad: float, beta_rad: float) -> float:
+    """Born-rule E(alpha, beta) of the maximal Bell state ``label`` with
+    Alice's analyzer at polarization angle ``alpha_rad`` and Bob's at
+    ``beta_rad`` (the library uses a closed form)."""
+    a = AnalyzerSetting.from_polarization(math.degrees(alpha_rad))
+    b = AnalyzerSetting.from_polarization(math.degrees(beta_rad))
+    p = joint_probabilities(_ideal_state(label).rho, a, b)
     return float(p[0] + p[3] - p[1] - p[2])
 
 

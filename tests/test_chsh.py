@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from _oracles import chsh_max_bloch_grid, chsh_max_linear_grid
 from conftest import random_density_matrix
+from ebqkd import chsh
 from ebqkd.chsh import (
     ChshEstimate,
     ChshSettings,
@@ -53,6 +55,24 @@ class TestSettings:
         s = canonical_settings(BellLabel.PHI_PLUS)
         assert [x.polarization_angle_deg for x in s.all_settings()] == [0, 45, 22.5, 67.5]
         assert s.signs == (1, -1, 1, 1)
+
+    @pytest.mark.parametrize("label,signs", [
+        (BellLabel.PHI_PLUS, (1, -1, 1, 1)),
+        (BellLabel.PHI_MINUS, (1, -1, -1, -1)),
+        (BellLabel.PSI_PLUS, (-1, 1, 1, 1)),
+        (BellLabel.PSI_MINUS, (-1, 1, -1, -1)),
+    ])
+    def test_derived_signs(self, label, signs):
+        assert canonical_settings(label).signs == signs
+
+    def test_derived_signs_match_the_module_docstring_table(self):
+        # Rows such as "phi+   (+, -, +, +)" or "psi- (singlet)   (-, +, -, -)".
+        row = re.compile(r"(phi|psi)([+-]) .*\(([+-]), ([+-]), ([+-]), ([+-])\)")
+        table = {}
+        for m in filter(None, map(row.fullmatch, chsh.__doc__.splitlines())):
+            label = BellLabel[f"{m[1].upper()}_{'PLUS' if m[2] == '+' else 'MINUS'}"]
+            table[label] = tuple(1 if c == "+" else -1 for c in m.groups()[2:])
+        assert table == {label: canonical_settings(label).signs for label in BellLabel}
 
 
 class TestCorrelator:

@@ -3,11 +3,12 @@
 Every input path is fed a 3,000-character value: each session-config field
 (as a string, and integer and real fields also as a negative 3,000-digit
 number), an unknown or repeated config key at the top level and inside
-``detector``, the sweep and session flags, and each counts-file header
-value and row token.  Each must fail with its documented exit code and a message under
-200 characters: echoed input is cut to 40 characters and ``...``.  A flag
-value that argparse itself rejects keeps argparse's usage text, and its
-error line is bounded the same way.
+``detector``, the sweep and session flags, an unrecognized command-line
+argument, and each counts-file header value and row token.  Each must fail
+with its documented exit code and a message under 200 characters: echoed
+input is cut to 40 characters and ``...``.  A flag value or argument that
+argparse itself rejects keeps argparse's usage text, and its error line is
+bounded the same way.
 """
 
 import dataclasses
@@ -110,6 +111,22 @@ def test_argparse_errors_are_bounded(capsys, argv, value):
     assert exc.value.code == EXIT_USAGE
     assert err.startswith("usage: ebqkd") and len(err) < 700, (len(err), err[:300])
     assert "error: argument" in line and echo(value) in line and len(line) < 200, line[:300]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--mechanism", "werner", "--grid", "0.5", LONG],
+    ["session", "session.json", LONG, "-" + LONG],
+], ids=["sweep", "session"])
+def test_unrecognized_arguments_are_bounded(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    line = err.splitlines()[-1]
+    extra = argv[argv.index(LONG):]
+    assert exc.value.code == EXIT_USAGE
+    assert err.startswith("usage: ebqkd") and len(err) < 700, (len(err), err[:300])
+    assert line.endswith("error: unrecognized arguments: " + " ".join(map(echo, extra))), line[:300]
+    assert len(line) < 200, line[:300]
 
 
 HEADER = ["format: qkd-counts/1", "state: phi_plus", "seconds-per-row: 1"]

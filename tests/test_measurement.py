@@ -463,7 +463,7 @@ class TestBobFlip:
     def test_no_flip_where_ideal_state_is_uncorrelated(self, label, pol_deg):
         # The Born rule leaves a ~1e-16 residue of either sign here; no
         # flip can align uncorrelated bits, so none is made.
-        assert abs(ideal_correlator(label, math.radians(pol_deg))) < 1e-9
+        assert abs(ideal_correlator(label, math.radians(pol_deg), math.radians(pol_deg))) < 1e-9
         assert bob_flip(label, math.radians(pol_deg)) is False
         assert wrong_outcomes(label, math.radians(pol_deg)) == (1, 2)
 
@@ -471,7 +471,7 @@ class TestBobFlip:
     def test_closed_form_agrees_with_born_rule_oracle(self, label):
         checked = 0
         for pol_deg in np.arange(0.0, 180.0, 0.25):
-            e = ideal_correlator(label, math.radians(pol_deg))
+            e = ideal_correlator(label, math.radians(pol_deg), math.radians(pol_deg))
             if abs(e) > 1e-9:
                 assert bob_flip(label, math.radians(pol_deg)) is (e < 0.0), pol_deg
                 checked += 1

@@ -62,6 +62,26 @@ class TestProtocolKinds:
             (2 * E91.alice_hwp_deg[i], 2 * E91.bob_hwp_deg[j]) for i, j in E91.chsh_pairs
         ]
         assert pols == [(0, 22.5), (0, 67.5), (45, 22.5), (45, 67.5)]
+        assert E91.chsh_pairs == ((0, 0), (0, 2), (2, 0), (2, 2))
+
+    def test_chsh_pairs_follow_the_canonical_settings(self):
+        # Indices move with the settings; the order stays settings.pairs().
+        kind = ProtocolKind("permuted", (22.5, 0.0, 11.25), (33.75, 11.25, 22.5))
+        assert kind.chsh_pairs == ((1, 1), (1, 0), (0, 1), (0, 0))
+
+    @pytest.mark.parametrize("alice,bob", [
+        ((0.0, 11.25, 22.5), (11.25, 22.5, 30.0)),
+        ((0.0, 11.25, 15.0), (0.0, 11.25, 33.75)),
+    ], ids=["no-bob-67.5", "no-alice-45"])
+    def test_layout_without_a_canonical_setting_has_no_chsh_pairs(self, alice, bob):
+        assert ProtocolKind("partial", alice, bob).chsh_pairs == ()
+
+    @pytest.mark.parametrize("pairs", [((5, 5),), ((0, 0),), ((0, 1),)])
+    def test_chsh_pairs_are_not_a_constructor_argument(self, pairs):
+        # Out of range, a matched pair, a pair off the canonical angles: each
+        # once failed only after a whole session had been sampled.
+        with pytest.raises(TypeError, match="chsh_pairs"):
+            ProtocolKind("x", (0.0, 22.5), (0.0, 22.5), chsh_pairs=pairs)
 
     def test_cells_fit_in_uint8(self):
         # A cell is (a * n_b + b) * 4 + outcome, so codes up to 255 take at

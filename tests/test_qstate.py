@@ -68,6 +68,17 @@ class TestBellState:
             state.rho[0, 0] = 1.0
 
 
+class TestIdealCorrelator:
+    @pytest.mark.parametrize("label", list(BellLabel))
+    def test_closed_form_matches_born_rule_oracle(self, label):
+        grid = np.radians(np.arange(0.0, 180.0, 3.75))
+        for alpha in grid:
+            for beta in grid:
+                assert qstate.ideal_correlator(label, alpha, beta) == pytest.approx(
+                    _oracles.ideal_correlator(label, alpha, beta), abs=1e-12
+                ), (label, math.degrees(alpha), math.degrees(beta))
+
+
 class TestBellDensity:
     def test_product_state(self):
         rho = bell_state(BellLabel.PHI_PLUS, 0.0).rho
