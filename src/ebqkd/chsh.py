@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measurement import AnalyzerSetting, CoincidenceTable, IncompleteTableError, pair_name
+from .measurement import AnalyzerSetting, CoincidenceTable, IncompleteTableError, hwp_key, pair_name
 from .qstate import BellLabel, TwoQubitState, born_table, ideal_correlator, joint_probabilities
 from .security import S_QUANTUM_MAX as TSIRELSON  # quantum ceiling on |S|, re-exported
 
@@ -59,11 +59,9 @@ class ChshSettings:
     signs: tuple[int, int, int, int] = (1, -1, 1, 1)
 
     def __post_init__(self) -> None:
-        angles = [s.polarization_angle_deg % 180.0 for s in self.all_settings()]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if abs(angles[i] - angles[j]) < 1e-9 or abs(abs(angles[i] - angles[j]) - 180.0) < 1e-9:
-                    raise ValueError("CHSH requires four distinct analyzer settings")
+        a, a_prime, b, b_prime = (s.hwp_angle_deg for s in self.all_settings())
+        if len(set(hwp_key(a, a_prime) + hwp_key(b, b_prime))) != 4:  # four distinct keys
+            raise ValueError("CHSH requires four distinct analyzer settings")
         if sorted(abs(s) for s in self.signs) != [1, 1, 1, 1] or self.signs.count(-1) % 2 == 0:
             raise ValueError(f"signs must be +/-1 with an odd number of -1, got {self.signs!r}")
 

@@ -266,7 +266,7 @@ def _projector_pairs(a: AnalyzerSetting, b: AnalyzerSetting) -> list[tuple[float
     The orthogonal polarization (+90 deg) sits 45 deg further on the plate.
     """
     a_hwp, b_hwp = a.hwp_angle_deg, b.hwp_angle_deg
-    return [(ah, bh) for ah in (a_hwp, (a_hwp + 45.0) % 180.0) for bh in (b_hwp, (b_hwp + 45.0) % 180.0)]
+    return [(ah, bh) for ah in (a_hwp, a_hwp + 45.0) for bh in (b_hwp, b_hwp + 45.0)]
 
 
 def required_hwp_pairs(
@@ -383,7 +383,7 @@ def analyze_counts(
         if raw > 0:
             raise CountFileError(
                 f"the accidental subtraction at window {accidental_window:g} removed every"
-                f" coincidence of the compatible basis at {a.polarization_angle_deg % 180.0:g} deg"
+                f" coincidence of the compatible basis at {a.polarization_angle_deg:g} deg"
                 f" polarization ({raw} before subtraction)"
             ) from exc
         raise CountFileError(str(exc)) from exc

@@ -29,7 +29,8 @@ class AnalyzerSetting:
 
     A half-wave plate at angle t rotates polarization by 2t, so the
     analyzer projects onto linear polarization at twice the plate angle;
-    the reflected port sits 90 degrees away.
+    the reflected port sits 90 degrees away.  Plates at t and t + 90 analyze
+    one axis, so the plate is stored mod 90: the axis is in [0, 180).
     """
 
     hwp_angle_deg: float
@@ -39,6 +40,7 @@ class AnalyzerSetting:
             raise ValueError(
                 f"HWP angle must be in [0, 180) degrees, got {self.hwp_angle_deg!r}"
             )
+        object.__setattr__(self, "hwp_angle_deg", self.hwp_angle_deg % 90.0)
 
     @classmethod
     def from_polarization(cls, polarization_angle_deg: float) -> "AnalyzerSetting":
@@ -121,8 +123,9 @@ class CoincidenceRow:
 
 
 def hwp_key(alice_hwp_deg: float, bob_hwp_deg: float) -> tuple[float, float]:
-    """Lookup key of an (Alice, Bob) HWP angle pair: mod 180, rounded to 1e-6 deg."""
-    return (round(alice_hwp_deg % 180.0, 6) % 180.0, round(bob_hwp_deg % 180.0, 6) % 180.0)
+    """Identity of an (Alice, Bob) HWP angle pair, the one rule that tells
+    settings apart: each angle mod 90 (one axis), rounded to 1e-6 deg."""
+    return (round(alice_hwp_deg % 90.0, 6) % 90.0, round(bob_hwp_deg % 90.0, 6) % 90.0)
 
 
 def pair_name(a: AnalyzerSetting, b: AnalyzerSetting) -> str:

@@ -72,12 +72,12 @@ class KeyMemoryError(MemoryError):
 class ProtocolKind:
     """Measurement-basis layout of one protocol variant.
 
-    The layout must have two matched bases on distinct polarization axes:
-    the lower polarization angle carries the bit errors, the other the
-    phase errors.  ``chsh_pairs``, whose outcomes feed the security CHSH
-    test, is derived: the (Alice, Bob) indices of the canonical CHSH
-    settings in ``pairs()`` order, found by the estimator's own
-    :func:`~ebqkd.measurement.hwp_key`, or ``()`` if one is missing.
+    Derived once, when built, from the angles' :func:`~ebqkd.measurement.hwp_key`:
+    a setting pair is matched (a key event) when its two keys are equal, and
+    the layout must have two matched bases on distinct axes, the lower
+    polarization angle carrying the bit errors, the other the phase errors.
+    ``chsh_pairs``, whose outcomes feed the security CHSH test, holds the
+    indices of the canonical CHSH settings in ``pairs()`` order, or ``()``.
     """
 
     name: str
@@ -88,32 +88,30 @@ class ProtocolKind:
     def __post_init__(self) -> None:
         if len(self.alice_hwp_deg) * len(self.bob_hwp_deg) > 64:
             raise ValueError("a protocol layout has at most 64 setting pairs (uint8 cells)")
-        matched = self.matched_pairs()
-        if len(matched) != 2 or len({(2.0 * self.alice_hwp_deg[i]) % 180.0 for i, _ in matched}) != 2:
+        alice, bob = tuple(map(AnalyzerSetting, self.alice_hwp_deg)), tuple(map(AnalyzerSetting, self.bob_hwp_deg))
+        keys = {(i, j): hwp_key(a.hwp_angle_deg, b.hwp_angle_deg)
+                for i, a in enumerate(alice) for j, b in enumerate(bob)}
+        matched = tuple(ij for ij, (ka, kb) in keys.items() if ka == kb)
+        if len(matched) != 2 or len({keys[ij][0] for ij in matched}) != 2:
             raise ValueError("a protocol layout needs exactly two matched bases on distinct polarization axes")
-        index = {hwp_key(ta, tb): (i, j)
-                 for i, ta in enumerate(self.alice_hwp_deg) for j, tb in enumerate(self.bob_hwp_deg)}
-        canonical = chsh.canonical_settings().pairs()
-        found = [index.get(hwp_key(a.hwp_angle_deg, b.hwp_angle_deg)) for a, b in canonical]
+        index = {key: ij for ij, key in keys.items()}
+        found = [index.get(hwp_key(a.hwp_angle_deg, b.hwp_angle_deg)) for a, b in chsh.canonical_settings().pairs()]
         object.__setattr__(self, "chsh_pairs", () if None in found else tuple(found))
+        object.__setattr__(self, "_layout", (alice, bob, matched, tuple((alice[i], bob[j]) for i, j in matched)))
 
     def alice_settings(self) -> tuple[AnalyzerSetting, ...]:
-        return tuple(AnalyzerSetting(t) for t in self.alice_hwp_deg)
+        return self._layout[0]
 
     def bob_settings(self) -> tuple[AnalyzerSetting, ...]:
-        return tuple(AnalyzerSetting(t) for t in self.bob_hwp_deg)
+        return self._layout[1]
 
     def matched_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Setting-index pairs with equal polarization angles (key events)."""
-        return tuple(
-            (i, j) for i, ta in enumerate(self.alice_hwp_deg) for j, tb in enumerate(self.bob_hwp_deg)
-            if abs((2 * ta) % 180.0 - (2 * tb) % 180.0) < 1e-9
-        )
+        """Setting-index pairs with equal keys (key events)."""
+        return self._layout[2]
 
     def key_pairs(self) -> tuple[tuple[AnalyzerSetting, AnalyzerSetting], ...]:
         """(Alice, Bob) settings of each matched basis, as ``matched_pairs``."""
-        alice, bob = self.alice_settings(), self.bob_settings()
-        return tuple((alice[i], bob[j]) for i, j in self.matched_pairs())
+        return self._layout[3]
 
 
 #: Both parties measure in {H/V, D/A}.
@@ -206,7 +204,7 @@ def sift(kind: ProtocolKind, label: BellLabel, counts: list[int]) -> tuple[np.nd
     n_b = len(kind.bob_hwp_deg)
     codes, sifted = [], []
     for i, j in kind.matched_pairs():
-        flip = bob_flip(label, math.radians(2.0 * kind.alice_hwp_deg[i]))
+        flip = bob_flip(label, kind.alice_settings()[i].polarization_angle_rad)
         for k in range(4):
             cell = 4 * (i * n_b + j) + k
             codes.append(cell ^ flip)
@@ -325,7 +323,7 @@ def estimate(
     per_basis: dict[float, float] = {}
     n_wrong = n_total = 0
     for a, b in kind.key_pairs():
-        pol = a.polarization_angle_deg % 180.0
+        pol = a.polarization_angle_deg
         row = table.row(a, b)
         if row.total == 0:
             raise EmptyBasisError(f"zero coincidences in the compatible basis at {pol:g} deg polarization")

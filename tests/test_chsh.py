@@ -47,6 +47,16 @@ class TestSettings:
         with pytest.raises(ValueError):
             ChshSettings(setting(0), setting(0), setting(22.5), setting(67.5))
 
+    @pytest.mark.parametrize("plates", [
+        (0.0, 22.5, 11.25, 11.2500004),
+        (0.0, 22.5, 11.25, 101.25),
+        (90.0, 22.5, 0.0, 33.75),
+    ], ids=["within-1e-6", "b-prime-90-on", "alice-bob-one-axis"])
+    def test_rejects_settings_with_one_key(self, plates):
+        # Settings one hwp_key apart are one row of the counts table.
+        with pytest.raises(ValueError, match="four distinct analyzer settings"):
+            ChshSettings(*map(AnalyzerSetting, plates))
+
     def test_rejects_even_sign_parity(self):
         with pytest.raises(ValueError):
             ChshSettings(setting(0), setting(45), setting(22.5), setting(67.5), signs=(1, 1, 1, 1))

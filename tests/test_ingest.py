@@ -72,6 +72,17 @@ class TestParse:
         with pytest.raises(CountFileError, match=rf"^line {row.line}: {pair}$"):
             dataclasses.replace(rec, rows=rec.rows + (row,))
 
+    def test_a_projection_at_t_and_t_plus_90_is_a_duplicate(self, fixtures_dir):
+        # Plates t and t + 90 analyze one axis: the two rows are one
+        # projection, of which analyze would read only one.
+        text = (fixtures_dir / "counts" / "phi_plus_maximal.txt").read_text(encoding="utf-8")
+        first = parse_counts(text.encode()).find(0.0, 11.25).line
+        repeat = len(text.splitlines()) + 1
+        with pytest.raises(CountFileError, match=(
+            rf"^line {repeat}: duplicate angle pair \(90\.0, 101\.25\), first seen on line {first}$"
+        )):
+            parse_counts((text + "90 101.25 1 1 1\n").encode())
+
     def test_errors_name_the_column(self, fixtures_dir):
         with pytest.raises(CountFileError, match="column 5"):
             parse_counts(fixtures_dir / "counts" / "bad_negative.txt")
@@ -315,6 +326,22 @@ class TestAnalyze:
         # marginal verdict must agree with the measured delta either way
         from ebqkd.security import thresholds
         assert rep.collective_bound_ok == (rep.delta < thresholds().delta_collective)
+
+    @pytest.mark.parametrize("kind", [BBM92, E91])
+    def test_rows_written_90_degrees_on_give_the_same_report(self, kind):
+        # Every third row moves Alice's plate, every other row Bob's, by 90
+        # degrees: the same projections, so the same counts table.
+        rec = synthesize_counts(werner_state(BellLabel.PHI_PLUS, 0.9), BellLabel.PHI_PLUS,
+                                n_pairs_per_row=10_000, seed=5, protocol=kind)
+        moved = tuple(
+            dataclasses.replace(r, alice_hwp_deg=r.alice_hwp_deg + 90.0 * (k % 3 == 0),
+                                bob_hwp_deg=r.bob_hwp_deg + 90.0 * (k % 2 == 0))
+            for k, r in enumerate(rec.rows)
+        )
+        buf = io.StringIO()
+        write_counts(dataclasses.replace(rec, rows=moved), buf)
+        moved_report = analyze_counts(parse_counts(buf.getvalue().encode()), protocol=kind)
+        assert moved_report == analyze_counts(rec, protocol=kind)
 
     def test_missing_rows_listed(self):
         state = bell_state(BellLabel.PHI_PLUS)

@@ -1,7 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, chisquare
 
 import _oracles
@@ -9,6 +12,7 @@ from _oracles import ideal_correlator, sample_cell_counts_grouped
 from conftest import random_density_matrix
 
 from ebqkd import measurement
+from ebqkd.chsh import ChshSettings
 from ebqkd.measurement import (
     AnalyzerSetting,
     CoincidenceRow,
@@ -25,7 +29,7 @@ from ebqkd.measurement import (
     wrong_outcomes,
 )
 from ebqkd.optics import ChannelModel, SourceModel, apply_channel, bell_state, generate
-from ebqkd.protocol import BBM92, E91
+from ebqkd.protocol import BBM92, E91, ProtocolKind
 from ebqkd.qstate import BellLabel, TwoQubitState, born_table, joint_probabilities
 
 
@@ -54,6 +58,39 @@ class TestAnalyzerSetting:
             AnalyzerSetting(180.0)
         with pytest.raises(ValueError):
             AnalyzerSetting(-1.0)
+
+
+def _e91_with_bob_plate(plate):
+    """E91 with Bob's first plate replaced: its matched and CHSH pairs, or why it is refused."""
+    try:
+        kind = ProtocolKind("x", E91.alice_hwp_deg, (plate, *E91.bob_hwp_deg[1:]))
+    except ValueError as exc:
+        return str(exc)
+    return kind.matched_pairs(), kind.chsh_pairs
+
+
+#: Plates in [0, 90): the layouts' own angles, then any.
+_PLATES = st.one_of(st.sampled_from((0.0, 11.25, 22.5, 33.75, 45.0, 67.5)), st.floats(0.0, 90.0, exclude_max=True))
+
+
+class TestOneAxisPerPlate:
+    @settings(max_examples=200, deadline=None)
+    @given(u=_PLATES.map(lambda t: t + 90.0).filter(lambda u: u < 180.0), seed=st.integers(0, 2**32 - 1))
+    def test_plates_90_degrees_apart_are_interchangeable(self, u, seed):
+        t = u - 90.0  # exact: the two plates are exactly 90 degrees apart
+        s, s90, b = AnalyzerSetting(t), AnalyzerSetting(u), setting(22.5)
+        assert s == s90 and hash(s) == hash(s90) and 0.0 <= s90.polarization_angle_deg < 180.0
+        table = CoincidenceTable((CoincidenceRow(s, b, 1, 2, 3, 4),))
+        assert table.find(s90, b) is table.find(s, b) is table.rows[0]
+        # The Born rule at the plate as given, before any reduction.
+        rho = random_density_matrix(np.random.default_rng(seed))
+        raw = _oracles.joint_probabilities(rho, SimpleNamespace(polarization_angle_rad=math.radians(2.0 * u)), b)
+        bloch = TwoQubitState(rho).bloch
+        for row in (born_table(bloch, (s,), (b,))[0, 0], born_table(bloch, (s90,), (b,))[0, 0]):
+            np.testing.assert_allclose(row, raw, rtol=0, atol=1e-12)
+        assert _e91_with_bob_plate(t) == _e91_with_bob_plate(u)
+        with pytest.raises(ValueError, match="four distinct analyzer settings"):
+            ChshSettings(setting(0.0), setting(45.0), s, s90)
 
 
 class TestDetectorModel:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -82,6 +83,33 @@ class TestProtocolKinds:
         # once failed only after a whole session had been sampled.
         with pytest.raises(TypeError, match="chsh_pairs"):
             ProtocolKind("x", (0.0, 22.5), (0.0, 22.5), chsh_pairs=pairs)
+
+    @pytest.mark.parametrize("plate", [101.25, 11.2500004], ids=["90-on", "within-1e-6"])
+    def test_layout_tells_settings_apart_by_the_tables_key(self, plate):
+        kind = ProtocolKind("x", E91.alice_hwp_deg, (plate, *E91.bob_hwp_deg[1:]))
+        assert (kind.matched_pairs(), kind.chsh_pairs) == (E91.matched_pairs(), E91.chsh_pairs)
+
+    def test_a_plate_90_degrees_on_is_the_same_setting(self):
+        # E91 with Bob's 22.5-degree analyzer written as plate 101.25 once
+        # kept its key bases but lost its CHSH pairs, so its session took
+        # Eve's bound from the linear law instead of the measured S.
+        e91b = ProtocolKind("e91b", (0.0, 11.25, 22.5), (101.25, 22.5, 33.75))
+        assert (e91b.chsh_pairs, e91b.key_pairs()) == (E91.chsh_pairs, E91.key_pairs())
+        cfg = config(kind=E91, channel=ChannelModel.werner(0.9), n_pairs=100_000, seed=1)
+        rec, rec_b = run_session(cfg), run_session(dataclasses.replace(cfg, kind=e91b))
+        assert rec_b.chsh_subset is not None
+        for f in dataclasses.fields(rec):
+            np.testing.assert_equal(getattr(rec_b, f.name), getattr(rec, f.name), err_msg=f.name)
+
+    @pytest.mark.parametrize("alice,bob", [
+        ((0.0, 202.5), (0.0, 22.5)),
+        ((0.0, 22.5, math.nan), (0.0, 22.5)),
+        ((0.0, 22.5), (-11.25, 0.0, 22.5)),
+        ((0.0, 22.5), (0.0, 22.5, math.inf)),
+    ], ids=["above-180", "nan", "negative", "inf"])
+    def test_layout_validates_its_angles_when_built(self, alice, bob):
+        with pytest.raises(ValueError, match=r"HWP angle must be in \[0, 180\) degrees"):
+            ProtocolKind("bad", alice, bob)
 
     def test_cells_fit_in_uint8(self):
         # A cell is (a * n_b + b) * 4 + outcome, so codes up to 255 take at
