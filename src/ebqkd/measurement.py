@@ -7,7 +7,9 @@ the cells.  All sampling is deterministic given a seed and is one count
 draw, :func:`sample_outcome_stream`: a sweep makes it once per setting
 pair over that pair's four outcomes (:func:`sample_outcomes`), a session
 once over its cells ``(a * n_b + b) * 4 + outcome`` (probabilities from
-:func:`intercept_resend`).  Eve's intercept-resend attack is sampled as
+:func:`intercept_resend`).  A session's sifted cells are then laid out in
+a uniformly random order by :func:`arrange_cells`, the one arrangement
+draw.  Eve's intercept-resend attack is sampled as
 the mixture of :func:`intercept_strata`: her records never leave the
 sampler, so no draw of hers is needed.
 """
@@ -259,6 +261,83 @@ def sample_outcome_stream(
         accidentals = rng.multinomial(n_acc, np.full(len(joint), 1.0 / len(joint))).tolist()
         counts = [c + a for c, a in zip(counts, accidentals)]
     return counts
+
+
+#: Cells drawn per step of :func:`arrange_cells`; its temporaries are O(this).
+_CHUNK = 1 << 14
+
+
+def _slot_widths(counts: Sequence[int]) -> list[int]:
+    """Each count's share of 256 slots, split by largest remainder in
+    Python ints (no overflow at any total); a zero count gets no slot."""
+    n = sum(counts)
+    widths = [256 * c // n for c in counts]
+    by_remainder = sorted(range(len(counts)), key=lambda t: -(256 * counts[t] % n))
+    for t in by_remainder[:256 - sum(widths)]:
+        widths[t] += 1
+    return widths
+
+
+def arrange_cells(codes: np.ndarray, counts: Sequence[int], rng: np.random.Generator) -> np.ndarray:
+    """A uint8 stream holding ``codes[t]`` exactly ``counts[t]`` times, in
+    a uniformly random order: the law of ``np.repeat(codes, counts)``
+    followed by ``rng.shuffle``, without a random step per cell.
+
+    1. Proposal: every cell is drawn i.i.d. from ``rng.bytes`` through a
+       256-slot table, each code holding its largest-remainder share of
+       the slots, in chunks of ``_CHUNK`` cells with a histogram per chunk.
+    2. Repair: each code drawn ``e`` times too often gives up ``e`` of its
+       positions, a uniform subset chosen by rank (``rng.choice``) and
+       found by a chunked scan; the missing codes, shuffled, fill them.
+
+    i.i.d. draws are exchangeable, and a uniform subset of a code's
+    positions and a shuffled filling commute with every permutation of
+    positions, so the law of the result is invariant under them; it has
+    the exact counts, so it is the uniform arrangement.  The draw order,
+    part of the reproducibility contract, is the chunks' bytes, the ranks
+    code by code, then the shuffle of the missing codes.  ``codes`` must
+    be distinct; temporaries beyond the stream are O(``_CHUNK``) plus
+    O(cells repaired) plus a histogram of ``len(codes)`` ints per chunk.
+    """
+    codes = np.asarray(codes, dtype=np.uint8)
+    if len(set(codes.tolist())) != len(codes) or min(counts, default=0) < 0:
+        raise ValueError("arrange_cells needs distinct codes and nonnegative counts")
+    n = sum(counts)
+    stream = np.empty(n, dtype=np.uint8)  # first, so that a total that cannot fit fails here
+    if n == 0:
+        return stream
+    widths = _slot_widths(counts)
+    table = np.repeat(codes, widths)
+    drawable = np.flatnonzero(widths)
+    first_slots = np.cumsum([0, *widths])[drawable]
+    drawn = np.zeros((-(-n // _CHUNK), len(codes)), dtype=np.int64)
+    for k, chunk in enumerate(_chunks(stream)):
+        raw = np.frombuffer(rng.bytes(len(chunk)), dtype=np.uint8)
+        table.take(raw, out=chunk)
+        drawn[k, drawable] = np.add.reduceat(np.bincount(raw, minlength=256), first_slots)
+
+    ends = drawn.cumsum(axis=0)  # occurrences of each code up to the end of each chunk
+    excess = ends[-1] - np.array(counts, dtype=np.int64)
+    picks = []
+    for t in np.flatnonzero(excess > 0).tolist():
+        ranks = np.sort(rng.choice(int(ends[-1, t]), int(excess[t]), replace=False, shuffle=False))
+        starts = ends[:, t] - drawn[:, t]  # occurrences before each chunk
+        cuts = ranks.searchsorted(np.append(starts, ends[-1, t]))  # ranks of chunk k: cuts[k]:cuts[k + 1]
+        picks.append((codes[t], ranks, cuts.tolist(), starts.tolist()))
+    missing = np.repeat(codes, np.maximum(-excess, 0))
+    rng.shuffle(missing)
+    filled = 0
+    for k, chunk in enumerate(_chunks(stream)):
+        for code, ranks, cuts, starts in picks:
+            if cuts[k] < cuts[k + 1]:
+                at = (chunk == code).nonzero()[0][ranks[cuts[k]:cuts[k + 1]] - starts[k]]
+                chunk[at] = missing[filled:filled + len(at)]
+                filled += len(at)
+    return stream
+
+
+def _chunks(stream: np.ndarray):
+    return (stream[lo:lo + _CHUNK] for lo in range(0, len(stream), _CHUNK))
 
 
 def intercept_resend(

@@ -6,12 +6,13 @@ the emitted pairs (binomial), their (setting pair, outcome) cells
 (multinomial; the setting pair is uniform, the same as independent
 uniform bases for Alice and Bob), then Poisson accidentals spread over the
 cells by a second multinomial.  Only the sifted coincidences (matched
-bases) are expanded into a stream, one uint8 code each, and shuffled; the
-first ones form the disclosed random sample that estimates the QBER (those
-bits are consumed), the rest the key.  Pairs are independent, so given the
-counts the sifted stream is a uniformly random arrangement of its cells,
-which is what the shuffle draws.  E91 additionally routes its four
-canonical CHSH setting combinations into a CHSH estimate.
+bases) are laid out as a stream, one uint8 code each, in a uniformly
+random order (:func:`~ebqkd.measurement.arrange_cells`); the first ones
+form the disclosed random sample that estimates the QBER (those bits are
+consumed), the rest the key.  Pairs are independent, so given the counts
+the sifted stream is a uniformly random arrangement of its cells, which is
+what ``arrange_cells`` draws.  E91 additionally routes its four canonical
+CHSH setting combinations into a CHSH estimate.
 
 Bit mapping: the transmitted port is bit 0.  Bob inverts his bit in a
 matched basis exactly when the session's ideal Bell state is
@@ -46,6 +47,7 @@ from .measurement import (
     CoincidenceRow,
     CoincidenceTable,
     DetectorModel,
+    arrange_cells,
     bob_flip,
     hwp_key,
     intercept_resend,
@@ -74,8 +76,8 @@ class ProtocolKind:
 
     Derived once, when built, from the angles' :func:`~ebqkd.measurement.hwp_key`:
     a setting pair is matched (a key event) when its two keys are equal, and
-    the layout must have two matched bases on distinct axes, the lower
-    polarization angle carrying the bit errors, the other the phase errors.
+    the layout must have two matched bases on distinct axes, the lower key
+    carrying the bit errors, the other the phase errors.
     ``chsh_pairs``, whose outcomes feed the security CHSH test, holds the
     indices of the canonical CHSH settings in ``pairs()`` order, or ``()``.
     """
@@ -168,7 +170,7 @@ class SessionConfig:
 class SessionRecord:
     """Outcome of one protocol session.
 
-    ``per_basis_qber`` is keyed by the matched polarization angle in
+    ``per_basis_qber`` is keyed by the matched polarization axis in
     degrees (0.0 is H/V, 45.0 is D/A for BBM92).  Disclosed QBER-sample
     bits are removed from the keys, so
     ``disclosed_length + len(key_bits_alice) == sifted_length``.
@@ -237,7 +239,7 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
 
     # Fixed draw order, part of the reproducibility contract: the cell
     # counts of all n_pairs pairs (sample_outcome_stream's own order), then
-    # the shuffle of the sifted codes.
+    # the arrangement of the sifted codes (arrange_cells' own order).
     joint = intercept_resend(state, alice, bob, cfg.channel.eve_fraction)
     every_pair = np.broadcast_to(np.uint8(0), (cfg.n_pairs,))  # read for its length
     counts = sample_outcome_stream(joint, every_pair, rng, cfg.detector)
@@ -248,15 +250,14 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
     if n_sifted == 0:
         raise NoSiftedBitsError(f"no sifted bits: {n_coincident} coincidences, none in matched bases")
     try:
-        if n_sifted >= 2**63:  # np.repeat would wrap the total
+        if n_sifted >= 2**63:  # no array has that many cells
             raise MemoryError
-        stream = np.repeat(codes, sifted)
+        stream = arrange_cells(codes, sifted, rng)
     except MemoryError:
         raise KeyMemoryError(
             f"n_pairs {cfg.n_pairs} at detector.dark_rate {cfg.detector.dark_rate:g}"
             f" give {n_sifted} sifted coincidences, which do not fit in memory"
         ) from None
-    rng.shuffle(stream)
 
     n_disclose = max(1, int(round(cfg.qber_sample_fraction * n_sifted)))
     disclosed = np.bincount(stream[:n_disclose], minlength=n_cells)[codes].tolist()
@@ -290,7 +291,9 @@ class Estimate:
     """Everything one count table says about a link.
 
     ``chsh`` is None when no CHSH settings were given; ``per_basis_qber``
-    is keyed by the matched polarization angle in degrees; ``qber`` pools
+    is keyed by the matched polarization axis in degrees, twice the basis'
+    :func:`~ebqkd.measurement.hwp_key` (the lower key gives the report's
+    bit errors, the other its phase errors); ``qber`` pools
     both matched bases and ``qber_ci`` is its 95% Wilson interval.
     """
 
@@ -323,12 +326,12 @@ def estimate(
     per_basis: dict[float, float] = {}
     n_wrong = n_total = 0
     for a, b in kind.key_pairs():
-        pol = a.polarization_angle_deg
+        pol = 2.0 * hwp_key(a.hwp_angle_deg, b.hwp_angle_deg)[0]
         row = table.row(a, b)
         if row.total == 0:
             raise EmptyBasisError(f"zero coincidences in the compatible basis at {pol:g} deg polarization")
         counts = row.counts()
-        wrong = sum(counts[k] for k in wrong_outcomes(label, math.radians(pol)))
+        wrong = sum(counts[k] for k in wrong_outcomes(label, a.polarization_angle_rad))
         per_basis[pol] = wrong / row.total
         n_wrong += wrong
         n_total += row.total

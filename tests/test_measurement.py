@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -334,6 +335,120 @@ class TestSampleOutcomeStream:
         assert sample_outcome_stream(joint, np.ones(50, np.uint8), np.random.default_rng(9), det) == (
             sample_outcome_stream(joint, np.zeros(50, np.uint8), np.random.default_rng(9), det)
         )
+
+
+def arrangements(codes, counts):
+    """Every distinct sequence holding ``codes[t]`` exactly ``counts[t]`` times."""
+    if not any(counts):
+        yield ()
+        return
+    for t, c in enumerate(counts):
+        if c:
+            rest = [*counts[:t], c - 1, *counts[t + 1:]]
+            for tail in arrangements(codes, rest):
+                yield (codes[t], *tail)
+
+
+class TestArrangeCells:
+    # A small multiset has few enough arrangements to enumerate: the
+    # sampler must hit each with equal frequency, also when its chunks
+    # are cut to a few cells so that the repair scan crosses chunks.
+    @pytest.mark.parametrize("chunk", [None, 2])
+    @pytest.mark.parametrize(
+        "codes, counts, n_arrangements",
+        [
+            ((3, 7, 9), (2, 0, 2), 6),  # a zero count
+            ((0, 1, 2, 3, 4), (1, 1, 1, 1, 1), 120),  # all distinct
+            ((5, 2, 6), (6, 1, 1), 56),  # one dominant code
+            ((0, 12, 13), (4, 4, 1), 630),
+        ],
+    )
+    def test_every_arrangement_is_equally_likely(self, monkeypatch, chunk, codes, counts, n_arrangements):
+        if chunk is not None:
+            monkeypatch.setattr(measurement, "_CHUNK", chunk)
+        every = {bytes(a): i for i, a in enumerate(arrangements(codes, counts))}
+        assert len(every) == n_arrangements
+        rng = np.random.default_rng(2023)
+        seen = np.zeros(n_arrangements, dtype=np.int64)
+        for _ in range(max(1000, 10 * n_arrangements)):
+            seen[every[measurement.arrange_cells(np.array(codes, dtype=np.uint8), counts, rng).tobytes()]] += 1
+        assert chisquare(seen).pvalue > 1e-3
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [5],  # one code only
+            [0, 0, 7, 0],  # one code with a count among zeros
+            [1],
+            [1, 1],
+            [2, 0, 1],  # n < 4
+            [100_000, 1, 3, 0, 200, 17],  # shares below 1/256
+            [measurement._CHUNK, 1, measurement._CHUNK + 3],  # n not a multiple of the chunk
+            [measurement._CHUNK - 1, 1],  # n exactly one chunk
+            [85_721, 85_266, 85_740, 85_559, 4_507, 4_357, 4_422, 4_428],  # a bench-sized key
+        ],
+    )
+    def test_holds_each_code_exactly_its_count(self, counts):
+        codes = np.array([13, 0, 255, 6, 12, 1, 14, 15][:len(counts)], dtype=np.uint8)
+        for seed in range(3):
+            stream = measurement.arrange_cells(codes, counts, np.random.default_rng(seed))
+            assert stream.dtype == np.uint8 and len(stream) == sum(counts)
+            assert [int(np.count_nonzero(stream == c)) for c in codes] == counts
+
+    def test_empty(self):
+        stream = measurement.arrange_cells(np.array([4, 5], dtype=np.uint8), [0, 0], np.random.default_rng(0))
+        assert stream.dtype == np.uint8 and len(stream) == 0
+
+    @pytest.mark.parametrize("codes, counts", [((1, 1), (2, 3)), ((1, 2), (2, -1))])
+    def test_refuses_repeated_codes_and_negative_counts(self, codes, counts):
+        with pytest.raises(ValueError, match="distinct codes and nonnegative counts"):
+            measurement.arrange_cells(np.array(codes, dtype=np.uint8), counts, np.random.default_rng(0))
+
+    def test_same_generator_state_gives_the_same_bytes(self):
+        codes = np.array([0, 1, 2, 3, 12, 13, 14, 15], dtype=np.uint8)
+        counts = [40_000, 41_000, 39_500, 40_250, 2_000, 2_100, 1_950, 2_050]
+        first, second = np.random.default_rng(77), np.random.default_rng(77)
+        a = measurement.arrange_cells(codes, counts, first)
+        b = measurement.arrange_cells(codes, counts, second)
+        assert a.tobytes() == b.tobytes()
+        assert first.bit_generator.state == second.bit_generator.state
+
+    def test_positions_are_uniform_across_chunks(self):
+        # Beyond enumeration: over seeds, each code's share at positions on
+        # both sides of a chunk boundary and at the end is its count's share.
+        codes = np.array([0, 1, 2], dtype=np.uint8)
+        counts = [2 * measurement._CHUNK, 600, measurement._CHUNK + 5]
+        n = sum(counts)
+        where = np.array([0, measurement._CHUNK - 1, measurement._CHUNK, 2 * measurement._CHUNK, n - 1])
+        seen = np.zeros((len(where), len(codes)), dtype=np.int64)
+        rng = np.random.default_rng(4)
+        for _ in range(400):
+            stream = measurement.arrange_cells(codes, counts, rng)
+            seen[np.arange(len(where)), stream[where]] += 1
+        p = np.array(counts) / n
+        for row in seen:
+            assert chisquare(row, row.sum() * p).pvalue > 1e-3
+
+    @pytest.mark.parametrize(
+        "shares",
+        [
+            [0.2375] * 4 + [0.0125] * 4,  # a BBM92 key at 5% QBER
+            [0.014] * 4 + [0.236] * 4,  # rare codes rounded up: the most repair
+            [0.9, 0.05, 0.03, 0.02],
+        ],
+    )
+    def test_peak_memory_is_the_stream_plus_little(self, shares):
+        n = 1 << 22
+        counts = np.random.default_rng(1).multinomial(n, shares).tolist()
+        codes = np.arange(len(counts), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            measurement.arrange_cells(codes, counts, np.random.default_rng(2))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n
 
 
 class TestInterceptResend:

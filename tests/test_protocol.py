@@ -583,9 +583,10 @@ class TestSessionSampler:
     def test_counts_are_the_by_hand_draw(self, kind, label):
         # From default_rng(seed), by hand: coincidences (binomial), their
         # cells (multinomial), accidentals (Poisson), their cells
-        # (multinomial over uniform cells), then the shuffle of the sifted
-        # cells. The record's counts and key are exactly these draws, with
-        # the bits mapped by the oracle, not by the library's sift.
+        # (multinomial over uniform cells), then arrange_cells of the sifted
+        # cells on the same generator. The record's counts and key are
+        # exactly these draws, with the bits mapped by the oracle, not by
+        # the library's sift.
         det = DetectorModel(0.7, dark_rate=0.05, window_pairs=2)
         cfg = config(
             kind=kind, source=SourceModel(label), channel=ChannelModel.intercept_resend(0.3), detector=det,
@@ -602,8 +603,7 @@ class TestSessionSampler:
         for i, j in kind.chsh_pairs:
             assert rec.counts.find(a_set[i], b_set[j]).counts() == tuple(counts[4 * (i * n_b + j):][:4])
         sifted = [4 * (i * n_b + j) + k for i, j in kind.matched_pairs() for k in range(4)]
-        stream = np.repeat(np.array(sifted, dtype=np.uint8), counts[sifted])
-        rng.shuffle(stream)
+        stream = measurement.arrange_cells(np.array(sifted, dtype=np.uint8), counts[sifted].tolist(), rng)
         assert rec.sifted_length == len(stream)
         disclosed, key = np.split(stream, [rec.disclosed_length])
         disclosed_counts = np.bincount(disclosed, minlength=len(joint))
@@ -724,6 +724,16 @@ class TestEstimate:
         table = CoincidenceTable((row(0, 0, 3, 45, 50, 2), row(45, 45, 0, 50, 50, 0)))
         est = estimate(table, BellLabel.PSI_MINUS, BBM92)
         assert est.per_basis_qber == {0.0: 0.05, 45.0: 0.0}
+
+    def test_bases_are_ordered_and_keyed_by_the_tables_key(self):
+        # Alice's plate 5e-8 deg below 90 is plate 0 by hwp_key: her basis is
+        # H/V, keyed 0 and carrying the bit errors, not an axis at 179.9999999.
+        near90 = ProtocolKind("near90", (89.99999995, 22.5), (0.0, 22.5))
+        table = CoincidenceTable((row(0, 0, 45, 5, 5, 45), row(45, 45, 99, 1, 0, 100)))
+        for kind in (BBM92, near90):
+            est = estimate(table, BellLabel.PHI_PLUS, kind)
+            assert est.per_basis_qber == {0.0: 0.1, 45.0: 0.005}
+            assert (est.report.e_b, est.report.e_p) == (0.1, 0.005)
 
     def test_empty_basis_raises(self):
         table = CoincidenceTable((row(0, 0, 50, 0, 0, 50), row(45, 45, 0, 0, 0, 0)))
