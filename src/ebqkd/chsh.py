@@ -32,6 +32,7 @@ psi- (singlet)        (-, +, -, -)
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -73,8 +74,11 @@ class ChshSettings:
         return tuple(itertools.product((self.a, self.a_prime), (self.b, self.b_prime)))
 
 
+@functools.cache
 def canonical_settings(label: BellLabel = BellLabel.PHI_PLUS) -> ChshSettings:
-    """Canonical CHSH geometry; each sign is that of ``label``'s ideal correlator at its pair."""
+    """Canonical CHSH geometry; each sign is that of ``label``'s ideal correlator at its pair.
+
+    Built once per label and shared: the result is frozen."""
     alice, bob = (0.0, 45.0), (22.5, 67.5)  # polarization angles, degrees
     e = (ideal_correlator(label, math.radians(a), math.radians(b)) for a, b in itertools.product(alice, bob))
     signs = tuple(1 if x > 0.0 else -1 for x in e)

@@ -16,6 +16,7 @@ sampler, so no draw of hers is needed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -124,9 +125,11 @@ class CoincidenceRow:
         return (self.n_pp, self.n_pm, self.n_mp, self.n_mm)
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def hwp_key(alice_hwp_deg: float, bob_hwp_deg: float) -> tuple[float, float]:
     """Identity of an (Alice, Bob) HWP angle pair, the one rule that tells
-    settings apart: each angle mod 90 (one axis), rounded to 1e-6 deg."""
+    settings apart: each angle mod 90 (one axis), rounded to 1e-6 deg.
+    Memoized (bounded, and typed so that a numpy float keeps its type)."""
     return (round(alice_hwp_deg % 90.0, 6) % 90.0, round(bob_hwp_deg % 90.0, 6) % 90.0)
 
 

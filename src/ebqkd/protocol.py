@@ -174,6 +174,8 @@ class SessionRecord:
     degrees (0.0 is H/V, 45.0 is D/A for BBM92).  Disclosed QBER-sample
     bits are removed from the keys, so
     ``disclosed_length + len(key_bits_alice) == sifted_length``.
+    ``key_bits_alice`` may share the buffer of the session's sifted
+    stream (a view past its disclosed cells), so it keeps that buffer alive.
     ``counts`` is the table the estimates come from: the CHSH setting
     pairs over every coincidence, the matched bases over the disclosed
     sample only.  ``report`` is the security evaluation of that table.
@@ -261,7 +263,12 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
 
     n_disclose = max(1, int(round(cfg.qber_sample_fraction * n_sifted)))
     disclosed = np.bincount(stream[:n_disclose], minlength=n_cells)[codes].tolist()
+    # Split the key codes into bits in place: Bob's bit first, then the
+    # codes become Alice's bits, so no third key-sized array is made.
     key = stream[n_disclose:]
+    key_bits_bob = key & 1
+    key >>= 1
+    key &= 1
     table = CoincidenceTable((
         *(CoincidenceRow(alice[i], bob[j], *disclosed[4 * m:4 * m + 4])
           for m, (i, j) in enumerate(cfg.kind.matched_pairs())),
@@ -279,8 +286,8 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
         qber_ci=est.qber_ci,
         per_basis_qber=est.per_basis_qber,
         chsh_subset=est.chsh,
-        key_bits_alice=key >> 1 & 1,
-        key_bits_bob=key & 1,
+        key_bits_alice=key,
+        key_bits_bob=key_bits_bob,
         counts=table,
         report=est.report,
     )

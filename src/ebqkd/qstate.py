@@ -28,6 +28,7 @@ Conventions
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
@@ -44,6 +45,7 @@ PSD_ATOL = 1e-9
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 #: Row ``4*m + n`` holds the 16 entries of sigma_m x sigma_n in basis order.
 _PAULI_PAIRS = np.einsum("mij,nkl->mnikjl", _PAULI, _PAULI).reshape(16, 16)
+_PAULI_PAIRS_CONJ = _PAULI_PAIRS.conj()
 
 
 def echo(text: str) -> str:
@@ -88,20 +90,25 @@ def ideal_correlator(label: BellLabel, alpha: float, beta: float) -> float:
 
 
 def _frozen_array(x, shape, dtype=complex) -> np.ndarray:
+    """A read-only copy, returned as a view so that its ``writeable`` flag
+    cannot be set again: states and memoized arrays are shared."""
     arr = np.asarray(x, dtype=dtype).reshape(shape).copy()
     arr.flags.writeable = False
-    return arr
+    return arr.view()
 
 
 @dataclass(frozen=True, eq=False)
 class TwoQubitState:
     """A 4x4 density operator on the polarization product basis.
 
-    The constructor enforces Hermiticity, unit trace and positive
-    semidefiniteness (eigenvalues >= -1e-9) and computes ``bloch``, the
-    real Pauli correlation matrix ``C`` every probability is read from
-    (see the module conventions).  Instances are immutable and safe to
-    share between parallel workers.
+    The constructor checks, in order, that every entry is finite, that the
+    matrix is Hermitian (``|rho - rho^dagger| <= HERMITICITY_ATOL``
+    entrywise), that its trace is 1 (within ``10 * TRACE_ATOL``) and that
+    it is positive semidefinite (lowest eigenvalue >= ``-PSD_ATOL``); each
+    failure is an :class:`InvariantViolation` with its own message.  It
+    then computes ``bloch``, the real Pauli correlation matrix ``C`` every
+    probability is read from (see the module conventions).  Instances are
+    immutable and safe to share between parallel workers.
     """
 
     rho: np.ndarray
@@ -109,9 +116,11 @@ class TwoQubitState:
 
     def __post_init__(self) -> None:
         rho = np.asarray(self.rho, dtype=complex).reshape(4, 4)
-        if not np.allclose(rho, rho.conj().T, rtol=0.0, atol=HERMITICITY_ATOL):
+        if not np.isfinite(rho).all():
+            raise InvariantViolation("density matrix has a non-finite entry")
+        if np.abs(rho - rho.conj().T).max() > HERMITICITY_ATOL:
             raise InvariantViolation("density matrix is not Hermitian")
-        trace = float(np.trace(rho).real)
+        trace = float(rho.trace().real)
         if abs(trace - 1.0) > 10 * TRACE_ATOL:
             raise InvariantViolation(f"density matrix has trace {trace!r}, expected 1")
         lowest = float(np.linalg.eigvalsh(rho)[0])
@@ -121,7 +130,7 @@ class TwoQubitState:
             )
         object.__setattr__(self, "rho", _frozen_array(rho, (4, 4)))
         # Tr(rho P) = sum rho * conj(P) for Hermitian P.
-        bloch = (_PAULI_PAIRS.conj() @ rho.reshape(16)).real
+        bloch = (_PAULI_PAIRS_CONJ @ rho.reshape(16)).real
         object.__setattr__(self, "bloch", _frozen_array(bloch, (4, 4), dtype=float))
 
     @classmethod
@@ -184,13 +193,18 @@ def born_table(
 
 def _port_vectors(settings: "Sequence[AnalyzerSetting]") -> np.ndarray:
     """Rows ``(1, a)`` then ``(1, -a)`` per setting: its "+" and "-" ports."""
+    return _port_vectors_of(tuple(settings))
+
+
+@functools.lru_cache(maxsize=64)
+def _port_vectors_of(settings: "tuple[AnalyzerSetting, ...]") -> np.ndarray:
     angle = 2.0 * np.array([s.polarization_angle_rad for s in settings])
     rows = np.zeros((angle.size, 2, 4))
     rows[:, :, 0] = 1.0
     rows[:, 0, 1] = np.sin(angle)
     rows[:, 0, 3] = np.cos(angle)
     np.negative(rows[:, 0, 1:], out=rows[:, 1, 1:])
-    return rows.reshape(-1, 4)
+    return _frozen_array(rows, (-1, 4), dtype=float)
 
 
 def joint_probabilities(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -83,6 +84,16 @@ class TestSettings:
             label = BellLabel[f"{m[1].upper()}_{'PLUS' if m[2] == '+' else 'MINUS'}"]
             table[label] = tuple(1 if c == "+" else -1 for c in m.groups()[2:])
         assert table == {label: canonical_settings(label).signs for label in BellLabel}
+
+    @pytest.mark.parametrize("label", list(BellLabel))
+    def test_canonical_settings_are_shared_and_frozen(self, label):
+        s = canonical_settings(label)
+        assert canonical_settings(label) is s
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.signs = (1, 1, 1, -1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.a.hwp_angle_deg = 5.0
+        assert isinstance(s.signs, tuple)
 
 
 class TestCorrelator:

@@ -52,6 +52,31 @@ class TestSweep:
             tol = 5 * math.sqrt(max(expect_q * (1 - expect_q), 2.5e-6) / n_eff)
             assert abs(q - expect_q) < tol
 
+    def test_interleaved_sweeps_equal_each_run_alone(self):
+        """Nothing a sweep memoizes carries over between calls: every spec
+        gives, interleaved with the others in one process, the rows a fresh
+        interpreter gives it alone."""
+        specs = [
+            (("werner", (1.0, 0.7)), "psi_minus", 3),
+            (("imbalance", (0.3, 0.785)), "phi_minus", 4),
+            (("hom_visibility", (0.9,)), "psi_plus", 5),
+            (("intercept_fraction", (0.0, 0.4)), "phi_plus", 6),
+        ]
+        alone = []
+        for (mechanism, grid), label, seed in specs:
+            child = run_python("-c", (
+                "import sys; from ebqkd import cli, qstate\n"
+                f"spec = cli.SweepSpec({mechanism!r}, {grid!r}, n_pairs=20_000, label=qstate.BellLabel({label!r}))\n"
+                f"print(repr(cli.run_sweep(spec, {seed})))"
+            ))
+            assert child.returncode == 0, child.stderr
+            alone.append(child.stdout.strip())
+        order = [0, 2, 1, 3, 3, 1, 0, 2]
+        for k in order:
+            (mechanism, grid), label, seed = specs[k]
+            spec = cli.SweepSpec(mechanism, grid, n_pairs=20_000, label=qstate.BellLabel(label))
+            assert repr(cli.run_sweep(spec, seed)) == alone[k]
+
     def test_empty_grid_usage_error(self, tmp_path, capsys):
         rc = cli.main(["sweep", "--mechanism", "werner", "--grid", "", "--out", str(tmp_path / "x")])
         assert rc == EXIT_USAGE

@@ -164,6 +164,26 @@ class TestCoincidenceTable:
                            match=r"^coincidence table is missing setting pair \(45, 45\) deg$"):
             table.row(setting(45), setting(45))
 
+    def test_hwp_key_cache_is_bounded(self):
+        # Many distinct count files must not grow the memo without bound.
+        maxsize = measurement.hwp_key.cache_info().maxsize
+        assert maxsize is not None
+        for k in range(2 * maxsize):
+            measurement.hwp_key(k * 1e-3, 11.25)
+        assert measurement.hwp_key.cache_info().currsize <= maxsize
+
+    @pytest.mark.parametrize("first", [float, np.float64])
+    def test_hwp_key_memo_returns_what_the_rule_returns(self, first):
+        """Equal angles of another type are not served from one entry: a key
+        keeps its type, whichever call came first."""
+        second = np.float64 if first is float else float
+        for angles in ((22.5, 101.25), (180.0 - 1e-8, 11.2500004), (-0.0, 89.9999996)):
+            for kind in (first, second):
+                a, b = map(kind, angles)
+                key = measurement.hwp_key(a, b)
+                expected = measurement.hwp_key.__wrapped__(a, b)
+                assert key == expected and list(map(type, key)) == list(map(type, expected))
+
     def test_incomplete_table_error_is_defined_once(self):
         from ebqkd import chsh
 

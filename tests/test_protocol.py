@@ -498,6 +498,22 @@ class TestSessionMemory:
         small, large = (peak_bytes_per_pair(cfg) * cfg.n_pairs for cfg in cfgs)
         assert (large - small) / 6_000_000 <= 3.5
 
+    @pytest.mark.parametrize("kind", [BBM92, E91])
+    def test_key_bits_are_split_without_a_third_key_sized_array(self, kind):
+        # The stream (1 B per sifted cell) and Bob's bits (1 B per key cell)
+        # are the peak; splitting through ``key >> 1 & 1`` would add a third
+        # key-sized temporary (2.9 B per sifted cell and up).  Measured 1.95-1.96.
+        cfg = config(kind=kind, n_pairs=4_000_000, qber_sample_fraction=0.05, seed=3)
+        tracemalloc.start()
+        try:
+            rec = run_session(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / rec.sifted_length <= 2.25
+        assert rec.key_bits_alice.dtype == rec.key_bits_bob.dtype == np.uint8
+        assert set(np.unique(rec.key_bits_alice).tolist()) <= {0, 1}
+
 
 def session_model(kind, source, channel, det):
     """Kron/trace probability of each cell per emitted pair, then "not

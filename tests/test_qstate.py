@@ -108,11 +108,44 @@ class TestBellDensity:
             assert abs(state.purity() - 1.0) < 1e-12
 
 
+def _off_diagonal(rho: np.ndarray, upper: complex, lower: complex) -> np.ndarray:
+    rho = np.asarray(rho, dtype=complex).copy()
+    rho[0, 1], rho[1, 0] = upper, lower
+    return rho
+
+
+def _anti_hermitian_step(c: float, imaginary: bool) -> np.ndarray:
+    """I/4 plus an anti-Hermitian entry pair whose ``|rho - rho^dagger|`` is exactly ``2 c``."""
+    return _off_diagonal(np.eye(4) / 4, 1j * c, 1j * c) if imaginary else _off_diagonal(np.eye(4) / 4, c, -c)
+
+
 class TestTwoQubitState:
-    def test_rejects_non_hermitian(self):
-        rho = np.diag([1.0, 0, 0, 0]).astype(complex)
-        rho[0, 1] = 0.5  # no conjugate partner
-        with pytest.raises(InvariantViolation):
+    @pytest.mark.parametrize("rho", [
+        _off_diagonal(np.diag([1.0, 0, 0, 0]), 0.5, 0.0),  # no conjugate partner
+        _anti_hermitian_step(qstate.HERMITICITY_ATOL, imaginary=False),  # 2x the tolerance
+        _anti_hermitian_step(qstate.HERMITICITY_ATOL, imaginary=True),
+    ], ids=["no_partner", "real_2x_atol", "imaginary_2x_atol"])
+    def test_rejects_non_hermitian(self, rho):
+        with pytest.raises(InvariantViolation, match="^density matrix is not Hermitian$"):
+            TwoQubitState(rho)
+
+    @pytest.mark.parametrize("imaginary", [False, True])
+    def test_accepts_a_hermiticity_defect_of_exactly_the_tolerance(self, imaginary):
+        """The rule is allclose's at rtol=0: ``|rho - rho^dagger| <= HERMITICITY_ATOL``."""
+        rho = _anti_hermitian_step(qstate.HERMITICITY_ATOL / 2, imaginary)
+        assert np.abs(rho - rho.conj().T).max() == qstate.HERMITICITY_ATOL
+        np.testing.assert_array_equal(TwoQubitState(rho).rho, rho)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf)])
+    @pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
+    def test_rejects_non_finite_entries(self, value, where):
+        """Never a numpy error (eigvalsh does not converge on inf) nor the Hermiticity message."""
+        if where == "diagonal":
+            rho = (np.eye(4) / 4).astype(complex)
+            rho[2, 2] = value
+        else:
+            rho = _off_diagonal(np.eye(4) / 4, value, np.conj(value))
+        with pytest.raises(InvariantViolation, match="^density matrix has a non-finite entry$"):
             TwoQubitState(rho)
 
     def test_rejects_wrong_trace(self):
@@ -148,6 +181,27 @@ class TestTwoQubitState:
         state = bell_state(BellLabel.PHI_PLUS)
         with pytest.raises(ValueError):
             state.bloch[0, 0] = 2.0
+
+    @pytest.mark.parametrize("name", ["rho", "bloch"])
+    def test_arrays_cannot_be_made_writeable_again(self, name):
+        with pytest.raises(ValueError):
+            getattr(bell_state(BellLabel.PHI_PLUS), name).flags.writeable = True
+
+
+class TestPortVectors:
+    def test_are_read_only(self):
+        """The array is shared by every later call with these settings."""
+        rows = qstate._port_vectors([AnalyzerSetting(0.0), AnalyzerSetting(22.5)])
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            rows.flags.writeable = True
+
+    def test_equal_settings_share_one_array_whatever_the_sequence(self):
+        plates = (0.0, 11.25, 33.75)
+        rows = qstate._port_vectors(tuple(AnalyzerSetting(t) for t in plates))
+        assert qstate._port_vectors([AnalyzerSetting(t) for t in plates]) is rows
 
 
 class TestJointProbabilities:
