@@ -112,8 +112,8 @@ def sweep_point(spec: SweepSpec, index: int, value: float, seed: int) -> dict[st
     """Analytic and sampled quantities for one grid point.
 
     Sampling uses ``n_pairs`` emitted pairs per analyzer configuration
-    (four CHSH setting pairs plus one per key basis), each on its own
-    deterministic child stream of ``seed``.
+    (four CHSH setting pairs plus one per key basis), drawn in that order
+    from one generator, ``spawn_rng(seed, index)``, whatever the schedule.
     """
     source, channel = _point_models(spec, value)
     state = optics.apply_channel(optics.generate(source), channel)
@@ -122,8 +122,7 @@ def sweep_point(spec: SweepSpec, index: int, value: float, seed: int) -> dict[st
     s_analytic = chsh.s_analytic(state, settings).s
 
     pairs = settings.pairs() + protocol.BBM92.key_pairs()
-    rngs = [spawn_rng(seed, index, k) for k in range(len(pairs))]
-    rows = sample_outcomes(state, pairs, spec.detector, spec.n_pairs, rngs)
+    rows = sample_outcomes(state, pairs, spec.detector, spec.n_pairs, spawn_rng(seed, index))
     est = protocol.estimate(CoincidenceTable(rows), spec.label, protocol.BBM92, settings)
     qber = max(est.per_basis_qber.values()) if spec.qber_mode == "worst" else est.report.delta
     return {

@@ -299,17 +299,17 @@ def synthesize_counts(
 
     Each row is an independent acquisition of ``n_pairs_per_row`` emitted
     pairs with both analyzers fixed; only the doubly transmitted
-    coincidences of that projection are recorded, as in hardware.
+    coincidences of that projection are recorded, as in hardware.  One
+    generator draws every row's counts, then each row's singles, in order.
     """
     det = detector or DetectorModel(efficiency=1.0)
     settings = settings or chsh.canonical_settings(label)
     pairs = [(AnalyzerSetting(a), AnalyzerSetting(b)) for a, b in required_hwp_pairs(settings, protocol)]
-    rngs = [spawn_rng(seed, k) for k in range(len(pairs))]
-    sampled = sample_outcomes(state, pairs, det, n_pairs_per_row, rngs)
+    rng = spawn_rng(seed)
+    sampled = sample_outcomes(state, pairs, det, n_pairs_per_row, rng)
     rows = []
-    for k, ((a, b), row) in enumerate(zip(pairs, sampled)):
+    for (a, b), row in zip(pairs, sampled):
         dist = joint_probabilities(state, a, b)
-        rng = spawn_rng(seed, k, 1)
         # Singles are the marginals of the joint distribution.
         singles_a = int(rng.binomial(n_pairs_per_row, det.eff_alice * (dist.p_pp + dist.p_pm)))
         singles_b = int(rng.binomial(n_pairs_per_row, det.eff_bob * (dist.p_pp + dist.p_mp)))

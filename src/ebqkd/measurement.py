@@ -4,12 +4,12 @@ A coincidence is both photons of one emitted pair being detected in the
 same emission slot; detector efficiency is applied independently per arm
 and accidental coincidences follow a Poisson model spread uniformly over
 the cells.  All sampling is deterministic given a seed and is one count
-draw, :func:`sample_outcome_stream`: a sweep makes it once per setting
-pair over that pair's four outcomes (:func:`sample_outcomes`), a session
-once over its cells ``(a * n_b + b) * 4 + outcome`` (probabilities from
-:func:`intercept_resend`).  A session's sifted cells are then laid out in
-a uniformly random order by :func:`arrange_cells`, the one arrangement
-draw.  Eve's intercept-resend attack is sampled as
+draw, :func:`sample_outcome_stream`: a sweep point or count file makes it
+once per setting pair, all on one generator (:func:`sample_outcomes`), a
+session once over its cells ``(a * n_b + b) * 4 + outcome``
+(probabilities from :func:`intercept_resend`).  A session's sifted cells
+are then laid out in a uniformly random order by :func:`arrange_cells`,
+the one arrangement draw.  Eve's intercept-resend attack is sampled as
 the mixture of :func:`intercept_strata`: her records never leave the
 sampler, so no draw of hers is needed.
 """
@@ -218,18 +218,18 @@ def sample_outcomes(
     pairs: Sequence[tuple[AnalyzerSetting, AnalyzerSetting]],
     det: DetectorModel,
     n_pairs: int,
-    rngs: Sequence[np.random.Generator],
+    rng: np.random.Generator,
 ) -> tuple[CoincidenceRow, ...]:
     """Coincidence counts for each analyzer setting pair.
 
-    Pair ``j`` is one :func:`sample_outcome_stream` of ``n_pairs`` emitted
-    pairs over its four Born-rule outcomes, from the generator ``rngs[j]``
-    alone.  One :func:`~ebqkd.qstate.born_table` for all pairs is built per
-    call.  Under intercept-resend pass :func:`intercept_average_state`.
+    Each pair is one :func:`sample_outcome_stream` of ``n_pairs`` emitted
+    pairs over its four Born-rule outcomes, drawn from ``rng`` in pair order.
+    One :func:`~ebqkd.qstate.born_table` for all pairs is built per call.
+    Under intercept-resend pass :func:`intercept_average_state`.
 
     Returns:
         One :class:`CoincidenceRow` per pair, in order, deterministic given
-        the generators.
+        the generator's state.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs!r}")
@@ -240,7 +240,7 @@ def sample_outcomes(
     every_pair = np.broadcast_to(np.uint8(0), (n_pairs,))  # read for its length
     return tuple(
         CoincidenceRow(a, b, *sample_outcome_stream(p, every_pair, rng, det))
-        for (a, b), p, rng in zip(pairs, tables, rngs, strict=True)
+        for (a, b), p in zip(pairs, tables)
     )
 
 

@@ -133,6 +133,11 @@ class TwoQubitState:
         bloch = (_PAULI_PAIRS_CONJ @ rho.reshape(16)).real
         object.__setattr__(self, "bloch", _frozen_array(bloch, (4, 4), dtype=float))
 
+    def __reduce__(self):
+        """Pickle as the constructor call, so that a loaded state is checked
+        and frozen again (pickle alone would return writeable arrays)."""
+        return type(self), (self.rho,)
+
     @classmethod
     def from_bloch(cls, bloch) -> "TwoQubitState":
         """The state ``rho = 1/4 sum_mn C[m, n] sigma_m x sigma_n`` of ``C = bloch``."""

@@ -161,15 +161,17 @@ class TestSweep:
         assert serial.read_bytes() == parallel.read_bytes()
 
     def test_empty_key_basis_is_an_error(self, tmp_path, capsys):
-        # Two pairs per setting leave the H/V basis empty at seed 0; the
-        # sweep used to report qber=0.0 and I_AB=1.0 for it.
-        spec = cli.SweepSpec("werner", (0.9,), n_pairs=2, detector=cli.DetectorModel(0.8))
-        with pytest.raises(protocol.EmptyBasisError, match="compatible basis at 0 deg"):
-            cli.run_sweep(spec, seed=0)
-        rc = cli.main(["sweep", "--mechanism", "werner", "--grid", "0.9", "--n-pairs", "2",
-                       "--efficiency", "0.8", "--seed", "0", "--out", str(tmp_path / "x.tsv")])
-        assert rc == EXIT_VALIDATION
-        assert "zero coincidences in the compatible basis" in capsys.readouterr().err
+        # Two pairs per setting at efficiency 1e-6 leave the H/V basis empty
+        # at every seed (a coincidence has probability <= 2e-12); the sweep
+        # used to report qber=0.0 and I_AB=1.0 for it.
+        spec = cli.SweepSpec("werner", (0.9,), n_pairs=2, detector=cli.DetectorModel(1e-6))
+        for seed in range(4):
+            with pytest.raises(protocol.EmptyBasisError, match="compatible basis at 0 deg"):
+                cli.run_sweep(spec, seed=seed)
+            rc = cli.main(["sweep", "--mechanism", "werner", "--grid", "0.9", "--n-pairs", "2",
+                           "--efficiency", "1e-6", "--seed", str(seed), "--out", str(tmp_path / "x.tsv")])
+            assert rc == EXIT_VALIDATION
+            assert "zero coincidences in the compatible basis" in capsys.readouterr().err
 
     def test_empty_chsh_row_is_an_error(self):
         spec = cli.SweepSpec("werner", (0.9,), n_pairs=3, detector=cli.DetectorModel(0.8))

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -186,6 +187,24 @@ class TestTwoQubitState:
     def test_arrays_cannot_be_made_writeable_again(self, name):
         with pytest.raises(ValueError):
             getattr(bell_state(BellLabel.PHI_PLUS), name).flags.writeable = True
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip_keeps_the_arrays_read_only(self, protocol):
+        state = TwoQubitState(random_density_matrix(np.random.default_rng(29), 2))
+        back = pickle.loads(pickle.dumps(state, protocol))
+        for name in ("rho", "bloch"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(state, name))
+            with pytest.raises(ValueError):
+                getattr(back, name).flags.writeable = True
+
+    def test_tampered_pickle_fails_the_checks_when_loaded(self):
+        state = bell_state(BellLabel.PHI_PLUS)
+        tampered = state.rho.copy()
+        tampered[0, 3] = 0.25  # its conjugate partner [3, 0] keeps 0.5
+        data = pickle.dumps(state)
+        assert data.count(state.rho.tobytes()) == 1
+        with pytest.raises(InvariantViolation, match="^density matrix is not Hermitian$"):
+            pickle.loads(data.replace(state.rho.tobytes(), tampered.tobytes()))
 
 
 class TestPortVectors:
