@@ -96,7 +96,11 @@ class CountRecordFile:
 
 
 def _iter_content_lines(text: str) -> Iterable[tuple[int, str]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n", "\r\n" and "\r" only (universal newlines, as a
+    # path source reads); str.splitlines would also end a comment at a form
+    # feed, "\x1c"-"\x1e", NEL or U+2028/U+2029.
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         content = raw.split("#", 1)[0].strip()
         if content:
             yield lineno, content
@@ -177,6 +181,7 @@ def parse_counts(source: str | Path | bytes | IO[str] | IO[bytes]) -> CountRecor
 
 
 _COLUMNS = ("alice_hwp_deg", "bob_hwp_deg", "singles_a", "singles_b", "coincidences")
+_MAX_COUNT = 2**63 - 1  # a 64-bit counter; larger counts overflow the float estimator
 
 
 def _number(kind: type, token: str) -> float | int:
@@ -189,7 +194,31 @@ def _number(kind: type, token: str) -> float | int:
 
 
 def _parse_row(content: str, lineno: int) -> CountRow:
+    """One row line: one grammar check for the whole line, then the five
+    conversions and every range check at once.  A line that fails any of
+    them is read again token by token, which names the offending column."""
     tokens = content.split()
+    if content.isascii() and "_" not in content:
+        try:
+            a, b, singles_a, singles_b, coincidences = tokens
+            a, b = float(a), float(b)
+            singles_a, singles_b, coincidences = int(singles_a), int(singles_b), int(coincidences)
+        except ValueError:
+            pass
+        else:
+            if (
+                0.0 <= a < 180.0
+                and 0.0 <= b < 180.0
+                and 0 <= singles_a <= _MAX_COUNT
+                and 0 <= singles_b <= _MAX_COUNT
+                and 0 <= coincidences <= _MAX_COUNT
+            ):
+                return CountRow(a, b, singles_a, singles_b, coincidences, line=lineno)
+    return _parse_row_by_token(tokens, lineno)
+
+
+def _parse_row_by_token(tokens: list[str], lineno: int) -> CountRow:
+    """A row read column by column; its errors name the first bad column."""
     if len(tokens) != 5:
         raise CountFileError(
             f"malformed row: expected 5 columns ({' '.join(_COLUMNS)}), got {len(tokens)}",
@@ -232,7 +261,7 @@ def _parse_row(content: str, lineno: int) -> CountRow:
             raise CountFileError(
                 f"negative count {echo(str(value))} in column {col + 1} ({_COLUMNS[col]})", lineno
             )
-        if value > 2**63 - 1:  # a 64-bit counter; larger counts overflow the float estimator
+        if value > _MAX_COUNT:
             raise CountFileError(f"count in column {col + 1} ({_COLUMNS[col]}) is above 2**63 - 1", lineno)
         counts.append(value)
     return CountRow(*angles, *counts, line=lineno)
@@ -354,20 +383,21 @@ def analyze_counts(
         raise ValueError(f"accidental_window must be finite and >= 0, got {accidental_window!r}")
     settings = settings or chsh.canonical_settings(record.state_label)
 
-    def coincidences(row: CountRow) -> int:
-        if accidental_window is None:
-            return row.coincidences
-        accidental = row.singles_a * row.singles_b * accidental_window / record.seconds_per_row
-        return round(max(0.0, row.coincidences - accidental))
-
     rows = []
     missing: list[tuple[float, float]] = []
     for a, b in settings.pairs() + protocol.key_pairs():
         combos = _projector_pairs(a, b)
-        found = [record.find(ah, bh) for ah, bh in combos]
-        missing.extend(c for c, row in zip(combos, found) if row is None)
-        if all(row is not None for row in found):
-            rows.append(CoincidenceRow(a, b, *(coincidences(row) for row in found)))
+        pp, pm, mp, mm = found = [record.find(ah, bh) for ah, bh in combos]
+        if pp is None or pm is None or mp is None or mm is None:
+            missing.extend(c for c, row in zip(combos, found) if row is None)
+        elif accidental_window is None:
+            rows.append(CoincidenceRow(a, b, pp.coincidences, pm.coincidences, mp.coincidences, mm.coincidences))
+        else:
+            counts = []
+            for row in found:
+                accidental = row.singles_a * row.singles_b * accidental_window / record.seconds_per_row
+                counts.append(round(max(0.0, row.coincidences - accidental)))
+            rows.append(CoincidenceRow(a, b, *counts))
     if missing:
         pretty = ", ".join(f"({a:g}, {b:g})" for a, b in dict.fromkeys(missing))
         raise CountFileError(f"missing required HWP angle pairs: {pretty}")

@@ -173,10 +173,19 @@ class TestSweep:
             assert rc == EXIT_VALIDATION
             assert "zero coincidences in the compatible basis" in capsys.readouterr().err
 
-    def test_empty_chsh_row_is_an_error(self):
-        spec = cli.SweepSpec("werner", (0.9,), n_pairs=3, detector=cli.DetectorModel(0.8))
-        with pytest.raises(chsh.IncompleteTableError, match="zero total"):
-            cli.run_sweep(spec, seed=10)
+    def test_empty_chsh_row_is_an_error(self, monkeypatch):
+        # A CHSH setting pair that drew no coincidence has no correlator,
+        # whichever seed left it empty: the (0, 67.5) deg pair's draw is emptied.
+        empty = chsh.canonical_settings(qstate.BellLabel.PHI_PLUS).pairs()[1]
+
+        def one_chsh_pair_empty(*args):
+            rows = measurement.sample_outcomes(*args)
+            return [dataclasses.replace(r, n_pp=0, n_pm=0, n_mp=0, n_mm=0) if (r.a, r.b) == empty else r for r in rows]
+
+        monkeypatch.setattr(cli, "sample_outcomes", one_chsh_pair_empty)
+        spec = cli.SweepSpec("werner", (0.9,), n_pairs=1000, detector=cli.DetectorModel(0.8))
+        with pytest.raises(chsh.IncompleteTableError, match=r"^zero total coincidences for setting pair \(0, 67\.5\) deg$"):
+            cli.run_sweep(spec, seed=1)
 
     @pytest.mark.parametrize("workers,grid,cpus,expected", [
         (64, 5, 3, 3), (64, 5, 8, 5), (2, 5, 8, 2), (4, 1, 8, None), (4, 5, None, None),

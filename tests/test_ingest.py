@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ebqkd import chsh, ingest
@@ -16,6 +16,31 @@ from ebqkd.protocol import BBM92, E91, estimate
 from ebqkd.qstate import BellLabel
 
 SQ2 = math.sqrt(2.0)
+
+
+#: Row tokens in and out of the grammar: signs, leading zeros, underscores,
+#: non-ASCII and hexadecimal digits, non-finite and out-of-range numbers, the
+#: edges of the 64-bit count range, and a count past int()'s digit limit.
+_ROW_ANGLES = ["0", "11.25", "-0.0", "+5", "007"]
+_ROW_COUNTS = ["0", "180", "+5", "007", str(2**63 - 1), "0" * 4400 + "7"]
+_ROW_TOKENS = sorted(
+    {*_ROW_ANGLES, *_ROW_COUNTS, "180", "nan", "inf", "1e400", "-5", "1_0", "\u0663", "0x10", str(2**63)}
+)
+
+
+@st.composite
+def _row_lines(draw) -> str:
+    """A row of valid tokens with one or two at times replaced from
+    _ROW_TOKENS, cut to 4 or grown to 6 tokens at times, and one gap of
+    non-ASCII whitespace at times."""
+    angle, count = st.sampled_from(_ROW_ANGLES), st.sampled_from(_ROW_COUNTS)
+    tokens = [draw(angle), draw(angle), draw(count), draw(count), draw(count)]
+    for _ in range(draw(st.sampled_from([1, 1, 0, 2]))):
+        tokens[draw(st.integers(0, 4))] = draw(st.sampled_from(_ROW_TOKENS))
+    tokens = (tokens + ["0"])[: draw(st.sampled_from([5, 5, 5, 4, 6]))]
+    seps = [draw(st.sampled_from([" ", "\t", "  "])) for _ in tokens[1:]]
+    seps[draw(st.integers(0, len(seps) - 1))] = draw(st.sampled_from([" ", " ", " ", "\u00a0", "\u2003", "\u3000"]))
+    return tokens[0] + "".join(sep + token for sep, token in zip(seps, tokens[1:]))
 
 
 class TestParse:
@@ -33,6 +58,32 @@ class TestParse:
         assert len(parse_counts(raw).rows) == 24
         with open(path, encoding="utf-8") as fh:
             assert len(parse_counts(fh).rows) == 24
+
+    @staticmethod
+    def _sources(data: bytes, tmp_path):
+        """The same bytes as a path, raw bytes, a binary and a text stream."""
+        path = tmp_path / "counts.txt"
+        path.write_bytes(data)
+        return {"path": path, "bytes": data, "binary stream": io.BytesIO(data), "text stream": io.StringIO(data.decode())}
+
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_a_comment_runs_to_the_end_of_the_line(self, fixtures_dir, tmp_path, sep):
+        # str.splitlines ends a line at these too; a comment holding one
+        # used to leave its tail to be read as a row.
+        text = (fixtures_dir / "counts" / "phi_plus_maximal.txt").read_text(encoding="utf-8")
+        expected = parse_counts(text.encode())
+        lines = text.split("\n")
+        fmt = next(i for i, line in enumerate(lines) if line.startswith("format:"))
+        lines[fmt] += f"  # acquired by lab A{sep}B setup"
+        for kind, source in self._sources("\n".join(lines).encode(), tmp_path).items():
+            assert parse_counts(source) == expected, kind
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_lines_end_at_lf_crlf_and_cr_for_every_source(self, tmp_path, newline):
+        lines = ["format: qkd-counts/1", "state: phi_plus", "seconds-per-row: 1", "# \x0c\u2028", "0 0 1 1 1", "0 0 2 2 2"]
+        for kind, source in self._sources(newline.join(lines).encode(), tmp_path).items():
+            with pytest.raises(CountFileError, match=r"^line 6: duplicate angle pair \(0\.0, 0\.0\), first seen on line 5$"):
+                parse_counts(source)
 
     @pytest.mark.parametrize(
         "name,fragment,line",
@@ -193,6 +244,25 @@ class TestParse:
             parse_counts(head + body)
         except CountFileError:
             pass
+
+    @settings(max_examples=500, deadline=None)
+    @given(line=_row_lines())
+    @example(line="0 11.25 1_0 7 8")
+    @example(line="0 11.25 7 \u0663 8")
+    @example(line="180 11.25 7 8 9")
+    @example(line="0 nan 7 8 9")
+    @example(line=f"0 0 7 8 {2**63}")
+    def test_a_row_line_reads_as_it_does_token_by_token(self, line):
+        # The one-check-per-line reader accepts a line only when the
+        # per-token reader accepts it, with the same row, and otherwise
+        # leaves the line to it, so the same error names the same column.
+        def read(reader, arg):
+            try:
+                return repr(reader(arg, 4))
+            except CountFileError as exc:
+                return str(exc)
+
+        assert read(ingest._parse_row, line) == read(ingest._parse_row_by_token, line.split())
 
 
 def _records():
@@ -406,10 +476,18 @@ class TestAnalyze:
             analyze_counts(dataclasses.replace(rec, rows=rows))
 
     def test_required_pairs_cover_chsh_and_bases(self):
-        pairs = ingest.required_hwp_pairs(chsh.canonical_settings(BellLabel.PHI_PLUS), BBM92)
-        assert len(pairs) == 24  # 16 CHSH projections + 8 key-basis projections
-        assert (0.0, 11.25) in pairs
-        assert (22.5, 22.5) in pairs
+        # The rows docs/counts-format.md lists: 16 CHSH projections, then
+        # 8 key-basis projections per protocol.
+        chsh_rows = {(a, b) for a in (0.0, 45.0, 22.5, 67.5) for b in (11.25, 56.25, 33.75, 78.75)}
+        key_rows = {
+            BBM92: {(a, b) for p in ((0.0, 45.0), (22.5, 67.5)) for a in p for b in p},
+            E91: {(a, b) for p in ((11.25, 56.25), (22.5, 67.5)) for a in p for b in p},
+        }
+        for label in BellLabel:
+            for kind, key in key_rows.items():
+                pairs = ingest.required_hwp_pairs(chsh.canonical_settings(label), kind)
+                assert len(pairs) == 24
+                assert set(pairs) == chsh_rows | key
 
 
 class TestUncertaintyReproduction:
