@@ -176,7 +176,9 @@ def read_sweep_table(source: str | Path) -> dict[str, list[float]]:
     """
     columns: list[str] | None = None
     data: dict[str, list[float]] = {}
-    for number, raw in enumerate(Path(source).read_text(encoding="utf-8").splitlines(), start=1):
+    # read_text ends lines at "\n", "\r\n" and "\r" only; str.splitlines
+    # would also end a comment at a form feed, NEL or U+2028.
+    for number, raw in enumerate(Path(source).read_text(encoding="utf-8").split("\n"), start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
         delimiter = "\t" if "\t" in raw else ","
@@ -184,11 +186,11 @@ def read_sweep_table(source: str | Path) -> dict[str, list[float]]:
         if columns is None:
             columns = tokens
             if tuple(columns) != SWEEP_COLUMNS:
-                raise ValueError(f"unexpected sweep columns: {columns!r}")
+                raise ValueError(f"unexpected sweep columns: {echo(raw)!r}")
             data = {c: [] for c in columns}
             continue
         if len(tokens) != len(columns):
-            raise ValueError(f"line {number}: {len(tokens)} values for {len(columns)} sweep columns: {raw!r}")
+            raise ValueError(f"line {number}: {len(tokens)} values for {len(columns)} sweep columns: {echo(raw)!r}")
         for c, token in zip(columns, tokens):
             data[c].append(float(token))
     if columns is None:

@@ -109,7 +109,8 @@ def _iter_content_lines(text: str) -> Iterable[tuple[int, str]]:
 def parse_counts(source: str | Path | bytes | IO[str] | IO[bytes]) -> CountRecordFile:
     """Parse and strictly validate a count file.
 
-    Accepts a path, raw bytes, or an open text/binary stream.
+    Accepts a path, raw bytes, or an open text/binary stream; a UTF-8
+    byte-order mark at the start is skipped, whatever the source.
 
     Raises:
         CountFileError: naming the offending line for malformed rows,
@@ -128,6 +129,7 @@ def parse_counts(source: str | Path | bytes | IO[str] | IO[bytes]) -> CountRecor
     except UnicodeDecodeError as exc:
         raise CountFileError(f"not valid UTF-8: {exc.reason} at byte {exc.start}") from exc
 
+    text = text.removeprefix("\ufeff")  # a UTF-8 byte-order mark, as some editors write one
     lines = list(_iter_content_lines(text))
     if not lines:
         raise CountFileError("no rows: file has no content")

@@ -9,7 +9,9 @@ once per setting pair, all on one generator (:func:`sample_outcomes`), a
 session once over its cells ``(a * n_b + b) * 4 + outcome``
 (probabilities from :func:`intercept_resend`).  A session's sifted cells
 are then laid out in a uniformly random order by :func:`arrange_cells`,
-the one arrangement draw.  Eve's intercept-resend attack is sampled as
+the one arrangement draw: raw generator words through a 2^16-slot table,
+then uniform positions or ranks that repair the counts, then a shuffle of
+the missing codes.  Eve's intercept-resend attack is sampled as
 the mixture of :func:`intercept_strata`: her records never leave the
 sampler, so no draw of hers is needed.
 """
@@ -269,14 +271,21 @@ def sample_outcome_stream(
 #: Cells drawn per step of :func:`arrange_cells`; its temporaries are O(this).
 _CHUNK = 1 << 14
 
+#: Slots of the proposal table, one per value of a 16-bit piece of a word.
+_SLOTS = 1 << 16
+
+#: Largest batch of sampled positions, as a share of the cells, with which
+#: :func:`arrange_cells` repairs a code; a code that needs more is scanned.
+_SAMPLE_LIMIT = 1 / 16
+
 
 def _slot_widths(counts: Sequence[int]) -> list[int]:
-    """Each count's share of 256 slots, split by largest remainder in
-    Python ints (no overflow at any total); a zero count gets no slot."""
+    """Each count's share of ``_SLOTS`` slots, split by largest remainder
+    in Python ints (no overflow at any total); a zero count gets no slot."""
     n = sum(counts)
-    widths = [256 * c // n for c in counts]
-    by_remainder = sorted(range(len(counts)), key=lambda t: -(256 * counts[t] % n))
-    for t in by_remainder[:256 - sum(widths)]:
+    widths = [_SLOTS * c // n for c in counts]
+    by_remainder = sorted(range(len(counts)), key=lambda t: -(_SLOTS * counts[t] % n))
+    for t in by_remainder[:_SLOTS - sum(widths)]:
         widths[t] += 1
     return widths
 
@@ -286,21 +295,26 @@ def arrange_cells(codes: np.ndarray, counts: Sequence[int], rng: np.random.Gener
     a uniformly random order: the law of ``np.repeat(codes, counts)``
     followed by ``rng.shuffle``, without a random step per cell.
 
-    1. Proposal: every cell is drawn i.i.d. from ``rng.bytes`` through a
-       256-slot table, each code holding its largest-remainder share of
-       the slots, in chunks of ``_CHUNK`` cells with a histogram per chunk.
-    2. Repair: each code drawn ``e`` times too often gives up ``e`` of its
-       positions, a uniform subset chosen by rank (``rng.choice``) and
-       found by a chunked scan; the missing codes, shuffled, fill them.
+    1. Proposal: every cell is drawn i.i.d. through a ``_SLOTS``-slot
+       table, each code holding its largest-remainder share of the slots,
+       indexed by the 16-bit pieces of raw little-endian generator words
+       (``random_raw``), in chunks of ``_CHUNK`` cells; one histogram
+       counts the codes drawn.
+    2. Repair: each code drawn ``e`` times too often gives up a uniform
+       subset of ``e`` of its positions.  A code that loses few of its
+       cells finds them from uniform positions (:func:`_sampled_positions`);
+       the others are listed by one chunked scan and picked by rank
+       (:func:`_scanned_positions`).  The missing codes, shuffled, fill
+       the freed positions.
 
     i.i.d. draws are exchangeable, and a uniform subset of a code's
     positions and a shuffled filling commute with every permutation of
     positions, so the law of the result is invariant under them; it has
     the exact counts, so it is the uniform arrangement.  The draw order,
-    part of the reproducibility contract, is the chunks' bytes, the ranks
-    code by code, then the shuffle of the missing codes.  ``codes`` must
-    be distinct; temporaries beyond the stream are O(``_CHUNK``) plus
-    O(cells repaired) plus a histogram of ``len(codes)`` ints per chunk.
+    part of the reproducibility contract, is the chunks' raw words, the
+    sampled positions code by code, the ranks code by code, then the
+    shuffle of the missing codes.  ``codes`` must be distinct; temporaries
+    beyond the stream are O(``_CHUNK``) plus O(cells repaired).
     """
     codes = np.asarray(codes, dtype=np.uint8)
     if len(set(codes.tolist())) != len(codes) or min(counts, default=0) < 0:
@@ -311,36 +325,81 @@ def arrange_cells(codes: np.ndarray, counts: Sequence[int], rng: np.random.Gener
         return stream
     widths = _slot_widths(counts)
     table = np.repeat(codes, widths)
-    drawable = np.flatnonzero(widths)
-    first_slots = np.cumsum([0, *widths])[drawable]
-    drawn = np.zeros((-(-n // _CHUNK), len(codes)), dtype=np.int64)
-    for k, chunk in enumerate(_chunks(stream)):
-        raw = np.frombuffer(rng.bytes(len(chunk)), dtype=np.uint8)
-        table.take(raw, out=chunk)
-        drawn[k, drawable] = np.add.reduceat(np.bincount(raw, minlength=256), first_slots)
+    *counted, last = np.flatnonzero(widths).tolist()  # the last code's tally is the rest
+    drawn = np.zeros(len(codes), dtype=np.int64)
+    for lo in range(0, n, _CHUNK):
+        chunk = stream[lo:lo + _CHUNK]
+        words = rng.bit_generator.random_raw(-(-len(chunk) // 4)).astype("<u8", copy=False)
+        # Every piece is a slot, so "clip" never clips; it spares take a copy of out.
+        table.take(words.view("<u2")[:len(chunk)], out=chunk, mode="clip")
+        for t in counted:
+            drawn[t] += np.count_nonzero(chunk == codes[t])
+    drawn[last] = n - drawn.sum()
 
-    ends = drawn.cumsum(axis=0)  # occurrences of each code up to the end of each chunk
-    excess = ends[-1] - np.array(counts, dtype=np.int64)
-    picks = []
+    excess = drawn - np.array(counts, dtype=np.int64)
+    freed, scanned = [], []
     for t in np.flatnonzero(excess > 0).tolist():
-        ranks = np.sort(rng.choice(int(ends[-1, t]), int(excess[t]), replace=False, shuffle=False))
-        starts = ends[:, t] - drawn[:, t]  # occurrences before each chunk
-        cuts = ranks.searchsorted(np.append(starts, ends[-1, t]))  # ranks of chunk k: cuts[k]:cuts[k + 1]
-        picks.append((codes[t], ranks, cuts.tolist(), starts.tolist()))
+        e, d = int(excess[t]), int(drawn[t])
+        if _batch(e, e, d, n) <= _SAMPLE_LIMIT * n:
+            freed.append(_sampled_positions(stream, codes[t], e, d, rng))
+        else:
+            scanned.append(t)
+    if scanned:
+        freed += _scanned_positions(stream, codes[scanned], excess[scanned].tolist(), rng)
     missing = np.repeat(codes, np.maximum(-excess, 0))
     rng.shuffle(missing)
-    filled = 0
-    for k, chunk in enumerate(_chunks(stream)):
-        for code, ranks, cuts, starts in picks:
-            if cuts[k] < cuts[k + 1]:
-                at = (chunk == code).nonzero()[0][ranks[cuts[k]:cuts[k + 1]] - starts[k]]
-                chunk[at] = missing[filled:filled + len(at)]
-                filled += len(at)
+    if freed:
+        stream[np.concatenate(freed)] = missing
     return stream
 
 
-def _chunks(stream: np.ndarray):
-    return (stream[lo:lo + _CHUNK] for lo in range(0, len(stream), _CHUNK))
+def _batch(short: int, excess: int, drawn: int, n: int) -> int:
+    """Uniform positions to draw for ``short`` more distinct cells of a
+    code drawn ``drawn`` times among ``n``: each hits it with probability
+    ``drawn / n`` and is new with probability at least
+    ``(drawn - excess) / drawn``; 4 standard deviations of margin."""
+    hits = short * drawn / (drawn - excess)
+    return math.ceil((hits + 4 * math.sqrt(hits) + 4) * n / drawn)
+
+
+def _sampled_positions(stream: np.ndarray, code: int, excess: int, drawn: int, rng: np.random.Generator) -> np.ndarray:
+    """``excess`` positions of ``code``, a uniform subset of its ``drawn``
+    cells: uniform positions that hit the code are i.i.d. uniform over its
+    cells, and the first ``excess`` distinct ones of such a sequence, in
+    draw order, are a uniform subset.  Positions are drawn ``_CHUNK`` at a
+    time, and each batch is sized from the expected need, so the loop
+    almost always runs once."""
+    n = len(stream)
+    hits, short = [], excess
+    while True:
+        size = _batch(short, excess, drawn, n)
+        for lo in range(0, size, _CHUNK):
+            at = rng.integers(0, n, min(_CHUNK, size - lo))
+            hits.append(at[stream[at] == code])
+        found = np.concatenate(hits)
+        distinct, first = np.unique(found, return_index=True)
+        if len(distinct) >= excess:
+            return found[np.sort(first)[:excess]]
+        hits, short = [found], excess - len(distinct)
+
+
+def _scanned_positions(
+    stream: np.ndarray, codes: np.ndarray, excess: Sequence[int], rng: np.random.Generator
+) -> list[np.ndarray]:
+    """For each of ``codes``, ``excess`` of its positions, a uniform subset
+    picked by rank (``rng.choice``) among the positions that one chunked
+    scan of ``stream`` lists for all of them."""
+    marked = np.zeros(256, dtype=bool)
+    marked[codes] = True
+    where = np.concatenate([
+        np.flatnonzero(marked.take(stream[lo:lo + _CHUNK])) + lo for lo in range(0, len(stream), _CHUNK)
+    ])
+    which = stream[where]
+    picks = []
+    for code, e in zip(codes.tolist(), excess):
+        mine = where[which == code]
+        picks.append(mine[rng.choice(len(mine), e, replace=False, shuffle=False)])
+    return picks
 
 
 def intercept_resend(

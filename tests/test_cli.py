@@ -133,6 +133,38 @@ class TestSweep:
         with pytest.raises(ValueError, match=rf"^line 5: {n_values} values for {len(SWEEP_COLUMNS)} sweep columns"):
             cli.read_sweep_table(out)
 
+    @staticmethod
+    def _table_lines() -> list[str]:
+        spec = cli.SweepSpec(mechanism="werner", grid=(0.95, 0.8, 0.7), n_pairs=5000)
+        table = io.StringIO()
+        cli.write_sweep_table(cli.run_sweep(spec, seed=4), spec, 4, table)
+        return table.getvalue().split("\n")
+
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_a_comment_runs_to_the_end_of_the_line(self, tmp_path, sep, newline):
+        # str.splitlines ends a line at these too; the tail of a comment
+        # holding one used to be read as the header row.
+        lines = self._table_lines()
+        plain, commented = tmp_path / "plain.tsv", tmp_path / "commented.tsv"
+        plain.write_text("\n".join(lines), encoding="utf-8")
+        assert lines[1].startswith("# mechanism:")
+        lines[1] += f"  acquired by lab A{sep} x"
+        commented.write_bytes(newline.join(lines).encode())
+        assert cli.read_sweep_table(commented) == cli.read_sweep_table(plain)
+
+    @pytest.mark.parametrize("at", ["header", "row"])
+    def test_a_3000_column_line_is_echoed_bounded(self, tmp_path, at):
+        lines = self._table_lines()
+        assert lines[2].startswith("mechanism_param")  # the header row; data rows follow
+        lines[2 if at == "header" else 3] = "\t".join(["1"] * 3000)
+        out = tmp_path / "wide.tsv"
+        out.write_text("\n".join(lines), encoding="utf-8")
+        expected = "^unexpected sweep columns" if at == "header" else rf"^line 4: 3000 values for {len(SWEEP_COLUMNS)} sweep columns"
+        with pytest.raises(ValueError, match=expected) as info:
+            cli.read_sweep_table(out)
+        assert len(str(info.value)) < 200 and str(info.value).endswith("...'")
+
     def test_csv_format(self, tmp_path):
         out = tmp_path / "s.csv"
         rc = cli.main(["sweep", "--mechanism", "werner", "--grid", "1.0,0.9",

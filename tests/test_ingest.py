@@ -78,6 +78,21 @@ class TestParse:
         for kind, source in self._sources("\n".join(lines).encode(), tmp_path).items():
             assert parse_counts(source) == expected, kind
 
+    def test_a_byte_order_mark_is_skipped_for_every_source(self, fixtures_dir, tmp_path):
+        # Some editors save UTF-8 with a byte-order mark; it used to stay in
+        # front of "format:" and fail the header check of line 1.
+        data = (fixtures_dir / "counts" / "phi_plus_maximal.txt").read_bytes()
+        expected = parse_counts(data)
+        for kind, source in self._sources(b"\xef\xbb\xbf" + data, tmp_path).items():
+            assert parse_counts(source) == expected, kind
+
+    def test_only_a_leading_byte_order_mark_is_skipped(self, fixtures_dir):
+        data = (fixtures_dir / "counts" / "phi_plus_maximal.txt").read_bytes()
+        with pytest.raises(CountFileError, match=r"^line 1: expected 'format: qkd-counts/1' header$"):
+            parse_counts(b"\xef\xbb\xbf" * 2 + data)
+        with pytest.raises(CountFileError, match=r"^line 2: unknown header key '\\ufeffstate'$"):
+            parse_counts(data.replace(b"state:", b"\xef\xbb\xbfstate:"))
+
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_lines_end_at_lf_crlf_and_cr_for_every_source(self, tmp_path, newline):
         lines = ["format: qkd-counts/1", "state: phi_plus", "seconds-per-row: 1", "# \x0c\u2028", "0 0 1 1 1", "0 0 2 2 2"]

@@ -369,30 +369,64 @@ def arrangements(codes, counts):
                 yield (codes[t], *tail)
 
 
+#: Multisets with few enough arrangements to enumerate.
+_SMALL_MULTISETS = [
+    ((3, 7, 9), (2, 0, 2), 6),  # a zero count
+    ((0, 1, 2, 3, 4), (1, 1, 1, 1, 1), 120),  # all distinct
+    ((5, 2, 6), (6, 1, 1), 56),  # one dominant code
+    ((0, 12, 13), (4, 4, 1), 630),
+]
+
+
+def _spy_on_repairs(monkeypatch) -> dict[str, int]:
+    """Count the calls of each of ``arrange_cells``' two repairs from now on."""
+    calls = {"sampled": 0, "scanned": 0}
+    for repair in calls:
+        def counted(*args, repair=repair, step=getattr(measurement, f"_{repair}_positions")):
+            calls[repair] += 1
+            return step(*args)
+
+        monkeypatch.setattr(measurement, f"_{repair}_positions", counted)
+    return calls
+
+
 class TestArrangeCells:
     # A small multiset has few enough arrangements to enumerate: the
     # sampler must hit each with equal frequency, also when its chunks
     # are cut to a few cells so that the repair scan crosses chunks.
     @pytest.mark.parametrize("chunk", [None, 2])
-    @pytest.mark.parametrize(
-        "codes, counts, n_arrangements",
-        [
-            ((3, 7, 9), (2, 0, 2), 6),  # a zero count
-            ((0, 1, 2, 3, 4), (1, 1, 1, 1, 1), 120),  # all distinct
-            ((5, 2, 6), (6, 1, 1), 56),  # one dominant code
-            ((0, 12, 13), (4, 4, 1), 630),
-        ],
-    )
+    @pytest.mark.parametrize("codes, counts, n_arrangements", _SMALL_MULTISETS)
     def test_every_arrangement_is_equally_likely(self, monkeypatch, chunk, codes, counts, n_arrangements):
         if chunk is not None:
             monkeypatch.setattr(measurement, "_CHUNK", chunk)
+        assert chisquare(self._arrangements_seen(codes, counts, n_arrangements)).pvalue > 1e-3
+
+    # The same, with every over-drawn code sent through one repair: sampled
+    # positions (no batch is too large) or the scan (every batch is); the
+    # spy shows that the other repair never ran.
+    @pytest.mark.parametrize("repair, limit", [("sampled", math.inf), ("scanned", 0.0)])
+    @pytest.mark.parametrize("chunk", [None, 2])
+    @pytest.mark.parametrize("codes, counts, n_arrangements", _SMALL_MULTISETS)
+    def test_each_repair_gives_every_arrangement_equally(
+        self, monkeypatch, repair, limit, chunk, codes, counts, n_arrangements
+    ):
+        monkeypatch.setattr(measurement, "_SAMPLE_LIMIT", limit)
+        if chunk is not None:
+            monkeypatch.setattr(measurement, "_CHUNK", chunk)
+        calls = _spy_on_repairs(monkeypatch)
+        assert chisquare(self._arrangements_seen(codes, counts, n_arrangements)).pvalue > 1e-3
+        assert calls[repair] > 0 and sum(calls.values()) == calls[repair]
+
+    @staticmethod
+    def _arrangements_seen(codes, counts, n_arrangements):
+        """How often each arrangement comes out of seeded draws."""
         every = {bytes(a): i for i, a in enumerate(arrangements(codes, counts))}
         assert len(every) == n_arrangements
         rng = np.random.default_rng(2023)
         seen = np.zeros(n_arrangements, dtype=np.int64)
         for _ in range(max(1000, 10 * n_arrangements)):
             seen[every[measurement.arrange_cells(np.array(codes, dtype=np.uint8), counts, rng).tobytes()]] += 1
-        assert chisquare(seen).pvalue > 1e-3
+        return seen
 
     @pytest.mark.parametrize(
         "counts",
@@ -406,6 +440,8 @@ class TestArrangeCells:
             [measurement._CHUNK, 1, measurement._CHUNK + 3],  # n not a multiple of the chunk
             [measurement._CHUNK - 1, 1],  # n exactly one chunk
             [85_721, 85_266, 85_740, 85_559, 4_507, 4_357, 4_422, 4_428],  # a bench-sized key
+            [2_000_000, 1, 3, 0, 17, 25],  # shares below 1/65536
+            [1_000_000, 1_000_000, 30, 29, 1, 1, 2, 5],
         ],
     )
     def test_holds_each_code_exactly_its_count(self, counts):
@@ -449,6 +485,48 @@ class TestArrangeCells:
         for row in seen:
             assert chisquare(row, row.sum() * p).pvalue > 1e-3
 
+    def test_sampled_repair_keeps_positions_uniform_across_chunks(self, monkeypatch):
+        # Codes common enough that every repair samples positions; chunks
+        # of 1,000 cells, so that the proposal and the position draws both
+        # cross chunk boundaries.  Each code's share at positions on both
+        # sides of a boundary and at the ends is its count's share.
+        chunk = 1000
+        monkeypatch.setattr(measurement, "_CHUNK", chunk)
+        calls = _spy_on_repairs(monkeypatch)
+        codes = np.array([0, 1, 2], dtype=np.uint8)
+        counts = [30 * chunk, 20 * chunk + 9, 10 * chunk - 5]
+        n = sum(counts)
+        where = np.array([0, chunk - 1, chunk, 30 * chunk - 1, 30 * chunk, n - chunk, n - 1])
+        seen = np.zeros((len(where), len(codes)), dtype=np.int64)
+        rng = np.random.default_rng(5)
+        for _ in range(400):
+            stream = measurement.arrange_cells(codes, counts, rng)
+            seen[np.arange(len(where)), stream[where]] += 1
+        assert calls["scanned"] == 0 and calls["sampled"] >= 400
+        p = np.array(counts) / n
+        for row in seen:
+            assert chisquare(row, row.sum() * p).pvalue > 1e-3
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [16_000_000, 1],  # the single cell draws no slot
+            [15_999_550, 1, 250, 199],  # 199 cells round up to a slot: about 244 drawn
+        ],
+    )
+    def test_a_single_cell_beside_16_million(self, monkeypatch, counts):
+        # Removing most of a code's cells by sampled positions would be a
+        # coupon collector's draw; such a code must be scanned instead.
+        calls = _spy_on_repairs(monkeypatch)
+        codes = np.array([7, 3, 2, 5][:len(counts)], dtype=np.uint8)
+        for seed in range(3):
+            stream = measurement.arrange_cells(codes, counts, np.random.default_rng(seed))
+            assert np.bincount(stream, minlength=8)[codes].tolist() == counts
+        if len(counts) == 2:
+            assert calls == {"sampled": 3, "scanned": 0}
+        else:
+            assert calls["scanned"] == 3
+
     @pytest.mark.parametrize(
         "shares",
         [
@@ -469,6 +547,25 @@ class TestArrangeCells:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * n
+
+    def test_peak_memory_with_rare_shares_rounded_up(self, monkeypatch):
+        # 122 of 2**22 cells is 1.906 of 65,536 slots: each rare code holds
+        # two, is drawn about 128 times and must be scanned.
+        calls = _spy_on_repairs(monkeypatch)
+        n = 1 << 22
+        counts = [122] * 4 + [(n - 4 * 122) // 4] * 4
+        assert sum(counts) == n and measurement._slot_widths(counts)[:4] == [2] * 4
+        codes = np.arange(len(counts), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            stream = measurement.arrange_cells(codes, counts, np.random.default_rng(2))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n
+        assert calls["scanned"] == 1
+        assert np.bincount(stream, minlength=len(codes)).tolist() == counts
 
 
 class TestInterceptResend:

@@ -6,8 +6,10 @@ arrangement of cells from another.
 sessions all go through it, so its draw order is the one reproducibility
 contract for counts.  ``measurement.arrange_cells`` is the only function
 that draws positions (``shuffle``, ``permutation``, ``permuted``,
-``choice``, ``bytes``, ``integers``): a session's key is laid out by it
-alone, so no second shuffle of the sifted stream can creep back.
+``choice``, ``bytes``, ``integers``, ``random_raw``), itself or through
+its two repair steps, which nothing else calls: a session's key is laid
+out by it alone, so no second shuffle of the sifted stream can creep
+back.
 Generators are built (``spawn_rng``, ``default_rng``, ``SeedSequence``)
 in ``measurement.spawn_rng`` and at one site per front end: a session,
 a sweep point and a synthetic count file each draw from one generator.
@@ -26,7 +28,8 @@ from ebqkd.qstate import BellLabel
 
 PACKAGE = Path(ebqkd.__file__).resolve().parent
 COUNT_DRAWS = {"multinomial", "poisson"}
-ARRANGEMENT_DRAWS = {"shuffle", "permutation", "permuted", "choice", "bytes", "integers"}
+ARRANGEMENT_DRAWS = {"shuffle", "permutation", "permuted", "choice", "bytes", "integers", "random_raw"}
+REPAIR_STEPS = {"_sampled_positions", "_scanned_positions"}
 GENERATORS = {"spawn_rng", "default_rng", "SeedSequence"}
 
 
@@ -60,9 +63,14 @@ def test_only_sample_outcome_stream_draws_counts():
 
 def test_only_arrange_cells_draws_positions():
     assert _draw_sites(ARRANGEMENT_DRAWS) == {
-        ("measurement", "arrange_cells", "bytes"),
-        ("measurement", "arrange_cells", "choice"),
+        ("measurement", "arrange_cells", "random_raw"),
+        ("measurement", "_sampled_positions", "integers"),
+        ("measurement", "_scanned_positions", "choice"),
         ("measurement", "arrange_cells", "shuffle"),
+    }
+    assert _draw_sites(REPAIR_STEPS) == {
+        ("measurement", "arrange_cells", "_sampled_positions"),
+        ("measurement", "arrange_cells", "_scanned_positions"),
     }
 
 
