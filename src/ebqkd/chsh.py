@@ -6,9 +6,9 @@ uncertainty.
 
 Both analytic routes read one object, the state's Pauli correlation
 matrix ``C`` (see :mod:`ebqkd.qstate`): linear-analyzer correlators come
-from :func:`~ebqkd.qstate.born_table`, ``E(a, b) = a . T b`` with
-``T = C[1:, 1:]``, and the Horodecki maximum from the eigenvalues of
-``T^T T``.
+from the rows of :func:`~ebqkd.qstate.born_table` for the setting pairs,
+``E(a, b) = a . T b`` with ``T = C[1:, 1:]``, and the Horodecki maximum
+from the eigenvalues of ``T^T T``.
 
 Canonical geometry
 ------------------
@@ -126,9 +126,8 @@ def correlator_analytic(
 
 def s_analytic(state: TwoQubitState, settings: ChshSettings) -> ChshEstimate:
     """Exact CHSH combination for the given settings (zero uncertainty)."""
-    p = born_table(state.bloch, (settings.a, settings.a_prime), (settings.b, settings.b_prime))
-    # Row-major over (a, a') x (b, b'): the order of settings.pairs().
-    correlators = tuple(float(e) for e in (p[..., 0] + p[..., 3] - p[..., 1] - p[..., 2]).reshape(-1))
+    p = born_table(state.bloch, settings.pairs())
+    correlators = tuple((p[:, 0] + p[:, 3] - p[:, 1] - p[:, 2]).tolist())
     s = sum(sign * e for sign, e in zip(settings.signs, correlators))
     return ChshEstimate(s=s, correlators=correlators, sigma_s=0.0)
 

@@ -83,7 +83,7 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         if self.mechanism not in MECHANISMS:
-            raise ConfigError(f"unknown mechanism {self.mechanism!r}; expected one of {MECHANISMS}")
+            raise ConfigError(f"unknown mechanism {echo(self.mechanism)!r}; expected one of {MECHANISMS}")
         if not self.grid:
             raise ConfigError("sweep grid must not be empty")
         lo, hi = (0.0, math.pi / 2) if self.mechanism == "imbalance" else (0.0, 1.0)
@@ -95,7 +95,7 @@ class SweepSpec:
         if not 1 <= self.n_pairs < 2**63:  # numpy's binomial takes a 64-bit n
             raise ConfigError(f"n_pairs must be in [1, 2**63), got {echo(repr(self.n_pairs))}")
         if self.qber_mode not in ("mean", "worst"):
-            raise ConfigError(f"qber mode must be 'mean' or 'worst', got {self.qber_mode!r}")
+            raise ConfigError(f"qber mode must be 'mean' or 'worst', got {echo(self.qber_mode)!r}")
 
 
 def _point_models(spec: SweepSpec, value: float) -> tuple[SourceModel, ChannelModel]:
@@ -172,7 +172,7 @@ def read_sweep_table(source: str | Path) -> dict[str, list[float]]:
 
     Raises:
         ValueError: if the header is not :data:`SWEEP_COLUMNS`, or a data
-            row does not hold one value per column (naming its line).
+            row does not hold one number per column (naming its line).
     """
     columns: list[str] | None = None
     data: dict[str, list[float]] = {}
@@ -191,8 +191,11 @@ def read_sweep_table(source: str | Path) -> dict[str, list[float]]:
             continue
         if len(tokens) != len(columns):
             raise ValueError(f"line {number}: {len(tokens)} values for {len(columns)} sweep columns: {echo(raw)!r}")
-        for c, token in zip(columns, tokens):
-            data[c].append(float(token))
+        for column, (c, token) in enumerate(zip(columns, tokens), start=1):
+            try:
+                data[c].append(float(token))
+            except ValueError:
+                raise ValueError(f"line {number}: column {column}: not a number: {echo(token)!r}") from None
     if columns is None:
         raise ValueError("no header row found")
     return data

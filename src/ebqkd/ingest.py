@@ -34,12 +34,13 @@ from .measurement import (
     CoincidenceRow,
     CoincidenceTable,
     DetectorModel,
+    expected_table,
     hwp_key,
     sample_outcomes,
     spawn_rng,
 )
 from .protocol import BBM92, EmptyBasisError, ProtocolKind, estimate
-from .qstate import BellLabel, TwoQubitState, echo, joint_probabilities
+from .qstate import BellLabel, TwoQubitState, echo
 
 FORMAT_NAME = "qkd-counts"
 FORMAT_VERSION = 1
@@ -339,12 +340,11 @@ def synthesize_counts(
     rng = spawn_rng(seed)
     sampled = sample_outcomes(state, pairs, det, n_pairs_per_row, rng)
     rows = []
-    for (a, b), row in zip(pairs, sampled):
-        dist = joint_probabilities(state, a, b)
+    for row, expected in zip(sampled, expected_table(state, pairs).rows):
         # Singles are the marginals of the joint distribution.
-        singles_a = int(rng.binomial(n_pairs_per_row, det.eff_alice * (dist.p_pp + dist.p_pm)))
-        singles_b = int(rng.binomial(n_pairs_per_row, det.eff_bob * (dist.p_pp + dist.p_mp)))
-        rows.append(CountRow(a.hwp_angle_deg, b.hwp_angle_deg, singles_a, singles_b, row.n_pp))
+        singles_a = int(rng.binomial(n_pairs_per_row, det.eff_alice * (expected.n_pp + expected.n_pm)))
+        singles_b = int(rng.binomial(n_pairs_per_row, det.eff_bob * (expected.n_pp + expected.n_mp)))
+        rows.append(CountRow(row.a.hwp_angle_deg, row.b.hwp_angle_deg, singles_a, singles_b, row.n_pp))
     return CountRecordFile(
         version=FORMAT_VERSION,
         state_label=label,

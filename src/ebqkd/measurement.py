@@ -19,6 +19,7 @@ sampler, so no draw of hers is needed.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -106,7 +107,7 @@ class DetectorModel:
 
 @dataclass(frozen=True)
 class CoincidenceRow:
-    """Counts of the four joint outcomes for one analyzer setting pair."""
+    """Counts of the four joint outcomes for one analyzer setting pair (floats if expected values)."""
 
     a: AnalyzerSetting
     b: AnalyzerSetting
@@ -226,7 +227,7 @@ def sample_outcomes(
 
     Each pair is one :func:`sample_outcome_stream` of ``n_pairs`` emitted
     pairs over its four Born-rule outcomes, drawn from ``rng`` in pair order.
-    One :func:`~ebqkd.qstate.born_table` for all pairs is built per call.
+    One :func:`~ebqkd.qstate.born_table` of ``pairs`` is built per call.
     Under intercept-resend pass :func:`intercept_average_state`.
 
     Returns:
@@ -235,9 +236,7 @@ def sample_outcomes(
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs!r}")
-    a_settings, b_settings = zip(*pairs)
-    on_pair = np.arange(len(pairs))
-    tables = born_table(state.bloch, a_settings, b_settings)[on_pair, on_pair]
+    tables = born_table(state.bloch, pairs)
     tables /= tables.sum(axis=-1, keepdims=True)
     every_pair = np.broadcast_to(np.uint8(0), (n_pairs,))  # read for its length
     return tuple(
@@ -419,26 +418,26 @@ def intercept_resend(
     At ``eve_fraction = 0`` the weights ``(1, 0)`` mix to ``state.bloch``
     exactly.
 
-    The result is the mixture's :func:`~ebqkd.qstate.born_table` flattened
+    The result is the mixture's :func:`~ebqkd.qstate.born_table` over the
+    setting pairs ``itertools.product(a_settings, b_settings)``, flattened
     over the cells ``(a * n_b + b) * 4 + outcome`` (``n_b =
     len(b_settings)``, outcome 0..3 for ``++, +-, -+, --``) and scaled to
     sum to 1, so every setting pair is equally likely.
     """
     blochs, weights = intercept_strata(state, eve_fraction)
-    joint = born_table(np.tensordot(weights, blochs, axes=1), a_settings, b_settings).ravel()
+    joint = born_table(np.tensordot(weights, blochs, axes=1), itertools.product(a_settings, b_settings)).ravel()
     return joint / joint.sum()
 
 
-def expected_counts(
-    state: TwoQubitState,
-    a: AnalyzerSetting,
-    b: AnalyzerSetting,
-    n_pairs: int,
-) -> CoincidenceRow:
-    """Noiseless expected coincidence counts (rounded) for one setting pair."""
-    dist = joint_probabilities(state, a, b)
-    n = np.rint(dist.as_array() * n_pairs).astype(int)
-    return CoincidenceRow(a, b, *(int(c) for c in n))
+def expected_table(
+    state: TwoQubitState, pairs: Sequence[tuple[AnalyzerSetting, AnalyzerSetting]], n: float = 1.0
+) -> CoincidenceTable:
+    """Noiseless expected counts of ``n`` coincidences per setting pair, unrounded: row
+    ``k`` holds ``n`` times row ``k`` of the :func:`~ebqkd.qstate.born_table`, as floats."""
+    if not 0.0 <= n < math.inf:
+        raise ValueError(f"n must be finite and >= 0, got {n!r}")
+    rows = (n * born_table(state.bloch, pairs)).tolist()
+    return CoincidenceTable(tuple(CoincidenceRow(a, b, *counts) for (a, b), counts in zip(pairs, rows)))
 
 
 def qber_for_basis(
@@ -446,7 +445,7 @@ def qber_for_basis(
 ) -> float:
     """Analytic error probability when both parties measure at one angle."""
     setting = AnalyzerSetting.from_polarization(math.degrees(basis_pol_rad))
-    p = born_table(state.bloch, (setting,), (setting,))[0, 0]
+    p = joint_probabilities(state, setting, setting).as_array()
     i, j = wrong_outcomes(label, basis_pol_rad)
     return float(p[i] + p[j])
 

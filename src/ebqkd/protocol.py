@@ -131,7 +131,7 @@ def protocol_by_name(name: str) -> ProtocolKind:
     try:
         return PROTOCOLS[name.lower()]
     except KeyError:
-        raise ValueError(f"unknown protocol {name!r}; expected one of {sorted(PROTOCOLS)}")
+        raise ValueError(f"unknown protocol {echo(name)!r}; expected one of {sorted(PROTOCOLS)}")
 
 
 #: Largest mean that numpy's Poisson sampler accepts ("lam value too large"

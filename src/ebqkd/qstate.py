@@ -22,7 +22,7 @@ Conventions
 * A half-wave plate at angle ``t`` analyzes along ``a = (sin 4t, 0, cos 4t)``
   and the Born rule is one bilinear form, ``p(s_a, s_b) = 1/4 (1, s_a a)
   C (1, s_b b)^T`` for port signs ``s = +/-1`` (:func:`born_table`, the
-  only Born-rule evaluation in the package).
+  only Born-rule evaluation in the package: one row per setting pair).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -179,24 +179,21 @@ class JointDistribution:
         return self.p_pp + self.p_mm - self.p_pm - self.p_mp
 
 
-def born_table(
-    bloch: np.ndarray, a_settings: "Sequence[AnalyzerSetting]", b_settings: "Sequence[AnalyzerSetting]"
-) -> np.ndarray:
-    """Outcome probabilities ``(++, +-, -+, --)`` for every pair of settings.
+def born_table(bloch: np.ndarray, pairs: "Iterable[tuple[AnalyzerSetting, AnalyzerSetting]]") -> np.ndarray:
+    """Outcome probabilities ``(++, +-, -+, --)`` of each (Alice, Bob) setting pair.
 
-    ``bloch`` is a correlation matrix ``C`` (``state.bloch``) or a stack of
-    them with leading batch axes, ``(..., 4, 4)``.  Entry ``[..., i, j]`` of
-    the ``(..., len(a_settings), len(b_settings), 4)`` result is
-    ``p(s_a, s_b) = 1/4 (1, s_a a) C (1, s_b b)^T`` for Alice's setting ``i``
-    and Bob's ``j``, clipped to [0, 1] so samplers see simplex points.
+    ``bloch`` is a correlation matrix ``C`` (``state.bloch``).  Row ``k`` of
+    the ``(len(pairs), 4)`` result is ``p(s_a, s_b) = 1/4 (1, s_a a) C (1,
+    s_b b)^T`` at pair ``k``, clipped to [0, 1] so samplers see simplex
+    points.
     """
-    a, b = _port_vectors(a_settings), _port_vectors(b_settings)
-    n_a, n_b, batch = len(a_settings), len(b_settings), np.shape(bloch)[:-2]
-    p = (a @ bloch @ b.T).reshape(batch + (n_a, 2, n_b, 2)) / 4.0
-    return np.clip(np.swapaxes(p, -3, -2).reshape(batch + (n_a, n_b, 4)), 0.0, 1.0)
+    pairs = tuple(pairs)
+    a, b = _port_vectors(a for a, _ in pairs), _port_vectors(b for _, b in pairs)
+    p = (a @ bloch).reshape(-1, 2, 4) @ b.reshape(-1, 2, 4).transpose(0, 2, 1) / 4.0
+    return np.clip(p.reshape(-1, 4), 0.0, 1.0)
 
 
-def _port_vectors(settings: "Sequence[AnalyzerSetting]") -> np.ndarray:
+def _port_vectors(settings: "Iterable[AnalyzerSetting]") -> np.ndarray:
     """Rows ``(1, a)`` then ``(1, -a)`` per setting: its "+" and "-" ports."""
     return _port_vectors_of(tuple(settings))
 
@@ -217,6 +214,6 @@ def joint_probabilities(
 ) -> JointDistribution:
     """Born-rule outcome probabilities for one pair of linear analyzers.
 
-    A one-pair view of :func:`born_table`.
+    Row 0 of a one-pair :func:`born_table`.
     """
-    return JointDistribution(*born_table(state.bloch, (a,), (b,))[0, 0])
+    return JointDistribution(*born_table(state.bloch, ((a, b),))[0])

@@ -19,7 +19,7 @@ from _oracles import chsh_max_bloch_grid
 from conftest import random_density_matrix
 from ebqkd import chsh, cli, security
 from ebqkd.ingest import analyze_counts, synthesize_counts
-from ebqkd.measurement import DetectorModel, expected_counts
+from ebqkd.measurement import DetectorModel, expected_table
 from ebqkd.optics import ChannelModel, SourceModel, bell_state, werner_state
 from ebqkd.protocol import BBM92, E91, SessionConfig, run_session, security_report
 from ebqkd.qstate import BellLabel, TwoQubitState
@@ -158,9 +158,7 @@ def test_criterion_6_oracle_equivalence():
 
     state = bell_state(BellLabel.PHI_PLUS)
     settings = chsh.canonical_settings(BellLabel.PHI_PLUS)
-    table = chsh.CoincidenceTable(
-        tuple(expected_counts(state, a, b, 1_000_000) for a, b in settings.pairs())
-    )
+    table = expected_table(state, settings.pairs(), 1_000_000)
     est = chsh.s_from_counts(table, settings)
     analytic = chsh.s_analytic(state, settings).s
     counts_ok = abs(est.s - analytic) <= 1e-3

@@ -25,7 +25,7 @@ from ebqkd.measurement import (
     AnalyzerSetting,
     CoincidenceRow,
     CoincidenceTable,
-    expected_counts,
+    expected_table,
 )
 from ebqkd.optics import bell_state, werner_state
 from ebqkd.qstate import BellLabel, TwoQubitState
@@ -35,12 +35,6 @@ SQ2 = math.sqrt(2.0)
 
 def setting(pol_deg):
     return AnalyzerSetting.from_polarization(pol_deg)
-
-
-def expected_table(state, settings, n_per_row):
-    return CoincidenceTable(
-        tuple(expected_counts(state, a, b, n_per_row) for a, b in settings.pairs())
-    )
 
 
 class TestSettings:
@@ -238,15 +232,29 @@ class TestSFromCounts:
     def test_expected_counts_match_analytic(self):
         state = bell_state(BellLabel.PHI_PLUS)
         settings = canonical_settings(BellLabel.PHI_PLUS)
-        est = s_from_counts(expected_table(state, settings, 1_000_000), settings)
+        est = s_from_counts(expected_table(state, settings.pairs(), 1_000_000), settings)
         assert est.s == pytest.approx(2 * SQ2, abs=1e-3)
         assert est.sigma_s == pytest.approx(math.sqrt(4 * 0.5 / 1_000_000), rel=1e-3)
 
     def test_expected_counts_match_analytic_generic_state(self):
         state = werner_state(BellLabel.PSI_PLUS, 0.83)
         settings = canonical_settings(BellLabel.PSI_PLUS)
-        est = s_from_counts(expected_table(state, settings, 1_000_000), settings)
+        est = s_from_counts(expected_table(state, settings.pairs(), 1_000_000), settings)
         assert est.s == pytest.approx(s_analytic(state, settings).s, abs=2e-3)
+
+    @pytest.mark.parametrize("label", list(BellLabel))
+    @pytest.mark.parametrize("n", [1.0, 157, 1_000_000])
+    def test_expected_table_gives_the_analytic_s_and_its_sigma(self, label, n):
+        rng = np.random.default_rng(7)
+        settings = canonical_settings(label)
+        for rank in (1, 2, 3, 4) * 10:
+            state = TwoQubitState(random_density_matrix(rng, rank=rank))
+            est = s_from_counts(expected_table(state, settings.pairs(), n), settings)
+            exact = s_analytic(state, settings)
+            assert est.s == pytest.approx(exact.s, rel=0, abs=1e-12)
+            np.testing.assert_allclose(est.correlators, exact.correlators, rtol=0, atol=1e-12)
+            sigma = math.sqrt(sum(1.0 - e * e for e in exact.correlators) / n)
+            assert est.sigma_s == pytest.approx(sigma, rel=1e-12)
 
     def test_uniform_counts_give_zero(self):
         settings = canonical_settings(BellLabel.PHI_PLUS)
@@ -267,10 +275,9 @@ class TestSFromCounts:
         rng = np.random.default_rng(13)
         n_row = 157
         rows = []
-        for a, b in settings.pairs():
-            expected = expected_counts(state, a, b, 10**6).counts()
-            probs = np.array(expected) / sum(expected)
-            rows.append(CoincidenceRow(a, b, *rng.multinomial(n_row, probs)))
+        for row in expected_table(state, settings.pairs(), 10**6).rows:
+            probs = np.array(row.counts()) / row.total
+            rows.append(CoincidenceRow(row.a, row.b, *rng.multinomial(n_row, probs)))
         est = s_from_counts(CoincidenceTable(tuple(rows)), settings)
         assert est.sigma_s == pytest.approx(0.12, abs=0.02)
         assert abs(est.s - 2.64) < 3 * est.sigma_s
@@ -278,7 +285,7 @@ class TestSFromCounts:
     def test_missing_pair_error_names_it(self):
         state = bell_state(BellLabel.PHI_PLUS)
         settings = canonical_settings(BellLabel.PHI_PLUS)
-        table = expected_table(state, settings, 1000)
+        table = expected_table(state, settings.pairs(), 1000)
         short = CoincidenceTable(table.rows[:3])
         with pytest.raises(IncompleteTableError, match=r"\(45, 67.5\)"):
             s_from_counts(short, settings)

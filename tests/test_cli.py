@@ -17,6 +17,7 @@ from ebqkd import chsh, cli, ingest, measurement, optics, protocol, qstate
 from ebqkd.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, SWEEP_COLUMNS
 
 SQ2 = math.sqrt(2.0)
+LONG = "x" * 3000
 
 
 def session_config(tmp_path, **overrides):
@@ -164,6 +165,42 @@ class TestSweep:
         with pytest.raises(ValueError, match=expected) as info:
             cli.read_sweep_table(out)
         assert len(str(info.value)) < 200 and str(info.value).endswith("...'")
+
+    @pytest.mark.parametrize("token,shown", [("0.9x", "'0.9x'"), (LONG, repr(qstate.echo(LONG)))], ids=["short", "long"])
+    def test_a_value_that_is_not_a_number_names_its_line_and_column(self, tmp_path, token, shown):
+        lines = self._table_lines()
+        values = lines[4].split("\t")
+        values[2] = token
+        lines[4] = "\t".join(values)
+        out = tmp_path / "bad.tsv"
+        out.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            cli.read_sweep_table(out)
+        assert str(info.value) == f"line 5: column 3: not a number: {shown}"
+        assert len(str(info.value)) < 200
+
+    def test_a_table_without_a_header_row_is_refused(self, tmp_path):
+        out = tmp_path / "comments.tsv"
+        out.write_text("\n".join(self._table_lines()[:2]) + "\n\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^no header row found$"):
+            cli.read_sweep_table(out)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("mechanism", "bogus", f"unknown mechanism 'bogus'; expected one of {cli.MECHANISMS}"),
+        ("mechanism", LONG, f"unknown mechanism {qstate.echo(LONG)!r}; expected one of {cli.MECHANISMS}"),
+        ("qber_mode", "median", "qber mode must be 'mean' or 'worst', got 'median'"),
+        ("qber_mode", LONG, f"qber mode must be 'mean' or 'worst', got {qstate.echo(LONG)!r}"),
+    ], ids=["mechanism", "mechanism-long", "qber", "qber-long"])
+    def test_a_bad_spec_is_a_usage_error(self, monkeypatch, capsys, field, value, message):
+        spec = {"mechanism": "werner", "grid": (0.5,), "n_pairs": 1000, field: value}
+        with pytest.raises(cli.ConfigError) as info:
+            cli.SweepSpec(**spec)
+        assert str(info.value) == message and len(message) < 200
+        # argparse's choices refuse these values before a spec is built, so
+        # the front end is reached through its sweep command.
+        monkeypatch.setattr(cli, "cmd_sweep", lambda args: cli.SweepSpec(**spec))
+        assert cli.main(["sweep", "--mechanism", "werner", "--grid", "0.5"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -327,6 +364,18 @@ class TestSweep:
 
 
 class TestSession:
+    @pytest.mark.parametrize("text,message", [
+        ("[1, 2]", "config root must be a JSON object"),
+        (f'"{LONG}"', "config root must be a JSON object"),
+        ("{", "config is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (f'{{"seed": {LONG}}}', "config is not valid JSON: Expecting value: line 1 column 10 (char 9)"),
+    ], ids=["array", "string", "truncated", "bare-word"])
+    def test_a_config_that_is_not_a_json_object_is_a_usage_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "session.json"
+        path.write_text(text)
+        assert cli.main(["session", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_ideal_session_report(self, tmp_path):
         cfg = session_config(tmp_path)
         out = tmp_path / "report.json"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -87,7 +88,7 @@ class TestOneAxisPerPlate:
         rho = random_density_matrix(np.random.default_rng(seed))
         raw = _oracles.joint_probabilities(rho, SimpleNamespace(polarization_angle_rad=math.radians(2.0 * u)), b)
         bloch = TwoQubitState(rho).bloch
-        for row in (born_table(bloch, (s,), (b,))[0, 0], born_table(bloch, (s90,), (b,))[0, 0]):
+        for row in born_table(bloch, ((s, b), (s90, b))):
             np.testing.assert_allclose(row, raw, rtol=0, atol=1e-12)
         assert _e91_with_bob_plate(t) == _e91_with_bob_plate(u)
         with pytest.raises(ValueError, match="four distinct analyzer settings"):
@@ -183,6 +184,23 @@ class TestCoincidenceTable:
                 key = measurement.hwp_key(a, b)
                 expected = measurement.hwp_key.__wrapped__(a, b)
                 assert key == expected and list(map(type, key)) == list(map(type, expected))
+
+    @pytest.mark.parametrize("n", [1.0, 1_000_000, 0.37, 2**62])
+    def test_expected_table_rows_are_n_times_the_born_rows(self, n):
+        rng = np.random.default_rng(31)
+        state = TwoQubitState(random_density_matrix(rng, rank=2))
+        pairs = [(AnalyzerSetting(t), AnalyzerSetting(u)) for t, u in rng.uniform(0, 180, size=(5, 2))]
+        table = measurement.expected_table(state, pairs, n)
+        assert [(row.a, row.b) for row in table.rows] == pairs
+        assert all(type(c) is float for row in table.rows for c in row.counts())
+        counts = np.array([row.counts() for row in table.rows])
+        assert counts.tobytes() == (n * born_table(state.bloch, pairs)).tobytes()
+        assert measurement.expected_table(state, pairs) == measurement.expected_table(state, pairs, 1.0)
+
+    @pytest.mark.parametrize("n", [-1.0, math.nan, math.inf])
+    def test_expected_table_refuses_a_count_that_is_not_finite_and_nonnegative(self, n):
+        with pytest.raises(ValueError, match=r"^n must be finite and >= 0, got "):
+            measurement.expected_table(bell_state(BellLabel.PHI_PLUS), [(setting(0), setting(0))], n)
 
     def test_incomplete_table_error_is_defined_once(self):
         from ebqkd import chsh
@@ -672,7 +690,7 @@ class TestInterceptResend:
         sources += [generate(SourceModel(label, epsilon_rad=0.6, hom_visibility=0.9)).rho for label in BellLabel]
         for rho in sources:
             source = TwoQubitState(rho)
-            table = born_table(source.bloch, E91_ALICE, E91_BOB).ravel()
+            table = born_table(source.bloch, itertools.product(E91_ALICE, E91_BOB)).ravel()
             np.testing.assert_array_equal(intercept_resend(source, E91_ALICE, E91_BOB, 0.0), table / table.sum())
 
         a, b = setting(10), setting(55)

@@ -4,9 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2, chisquare
 
 import _oracles
+from conftest import random_density_matrix
 
 from ebqkd import chsh, measurement, optics, protocol, security
 from ebqkd.measurement import AnalyzerSetting, CoincidenceRow, CoincidenceTable, DetectorModel
@@ -24,7 +27,7 @@ from ebqkd.protocol import (
     security_report,
     sift,
 )
-from ebqkd.qstate import BellLabel
+from ebqkd.qstate import BellLabel, TwoQubitState, echo
 from ebqkd.security import binary_entropy, evaluate, mi_alice_eve
 
 SQ2 = math.sqrt(2.0)
@@ -139,6 +142,13 @@ class TestProtocolKinds:
         assert protocol_by_name("BBM92") is BBM92
         with pytest.raises(ValueError):
             protocol_by_name("bb84")
+
+    @pytest.mark.parametrize("name", ["bb84", "x" * 3000], ids=["short", "long"])
+    def test_unknown_name_is_named_and_bounded(self, name):
+        with pytest.raises(ValueError) as info:
+            protocol_by_name(name)
+        assert str(info.value) == f"unknown protocol {echo(name)!r}; expected one of ['bbm92', 'e91']"
+        assert len(str(info.value)) < 200
 
 
 def random_stream(kind, n, seed):
@@ -780,6 +790,20 @@ class TestEstimate:
         assert est.report.s_above_tsirelson
         assert est.report.s == 2 * SQ2
         assert est.report.r == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4), label=st.sampled_from(BellLabel))
+    def test_linear_law_is_an_identity_of_the_expected_table(self, seed, rank, label):
+        """The paper's S = 2 sqrt 2 (1 - 2 delta) holds exactly for every
+        state, with S and delta read from one expected table at the
+        canonical settings and the BBM92 key bases.  About half of these
+        (state, label) pairs have delta > 0.5, where ``s_model`` refuses
+        delta, so the formula is written out."""
+        state = TwoQubitState(random_density_matrix(np.random.default_rng(seed), rank=rank))
+        chsh_settings = chsh.canonical_settings(label)
+        table = measurement.expected_table(state, chsh_settings.pairs() + BBM92.key_pairs())
+        est = estimate(table, label, BBM92, chsh_settings)
+        assert abs(est.chsh.s - 2 * SQ2 * (1 - 2 * est.report.delta)) <= 1e-12
 
     def test_empty_chsh_row_raises(self):
         settings = chsh.canonical_settings(BellLabel.PHI_PLUS)

@@ -262,24 +262,18 @@ class TestJointProbabilities:
 
     def test_born_table_matches_kron_oracle(self):
         """Complex mixed states (nonzero y correlations) at arbitrary plate
-        angles, one C at a time and as a (10, 25) stack."""
+        angles, 1 to 6 setting pairs, the first repeated last: one row per pair."""
         rng = np.random.default_rng(2026)
-        rhos = [random_density_matrix(rng) for _ in range(250)]
-        cases = []
-        for rho in rhos:
-            a_settings = [AnalyzerSetting(t) for t in rng.uniform(0, 180, size=3)]
-            b_settings = [AnalyzerSetting(t) for t in rng.uniform(0, 180, size=2)]
-            cases.append((rho, born_table(TwoQubitState(rho).bloch, a_settings, b_settings), a_settings, b_settings))
-        stack = np.array([TwoQubitState(rho).bloch for rho in rhos]).reshape(10, 25, 4, 4)
-        tables = born_table(stack, a_settings, b_settings)
-        assert tables.shape == (10, 25, 3, 2, 4)
-        cases += [(rho, table, a_settings, b_settings) for rho, table in zip(rhos, tables.reshape(250, 3, 2, 4))]
-        for rho, table, a_settings, b_settings in cases:
-            assert table.shape == (3, 2, 4)
-            for i, a in enumerate(a_settings):
-                for j, b in enumerate(b_settings):
-                    expected = _oracles.joint_probabilities(rho, a, b)
-                    np.testing.assert_allclose(table[i, j], expected, rtol=0, atol=1e-14)
+        for _ in range(250):
+            rho = random_density_matrix(rng)
+            plates = rng.uniform(0, 180, size=(int(rng.integers(1, 7)), 2))
+            pairs = [(AnalyzerSetting(t), AnalyzerSetting(u)) for t, u in plates]
+            pairs.append(pairs[0])
+            table = born_table(TwoQubitState(rho).bloch, iter(pairs))
+            assert table.shape == (len(pairs), 4)
+            for row, (a, b) in zip(table, pairs):
+                np.testing.assert_allclose(row, _oracles.joint_probabilities(rho, a, b), rtol=0, atol=1e-14)
+        assert born_table(TwoQubitState(rho).bloch, ()).shape == (0, 4)
 
     @pytest.mark.parametrize("plates", [
         (0.0, 11.25, 22.5),
@@ -301,7 +295,7 @@ class TestJointProbabilities:
         state = TwoQubitState(random_density_matrix(np.random.default_rng(8)))
         a, b = setting(10.0), setting(77.0)
         np.testing.assert_array_equal(
-            joint_probabilities(state, a, b).as_array(), born_table(state.bloch, (a,), (b,))[0, 0]
+            joint_probabilities(state, a, b).as_array(), born_table(state.bloch, ((a, b),))[0]
         )
 
     def test_joint_distribution_validates(self):
