@@ -32,7 +32,6 @@ psi- (singlet)        (-, +, -, -)
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -65,24 +64,31 @@ class ChshSettings:
             raise ValueError("CHSH requires four distinct analyzer settings")
         if sorted(abs(s) for s in self.signs) != [1, 1, 1, 1] or self.signs.count(-1) % 2 == 0:
             raise ValueError(f"signs must be +/-1 with an odd number of -1, got {self.signs!r}")
+        object.__setattr__(self, "_pairs", tuple(itertools.product((self.a, self.a_prime), (self.b, self.b_prime))))
 
     def all_settings(self) -> tuple[AnalyzerSetting, ...]:
         return (self.a, self.a_prime, self.b, self.b_prime)
 
     def pairs(self) -> tuple[tuple[AnalyzerSetting, AnalyzerSetting], ...]:
-        """Setting pairs in correlator order (a,b), (a,b'), (a',b), (a',b')."""
-        return tuple(itertools.product((self.a, self.a_prime), (self.b, self.b_prime)))
+        """Setting pairs in correlator order (a,b), (a,b'), (a',b), (a',b'), derived when built."""
+        return self._pairs
 
 
-@functools.cache
-def canonical_settings(label: BellLabel = BellLabel.PHI_PLUS) -> ChshSettings:
-    """Canonical CHSH geometry; each sign is that of ``label``'s ideal correlator at its pair.
-
-    Built once per label and shared: the result is frozen."""
+def _canonical(label: BellLabel) -> ChshSettings:
     alice, bob = (0.0, 45.0), (22.5, 67.5)  # polarization angles, degrees
     e = (ideal_correlator(label, math.radians(a), math.radians(b)) for a, b in itertools.product(alice, bob))
     signs = tuple(1 if x > 0.0 else -1 for x in e)
     return ChshSettings(*map(AnalyzerSetting.from_polarization, alice + bob), signs=signs)
+
+
+_CANONICAL = {label: _canonical(label) for label in BellLabel}
+
+
+def canonical_settings(label: BellLabel = BellLabel.PHI_PLUS) -> ChshSettings:
+    """Canonical CHSH geometry; each sign is that of ``label``'s ideal correlator at its pair.
+
+    Built once per label, at import, and shared: the result is frozen."""
+    return _CANONICAL[label]
 
 
 @dataclass(frozen=True)
@@ -94,12 +100,13 @@ class ChshEstimate:
     sigma_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if max(abs(e) for e in self.correlators) > 1.0 + 1e-9:
+        # Each test is written so that NaN fails it.
+        if not all(abs(e) <= 1.0 + 1e-9 for e in self.correlators):
             raise ValueError(f"correlators must lie in [-1, 1], got {self.correlators!r}")
-        if abs(self.s) > 4.0 + 1e-9:
-            raise ValueError(f"|S| cannot exceed 4, got {self.s!r}")
-        if self.sigma_s < 0.0:
-            raise ValueError("sigma_s must be nonnegative")
+        if not abs(self.s) <= 4.0 + 1e-9:
+            raise ValueError(f"|S| must be finite and at most 4, got {self.s!r}")
+        if not 0.0 <= self.sigma_s < math.inf:
+            raise ValueError(f"sigma_s must be finite and nonnegative, got {self.sigma_s!r}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +133,13 @@ def correlator_analytic(
 
 def s_analytic(state: TwoQubitState, settings: ChshSettings) -> ChshEstimate:
     """Exact CHSH combination for the given settings (zero uncertainty)."""
-    p = born_table(state.bloch, settings.pairs())
+    return s_from_born(born_table(state.bloch, settings.pairs()), settings)
+
+
+def s_from_born(born: np.ndarray, settings: ChshSettings) -> ChshEstimate:
+    """Exact CHSH combination from Born rows whose first four are those of
+    ``settings.pairs()``, in order (a caller's wider table may go on)."""
+    p = born[:4]
     correlators = tuple((p[:, 0] + p[:, 3] - p[:, 1] - p[:, 2]).tolist())
     s = sum(sign * e for sign, e in zip(settings.signs, correlators))
     return ChshEstimate(s=s, correlators=correlators, sigma_s=0.0)
@@ -212,10 +225,11 @@ def s_from_counts(table: CoincidenceTable, settings: ChshSettings) -> ChshEstima
     var_sum = 0.0
     for a, b in settings.pairs():
         row = table.row(a, b)
-        if row.total == 0:
+        total = row.total
+        if total == 0:
             raise IncompleteTableError(f"zero total coincidences for setting pair {pair_name(row.a, row.b)}")
-        e = (row.n_pp + row.n_mm - row.n_pm - row.n_mp) / row.total
+        e = (row.n_pp + row.n_mm - row.n_pm - row.n_mp) / total
         correlators.append(e)
-        var_sum += (1.0 - e * e) / row.total
+        var_sum += (1.0 - e * e) / total
     s = sum(sign * e for sign, e in zip(settings.signs, correlators))
     return ChshEstimate(s=s, correlators=tuple(correlators), sigma_s=math.sqrt(var_sum))

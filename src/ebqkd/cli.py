@@ -35,7 +35,7 @@ from .measurement import (
     spawn_rng,
 )
 from .optics import ChannelKind, ChannelModel, SourceModel
-from .qstate import BellLabel, echo
+from .qstate import BellLabel, born_table, echo
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -111,23 +111,25 @@ def _point_models(spec: SweepSpec, value: float) -> tuple[SourceModel, ChannelMo
 def sweep_point(spec: SweepSpec, index: int, value: float, seed: int) -> dict[str, float]:
     """Analytic and sampled quantities for one grid point.
 
-    Sampling uses ``n_pairs`` emitted pairs per analyzer configuration
-    (four CHSH setting pairs plus one per key basis), drawn in that order
-    from one generator, ``spawn_rng(seed, index)``, whatever the schedule.
+    One Born table of the point's six setting pairs (four CHSH setting
+    pairs, then one per key basis) gives the analytic S (its first four
+    rows) and the sampling probabilities.  Sampling uses ``n_pairs``
+    emitted pairs per setting pair, drawn in that order from one
+    generator, ``spawn_rng(seed, index)``, whatever the schedule.
     """
     source, channel = _point_models(spec, value)
     state = optics.apply_channel(optics.generate(source), channel)
     state = intercept_average_state(state, channel.eve_fraction)
     settings = chsh.canonical_settings(spec.label)
-    s_analytic = chsh.s_analytic(state, settings).s
-
     pairs = settings.pairs() + protocol.BBM92.key_pairs()
-    rows = sample_outcomes(state, pairs, spec.detector, spec.n_pairs, spawn_rng(seed, index))
+    born = born_table(state.bloch, pairs)
+
+    rows = sample_outcomes(born, pairs, spec.detector, spec.n_pairs, spawn_rng(seed, index))
     est = protocol.estimate(CoincidenceTable(rows), spec.label, protocol.BBM92, settings)
     qber = max(est.per_basis_qber.values()) if spec.qber_mode == "worst" else est.report.delta
     return {
         "mechanism_param": value,
-        "S_analytic": s_analytic,
+        "S_analytic": chsh.s_from_born(born, settings).s,
         "S_sampled": est.chsh.s,
         "sigma_S": est.chsh.sigma_s,
         "qber": qber,
@@ -142,7 +144,8 @@ def run_sweep(spec: SweepSpec, seed: int, workers: int = 1) -> list[dict[str, fl
 
     The pool never has more workers than grid points or CPUs.
     """
-    workers = min(workers, len(spec.grid), os.cpu_count() or 1)
+    if workers > 1:
+        workers = min(workers, len(spec.grid), os.cpu_count() or 1)
     if workers <= 1:
         return [sweep_point(spec, i, v, seed) for i, v in enumerate(spec.grid)]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; pools only
@@ -485,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--mechanism", required=True, choices=MECHANISMS)
     p_sweep.add_argument("--grid", required=True, help="comma-separated parameter values")
     p_sweep.add_argument("--n-pairs", type=int, default=100_000, dest="n_pairs")
-    p_sweep.add_argument("--label", default="phi_plus", choices=[l.value for l in BellLabel])
+    # Named values are read in any case, as a session config reads them.
+    p_sweep.add_argument("--label", default="phi_plus", type=str.lower, choices=[l.value for l in BellLabel])
     p_sweep.add_argument("--efficiency", type=float, default=DetectorModel.efficiency)
     p_sweep.add_argument("--qber", default="mean", choices=("mean", "worst"),
                          help="basis-averaged or worst-basis QBER column")
@@ -511,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="analyze a coincidence-count file")
     p_an.add_argument("counts", help="qkd-counts file path")
-    p_an.add_argument("--protocol", default="bbm92", choices=sorted(protocol.PROTOCOLS))
+    p_an.add_argument("--protocol", default="bbm92", type=str.lower, choices=sorted(protocol.PROTOCOLS))
     p_an.add_argument("--accidental-window", type=float, default=None,
                       dest="accidental_window",
                       help="coincidence window / acquisition time; enables accidental subtraction")

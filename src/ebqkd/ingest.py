@@ -34,13 +34,12 @@ from .measurement import (
     CoincidenceRow,
     CoincidenceTable,
     DetectorModel,
-    expected_table,
     hwp_key,
     sample_outcomes,
     spawn_rng,
 )
 from .protocol import BBM92, EmptyBasisError, ProtocolKind, estimate
-from .qstate import BellLabel, TwoQubitState, echo
+from .qstate import BellLabel, TwoQubitState, born_table, echo
 
 FORMAT_NAME = "qkd-counts"
 FORMAT_VERSION = 1
@@ -332,18 +331,21 @@ def synthesize_counts(
     Each row is an independent acquisition of ``n_pairs_per_row`` emitted
     pairs with both analyzers fixed; only the doubly transmitted
     coincidences of that projection are recorded, as in hardware.  One
-    generator draws every row's counts, then each row's singles, in order.
+    Born table of the rows' setting pairs gives both the counts'
+    probabilities and the singles' marginals.  One generator draws every
+    row's counts, then each row's singles, in order.
     """
     det = detector or DetectorModel(efficiency=1.0)
     settings = settings or chsh.canonical_settings(label)
     pairs = [(AnalyzerSetting(a), AnalyzerSetting(b)) for a, b in required_hwp_pairs(settings, protocol)]
+    born = born_table(state.bloch, pairs)
     rng = spawn_rng(seed)
-    sampled = sample_outcomes(state, pairs, det, n_pairs_per_row, rng)
+    sampled = sample_outcomes(born, pairs, det, n_pairs_per_row, rng)
     rows = []
-    for row, expected in zip(sampled, expected_table(state, pairs).rows):
+    for row, (p_pp, p_pm, p_mp, _) in zip(sampled, born.tolist()):
         # Singles are the marginals of the joint distribution.
-        singles_a = int(rng.binomial(n_pairs_per_row, det.eff_alice * (expected.n_pp + expected.n_pm)))
-        singles_b = int(rng.binomial(n_pairs_per_row, det.eff_bob * (expected.n_pp + expected.n_mp)))
+        singles_a = int(rng.binomial(n_pairs_per_row, det.eff_alice * (p_pp + p_pm)))
+        singles_b = int(rng.binomial(n_pairs_per_row, det.eff_bob * (p_pp + p_mp)))
         rows.append(CountRow(row.a.hwp_angle_deg, row.b.hwp_angle_deg, singles_a, singles_b, row.n_pp))
     return CountRecordFile(
         version=FORMAT_VERSION,

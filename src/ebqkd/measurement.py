@@ -117,8 +117,10 @@ class CoincidenceRow:
     n_mm: int
 
     def __post_init__(self) -> None:
-        if min(self.n_pp, self.n_pm, self.n_mp, self.n_mm) < 0:
-            raise ValueError("coincidence counts must be nonnegative")
+        # Chained comparisons, no call: NaN and infinities fail them too.
+        if not (0 <= self.n_pp < math.inf and 0 <= self.n_pm < math.inf
+                and 0 <= self.n_mp < math.inf and 0 <= self.n_mm < math.inf):
+            raise ValueError("coincidence counts must be finite and nonnegative")
 
     @property
     def total(self) -> int:
@@ -217,7 +219,7 @@ def intercept_average_state(state: TwoQubitState, eve_fraction: float) -> TwoQub
 
 
 def sample_outcomes(
-    state: TwoQubitState,
+    born: np.ndarray,
     pairs: Sequence[tuple[AnalyzerSetting, AnalyzerSetting]],
     det: DetectorModel,
     n_pairs: int,
@@ -225,10 +227,14 @@ def sample_outcomes(
 ) -> tuple[CoincidenceRow, ...]:
     """Coincidence counts for each analyzer setting pair.
 
-    Each pair is one :func:`sample_outcome_stream` of ``n_pairs`` emitted
-    pairs over its four Born-rule outcomes, drawn from ``rng`` in pair order.
-    One :func:`~ebqkd.qstate.born_table` of ``pairs`` is built per call.
-    Under intercept-resend pass :func:`intercept_average_state`.
+    ``born`` is the :func:`~ebqkd.qstate.born_table` of ``pairs`` (one row
+    per pair, else a ``ValueError``), built once by the caller, who may
+    read its rows for other quantities too (a sweep point's analytic S, a
+    count file's singles); a normalised copy is sampled and ``born`` is
+    left as it was.  Under intercept-resend build it from
+    :func:`intercept_average_state`.  Each pair is one
+    :func:`sample_outcome_stream` of ``n_pairs`` emitted pairs over its
+    four outcomes, drawn from ``rng`` in pair order.
 
     Returns:
         One :class:`CoincidenceRow` per pair, in order, deterministic given
@@ -236,8 +242,9 @@ def sample_outcomes(
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs!r}")
-    tables = born_table(state.bloch, pairs)
-    tables /= tables.sum(axis=-1, keepdims=True)
+    if len(born) != len(pairs):
+        raise ValueError(f"Born table rows ({len(born)}) must match the setting pairs ({len(pairs)})")
+    tables = born / born.sum(axis=-1, keepdims=True)
     every_pair = np.broadcast_to(np.uint8(0), (n_pairs,))  # read for its length
     return tuple(
         CoincidenceRow(a, b, *sample_outcome_stream(p, every_pair, rng, det))
@@ -252,18 +259,21 @@ def sample_outcome_stream(
 
     Drawn in this order: the coincidences (binomial), their cells
     (multinomial in ``joint``, one pair's cell probabilities, summing to
-    1), the accidentals (Poisson) and, if any, their cells (multinomial
-    over uniform cells).  Counts are Python ints: their total can pass
-    2**63.  Only ``len(stratum_idx)`` is read: the argument stays because
-    the benchmark's layer tracing counts pairs from it, until the bench
-    reads the package's own stage counters (ROADMAP direction 7).
+    1) and, when the detector expects accidentals, their number (Poisson)
+    and, if any, their cells (multinomial over uniform cells).  At no
+    expected accidentals nothing more is drawn, which leaves the stream
+    as the draw would: numpy's Poisson draw at rate 0 consumes no state.
+    Counts are Python ints: their total can pass 2**63.  Only
+    ``len(stratum_idx)`` is read: the argument stays because the
+    benchmark's layer tracing counts pairs from it, until the bench reads
+    the package's own stage counters (ROADMAP direction 7).
     """
     n_pairs = len(stratum_idx)
     counts = rng.multinomial(rng.binomial(n_pairs, det.coincidence_efficiency()), joint).tolist()
-    n_acc = int(rng.poisson(det.expected_accidentals(n_pairs)))
-    if n_acc:
-        accidentals = rng.multinomial(n_acc, np.full(len(joint), 1.0 / len(joint))).tolist()
-        counts = [c + a for c, a in zip(counts, accidentals)]
+    accidentals = det.expected_accidentals(n_pairs)
+    if accidentals > 0.0 and (n_acc := int(rng.poisson(accidentals))):
+        spread = rng.multinomial(n_acc, np.full(len(joint), 1.0 / len(joint))).tolist()
+        counts = [c + a for c, a in zip(counts, spread)]
     return counts
 
 

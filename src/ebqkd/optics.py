@@ -105,12 +105,12 @@ def generate(source: SourceModel) -> TwoQubitState:
     epsilon, and the output is always a valid density operator.
     """
     first, second, sign = BELL_TERMS[source.label]
-    amp = np.zeros(4, dtype=complex)
-    amp[first] = math.cos(source.epsilon_rad)
-    amp[second] = sign * math.sin(source.epsilon_rad)
-    rho = np.outer(amp, amp.conj())
-    rho[first, second] *= source.hom_visibility
-    rho[second, first] *= source.hom_visibility
+    c, s = complex(math.cos(source.epsilon_rad)), complex(sign * math.sin(source.epsilon_rad))
+    rho = np.zeros((4, 4), dtype=complex)  # |amp><amp| has four nonzero entries
+    rho[first, first] = c * c.conjugate()
+    rho[second, second] = s * s.conjugate()
+    rho[first, second] = c * s.conjugate() * source.hom_visibility
+    rho[second, first] = s * c.conjugate() * source.hom_visibility
     return TwoQubitState(rho)
 
 

@@ -80,6 +80,8 @@ class ProtocolKind:
     carrying the bit errors, the other the phase errors.
     ``chsh_pairs``, whose outcomes feed the security CHSH test, holds the
     indices of the canonical CHSH settings in ``pairs()`` order, or ``()``.
+    :meth:`key_plan` gives, per Bell label, what :func:`estimate` reads of
+    each key basis.
     """
 
     name: str
@@ -99,7 +101,12 @@ class ProtocolKind:
         index = {key: ij for ij, key in keys.items()}
         found = [index.get(hwp_key(a.hwp_angle_deg, b.hwp_angle_deg)) for a, b in chsh.canonical_settings().pairs()]
         object.__setattr__(self, "chsh_pairs", () if None in found else tuple(found))
-        object.__setattr__(self, "_layout", (alice, bob, matched, tuple((alice[i], bob[j]) for i, j in matched)))
+        key_pairs = tuple((alice[i], bob[j]) for i, j in matched)
+        object.__setattr__(self, "_layout", (alice, bob, matched, key_pairs))
+        object.__setattr__(self, "_plans", {label: tuple(
+            (a, b, 2.0 * hwp_key(a.hwp_angle_deg, b.hwp_angle_deg)[0], wrong_outcomes(label, a.polarization_angle_rad))
+            for a, b in key_pairs
+        ) for label in BellLabel})
 
     def alice_settings(self) -> tuple[AnalyzerSetting, ...]:
         return self._layout[0]
@@ -114,6 +121,12 @@ class ProtocolKind:
     def key_pairs(self) -> tuple[tuple[AnalyzerSetting, AnalyzerSetting], ...]:
         """(Alice, Bob) settings of each matched basis, as ``matched_pairs``."""
         return self._layout[3]
+
+    def key_plan(self, label: BellLabel) -> tuple[tuple[AnalyzerSetting, AnalyzerSetting, float, tuple[int, int]], ...]:
+        """Per matched basis, as ``key_pairs``: its (Alice, Bob) settings, its
+        polarization axis in degrees and the indices of its key errors under
+        ``label`` (:func:`~ebqkd.measurement.wrong_outcomes`).  Derived when built."""
+        return self._plans[label]
 
 
 #: Both parties measure in {H/V, D/A}.
@@ -321,9 +334,12 @@ def estimate(
 
     The table must hold a row per matched basis of ``kind``; key errors
     are counted against the ideal state of ``label`` (see
-    :func:`~ebqkd.measurement.wrong_outcomes`).  With ``settings`` the
-    table must also hold the four CHSH rows and Eve's bound uses the
-    measured S; without, the linear disturbance law stands in.
+    :func:`~ebqkd.measurement.wrong_outcomes`), as ``kind.key_plan(label)``
+    lists them: each basis' setting pair, axis and error outcomes are
+    derived once, when ``kind`` is built, and each row's total is read
+    once.  With ``settings`` the table must also hold the four CHSH rows
+    and Eve's bound uses the measured S; without, the linear disturbance
+    law stands in.
 
     Raises:
         measurement.IncompleteTableError: a required row is missing, or a
@@ -332,16 +348,16 @@ def estimate(
     """
     per_basis: dict[float, float] = {}
     n_wrong = n_total = 0
-    for a, b in kind.key_pairs():
-        pol = 2.0 * hwp_key(a.hwp_angle_deg, b.hwp_angle_deg)[0]
+    for a, b, pol, (i, j) in kind.key_plan(label):
         row = table.row(a, b)
-        if row.total == 0:
+        total = row.total
+        if total == 0:
             raise EmptyBasisError(f"zero coincidences in the compatible basis at {pol:g} deg polarization")
         counts = row.counts()
-        wrong = sum(counts[k] for k in wrong_outcomes(label, a.polarization_angle_rad))
-        per_basis[pol] = wrong / row.total
+        wrong = counts[i] + counts[j]
+        per_basis[pol] = wrong / total
         n_wrong += wrong
-        n_total += row.total
+        n_total += total
     s_est = chsh.s_from_counts(table, settings) if settings is not None else None
     e_b, e_p = (per_basis[pol] for pol in sorted(per_basis))
     return Estimate(

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 
@@ -28,7 +29,8 @@ from ebqkd.measurement import (
     expected_table,
 )
 from ebqkd.optics import bell_state, werner_state
-from ebqkd.qstate import BellLabel, TwoQubitState
+from ebqkd.protocol import BBM92
+from ebqkd.qstate import BellLabel, TwoQubitState, born_table
 
 SQ2 = math.sqrt(2.0)
 
@@ -83,6 +85,9 @@ class TestSettings:
     def test_canonical_settings_are_shared_and_frozen(self, label):
         s = canonical_settings(label)
         assert canonical_settings(label) is s
+        assert s.pairs() is s.pairs()
+        assert s.pairs() == tuple(itertools.product((s.a, s.a_prime), (s.b, s.b_prime)))
+        assert dataclasses.replace(s, a=s.a_prime, a_prime=s.a).pairs()[0] == (s.a_prime, s.b)
         with pytest.raises(dataclasses.FrozenInstanceError):
             s.signs = (1, 1, 1, -1)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -305,3 +310,35 @@ class TestEstimateInvariants:
     def test_algebraic_bound(self):
         with pytest.raises(ValueError):
             ChshEstimate(s=4.5, correlators=(1, 1, 1, 1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_refused(self, bad):
+        with pytest.raises(ValueError, match="correlators must lie in"):
+            ChshEstimate(s=0.0, correlators=(0.0, bad, 0.0, 0.0))
+        with pytest.raises(ValueError, match=r"\|S\| must be finite"):
+            ChshEstimate(s=bad, correlators=(0.0, 0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="sigma_s must be finite"):
+            ChshEstimate(s=0.0, correlators=(0.0, 0.0, 0.0, 0.0), sigma_s=abs(bad))
+
+    def test_a_nan_count_never_reaches_the_estimate(self):
+        # A float table with a NaN row must not give ChshEstimate(s=nan, ...).
+        settings = canonical_settings(BellLabel.PHI_PLUS)
+        with pytest.raises(ValueError, match="coincidence counts must be finite and nonnegative"):
+            CoincidenceTable(tuple(CoincidenceRow(a, b, math.nan, 1, 1, 1) for a, b in settings.pairs()))
+
+
+class TestSFromBorn:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_a_sweep_tables_first_rows_give_s_analytic_bit_for_bit(self, rank):
+        # A sweep point reads S_analytic from rows 0-3 of its one table of
+        # six setting pairs (CHSH, then the key bases).
+        rng = np.random.default_rng(100 + rank)
+        for _ in range(100):
+            state = TwoQubitState(random_density_matrix(rng, rank=rank))
+            for label in BellLabel:
+                settings = canonical_settings(label)
+                born = born_table(state.bloch, settings.pairs() + BBM92.key_pairs())
+                shared = chsh.s_from_born(born, settings)
+                alone = s_analytic(state, settings)
+                assert shared.s.hex() == alone.s.hex()
+                assert [e.hex() for e in shared.correlators] == [e.hex() for e in alone.correlators]

@@ -320,8 +320,8 @@ class TestSweep:
     ])
     def test_point_builds_states_and_tables_once(self, monkeypatch, mechanism, value):
         # At most the source state and one derived state (channel output or
-        # Eve's average) are validated, and one Born-rule table serves the
-        # analytic S, another every sampled setting pair.
+        # Eve's average) are validated, and one Born-rule table of the six
+        # setting pairs serves the analytic S and every sampled setting pair.
         states, tables = [], []
         post_init = qstate.TwoQubitState.__post_init__
         monkeypatch.setattr(
@@ -329,12 +329,38 @@ class TestSweep:
         )
         born_table = qstate.born_table
         counted = lambda *args: tables.append(args) or born_table(*args)  # noqa: E731
-        for module in (qstate, measurement, chsh):
+        for module in (qstate, measurement, chsh, cli):
             monkeypatch.setattr(module, "born_table", counted)
         spec = cli.SweepSpec(mechanism, (value,), n_pairs=10_000)
         cli.sweep_point(spec, 0, value, seed=3)
         assert 1 <= len(states) <= 2
-        assert len(tables) <= 2
+        assert len(tables) == 1
+        assert len(tables[0][1]) == 6
+
+    def test_serial_sweep_does_not_ask_for_the_cpu_count(self, monkeypatch):
+        def no_cpu_count():
+            raise AssertionError("os.cpu_count() called")
+
+        monkeypatch.setattr(cli.os, "cpu_count", no_cpu_count)
+        spec = cli.SweepSpec("werner", (0.9, 0.8), n_pairs=100)
+        assert len(cli.run_sweep(spec, seed=1)) == len(cli.run_sweep(spec, seed=1, workers=1)) == 2
+
+    @pytest.mark.parametrize("label", ["PHI_PLUS", "Psi_Minus"])
+    def test_label_flag_reads_in_any_case(self, tmp_path, label):
+        argv = ["sweep", "--mechanism", "werner", "--grid", "0.9,0.8", "--n-pairs", "1000", "--seed", "2"]
+        outs = []
+        for value in (label, label.lower()):
+            outs.append(tmp_path / f"{value}.tsv")
+            assert cli.main([*argv, "--label", value, "--out", str(outs[-1])]) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert f"label: {label.lower()}" in outs[0].read_text()
+
+    def test_unknown_label_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--mechanism", "werner", "--grid", "0.9", "--label", "PHI_" + LONG.upper()])
+        assert exc.value.code == EXIT_USAGE
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert "invalid choice: " + repr(qstate.echo("phi_" + LONG)) in line and len(line) < 200
 
     def test_point_draws_once_per_setting_pair(self, monkeypatch):
         # Every sampled setting pair (four CHSH, two key bases) is one call
@@ -760,6 +786,24 @@ class TestAnalyze:
         assert rc == EXIT_OK
         doc = json.loads(out.read_text())
         assert abs(doc["chsh"]["S"] - 2.64) < 3 * doc["chsh"]["sigma_S"]
+
+    @pytest.mark.parametrize("name", ["BBM92", "E91", "Bbm92"])
+    def test_protocol_flag_reads_in_any_case(self, fixtures_dir, tmp_path, capsys, name):
+        counts = str(fixtures_dir / "counts" / "paper_point.txt")
+        results = []
+        for value in (name, name.lower()):
+            out = tmp_path / f"{value}.json"
+            results.append((cli.main(["analyze", counts, "--protocol", value, "--out", str(out)]),
+                            out.read_bytes() if out.exists() else None, capsys.readouterr().err))
+        assert results[0] == results[1]
+        assert results[0][0] == (EXIT_OK if name.lower() == "bbm92" else EXIT_VALIDATION)
+
+    def test_unknown_protocol_is_a_usage_error(self, fixtures_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", str(fixtures_dir / "counts" / "paper_point.txt"), "--protocol", "BB84" + LONG])
+        assert exc.value.code == EXIT_USAGE
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert "invalid choice: " + repr(qstate.echo("bb84" + LONG)) in line and len(line) < 200
 
     def test_corrupted_fixture_diagnostics(self, fixtures_dir, capsys):
         rc = cli.main(["analyze", str(fixtures_dir / "counts" / "bad_negative.txt")])

@@ -99,10 +99,11 @@ def test_sweep_flag_errors_are_bounded(capsys, flags):
     (["sweep", "--mechanism", "x'" + LONG, "--grid", "0.5"], "x'" + LONG),
     (["sweep", "--mechanism", "werner", "--grid", "0.5", "--n-pairs", LONG], LONG),
     (["sweep", "--mechanism", "werner", "--grid", "0.5", "--efficiency", LONG], LONG),
+    (["sweep", "--mechanism", "werner", "--grid", "0.5", "--label", LONG], LONG),
     (["analyze", "counts.txt", "--protocol", LONG], LONG),
     (["analyze", "counts.txt", "--accidental-window", LONG], LONG),
     ([LONG], LONG),
-], ids=["mechanism", "mechanism-quote", "n-pairs", "efficiency", "protocol", "accidental-window", "command"])
+], ids=["mechanism", "mechanism-quote", "n-pairs", "efficiency", "label", "protocol", "accidental-window", "command"])
 def test_argparse_errors_are_bounded(capsys, argv, value):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ebqkd import chsh, ingest
+from ebqkd import chsh, ingest, measurement, qstate
 from ebqkd.ingest import CountFileError, analyze_counts, parse_counts, synthesize_counts, write_counts
 from ebqkd.measurement import AnalyzerSetting, CoincidenceRow, CoincidenceTable, DetectorModel, hwp_key
 from ebqkd.optics import bell_state, werner_state
@@ -503,6 +503,23 @@ class TestAnalyze:
                 pairs = ingest.required_hwp_pairs(chsh.canonical_settings(label), kind)
                 assert len(pairs) == 24
                 assert set(pairs) == chsh_rows | key
+
+
+class TestSynthesize:
+    @pytest.mark.parametrize("protocol", [BBM92, E91])
+    def test_a_count_file_builds_one_born_table(self, monkeypatch, protocol):
+        # One table of every row's setting pair gives both the counts'
+        # probabilities and the singles' marginals.
+        tables = []
+        born_table = qstate.born_table
+        counted = lambda *args: tables.append(args) or born_table(*args)  # noqa: E731
+        for module in (qstate, measurement, ingest):
+            monkeypatch.setattr(module, "born_table", counted)
+        rec = synthesize_counts(werner_state(BellLabel.PSI_MINUS, 0.9), BellLabel.PSI_MINUS,
+                                n_pairs_per_row=1000, seed=4, protocol=protocol)
+        assert len(tables) == 1
+        assert len(tables[0][1]) == len(rec.rows) == len(ingest.required_hwp_pairs(
+            chsh.canonical_settings(BellLabel.PSI_MINUS), protocol))
 
 
 class TestUncertaintyReproduction:

@@ -41,7 +41,7 @@ def setting(pol_deg):
 
 def sample_pair(state, a, b, det, n, seed):
     """Counts of one setting pair, drawn by the batched sampler."""
-    (row,) = sample_outcomes(state, [(a, b)], det, n, spawn_rng(seed))
+    (row,) = sample_outcomes(born_table(state.bloch, [(a, b)]), [(a, b)], det, n, spawn_rng(seed))
     return row.counts()
 
 
@@ -135,6 +135,15 @@ class TestCoincidenceTable:
     def test_counts_nonnegative(self):
         with pytest.raises(ValueError):
             CoincidenceRow(setting(0), setting(0), 1, -1, 0, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+    @pytest.mark.parametrize("at", range(4))
+    def test_counts_finite(self, bad, at):
+        counts = [1.0, 2.0, 3.0, 4.0]
+        counts[at] = bad
+        with pytest.raises(ValueError, match="^coincidence counts must be finite and nonnegative$"):
+            CoincidenceRow(setting(0), setting(0), *counts)
+        assert CoincidenceRow(setting(0), setting(0), 0, 0.0, 2**80, 1e300).total == 2**80 + 1e300
 
     def test_find_matches_angles(self):
         row = CoincidenceRow(setting(0), setting(22.5), 1, 2, 3, 4)
@@ -268,12 +277,52 @@ class TestSampleOutcomes:
         pairs = [(setting(0), setting(22.5)), (setting(45), setting(45)), (setting(30), setting(100))]
         det = DetectorModel(efficiency=0.8, dark_rate=0.01)  # 200 accidentals expected per pair
         for sampled in (state, intercept_average_state(state, 0.3)):
-            rows = sample_outcomes(sampled, pairs, det, 20_000, spawn_rng(11))
+            def draw(pairs, rng):
+                return sample_outcomes(born_table(sampled.bloch, pairs), pairs, det, 20_000, rng)
+
+            rows = draw(pairs, spawn_rng(11))
             assert [(r.a, r.b) for r in rows] == pairs
             rng = spawn_rng(11)
-            assert rows == tuple(row for pair in pairs for row in sample_outcomes(sampled, [pair], det, 20_000, rng))
+            assert rows == tuple(row for pair in pairs for row in draw([pair], rng))
             for k in range(1, len(pairs)):
-                assert sample_outcomes(sampled, pairs[:k], det, 20_000, spawn_rng(11)) == rows[:k]
+                assert draw(pairs[:k], spawn_rng(11)) == rows[:k]
+
+    def test_born_rows_are_left_as_they_were(self):
+        # The caller reads the same rows for other quantities (a sweep
+        # point's S_analytic, a count file's singles) after sampling.  Rows
+        # scaled by 3 sum to 3, so normalising them in place would show.
+        state = TwoQubitState(random_density_matrix(np.random.default_rng(3), rank=2))
+        pairs = [(setting(0), setting(22.5)), (setting(45), setting(45))]
+        born = 3.0 * born_table(state.bloch, pairs)
+        before = born.copy()
+        sample_outcomes(born, pairs, DetectorModel(0.8), 1000, spawn_rng(1))
+        assert born.tobytes() == before.tobytes()
+
+    def test_a_table_of_other_pairs_is_refused(self):
+        # Rows are matched to pairs by position, so a short table would
+        # silently drop the last pairs.
+        state = bell_state(BellLabel.PHI_PLUS)
+        pairs = [(setting(0), setting(22.5)), (setting(45), setting(45))]
+        with pytest.raises(ValueError, match=r"^Born table rows \(1\) must match the setting pairs \(2\)$"):
+            sample_outcomes(born_table(state.bloch, pairs[:1]), pairs, DetectorModel(0.8), 1000, spawn_rng(1))
+
+    def test_no_poisson_draw_without_expected_accidentals(self):
+        class NoPoisson:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def poisson(self, lam):
+                raise AssertionError(f"poisson({lam!r}) drawn")
+
+        joint = np.array([0.4, 0.1, 0.1, 0.4])
+        every_pair = np.broadcast_to(np.uint8(0), (10_000,))
+        counts = sample_outcome_stream(joint, every_pair, NoPoisson(spawn_rng(2)), DetectorModel(0.7))
+        assert counts == sample_outcome_stream(joint, every_pair, spawn_rng(2), DetectorModel(0.7))
+        with pytest.raises(AssertionError, match="poisson"):
+            sample_outcome_stream(joint, every_pair, NoPoisson(spawn_rng(2)), DetectorModel(0.7, dark_rate=1e-9))
 
     def test_spawn_rng_is_deterministic_per_stream(self):
         a = spawn_rng(7, 3).random(4)
@@ -678,8 +727,9 @@ class TestInterceptResend:
     def test_one_stratum_without_eve(self):
         # At eve_fraction = 0 the two strata weigh (1, 0), their mixture is
         # the state alone bit for bit, the average state is the state itself,
-        # and the sampler draws exactly binomial -> multinomial(p) -> poisson
-        # from each pair's generator.
+        # and the sampler draws exactly binomial -> multinomial(p) from each
+        # pair's generator (no Poisson draw at no expected accidentals, where
+        # the reference's rate-0 draw consumes nothing).
         state = bell_state(BellLabel.PHI_PLUS, 0.5)
         blochs, weights = intercept_strata(state, 0.0)
         np.testing.assert_array_equal(blochs[0], state.bloch)
@@ -696,7 +746,7 @@ class TestInterceptResend:
         a, b = setting(10), setting(55)
         det = DetectorModel(efficiency=0.7)
         rng_lib, rng_ref = np.random.default_rng(4), np.random.default_rng(4)
-        (row,) = sample_outcomes(state, [(a, b)], det, 50_000, rng_lib)
+        (row,) = sample_outcomes(born_table(state.bloch, [(a, b)]), [(a, b)], det, 50_000, rng_lib)
         n_coinc = rng_ref.binomial(50_000, det.coincidence_efficiency())
         p = joint_probabilities(state, a, b).as_array()
         expected = rng_ref.multinomial(n_coinc, p / p.sum())

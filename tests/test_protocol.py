@@ -92,6 +92,18 @@ class TestProtocolKinds:
         kind = ProtocolKind("x", E91.alice_hwp_deg, (plate, *E91.bob_hwp_deg[1:]))
         assert (kind.matched_pairs(), kind.chsh_pairs) == (E91.matched_pairs(), E91.chsh_pairs)
 
+    @pytest.mark.parametrize("kind", [BBM92, E91, ProtocolKind("permuted", (22.5, 0.0, 11.25), (33.75, 11.25, 22.5))])
+    @pytest.mark.parametrize("label", list(BellLabel))
+    def test_key_plan_is_derived_when_built(self, kind, label):
+        # What estimate reads of each key basis: its settings, axis and errors.
+        plan = kind.key_plan(label)
+        assert plan is kind.key_plan(label)
+        assert plan == tuple(
+            (a, b, 2.0 * measurement.hwp_key(a.hwp_angle_deg, b.hwp_angle_deg)[0],
+             measurement.wrong_outcomes(label, a.polarization_angle_rad))
+            for a, b in kind.key_pairs()
+        )
+
     def test_a_plate_90_degrees_on_is_the_same_setting(self):
         # E91 with Bob's 22.5-degree analyzer written as plate 101.25 once
         # kept its key bases but lost its CHSH pairs, so its session took
