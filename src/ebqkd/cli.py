@@ -26,16 +26,19 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, NoReturn, TextIO
 
+import numpy as np
+
 from . import chsh, ingest, optics, protocol, security
 from .measurement import (
     CoincidenceTable,
     DetectorModel,
-    intercept_average_state,
+    eve_strata,
+    mix_strata,
     sample_outcomes,
     spawn_rng,
 )
 from .optics import ChannelKind, ChannelModel, SourceModel
-from .qstate import BellLabel, born_table, echo
+from .qstate import BellLabel, born_table, checked_bloch, density, echo
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -98,32 +101,53 @@ class SweepSpec:
             raise ConfigError(f"qber mode must be 'mean' or 'worst', got {echo(self.qber_mode)!r}")
 
 
-def _point_models(spec: SweepSpec, value: float) -> tuple[SourceModel, ChannelModel]:
-    if spec.mechanism == "werner":
-        return SourceModel(spec.label), ChannelModel.werner(value)
+#: Most grid points a sweep evaluates as one stack; a block's temporaries are O(this).
+SWEEP_BLOCK = 1024
+
+
+def _grid_bloch(spec: SweepSpec, values: np.ndarray) -> np.ndarray:
+    """``C`` of the state each grid point's pairs are drawn from, ``(k, 4,
+    4)``.  Each distinct state is checked once, every stack in one call: a
+    source shared by all points once, and the channel outputs and Eve's
+    averages as stacks.  At Eve fraction 0 a point reads the source itself."""
     if spec.mechanism == "imbalance":
-        return SourceModel(spec.label, epsilon_rad=value), ChannelModel.identity()
+        return checked_bloch(optics.source_density(spec.label, values))
     if spec.mechanism == "hom_visibility":
-        return SourceModel(spec.label, hom_visibility=value), ChannelModel.identity()
-    return SourceModel(spec.label), ChannelModel.intercept_resend(value)
+        return checked_bloch(optics.source_density(spec.label, hom_visibility=values))
+    source = checked_bloch(optics.source_density(spec.label))
+    if spec.mechanism == "werner":  # Werner weight w is depolarizing strength 1 - w
+        return checked_bloch(density(optics.depolarize(source, 1.0 - values)))
+    bloch = np.repeat(source[None], len(values), axis=0)
+    eve = values != 0.0
+    bloch[eve] = checked_bloch(density(mix_strata(*eve_strata(source, values[eve]))))
+    return bloch
 
 
-def sweep_point(spec: SweepSpec, index: int, value: float, seed: int) -> dict[str, float]:
+def _sweep_pairs(label: BellLabel) -> tuple[chsh.ChshSettings, tuple]:
+    """A sweep point's CHSH settings and its six setting pairs: the four
+    CHSH pairs, then one per BBM92 key basis."""
+    settings = chsh.canonical_settings(label)
+    return settings, settings.pairs() + protocol.BBM92.key_pairs()
+
+
+def _sweep_block(spec: SweepSpec, seed: int, start: int, values: tuple[float, ...]) -> list[dict[str, float]]:
+    """The rows of the grid points ``start, start + 1, ...`` at ``values``:
+    one stack of states, one Born table of shape ``(k, 6, 4)``, then
+    :func:`sweep_point` per point."""
+    born = born_table(_grid_bloch(spec, np.array(values)), _sweep_pairs(spec.label)[1])
+    return [sweep_point(spec, start + i, value, seed, rows) for i, (value, rows) in enumerate(zip(values, born))]
+
+
+def sweep_point(spec: SweepSpec, index: int, value: float, seed: int, born: np.ndarray) -> dict[str, float]:
     """Analytic and sampled quantities for one grid point.
 
-    One Born table of the point's six setting pairs (four CHSH setting
-    pairs, then one per key basis) gives the analytic S (its first four
-    rows) and the sampling probabilities.  Sampling uses ``n_pairs``
-    emitted pairs per setting pair, drawn in that order from one
-    generator, ``spawn_rng(seed, index)``, whatever the schedule.
+    ``born`` is the point's Born table of its six setting pairs (four CHSH
+    setting pairs, then one per key basis): its first four rows give the
+    analytic S, and all six the sampling probabilities.  Sampling uses
+    ``n_pairs`` emitted pairs per setting pair, drawn in that order from
+    one generator, ``spawn_rng(seed, index)``, whatever the schedule.
     """
-    source, channel = _point_models(spec, value)
-    state = optics.apply_channel(optics.generate(source), channel)
-    state = intercept_average_state(state, channel.eve_fraction)
-    settings = chsh.canonical_settings(spec.label)
-    pairs = settings.pairs() + protocol.BBM92.key_pairs()
-    born = born_table(state.bloch, pairs)
-
+    settings, pairs = _sweep_pairs(spec.label)
     rows = sample_outcomes(born, pairs, spec.detector, spec.n_pairs, spawn_rng(seed, index))
     est = protocol.estimate(CoincidenceTable(rows), spec.label, protocol.BBM92, settings)
     qber = max(est.per_basis_qber.values()) if spec.qber_mode == "worst" else est.report.delta
@@ -142,17 +166,24 @@ def sweep_point(spec: SweepSpec, index: int, value: float, seed: int) -> dict[st
 def run_sweep(spec: SweepSpec, seed: int, workers: int = 1) -> list[dict[str, float]]:
     """All grid points, in grid order regardless of worker scheduling.
 
-    The pool never has more workers than grid points or CPUs.
+    The grid is cut into near-equal blocks of at most :data:`SWEEP_BLOCK`
+    points, at least one per worker; the pool maps whole blocks.  It never
+    has more workers than grid points or CPUs.  A point's row depends only
+    on ``(seed, index)`` and its own Born rows, so every schedule gives the
+    same rows.
     """
     if workers > 1:
         workers = min(workers, len(spec.grid), os.cpu_count() or 1)
+    n = len(spec.grid)
+    count = max(workers, -(-n // SWEEP_BLOCK))
+    bounds = [n * i // count for i in range(count + 1)]
+    blocks = (bounds[:-1], [spec.grid[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+    evaluate = functools.partial(_sweep_block, spec, seed)
     if workers <= 1:
-        return [sweep_point(spec, i, v, seed) for i, v in enumerate(spec.grid)]
+        return [row for rows in map(evaluate, *blocks) for row in rows]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; pools only
-    point = functools.partial(sweep_point, spec, seed=seed)
-    chunk = math.ceil(len(spec.grid) / workers)  # one task per worker, not per point
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(point, range(len(spec.grid)), spec.grid, chunksize=chunk))
+        return [row for rows in pool.map(evaluate, *blocks) for row in rows]
 
 
 def write_sweep_table(

@@ -186,6 +186,11 @@ def spawn_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(stream)))
 
 
+#: Factors of Bob's columns ``(I, x, y, z)`` of ``C`` that Eve's
+#: measure-and-resend keeps, averaged over her two bases.
+_RESENT = np.array([1.0, 0.5, 0.0, 0.5])
+
+
 def intercept_strata(state: TwoQubitState, eve_fraction: float) -> tuple[np.ndarray, np.ndarray]:
     """Mixture components seen downstream of an intercept-resend attack.
 
@@ -196,12 +201,27 @@ def intercept_strata(state: TwoQubitState, eve_fraction: float) -> tuple[np.ndar
     D/A (Bloch axis z or x, chosen uniformly) and forwards an eigenstate of
     her result, which keeps only Bob's Bloch component along her axis.  Her
     basis and result are discarded, so index 1 scales Bob's columns ``(I,
-    x, y, z)`` of ``C`` by ``(1, 1/2, 0, 1/2)``.
+    x, y, z)`` of ``C`` by ``(1, 1/2, 0, 1/2)`` (:func:`eve_strata`).
     """
     if not 0.0 <= eve_fraction <= 1.0:
         raise ValueError(f"eve_fraction must be in [0, 1], got {eve_fraction!r}")
-    c = state.bloch
-    return np.stack((c, c * [1.0, 0.5, 0.0, 0.5])), np.array([1.0 - eve_fraction, eve_fraction])
+    return eve_strata(state.bloch, eve_fraction)
+
+
+def eve_strata(bloch: np.ndarray, eve_fraction) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`intercept_strata` of a correlation matrix or a ``(..., 4, 4)``
+    stack, at fractions broadcast against its leading axes, unchecked:
+    strata ``(..., 2, 4, 4)`` and weights ``(..., 2)``."""
+    f = np.asarray(eve_fraction, dtype=float)
+    return np.stack((bloch, bloch * _RESENT), axis=-3), np.stack((1.0 - f, f), axis=-1)
+
+
+def mix_strata(blochs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The weighted sum of :func:`eve_strata` components, broadcast over
+    leading axes: one ``(1, 2) @ (2, 16)`` product per mixture, the same
+    bits whatever the stack."""
+    lead = np.broadcast_shapes(blochs.shape[:-3], weights.shape[:-1])
+    return (weights[..., None, :] @ blochs.reshape(*blochs.shape[:-3], 2, 16)).reshape(*lead, 4, 4)
 
 
 def intercept_average_state(state: TwoQubitState, eve_fraction: float) -> TwoQubitState:
@@ -214,8 +234,7 @@ def intercept_average_state(state: TwoQubitState, eve_fraction: float) -> TwoQub
     """
     if eve_fraction == 0.0:
         return state
-    blochs, weights = intercept_strata(state, eve_fraction)
-    return TwoQubitState.from_bloch(np.tensordot(weights, blochs, axes=1))
+    return TwoQubitState.from_bloch(mix_strata(*intercept_strata(state, eve_fraction)))
 
 
 def sample_outcomes(
@@ -280,12 +299,28 @@ def sample_outcome_stream(
 #: Cells drawn per step of :func:`arrange_cells`; its temporaries are O(this).
 _CHUNK = 1 << 14
 
+#: Cells per slice of :func:`tally`; its temporaries are O(this).
+_TALLY = 1 << 16
+
 #: Slots of the proposal table, one per value of a 16-bit piece of a word.
 _SLOTS = 1 << 16
 
 #: Largest batch of sampled positions, as a share of the cells, with which
 #: :func:`arrange_cells` repairs a code; a code that needs more is scanned.
 _SAMPLE_LIMIT = 1 / 16
+
+
+def tally(cells: np.ndarray, codes: Sequence[int]) -> list[int]:
+    """How many of ``cells`` hold each of ``codes``, as Python ints: one
+    ``count_nonzero`` per code over each ``_TALLY``-cell slice, so the only
+    temporary is a slice's mask (``np.bincount`` would first cast every
+    cell to an 8-byte index)."""
+    counts = [0] * len(codes)
+    for lo in range(0, len(cells), _TALLY):
+        part = cells[lo:lo + _TALLY]
+        for t, code in enumerate(codes):
+            counts[t] += int(np.count_nonzero(part == code))
+    return counts
 
 
 def _slot_widths(counts: Sequence[int]) -> list[int]:
@@ -307,8 +342,8 @@ def arrange_cells(codes: np.ndarray, counts: Sequence[int], rng: np.random.Gener
     1. Proposal: every cell is drawn i.i.d. through a ``_SLOTS``-slot
        table, each code holding its largest-remainder share of the slots,
        indexed by the 16-bit pieces of raw little-endian generator words
-       (``random_raw``), in chunks of ``_CHUNK`` cells; one histogram
-       counts the codes drawn.
+       (``random_raw``), in chunks of ``_CHUNK`` cells; :func:`tally`
+       counts the codes drawn, once per ``_TALLY`` cells.
     2. Repair: each code drawn ``e`` times too often gives up a uniform
        subset of ``e`` of its positions.  A code that loses few of its
        cells finds them from uniform positions (:func:`_sampled_positions`);
@@ -336,13 +371,15 @@ def arrange_cells(codes: np.ndarray, counts: Sequence[int], rng: np.random.Gener
     table = np.repeat(codes, widths)
     *counted, last = np.flatnonzero(widths).tolist()  # the last code's tally is the rest
     drawn = np.zeros(len(codes), dtype=np.int64)
-    for lo in range(0, n, _CHUNK):
-        chunk = stream[lo:lo + _CHUNK]
-        words = rng.bit_generator.random_raw(-(-len(chunk) // 4)).astype("<u8", copy=False)
-        # Every piece is a slot, so "clip" never clips; it spares take a copy of out.
-        table.take(words.view("<u2")[:len(chunk)], out=chunk, mode="clip")
-        for t in counted:
-            drawn[t] += np.count_nonzero(chunk == codes[t])
+    for lo in range(0, n, _TALLY):
+        block = stream[lo:lo + _TALLY]
+        for at in range(0, len(block), _CHUNK):
+            chunk = block[at:at + _CHUNK]
+            words = rng.bit_generator.random_raw(-(-len(chunk) // 4)).astype("<u8", copy=False)
+            # Every piece is a slot, so "clip" never clips; it spares take a copy of out.
+            table.take(words.view("<u2")[:len(chunk)], out=chunk, mode="clip")
+        for t, k in zip(counted, tally(block, codes[counted])):
+            drawn[t] += k
     drawn[last] = n - drawn.sum()
 
     excess = drawn - np.array(counts, dtype=np.int64)
@@ -434,8 +471,8 @@ def intercept_resend(
     len(b_settings)``, outcome 0..3 for ``++, +-, -+, --``) and scaled to
     sum to 1, so every setting pair is equally likely.
     """
-    blochs, weights = intercept_strata(state, eve_fraction)
-    joint = born_table(np.tensordot(weights, blochs, axes=1), itertools.product(a_settings, b_settings)).ravel()
+    mixture = mix_strata(*intercept_strata(state, eve_fraction))
+    joint = born_table(mixture, itertools.product(a_settings, b_settings)).ravel()
     return joint / joint.sum()
 
 

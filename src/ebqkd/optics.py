@@ -94,46 +94,70 @@ class ChannelModel:
         return self.parameter if self.kind is ChannelKind.INTERCEPT_RESEND else 0.0
 
 
-def generate(source: SourceModel) -> TwoQubitState:
-    """Post-selected two-photon polarization state of the source.
+def source_density(
+    label: BellLabel, epsilon_rad=SourceModel.epsilon_rad, hom_visibility=SourceModel.hom_visibility
+) -> np.ndarray:
+    """Density operators of the source of ``label`` at each
+    ``(epsilon_rad, hom_visibility)``, two arrays broadcast against each
+    other: a ``(..., 4, 4)`` stack, unchecked.
 
     The pure state ``cos(eps)|first> +/- sin(eps)|second>`` on the label's
     two basis terms (e.g. ``cos(eps)|HH> + sin(eps)|VV>`` for phi+), with
-    the coherence between them scaled by the HOM visibility V.  With V = 1
-    and epsilon = pi/4 this is the exact Bell state; epsilon = 0 is a
-    product state.  Coherence magnitude is nondecreasing in V for fixed
-    epsilon, and the output is always a valid density operator.
+    the coherence between them scaled by the HOM visibility V.  Its four
+    nonzero entries are Python complex products, a few per matrix, so a
+    matrix of a stack is the one :func:`generate` builds alone, bit for bit.
     """
-    first, second, sign = BELL_TERMS[source.label]
-    c, s = complex(math.cos(source.epsilon_rad)), complex(sign * math.sin(source.epsilon_rad))
-    rho = np.zeros((4, 4), dtype=complex)  # |amp><amp| has four nonzero entries
-    rho[first, first] = c * c.conjugate()
-    rho[second, second] = s * s.conjugate()
-    rho[first, second] = c * s.conjugate() * source.hom_visibility
-    rho[second, first] = s * c.conjugate() * source.hom_visibility
-    return TwoQubitState(rho)
+    first, second, sign = BELL_TERMS[label]
+    points = np.broadcast(np.asarray(epsilon_rad, dtype=float), np.asarray(hom_visibility, dtype=float))
+    entries = []
+    for e, v in points:
+        c, s, v = complex(math.cos(e)), complex(sign * math.sin(e)), float(v)
+        entries.append((c * c.conjugate(), s * s.conjugate(), c * s.conjugate() * v, s * c.conjugate() * v))
+    rho = np.zeros((points.size, 16), dtype=complex)
+    rho[:, [5 * first, 5 * second, 4 * first + second, 4 * second + first]] = entries
+    return rho.reshape(points.shape + (4, 4))
+
+
+def generate(source: SourceModel) -> TwoQubitState:
+    """Post-selected two-photon polarization state of the source: its
+    :func:`source_density`, checked.
+
+    With V = 1 and epsilon = pi/4 this is the exact Bell state; epsilon = 0
+    is a product state.  Coherence magnitude is nondecreasing in V for
+    fixed epsilon, and the output is always a valid density operator.
+    """
+    return TwoQubitState(source_density(source.label, source.epsilon_rad, source.hom_visibility))
+
+
+_ROWS, _COLUMNS = np.indices((4, 4))
+#: Entries of ``C`` that depolarizing each arm scales: Alice's rows 1..3,
+#: Bob's columns 1..3, or both (every entry but ``C[0, 0]``).
+_DEPOLARIZED = {"a": _ROWS > 0, "b": _COLUMNS > 0, "both": (_ROWS > 0) | (_COLUMNS > 0)}
+
+
+def depolarize(bloch: np.ndarray, p, arm: str = "both") -> np.ndarray:
+    """``C`` after a depolarizing channel of strength ``p`` on ``arm``, for
+    a correlation matrix or a ``(..., 4, 4)`` stack and ``p`` broadcast
+    against its leading axes: the arm's entries scaled by ``1 - p``, and
+    ``C[0, 0] = 1`` for ``arm="both"``.  Unchecked."""
+    keep = 1.0 - np.asarray(p, dtype=float)[..., None, None]
+    c = bloch * np.where(_DEPOLARIZED[arm], keep, 1.0)
+    if arm == "both":
+        c[..., 0, 0] = 1.0
+    return c
 
 
 def apply_channel(state: TwoQubitState, channel: ChannelModel) -> TwoQubitState:
     """Propagate a state through the channel (a deterministic map).
 
-    Depolarizing scales the Pauli correlation matrix ``C`` by ``1 - p``:
-    Alice's rows 1..3 for ``arm="a"``, Bob's columns 1..3 for ``"b"`` and
-    every entry but ``C[0, 0]`` for ``"both"``.
+    Depolarizing scales the Pauli correlation matrix ``C`` by ``1 - p``
+    (:func:`depolarize`): Alice's rows 1..3 for ``arm="a"``, Bob's columns
+    1..3 for ``"b"`` and every entry but ``C[0, 0]`` for ``"both"``.
     """
     if channel.kind in (ChannelKind.IDENTITY, ChannelKind.INTERCEPT_RESEND):
         # Intercept-resend is a tag only; per-pair attack statistics live in the sampling layer.
         return state
-    keep = 1.0 - channel.parameter
-    c = state.bloch.copy()
-    if channel.arm == "a":
-        c[1:, :] *= keep
-    elif channel.arm == "b":
-        c[:, 1:] *= keep
-    else:
-        c *= keep
-        c[0, 0] = 1.0
-    return TwoQubitState.from_bloch(c)
+    return TwoQubitState.from_bloch(depolarize(state.bloch, channel.parameter, channel.arm))
 
 
 def bell_state(label: BellLabel, epsilon: float = math.pi / 4) -> TwoQubitState:

@@ -27,7 +27,7 @@ setting pair and outcome.  :func:`sift` works on these counts: it keeps
 the matched cells and codes each as ``cell ^ flip``, so the sifted stream
 holds Alice's bit in ``code >> 1 & 1`` and Bob's aligned bit in
 ``code & 1``.  The CHSH rows of the counts table are the cell counts, the
-matched rows a bincount of the disclosed codes.
+matched rows a :func:`~ebqkd.measurement.tally` of the disclosed codes.
 
 :func:`estimate` is the one estimator behind ``sweep``, ``session`` and
 ``analyze``: it turns a :class:`~ebqkd.measurement.CoincidenceTable` into
@@ -52,6 +52,7 @@ from .measurement import (
     hwp_key,
     intercept_resend,
     sample_outcome_stream,
+    tally,
     wrong_outcomes,
 )
 from .optics import ChannelModel, SourceModel
@@ -250,7 +251,7 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
     rng = np.random.default_rng(cfg.seed)
     state = optics.apply_channel(optics.generate(cfg.source), cfg.channel)
     alice, bob = cfg.kind.alice_settings(), cfg.kind.bob_settings()
-    n_b, n_cells = len(bob), len(alice) * len(bob) * 4
+    n_b = len(bob)
 
     # Fixed draw order, part of the reproducibility contract: the cell
     # counts of all n_pairs pairs (sample_outcome_stream's own order), then
@@ -275,7 +276,7 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
         ) from None
 
     n_disclose = max(1, int(round(cfg.qber_sample_fraction * n_sifted)))
-    disclosed = np.bincount(stream[:n_disclose], minlength=n_cells)[codes].tolist()
+    disclosed = tally(stream[:n_disclose], codes.tolist())
     # Split the key codes into bits in place: Bob's bit first, then the
     # codes become Alice's bits, so no third key-sized array is made.
     key = stream[n_disclose:]

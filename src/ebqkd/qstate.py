@@ -23,6 +23,10 @@ Conventions
   and the Born rule is one bilinear form, ``p(s_a, s_b) = 1/4 (1, s_a a)
   C (1, s_b b)^T`` for port signs ``s = +/-1`` (:func:`born_table`, the
   only Born-rule evaluation in the package: one row per setting pair).
+* :func:`checked_bloch` (``rho`` to ``C``, after the invariant checks),
+  :func:`density` (``C`` to ``rho``) and :func:`born_table` take stacks
+  with leading axes, computing each matrix as a single one, so a sweep
+  checks and tabulates a block of grid points in one call each.
 """
 
 from __future__ import annotations
@@ -97,16 +101,54 @@ def _frozen_array(x, shape, dtype=complex) -> np.ndarray:
     return arr.view()
 
 
+def checked_bloch(rho) -> np.ndarray:
+    """The Pauli correlation matrix ``C`` of each density operator of a
+    ``(..., 4, 4)`` stack, after the four invariant checks.
+
+    Each check is one call over the whole stack, in this order: every
+    entry is finite, every matrix is Hermitian (``|rho - rho^dagger| <=
+    HERMITICITY_ATOL`` entrywise), has trace 1 (within ``10 * TRACE_ATOL``)
+    and is positive semidefinite (lowest eigenvalue >= ``-PSD_ATOL``).  A
+    failure is an :class:`InvariantViolation` with the check's own message,
+    quoting the first failing matrix, so a stack fails as its first bad
+    state alone would.  ``C`` is one ``(16, 16) @ (16, 1)`` product per
+    matrix, the same bits whatever the stack.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if not np.isfinite(rho).all():
+        raise InvariantViolation("density matrix has a non-finite entry")
+    if np.abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0) > HERMITICITY_ATOL:
+        raise InvariantViolation("density matrix is not Hermitian")
+    traces = rho.trace(axis1=-2, axis2=-1).real
+    if (off := np.abs(traces - 1.0) > 10 * TRACE_ATOL).any():
+        raise InvariantViolation(f"density matrix has trace {float(traces[off][0])!r}, expected 1")
+    lowest = np.linalg.eigvalsh(rho)[..., 0]
+    if (negative := lowest < -PSD_ATOL).any():
+        raise InvariantViolation(
+            f"density matrix is not positive semidefinite (lowest eigenvalue {float(lowest[negative][0]):.3e})"
+        )
+    # Tr(rho P) = sum rho * conj(P) for Hermitian P.  Contiguous, as a
+    # state's own C is, so later products meet a stack in the same layout.
+    bloch = _PAULI_PAIRS_CONJ @ rho.reshape(*rho.shape[:-2], 16, 1)
+    return np.ascontiguousarray(bloch.real).reshape(rho.shape)
+
+
+def density(bloch) -> np.ndarray:
+    """``rho = 1/4 sum_mn C[m, n] sigma_m x sigma_n`` of each ``C`` of a
+    ``(..., 4, 4)`` stack: one ``(1, 16) @ (16, 16)`` product per matrix,
+    the same bits whatever the stack.  Unchecked: :func:`checked_bloch`
+    reads the result back."""
+    bloch = np.asarray(bloch, dtype=float)
+    return (bloch.reshape(*bloch.shape[:-2], 1, 16) @ _PAULI_PAIRS).reshape(*bloch.shape[:-2], 4, 4) / 4.0
+
+
 @dataclass(frozen=True, eq=False)
 class TwoQubitState:
     """A 4x4 density operator on the polarization product basis.
 
-    The constructor checks, in order, that every entry is finite, that the
-    matrix is Hermitian (``|rho - rho^dagger| <= HERMITICITY_ATOL``
-    entrywise), that its trace is 1 (within ``10 * TRACE_ATOL``) and that
-    it is positive semidefinite (lowest eigenvalue >= ``-PSD_ATOL``); each
-    failure is an :class:`InvariantViolation` with its own message.  It
-    then computes ``bloch``, the real Pauli correlation matrix ``C`` every
+    The constructor runs :func:`checked_bloch`, whose four checks each
+    raise an :class:`InvariantViolation` with its own message, and keeps
+    its ``C`` as ``bloch``, the real Pauli correlation matrix every
     probability is read from (see the module conventions).  Instances are
     immutable and safe to share between parallel workers.
     """
@@ -116,21 +158,8 @@ class TwoQubitState:
 
     def __post_init__(self) -> None:
         rho = np.asarray(self.rho, dtype=complex).reshape(4, 4)
-        if not np.isfinite(rho).all():
-            raise InvariantViolation("density matrix has a non-finite entry")
-        if np.abs(rho - rho.conj().T).max() > HERMITICITY_ATOL:
-            raise InvariantViolation("density matrix is not Hermitian")
-        trace = float(rho.trace().real)
-        if abs(trace - 1.0) > 10 * TRACE_ATOL:
-            raise InvariantViolation(f"density matrix has trace {trace!r}, expected 1")
-        lowest = float(np.linalg.eigvalsh(rho)[0])
-        if lowest < -PSD_ATOL:
-            raise InvariantViolation(
-                f"density matrix is not positive semidefinite (lowest eigenvalue {lowest:.3e})"
-            )
+        bloch = checked_bloch(rho)
         object.__setattr__(self, "rho", _frozen_array(rho, (4, 4)))
-        # Tr(rho P) = sum rho * conj(P) for Hermitian P.
-        bloch = (_PAULI_PAIRS_CONJ @ rho.reshape(16)).real
         object.__setattr__(self, "bloch", _frozen_array(bloch, (4, 4), dtype=float))
 
     def __reduce__(self):
@@ -140,8 +169,8 @@ class TwoQubitState:
 
     @classmethod
     def from_bloch(cls, bloch) -> "TwoQubitState":
-        """The state ``rho = 1/4 sum_mn C[m, n] sigma_m x sigma_n`` of ``C = bloch``."""
-        return cls((np.asarray(bloch, dtype=float).reshape(16) @ _PAULI_PAIRS).reshape(4, 4) / 4.0)
+        """The state of ``C = bloch``: its :func:`density`, checked."""
+        return cls(density(np.reshape(bloch, (4, 4))))
 
     def purity(self) -> float:
         """Tr(rho^2); 1 for pure states, 1/4 for the maximally mixed state."""
@@ -182,15 +211,19 @@ class JointDistribution:
 def born_table(bloch: np.ndarray, pairs: "Iterable[tuple[AnalyzerSetting, AnalyzerSetting]]") -> np.ndarray:
     """Outcome probabilities ``(++, +-, -+, --)`` of each (Alice, Bob) setting pair.
 
-    ``bloch`` is a correlation matrix ``C`` (``state.bloch``).  Row ``k`` of
-    the ``(len(pairs), 4)`` result is ``p(s_a, s_b) = 1/4 (1, s_a a) C (1,
-    s_b b)^T`` at pair ``k``, clipped to [0, 1] so samplers see simplex
-    points.
+    ``bloch`` is a correlation matrix ``C`` (``state.bloch``), or a
+    ``(..., 4, 4)`` stack of them.  Row ``k`` of the ``(..., len(pairs),
+    4)`` result is ``p(s_a, s_b) = 1/4 (1, s_a a) C (1, s_b b)^T`` at pair
+    ``k``, clipped to [0, 1] so samplers see simplex points.  Every matrix
+    of a stack takes the products a single ``C`` takes, so its rows are the
+    same bits.
     """
     pairs = tuple(pairs)
+    bloch = np.asarray(bloch, dtype=float)
     a, b = _port_vectors(a for a, _ in pairs), _port_vectors(b for _, b in pairs)
-    p = (a @ bloch).reshape(-1, 2, 4) @ b.reshape(-1, 2, 4).transpose(0, 2, 1) / 4.0
-    return np.clip(p.reshape(-1, 4), 0.0, 1.0)
+    lead = bloch.shape[:-2]
+    p = (a @ bloch).reshape(*lead, len(pairs), 2, 4) @ b.reshape(-1, 2, 4).transpose(0, 2, 1) / 4.0
+    return np.clip(p.reshape(*lead, len(pairs), 4), 0.0, 1.0)
 
 
 def _port_vectors(settings: "Iterable[AnalyzerSetting]") -> np.ndarray:

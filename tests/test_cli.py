@@ -315,27 +315,114 @@ class TestSweep:
             cli.main([*argv, "--protocol", "e91"])
         assert exc.value.code == EXIT_USAGE
 
-    @pytest.mark.parametrize("mechanism,value", [
-        ("werner", 0.9), ("imbalance", 0.6), ("hom_visibility", 0.8), ("intercept_fraction", 0.5),
+    @pytest.mark.parametrize("mechanism,grid,n_checked", [
+        ("werner", (0.9, 0.5, 1.0, 0.0), 1 + 4),
+        ("imbalance", (0.6, 0.0, math.pi / 4, math.pi / 2), 4),
+        ("hom_visibility", (0.8, 0.0, 1.0, 0.5), 4),
+        ("intercept_fraction", (0.5, 0.0, 1.0, 0.0), 1 + 2),
     ])
-    def test_point_builds_states_and_tables_once(self, monkeypatch, mechanism, value):
-        # At most the source state and one derived state (channel output or
-        # Eve's average) are validated, and one Born-rule table of the six
-        # setting pairs serves the analytic S and every sampled setting pair.
-        states, tables = [], []
+    def test_block_builds_one_stack_and_one_table(self, monkeypatch, mechanism, grid, n_checked):
+        # A block checks each distinct state once, as stacks (a source all
+        # points share once, then one stack of channel outputs or Eve's
+        # averages; at Eve fraction 0 a point reads the source), builds no
+        # TwoQubitState, and makes one Born table of the six setting pairs
+        # for every point's analytic S and draws.
+        states, checked, tables = [], [], []
         post_init = qstate.TwoQubitState.__post_init__
         monkeypatch.setattr(
             qstate.TwoQubitState, "__post_init__", lambda self: states.append(self) or post_init(self)
         )
+        check = cli.checked_bloch
+        monkeypatch.setattr(cli, "checked_bloch", lambda rho: checked.append(rho.shape[:-2]) or check(rho))
         born_table = qstate.born_table
         counted = lambda *args: tables.append(args) or born_table(*args)  # noqa: E731
         for module in (qstate, measurement, chsh, cli):
             monkeypatch.setattr(module, "born_table", counted)
-        spec = cli.SweepSpec(mechanism, (value,), n_pairs=10_000)
-        cli.sweep_point(spec, 0, value, seed=3)
-        assert 1 <= len(states) <= 2
+        rows = cli.run_sweep(cli.SweepSpec(mechanism, grid, n_pairs=10_000), seed=3)
+        assert [row["mechanism_param"] for row in rows] == list(grid)
+        assert states == []
+        assert len(checked) <= 2 and sum(math.prod(shape) for shape in checked) == n_checked
         assert len(tables) == 1
-        assert len(tables[0][1]) == 6
+        assert tables[0][0].shape == (len(grid), 4, 4) and len(tables[0][1]) == 6
+
+    @pytest.mark.parametrize("mechanism,grid", [
+        ("werner", (0.9, 0.5, 1.0, 0.0, 1 / 3, 1 - 1e-12)),
+        ("imbalance", (0.6, 0.0, math.pi / 4, math.pi / 2, 1e-9, 1.3)),
+        ("hom_visibility", (0.8, 0.0, 1.0, 0.5, 1e-12, 0.999)),
+        ("intercept_fraction", (0.5, 0.0, 1.0, 0.0, 1e-12, 0.3)),
+    ])
+    @pytest.mark.parametrize("label", list(qstate.BellLabel))
+    def test_block_rows_equal_rows_of_states_built_one_at_a_time(self, mechanism, grid, label):
+        # The stacked chain takes the products a single state takes, so
+        # every row, S_analytic included, is that of the point's state
+        # built alone through optics and Eve's average, bit for bit.
+        def alone(value):
+            if mechanism == "werner":
+                return optics.werner_state(label, value)
+            if mechanism == "imbalance":
+                return optics.bell_state(label, value)
+            if mechanism == "hom_visibility":
+                return optics.generate(optics.SourceModel(label, hom_visibility=value))
+            return measurement.intercept_average_state(optics.generate(optics.SourceModel(label)), value)
+
+        spec = cli.SweepSpec(mechanism, grid, n_pairs=10**6, label=label)
+        pairs = chsh.canonical_settings(label).pairs() + protocol.BBM92.key_pairs()
+        expected = [
+            cli.sweep_point(spec, i, value, 7, qstate.born_table(alone(value).bloch, pairs))
+            for i, value in enumerate(grid)
+        ]
+        assert repr(cli.run_sweep(spec, seed=7)) == repr(expected)
+
+    @pytest.mark.parametrize("n,workers,block,sizes", [
+        (10, 1, 4, [3, 3, 4]),
+        (10, 2, 4, [3, 3, 4]),
+        (9, 2, 1024, [4, 5]),
+        (5, 4, 1024, [1, 1, 1, 2]),
+        (5, 1, 1024, [5]),
+    ])
+    def test_grid_is_cut_into_blocks(self, monkeypatch, n, workers, block, sizes):
+        # Near-equal blocks of at most SWEEP_BLOCK points, at least one per
+        # worker; the serial path and the pool run the same blocks.
+        blocks = []
+        run_block = cli._sweep_block
+
+        def recorded(spec, seed, start, values):
+            blocks.append((start, len(values)))
+            return run_block(spec, seed, start, values)
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", block)
+        monkeypatch.setattr(cli, "_sweep_block", recorded)
+        spec = cli.SweepSpec("werner", tuple(1.0 - 0.05 * i for i in range(n)), n_pairs=100)
+        rows = cli.run_sweep(spec, seed=1, workers=workers)
+        assert [size for _, size in blocks] == sizes
+        assert [start for start, _ in blocks] == [sum(sizes[:i]) for i in range(len(sizes))]
+        assert [row["mechanism_param"] for row in rows] == list(spec.grid)
+
+    def test_two_workers_equal_one_on_a_grid_longer_than_a_block(self, tmp_path):
+        grid = ",".join(f"{1.0 - i / (cli.SWEEP_BLOCK + 9):.12g}" for i in range(cli.SWEEP_BLOCK + 9))
+        outs = []
+        for workers in ("1", "2"):
+            outs.append(tmp_path / f"w{workers}.tsv")
+            argv = ["sweep", "--mechanism", "intercept_fraction", "--grid", grid, "--n-pairs", "1000",
+                    "--seed", "4", "--workers", workers, "--out", str(outs[-1])]
+            assert cli.main(argv) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert len(outs[0].read_text().splitlines()) == 3 + cli.SWEEP_BLOCK + 9
 
     def test_serial_sweep_does_not_ask_for_the_cpu_count(self, monkeypatch):
         def no_cpu_count():
@@ -374,7 +461,9 @@ class TestSweep:
 
         monkeypatch.setattr(measurement, "sample_outcome_stream", traced)
         spec = cli.SweepSpec("werner", (0.9,), n_pairs=12_345, detector=measurement.DetectorModel(0.8))
-        cli.sweep_point(spec, 0, 0.9, seed=3)
+        pairs = chsh.canonical_settings(spec.label).pairs() + protocol.BBM92.key_pairs()
+        born = qstate.born_table(optics.werner_state(spec.label, 0.9).bloch, pairs)
+        cli.sweep_point(spec, 0, 0.9, 3, born)
         assert calls == [(4, 12_345, spec.detector)] * 6
 
     def test_intercept_mechanism(self, tmp_path):

@@ -28,6 +28,7 @@ from ebqkd.measurement import (
     sample_outcome_stream,
     sample_outcomes,
     spawn_rng,
+    tally,
     wrong_outcomes,
 )
 from ebqkd.optics import ChannelModel, SourceModel, apply_channel, bell_state, generate
@@ -455,6 +456,19 @@ def _spy_on_repairs(monkeypatch) -> dict[str, int]:
 
         monkeypatch.setattr(measurement, f"_{repair}_positions", counted)
     return calls
+
+
+class TestTally:
+    @pytest.mark.parametrize("n", [0, 1, 65_535, 65_536, 65_537, 200_000])
+    def test_counts_each_code_as_bincount(self, n):
+        cells = np.random.default_rng(n).integers(0, 12, n, dtype=np.uint8)
+        codes = [11, 0, 5, 3]
+        counts = tally(cells, codes)
+        assert counts == np.bincount(cells, minlength=12)[codes].tolist()
+        assert all(type(c) is int for c in counts)
+
+    def test_no_codes_no_counts(self):
+        assert tally(np.zeros(10, dtype=np.uint8), []) == []
 
 
 class TestArrangeCells:

@@ -3,6 +3,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles
 from conftest import random_density_matrix, random_pure_state
@@ -205,6 +207,73 @@ class TestTwoQubitState:
         assert data.count(state.rho.tobytes()) == 1
         with pytest.raises(InvariantViolation, match="^density matrix is not Hermitian$"):
             pickle.loads(data.replace(state.rho.tobytes(), tampered.tobytes()))
+
+
+def _failing(check: str, rng: np.random.Generator) -> np.ndarray:
+    """A matrix that passes the checks before ``check`` and fails it."""
+    rho = random_density_matrix(rng, rank=int(rng.integers(1, 5)))
+    if check == "finite":
+        rho[int(rng.integers(4)), int(rng.integers(4))] = np.nan
+    elif check == "hermitian":
+        rho[0, 3] += 1e-6j
+    elif check == "trace":
+        rho *= 1.25
+    else:
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        rho = q @ np.diag([0.7, 0.4, -0.1, 0.0]) @ q.conj().T
+    return rho
+
+
+_FIRST_WORDS = {
+    "finite": "density matrix has a non-finite entry",
+    "hermitian": "density matrix is not Hermitian",
+    "trace": "density matrix has trace ",
+    "psd": "density matrix is not positive semidefinite",
+}
+
+
+class TestStacks:
+    """A stack is checked, converted and tabulated as its states one at a
+    time: the same bits and, for a bad state, the same error."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 9),
+        plates=st.lists(st.floats(0.0, 180.0, exclude_max=True), min_size=1, max_size=6),
+    )
+    def test_a_stack_is_its_states_bit_for_bit(self, seed, k, plates):
+        rng = np.random.default_rng(seed)
+        rhos = np.array([random_density_matrix(rng, rank=int(rng.integers(1, 5))) for _ in range(k)])
+        states = [TwoQubitState(rho) for rho in rhos]
+        bloch = qstate.checked_bloch(rhos)
+        assert bloch.shape == (k, 4, 4)
+        assert bloch.tobytes() == np.array([s.bloch for s in states]).tobytes()
+        pairs = [(AnalyzerSetting(a), AnalyzerSetting(b)) for a, b in zip(plates, reversed(plates))]
+        table = born_table(bloch, pairs)
+        assert table.shape == (k, len(pairs), 4)
+        assert table.tobytes() == np.array([born_table(s.bloch, pairs) for s in states]).tobytes()
+        rho = qstate.density(bloch)
+        assert rho.tobytes() == np.array([TwoQubitState.from_bloch(s.bloch).rho for s in states]).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 9),
+        check=st.sampled_from(sorted(_FIRST_WORDS)),
+        data=st.data(),
+    )
+    def test_a_stack_fails_as_its_bad_state_alone(self, seed, k, check, data):
+        rng = np.random.default_rng(seed)
+        rhos = [random_density_matrix(rng, rank=int(rng.integers(1, 5))) for _ in range(k)]
+        rhos[data.draw(st.integers(0, k - 1))] = bad = _failing(check, rng)
+        with pytest.raises(InvariantViolation) as alone:
+            TwoQubitState(bad)
+        with pytest.raises(InvariantViolation) as stacked:
+            qstate.checked_bloch(np.array(rhos))
+        assert str(alone.value).startswith(_FIRST_WORDS[check])
+        assert type(stacked.value) is type(alone.value)
+        assert str(stacked.value) == str(alone.value)
 
 
 class TestPortVectors:
