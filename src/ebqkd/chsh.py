@@ -1,7 +1,7 @@
 """Bell-CHSH parameter estimation.
 
 Analytic correlators, the settings-optimized maximum via the Horodecki
-criterion, and count-based estimation with Poisson-propagated
+criterion, and count-based estimation with binomial-approximation
 uncertainty.
 
 Both analytic routes read one object, the state's Pauli correlation

@@ -29,14 +29,7 @@ from typing import Any, Callable, NoReturn, TextIO
 import numpy as np
 
 from . import chsh, ingest, optics, protocol, security
-from .measurement import (
-    CoincidenceTable,
-    DetectorModel,
-    eve_strata,
-    mix_strata,
-    sample_outcomes,
-    spawn_rng,
-)
+from .measurement import CoincidenceTable, DetectorModel, sample_outcomes, spawn_rng
 from .optics import ChannelKind, ChannelModel, SourceModel
 from .qstate import BellLabel, born_table, checked_bloch, density, echo
 
@@ -119,7 +112,7 @@ def _grid_bloch(spec: SweepSpec, values: np.ndarray) -> np.ndarray:
         return checked_bloch(density(optics.depolarize(source, 1.0 - values)))
     bloch = np.repeat(source[None], len(values), axis=0)
     eve = values != 0.0
-    bloch[eve] = checked_bloch(density(mix_strata(*eve_strata(source, values[eve]))))
+    bloch[eve] = checked_bloch(density(optics.intercept(source, values[eve])))
     return bloch
 
 

@@ -365,9 +365,9 @@ def analyze_counts(
 
     Builds outcome quadruples per CHSH setting pair and per compatible
     basis of ``protocol`` from the projector rows, then estimates S with
-    Poisson uncertainty, the per-basis QBERs (bit errors counted against
-    the file's state label) and the security report with Eve's bound at
-    the measured S.
+    its binomial-approximation uncertainty, the per-basis QBERs (bit
+    errors counted against the file's state label) and the security
+    report with Eve's bound at the measured S.
 
     Args:
         accidental_window: optional coincidence-window/duration ratio; when

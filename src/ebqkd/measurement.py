@@ -11,9 +11,9 @@ session once over its cells ``(a * n_b + b) * 4 + outcome``
 are then laid out in a uniformly random order by :func:`arrange_cells`,
 the one arrangement draw: raw generator words through a 2^16-slot table,
 then uniform positions or ranks that repair the counts, then a shuffle of
-the missing codes.  Eve's intercept-resend attack is sampled as
-the mixture of :func:`intercept_strata`: her records never leave the
-sampler, so no draw of hers is needed.
+the missing codes.  Eve's intercept-resend attack is sampled through
+its average state, :func:`~ebqkd.optics.intercept` of ``C``: her records
+never leave the sampler, so no draw of hers is needed.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .optics import intercept
 from .qstate import BellLabel, TwoQubitState, born_table, echo, ideal_correlator, joint_probabilities
 
 
@@ -186,55 +187,31 @@ def spawn_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(stream)))
 
 
-#: Factors of Bob's columns ``(I, x, y, z)`` of ``C`` that Eve's
-#: measure-and-resend keeps, averaged over her two bases.
-_RESENT = np.array([1.0, 0.5, 0.0, 0.5])
+def _eve_fraction(eve_fraction: float) -> float:
+    if not 0.0 <= eve_fraction <= 1.0:
+        raise ValueError(f"eve_fraction must be in [0, 1], got {eve_fraction!r}")
+    return eve_fraction
 
 
 def intercept_strata(state: TwoQubitState, eve_fraction: float) -> tuple[np.ndarray, np.ndarray]:
-    """Mixture components seen downstream of an intercept-resend attack.
-
-    Returns ``(blochs, weights)``: a ``(2, 4, 4)`` stack of the two
-    components' Pauli correlation matrices and their weights ``(1 -
-    eve_fraction, eve_fraction)``, at every fraction, 0 included.  Index 0
-    is the untouched ``state.bloch``.  Eve measures Bob's photon in H/V or
-    D/A (Bloch axis z or x, chosen uniformly) and forwards an eigenstate of
-    her result, which keeps only Bob's Bloch component along her axis.  Her
-    basis and result are discarded, so index 1 scales Bob's columns ``(I,
-    x, y, z)`` of ``C`` by ``(1, 1/2, 0, 1/2)`` (:func:`eve_strata`).
-    """
-    if not 0.0 <= eve_fraction <= 1.0:
-        raise ValueError(f"eve_fraction must be in [0, 1], got {eve_fraction!r}")
-    return eve_strata(state.bloch, eve_fraction)
-
-
-def eve_strata(bloch: np.ndarray, eve_fraction) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`intercept_strata` of a correlation matrix or a ``(..., 4, 4)``
-    stack, at fractions broadcast against its leading axes, unchecked:
-    strata ``(..., 2, 4, 4)`` and weights ``(..., 2)``."""
-    f = np.asarray(eve_fraction, dtype=float)
-    return np.stack((bloch, bloch * _RESENT), axis=-3), np.stack((1.0 - f, f), axis=-1)
-
-
-def mix_strata(blochs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The weighted sum of :func:`eve_strata` components, broadcast over
-    leading axes: one ``(1, 2) @ (2, 16)`` product per mixture, the same
-    bits whatever the stack."""
-    lead = np.broadcast_shapes(blochs.shape[:-3], weights.shape[:-1])
-    return (weights[..., None, :] @ blochs.reshape(*blochs.shape[:-3], 2, 16)).reshape(*lead, 4, 4)
+    """The mixture behind :func:`~ebqkd.optics.intercept`, ``(blochs,
+    weights)``: a ``(2, 4, 4)`` stack of ``state.bloch`` and of ``C`` after
+    interception (Bob's columns scaled by ``(1, 1/2, 0, 1/2)``), weighted
+    ``(1 - eve_fraction, eve_fraction)``."""
+    f = _eve_fraction(eve_fraction)
+    return np.stack((state.bloch, intercept(state.bloch, 1.0))), np.array([1.0 - f, f])
 
 
 def intercept_average_state(state: TwoQubitState, eve_fraction: float) -> TwoQubitState:
     """Ensemble-average state after intercept-resend (Eve's records discarded).
 
-    ``state`` itself at ``eve_fraction = 0``, without asking for the strata;
-    otherwise the state whose correlation matrix is the weighted sum of the
-    :func:`intercept_strata` components.  Every pair downstream of the
-    attack is drawn from it.
+    ``state`` itself at ``eve_fraction = 0``, else the state of
+    :func:`~ebqkd.optics.intercept` of ``state.bloch``.  Every pair
+    downstream of the attack is drawn from it.
     """
-    if eve_fraction == 0.0:
+    if _eve_fraction(eve_fraction) == 0.0:
         return state
-    return TwoQubitState.from_bloch(mix_strata(*intercept_strata(state, eve_fraction)))
+    return TwoQubitState.from_bloch(intercept(state.bloch, eve_fraction))
 
 
 def sample_outcomes(
@@ -456,23 +433,20 @@ def intercept_resend(
 ) -> np.ndarray:
     """Cell probabilities of a coincident pair under partial intercept-resend.
 
-    For an intercepted pair Eve measures Bob's photon in a uniformly random
-    key basis (H/V or D/A) and forwards a re-prepared eigenstate.  She acts
-    on each pair independently of its settings and her records are not
-    returned, so every pair is drawn from the weighted
-    :func:`intercept_strata` mixture: the same distribution as drawing her
+    Eve acts on each pair independently of its settings and her records
+    are not returned, so every pair is drawn from the average state,
+    :func:`~ebqkd.optics.intercept` of ``state.bloch`` (``state.bloch``
+    itself at ``eve_fraction = 0``): the same distribution as drawing her
     interception, basis and result first, with no Eve randomness consumed.
-    At ``eve_fraction = 0`` the weights ``(1, 0)`` mix to ``state.bloch``
-    exactly.
 
-    The result is the mixture's :func:`~ebqkd.qstate.born_table` over the
+    The result is that state's :func:`~ebqkd.qstate.born_table` over the
     setting pairs ``itertools.product(a_settings, b_settings)``, flattened
     over the cells ``(a * n_b + b) * 4 + outcome`` (``n_b =
     len(b_settings)``, outcome 0..3 for ``++, +-, -+, --``) and scaled to
     sum to 1, so every setting pair is equally likely.
     """
-    mixture = mix_strata(*intercept_strata(state, eve_fraction))
-    joint = born_table(mixture, itertools.product(a_settings, b_settings)).ravel()
+    average = intercept(state.bloch, _eve_fraction(eve_fraction))
+    joint = born_table(average, itertools.product(a_settings, b_settings)).ravel()
     return joint / joint.sum()
 
 

@@ -4,8 +4,10 @@ The photon-pair source produces a chosen Bell state whose maximality is
 degraded two ways: an amplitude imbalance between the two superposition
 terms and a partial-distinguishability (HOM-visibility) factor that
 dephases the coherence between them.  Channels add a Werner-style
-depolarizing disturbance or tag the stream for an intercept-resend attack
-that is realized at the sampling level.
+depolarizing disturbance or tag the stream for an intercept-resend attack,
+whose map on ``C`` (:func:`intercept`) the sampling level applies.  Every
+correlation matrix in the package comes from :func:`source_density`,
+:func:`depolarize` or :func:`intercept`.
 """
 
 from __future__ import annotations
@@ -57,9 +59,10 @@ class ChannelModel:
     ``rho -> (1-p) rho + p I/4`` (Werner weight W = 1 - p); ``arm="a"`` or
     ``"b"`` depolarizes a single arm towards its marginal.
     ``INTERCEPT_RESEND`` only tags the stream here.  With Eve's records
-    discarded the attack is a per-pair CP map on Bob's arm, but the
-    sampling layer applies it (:mod:`ebqkd.measurement`): the benchmark's
-    session check applies :func:`apply_channel` and then Eve's average.
+    discarded the attack is a per-pair CP map on Bob's arm, one factor on
+    his columns of ``C`` (:func:`intercept`), but the sampling layer
+    applies it (:mod:`ebqkd.measurement`): the benchmark's session check
+    applies :func:`apply_channel` and then Eve's average.
     """
 
     kind: ChannelKind = ChannelKind.IDENTITY
@@ -145,6 +148,23 @@ def depolarize(bloch: np.ndarray, p, arm: str = "both") -> np.ndarray:
     if arm == "both":
         c[..., 0, 0] = 1.0
     return c
+
+
+#: Share of Bob's columns ``(I, x, y, z)`` of ``C`` that Eve's
+#: measure-and-resend erases: she keeps ``(1, 1/2, 0, 1/2)`` of them.
+_ERASED = np.array([0.0, 0.5, 1.0, 0.5])
+
+
+def intercept(bloch: np.ndarray, eve_fraction) -> np.ndarray:
+    """``C`` after intercept-resend of a fraction ``f`` of the pairs, for a
+    correlation matrix or a ``(..., 4, 4)`` stack and ``f`` broadcast
+    against its leading axes: Bob's columns scaled by ``(1, 1 - f/2, 1 - f,
+    1 - f/2)``, so ``f = 0`` returns ``C`` bit for bit.  Unchecked.  Eve
+    measures Bob's photon in H/V or D/A (Bloch axis z or x, uniformly) and
+    forwards an eigenstate of her discarded result, which keeps only his
+    Bloch component along her axis."""
+    f = np.asarray(eve_fraction, dtype=float)[..., None, None]
+    return bloch * (1.0 - f * _ERASED)
 
 
 def apply_channel(state: TwoQubitState, channel: ChannelModel) -> TwoQubitState:

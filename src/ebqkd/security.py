@@ -172,9 +172,11 @@ class SecurityReport:
     ``s`` is the CHSH value used for Eve's bound (measured when available,
     otherwise the linear-law prediction ``s_model_value``); verdicts follow
     the stored numbers: individual bound delta < ~14.6%, collective bound
-    delta < ~11%, and a positive key rate.  ``s_above_tsirelson`` is true
-    when the measured S exceeded 2 sqrt(2) and ``s`` holds the clamped
-    value, so the report does not pass off a fluctuation as a measurement.
+    delta < ~11%, and a positive key rate, each strict: a QBER on a
+    threshold fails its bound, and r = 0 (S = 2) is not a key.
+    ``s_above_tsirelson`` is true when the measured S exceeded 2 sqrt(2)
+    and ``s`` holds the clamped value, so the report does not pass off a
+    fluctuation as a measurement.
     """
 
     e_b: float

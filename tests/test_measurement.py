@@ -13,7 +13,7 @@ import _oracles
 from _oracles import ideal_correlator, sample_cell_counts_grouped
 from conftest import random_density_matrix
 
-from ebqkd import measurement
+from ebqkd import measurement, optics
 from ebqkd.chsh import ChshSettings
 from ebqkd.measurement import (
     AnalyzerSetting,
@@ -651,9 +651,10 @@ class TestArrangeCells:
 
 class TestInterceptResend:
     def test_eve_states_built_once_per_call(self, monkeypatch):
-        # The strata are one C stack per call and never become states.
+        # Eve's average is one call of the optics kernel on C: no state is
+        # built and no strata are asked for, at fraction 0 too.
         state = bell_state(BellLabel.PHI_PLUS)
-        built, strata = [], []
+        built, strata, kernel = [], [], []
         post_init = TwoQubitState.__post_init__
         monkeypatch.setattr(
             TwoQubitState, "__post_init__", lambda self: built.append(self) or post_init(self)
@@ -662,11 +663,13 @@ class TestInterceptResend:
             measurement, "intercept_strata",
             lambda *args: strata.append(args) or intercept_strata(*args),
         )
+        monkeypatch.setattr(measurement, "intercept", lambda *args: kernel.append(args) or optics.intercept(*args))
         for eve_fraction in (0.5, 0.0):
             built.clear()
             strata.clear()
+            kernel.clear()
             intercept_resend(state, E91_ALICE, E91_BOB, eve_fraction)
-            assert built == [] and len(strata) == 1
+            assert built == [] and strata == [] and len(kernel) == 1
 
     @pytest.mark.parametrize("kind", [BBM92, E91])
     @pytest.mark.parametrize("eve_fraction", [0.0, 0.3])
@@ -718,14 +721,33 @@ class TestInterceptResend:
             )
             rhos.append(apply_channel(generate(source), ChannelModel.werner(rng.uniform(0, 1))).rho)
         rhos.append(bell_state(BellLabel.PHI_PLUS, 0.0).rho)
-        for rho in rhos:
-            fraction = rng.uniform(0, 1)
-            blochs, weights = intercept_strata(TwoQubitState(rho), fraction)
+        fractions = np.concatenate(([0.0, 1.0], rng.uniform(0, 1, len(rhos) - 2)))
+        for rho, fraction in zip(rhos, fractions):
+            state = TwoQubitState(rho)
+            blochs, weights = intercept_strata(state, fraction)
             assert blochs.shape == (2, 4, 4)
             np.testing.assert_array_equal(weights, [1.0 - fraction, fraction])
             states, expected_weights = _oracles.intercept_strata(rho, fraction)
             expected = _oracles.pauli_bloch(sum(w * r for w, r in zip(expected_weights, states)))
-            np.testing.assert_allclose(np.tensordot(weights, blochs, axes=1), expected, rtol=0, atol=1e-15)
+            mixture = np.tensordot(weights, blochs, axes=1)
+            np.testing.assert_allclose(mixture, expected, rtol=0, atol=1e-15)
+            # The kernel the samplers read is that mixture.
+            average = optics.intercept(state.bloch, fraction)
+            np.testing.assert_allclose(average, mixture, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(average, expected, rtol=0, atol=1e-15)
+
+    def test_kernel_stack_equals_single_calls(self):
+        # A (k, 4, 4) stack at k fractions, or at one shared fraction, is k
+        # single calls bit for bit.
+        rng = np.random.default_rng(33)
+        blochs = np.stack([TwoQubitState(random_density_matrix(rng, rank=1 + i % 4)).bloch for i in range(40)])
+        fractions = np.concatenate(([0.0, 1.0, 1e-12, 1 - 1e-12], rng.uniform(0, 1, 36)))
+        stacked = optics.intercept(blochs, fractions)
+        assert stacked.shape == (40, 4, 4)
+        for c, f, out in zip(blochs, fractions, stacked):
+            np.testing.assert_array_equal(out, optics.intercept(c, f))
+        for c, out in zip(blochs, optics.intercept(blochs, 0.3)):
+            np.testing.assert_array_equal(out, optics.intercept(c, 0.3))
 
     def test_strata_weights_sum_to_one(self):
         state = bell_state(BellLabel.PHI_PLUS)
@@ -739,8 +761,8 @@ class TestInterceptResend:
         np.testing.assert_allclose(intercept_average_state(state, 0.0).rho, state.rho, atol=1e-15)
 
     def test_one_stratum_without_eve(self):
-        # At eve_fraction = 0 the two strata weigh (1, 0), their mixture is
-        # the state alone bit for bit, the average state is the state itself,
+        # At eve_fraction = 0 the two strata weigh (1, 0), the kernel returns
+        # C bit for bit, the average state is the state itself,
         # and the sampler draws exactly binomial -> multinomial(p) from each
         # pair's generator (no Poisson draw at no expected accidentals, where
         # the reference's rate-0 draw consumes nothing).
@@ -754,6 +776,7 @@ class TestInterceptResend:
         sources += [generate(SourceModel(label, epsilon_rad=0.6, hom_visibility=0.9)).rho for label in BellLabel]
         for rho in sources:
             source = TwoQubitState(rho)
+            np.testing.assert_array_equal(optics.intercept(source.bloch, 0.0), source.bloch)
             table = born_table(source.bloch, itertools.product(E91_ALICE, E91_BOB)).ravel()
             np.testing.assert_array_equal(intercept_resend(source, E91_ALICE, E91_BOB, 0.0), table / table.sum())
 
@@ -791,8 +814,14 @@ class TestInterceptResend:
 
     def test_fraction_range(self):
         state = bell_state(BellLabel.PHI_PLUS)
-        with pytest.raises(ValueError):
-            intercept_strata(state, 1.5)
+        for eve_fraction in (1.5, -0.1, math.nan):
+            for call in (
+                lambda: intercept_strata(state, eve_fraction),
+                lambda: intercept_average_state(state, eve_fraction),
+                lambda: intercept_resend(state, E91_ALICE, E91_BOB, eve_fraction),
+            ):
+                with pytest.raises(ValueError, match="eve_fraction must be in"):
+                    call()
 
 
 class TestBobFlip:

@@ -816,6 +816,21 @@ class TestEstimate:
         assert est.report.s == 2 * SQ2
         assert est.report.r == 1.0
 
+    def test_error_free_e91_table_at_classical_s_has_no_key(self):
+        # No key error, and CHSH correlators of +-1/2 signed to give S = 2
+        # exactly: Eve's bound eats the whole bit, and r = 0 is not a key.
+        settings = chsh.canonical_settings(BellLabel.PHI_PLUS)
+        rows = [row(22.5, 22.5, 50, 0, 0, 50), row(45, 45, 50, 0, 0, 50)]
+        rows += [
+            CoincidenceRow(a, b, *((3, 1, 1, 3) if sign > 0 else (1, 3, 3, 1)))
+            for (a, b), sign in zip(settings.pairs(), settings.signs)
+        ]
+        est = estimate(CoincidenceTable(tuple(rows)), BellLabel.PHI_PLUS, E91, settings)
+        assert est.qber == 0.0
+        assert est.chsh.s == 2.0
+        assert est.report.r == 0.0
+        assert not est.report.mi_positive
+
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4), label=st.sampled_from(BellLabel))
     def test_linear_law_is_an_identity_of_the_expected_table(self, seed, rank, label):

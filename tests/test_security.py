@@ -280,6 +280,28 @@ class TestEvaluate:
         assert not evaluate(0.0, 0.0, s=S_QUANTUM_MAX).s_above_tsirelson
         assert not evaluate(0.0, 0.0).s_above_tsirelson
 
+    def test_classical_s_gives_no_key(self):
+        # At S = 2 Eve's bound is one full bit, so an error-free key has
+        # r = 0 exactly, which is not a key; S = 2 itself is not subclassical.
+        at_two = evaluate(0.0, 0.0, s=2.0)
+        assert at_two.r == 0.0
+        assert not at_two.mi_positive
+        assert not at_two.subclassical_s
+        below = evaluate(0.0, 0.0, s=1.9)
+        assert below.r == 0.0
+        assert not below.mi_positive
+        assert below.subclassical_s
+
+    def test_threshold_verdicts_are_strict(self):
+        # A QBER on a threshold fails its bound; one ulp below passes it.
+        for delta, verdict in (
+            (DELTA_INDIVIDUAL, "individual_bound_ok"),
+            (thresholds().delta_collective, "collective_bound_ok"),
+        ):
+            assert not getattr(evaluate(delta, delta), verdict)
+            below = math.nextafter(delta, 0.0)
+            assert getattr(evaluate(below, below), verdict)
+
     def test_error_rate_domain(self):
         with pytest.raises(ValueError):
             evaluate(-0.1, 0.0)
