@@ -29,7 +29,7 @@ from typing import Any, Callable, NoReturn, TextIO
 import numpy as np
 
 from . import chsh, ingest, optics, protocol, security
-from .measurement import CoincidenceTable, DetectorModel, sample_outcomes, spawn_rng
+from .measurement import CoincidenceTable, DetectorModel, check_draw, sample_outcomes, spawn_rng
 from .optics import ChannelKind, ChannelModel, SourceModel
 from .qstate import BellLabel, born_table, checked_bloch, density, echo
 
@@ -88,8 +88,10 @@ class SweepSpec:
                 raise ConfigError(
                     f"grid value {value!r} outside [{lo:g}, {hi:g}] for {self.mechanism}"
                 )
-        if not 1 <= self.n_pairs < 2**63:  # numpy's binomial takes a 64-bit n
-            raise ConfigError(f"n_pairs must be in [1, 2**63), got {echo(repr(self.n_pairs))}")
+        try:
+            check_draw(self.n_pairs, self.detector)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
         if self.qber_mode not in ("mean", "worst"):
             raise ConfigError(f"qber mode must be 'mean' or 'worst', got {echo(self.qber_mode)!r}")
 
@@ -116,18 +118,16 @@ def _grid_bloch(spec: SweepSpec, values: np.ndarray) -> np.ndarray:
     return bloch
 
 
-def _sweep_pairs(label: BellLabel) -> tuple[chsh.ChshSettings, tuple]:
-    """A sweep point's CHSH settings and its six setting pairs: the four
-    CHSH pairs, then one per BBM92 key basis."""
-    settings = chsh.canonical_settings(label)
-    return settings, settings.pairs() + protocol.BBM92.key_pairs()
+#: Per label, a sweep point's CHSH settings and its six setting pairs: the four CHSH pairs, then BBM92's key bases.
+_SWEEP_PAIRS = {label: (settings, settings.pairs() + protocol.BBM92.key_pairs())
+                for label, settings in zip(BellLabel, map(chsh.canonical_settings, BellLabel))}
 
 
 def _sweep_block(spec: SweepSpec, seed: int, start: int, values: tuple[float, ...]) -> list[dict[str, float]]:
     """The rows of the grid points ``start, start + 1, ...`` at ``values``:
     one stack of states, one Born table of shape ``(k, 6, 4)``, then
     :func:`sweep_point` per point."""
-    born = born_table(_grid_bloch(spec, np.array(values)), _sweep_pairs(spec.label)[1])
+    born = born_table(_grid_bloch(spec, np.array(values)), _SWEEP_PAIRS[spec.label][1])
     return [sweep_point(spec, start + i, value, seed, rows) for i, (value, rows) in enumerate(zip(values, born))]
 
 
@@ -140,7 +140,7 @@ def sweep_point(spec: SweepSpec, index: int, value: float, seed: int, born: np.n
     ``n_pairs`` emitted pairs per setting pair, drawn in that order from
     one generator, ``spawn_rng(seed, index)``, whatever the schedule.
     """
-    settings, pairs = _sweep_pairs(spec.label)
+    settings, pairs = _SWEEP_PAIRS[spec.label]
     rows = sample_outcomes(born, pairs, spec.detector, spec.n_pairs, spawn_rng(seed, index))
     est = protocol.estimate(CoincidenceTable(rows), spec.label, protocol.BBM92, settings)
     qber = max(est.per_basis_qber.values()) if spec.qber_mode == "worst" else est.report.delta

@@ -79,8 +79,13 @@ class CountRecordFile:
     rows: tuple[CountRow, ...]
 
     def __post_init__(self) -> None:
+        # The file's rules hold whoever built the record, parse_counts or code.
+        if not math.isfinite(self.seconds_per_row) or self.seconds_per_row <= 0.0:
+            raise CountFileError(f"seconds-per-row must be positive and finite, got {self.seconds_per_row!r}")
+        if not self.rows:
+            raise CountFileError("no rows: file contains headers only")
         # The one row index, in row order: a repeated angle pair is an error
-        # whoever built the rows (a hand-built row has line 0).
+        # (a hand-built row has line 0).
         index: dict[tuple[float, float], CountRow] = {}
         for row in self.rows:
             key = hwp_key(row.alice_hwp_deg, row.bob_hwp_deg)
@@ -169,10 +174,6 @@ def parse_counts(source: str | Path | bytes | IO[str] | IO[bytes]) -> CountRecor
         seconds = _number(float, header["seconds-per-row"])
     except ValueError:
         raise CountFileError(f"seconds-per-row is not a number: {echo(header['seconds-per-row'])!r}")
-    if not math.isfinite(seconds) or seconds <= 0.0:
-        raise CountFileError(f"seconds-per-row must be positive and finite, got {seconds!r}")
-    if not rows:
-        raise CountFileError("no rows: file contains headers only")
 
     return CountRecordFile(
         version=FORMAT_VERSION,

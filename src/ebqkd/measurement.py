@@ -214,6 +214,27 @@ def intercept_average_state(state: TwoQubitState, eve_fraction: float) -> TwoQub
     return TwoQubitState.from_bloch(intercept(state.bloch, eve_fraction))
 
 
+#: Largest mean that numpy's Poisson sampler accepts ("lam value too large"
+#: above it).
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
+
+def check_draw(n_pairs: int, det: DetectorModel) -> None:
+    """Refuse a count draw that numpy cannot make: ``n_pairs`` must be an
+    integer (not a bool) in [1, 2**63), the range of numpy's 64-bit binomial,
+    and ``det``'s expected accidentals at most :data:`_POISSON_LAM_MAX`."""
+    if not isinstance(n_pairs, (int, np.integer)) or isinstance(n_pairs, bool):
+        raise ValueError(f"n_pairs must be an integer, got {echo(repr(n_pairs))}")
+    if not 1 <= n_pairs < 2**63:
+        raise ValueError(f"n_pairs must be in [1, 2**63), got {echo(repr(n_pairs))}")
+    accidentals = det.expected_accidentals(n_pairs)
+    if not accidentals <= _POISSON_LAM_MAX:
+        raise ValueError(
+            f"detector.dark_rate gives {accidentals:.6g} expected accidental coincidences"
+            f" over {n_pairs} pairs, above the Poisson sampler's limit {_POISSON_LAM_MAX:.6g}"
+        )
+
+
 def sample_outcomes(
     born: np.ndarray,
     pairs: Sequence[tuple[AnalyzerSetting, AnalyzerSetting]],
@@ -236,8 +257,7 @@ def sample_outcomes(
         One :class:`CoincidenceRow` per pair, in order, deterministic given
         the generator's state.
     """
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, got {n_pairs!r}")
+    check_draw(n_pairs, det)
     if len(born) != len(pairs):
         raise ValueError(f"Born table rows ({len(born)}) must match the setting pairs ({len(pairs)})")
     tables = born / born.sum(axis=-1, keepdims=True)

@@ -23,10 +23,10 @@ agree only by chance (QBER 0.5).
 
 Cell index: cell ``(a * n_b + b) * 4 + outcome`` (setting indices ``a``,
 ``b``; outcome 0..3 for ``++, +-, -+, --``) counts the coincidences of one
-setting pair and outcome.  :func:`sift` works on these counts: it keeps
-the matched cells and codes each as ``cell ^ flip``, so the sifted stream
-holds Alice's bit in ``code >> 1 & 1`` and Bob's aligned bit in
-``code & 1``.  The CHSH rows of the counts table are the cell counts, the
+setting pair and outcome.  A :class:`ProtocolKind` derives, when built, its
+CHSH cells and per Bell label its key cells and their codes ``cell ^ flip``
+(Alice's bit in ``code >> 1 & 1``, Bob's aligned bit in ``code & 1``), which
+:func:`sift` reads.  The CHSH rows of the counts table are cell counts, the
 matched rows a :func:`~ebqkd.measurement.tally` of the disclosed codes.
 
 :func:`estimate` is the one estimator behind ``sweep``, ``session`` and
@@ -49,6 +49,7 @@ from .measurement import (
     DetectorModel,
     arrange_cells,
     bob_flip,
+    check_draw,
     hwp_key,
     intercept_resend,
     sample_outcome_stream,
@@ -82,7 +83,7 @@ class ProtocolKind:
     ``chsh_pairs``, whose outcomes feed the security CHSH test, holds the
     indices of the canonical CHSH settings in ``pairs()`` order, or ``()``.
     :meth:`key_plan` gives, per Bell label, what :func:`estimate` reads of
-    each key basis.
+    each key basis, :meth:`key_cells` and :meth:`chsh_cells` a session's cells.
     """
 
     name: str
@@ -96,6 +97,7 @@ class ProtocolKind:
         alice, bob = tuple(map(AnalyzerSetting, self.alice_hwp_deg)), tuple(map(AnalyzerSetting, self.bob_hwp_deg))
         keys = {(i, j): hwp_key(a.hwp_angle_deg, b.hwp_angle_deg)
                 for i, a in enumerate(alice) for j, b in enumerate(bob)}
+        first = {ij: 4 * p for p, ij in enumerate(keys)}  # a pair's first cell, Alice-major
         matched = tuple(ij for ij, (ka, kb) in keys.items() if ka == kb)
         if len(matched) != 2 or len({keys[ij][0] for ij in matched}) != 2:
             raise ValueError("a protocol layout needs exactly two matched bases on distinct polarization axes")
@@ -103,10 +105,15 @@ class ProtocolKind:
         found = [index.get(hwp_key(a.hwp_angle_deg, b.hwp_angle_deg)) for a, b in chsh.canonical_settings().pairs()]
         object.__setattr__(self, "chsh_pairs", () if None in found else tuple(found))
         key_pairs = tuple((alice[i], bob[j]) for i, j in matched)
-        object.__setattr__(self, "_layout", (alice, bob, matched, key_pairs))
+        chsh_cells = tuple((alice[i], bob[j], first[i, j]) for i, j in self.chsh_pairs)
+        cells = tuple(first[ij] + k for ij in matched for k in range(4))
+        object.__setattr__(self, "_layout", (alice, bob, matched, key_pairs, chsh_cells, cells))
         object.__setattr__(self, "_plans", {label: tuple(
             (a, b, 2.0 * hwp_key(a.hwp_angle_deg, b.hwp_angle_deg)[0], wrong_outcomes(label, a.polarization_angle_rad))
             for a, b in key_pairs
+        ) for label in BellLabel})
+        object.__setattr__(self, "_codes", {label: tuple(
+            c ^ bob_flip(label, key_pairs[n // 4][0].polarization_angle_rad) for n, c in enumerate(cells)
         ) for label in BellLabel})
 
     def alice_settings(self) -> tuple[AnalyzerSetting, ...]:
@@ -129,6 +136,14 @@ class ProtocolKind:
         ``label`` (:func:`~ebqkd.measurement.wrong_outcomes`).  Derived when built."""
         return self._plans[label]
 
+    def key_cells(self, label: BellLabel) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Each matched basis' four cells, as ``matched_pairs``, and their codes under ``label``."""
+        return self._layout[5], self._codes[label]
+
+    def chsh_cells(self) -> tuple[tuple[AnalyzerSetting, AnalyzerSetting, int], ...]:
+        """(Alice, Bob) settings and first cell of each CHSH setting pair, as ``chsh_pairs``."""
+        return self._layout[4]
+
 
 #: Both parties measure in {H/V, D/A}.
 BBM92 = ProtocolKind("bbm92", (0.0, 22.5), (0.0, 22.5))
@@ -148,11 +163,6 @@ def protocol_by_name(name: str) -> ProtocolKind:
         raise ValueError(f"unknown protocol {echo(name)!r}; expected one of {sorted(PROTOCOLS)}")
 
 
-#: Largest mean that numpy's Poisson sampler accepts ("lam value too large"
-#: above it).
-_POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
-
-
 @dataclass(frozen=True)
 class SessionConfig:
     kind: ProtocolKind
@@ -164,19 +174,12 @@ class SessionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_pairs < 2**63:
-            raise ValueError(f"n_pairs must be in [1, 2**63), got {echo(repr(self.n_pairs))}")
+        check_draw(self.n_pairs, self.detector)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {echo(repr(self.seed))}")
         if not 0.0 < self.qber_sample_fraction < 1.0:
             raise ValueError(
                 f"qber_sample_fraction must be in (0, 1), got {self.qber_sample_fraction!r}"
-            )
-        accidentals = self.detector.expected_accidentals(self.n_pairs)
-        if not accidentals <= _POISSON_LAM_MAX:
-            raise ValueError(
-                f"detector.dark_rate gives {accidentals:.6g} expected accidental coincidences"
-                f" over {self.n_pairs} pairs, above the Poisson sampler's limit {_POISSON_LAM_MAX:.6g}"
             )
 
 
@@ -210,24 +213,11 @@ class SessionRecord:
 
 
 def sift(kind: ProtocolKind, label: BellLabel, counts: list[int]) -> tuple[np.ndarray, list[int]]:
-    """Key cells of a session and their counts, with Bob's bit aligned.
-
-    ``counts`` holds the coincidence count of every cell (see the module
-    docstring).  For each matched setting pair and outcome, in order, the
-    result holds the code ``cell ^ flip``, where ``flip`` is 1 when Bob
-    inverts his bit in that basis, and the count of ``cell``: a code's bit 1
-    is Alice's bit and its bit 0 Bob's aligned bit.  Sifting looks only at
-    the announced setting pairs, never at outcomes.
-    """
-    n_b = len(kind.bob_hwp_deg)
-    codes, sifted = [], []
-    for i, j in kind.matched_pairs():
-        flip = bob_flip(label, kind.alice_settings()[i].polarization_angle_rad)
-        for k in range(4):
-            cell = 4 * (i * n_b + j) + k
-            codes.append(cell ^ flip)
-            sifted.append(counts[cell])
-    return np.array(codes, dtype=np.uint8), sifted
+    """The codes of ``kind``'s key cells under ``label``, with Bob's bit aligned,
+    and each cell's count in ``counts``, which holds one per cell (see the module
+    docstring).  Sifting looks only at the announced setting pairs, never at outcomes."""
+    cells, codes = kind.key_cells(label)
+    return np.array(codes, dtype=np.uint8), [counts[cell] for cell in cells]
 
 
 def _wilson_interval(errors: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -250,13 +240,11 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
     """
     rng = np.random.default_rng(cfg.seed)
     state = optics.apply_channel(optics.generate(cfg.source), cfg.channel)
-    alice, bob = cfg.kind.alice_settings(), cfg.kind.bob_settings()
-    n_b = len(bob)
 
     # Fixed draw order, part of the reproducibility contract: the cell
     # counts of all n_pairs pairs (sample_outcome_stream's own order), then
     # the arrangement of the sifted codes (arrange_cells' own order).
-    joint = intercept_resend(state, alice, bob, cfg.channel.eve_fraction)
+    joint = intercept_resend(state, cfg.kind.alice_settings(), cfg.kind.bob_settings(), cfg.channel.eve_fraction)
     every_pair = np.broadcast_to(np.uint8(0), (cfg.n_pairs,))  # read for its length
     counts = sample_outcome_stream(joint, every_pair, rng, cfg.detector)
     n_coincident = sum(counts)
@@ -284,10 +272,8 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
     key >>= 1
     key &= 1
     table = CoincidenceTable((
-        *(CoincidenceRow(alice[i], bob[j], *disclosed[4 * m:4 * m + 4])
-          for m, (i, j) in enumerate(cfg.kind.matched_pairs())),
-        *(CoincidenceRow(alice[i], bob[j], *counts[4 * (i * n_b + j):4 * (i * n_b + j + 1)])
-          for i, j in cfg.kind.chsh_pairs),
+        *(CoincidenceRow(a, b, *disclosed[4 * m:4 * m + 4]) for m, (a, b) in enumerate(cfg.kind.key_pairs())),
+        *(CoincidenceRow(a, b, *counts[cell:cell + 4]) for a, b, cell in cfg.kind.chsh_cells()),
     ))
     settings = chsh.canonical_settings(cfg.source.label) if cfg.kind.chsh_pairs else None
     est = estimate(table, cfg.source.label, cfg.kind, settings)

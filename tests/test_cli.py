@@ -190,7 +190,15 @@ class TestSweep:
         ("mechanism", LONG, f"unknown mechanism {qstate.echo(LONG)!r}; expected one of {cli.MECHANISMS}"),
         ("qber_mode", "median", "qber mode must be 'mean' or 'worst', got 'median'"),
         ("qber_mode", LONG, f"qber mode must be 'mean' or 'worst', got {qstate.echo(LONG)!r}"),
-    ], ids=["mechanism", "mechanism-long", "qber", "qber-long"])
+        ("n_pairs", 0, "n_pairs must be in [1, 2**63), got 0"),
+        ("n_pairs", 2**63, "n_pairs must be in [1, 2**63), got 9223372036854775808"),
+        ("n_pairs", 1e6, "n_pairs must be an integer, got 1000000.0"),
+        ("n_pairs", True, "n_pairs must be an integer, got True"),
+        ("detector", measurement.DetectorModel(dark_rate=1e17),
+         "detector.dark_rate gives 1e+20 expected accidental coincidences over 1000 pairs,"
+         " above the Poisson sampler's limit 9.22337e+18"),
+    ], ids=["mechanism", "mechanism-long", "qber", "qber-long", "n_pairs-0", "n_pairs-2**63", "n_pairs-float",
+            "n_pairs-bool", "dark-rate"])
     def test_a_bad_spec_is_a_usage_error(self, monkeypatch, capsys, field, value, message):
         spec = {"mechanism": "werner", "grid": (0.5,), "n_pairs": 1000, field: value}
         with pytest.raises(cli.ConfigError) as info:
@@ -775,6 +783,18 @@ class TestSession:
             "error: invalid session config: detector.dark_rate gives 1e+36 expected accidental coincidences"
         ) and err.count("\n") == 1
 
+    def test_a_sifted_count_past_int64_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        def one_full_key_cell(joint, stratum_idx, rng, det):
+            return [2**63] + [0] * (len(joint) - 1)  # cell 0 is BBM92's first key cell
+
+        monkeypatch.setattr(protocol, "sample_outcome_stream", one_full_key_cell)
+        cfg = session_config(tmp_path)
+        assert cli.main(["session", str(cfg)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", (
+            "error: invalid session config: n_pairs 50000 at detector.dark_rate 0 give 9223372036854775808"
+            " sifted coincidences, which do not fit in memory\n"
+        ))
+
     def test_accidentals_out_of_memory_name_the_dark_rate(self, tmp_path, capsys):
         # About 5e17 sifted bytes exceed the address space whatever the
         # overcommit mode.
@@ -792,7 +812,7 @@ class TestSession:
         # and 9.2e18 sifted ones, past int64; the count in the message is
         # the exact one, never a wrapped one.
         n = 2**63 - 1
-        dark_rate = protocol._POISSON_LAM_MAX / n
+        dark_rate = measurement._POISSON_LAM_MAX / n
         cfg = session_config(tmp_path, detector={"efficiency": 1.0, "dark_rate": dark_rate}, n_pairs=n)
         assert cli.main(["session", str(cfg)]) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -802,7 +822,7 @@ class TestSession:
             err,
         )
         assert match, err
-        expected = 0.5 * n + 0.5 * protocol._POISSON_LAM_MAX
+        expected = 0.5 * n + 0.5 * measurement._POISSON_LAM_MAX
         assert abs(int(match[1]) - expected) < 6 * math.sqrt(expected)
 
     def test_missing_protocol_field(self, tmp_path, capsys):

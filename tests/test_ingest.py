@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import re
 import sys
 
 import numpy as np
@@ -137,6 +138,22 @@ class TestParse:
             dataclasses.replace(rec, rows=rec.rows + (dataclasses.replace(row, line=0),))
         with pytest.raises(CountFileError, match=rf"^line {row.line}: {pair}$"):
             dataclasses.replace(rec, rows=rec.rows + (row,))
+
+    @pytest.mark.parametrize("seconds", [0.0, -1.0, math.nan, math.inf])
+    def test_a_record_refuses_bad_seconds_however_built(self, seconds):
+        # At -1 the accidentals used to be added, not subtracted; at 0 the
+        # subtraction divided by zero; at NaN it reported an emptied basis.
+        message = rf"^seconds-per-row must be positive and finite, got {re.escape(repr(seconds))}$"
+        state = werner_state(BellLabel.PHI_PLUS, 0.9)
+        with pytest.raises(CountFileError, match=message):
+            synthesize_counts(state, BellLabel.PHI_PLUS, 100_000, 1, seconds_per_row=seconds)
+        record = synthesize_counts(state, BellLabel.PHI_PLUS, 100_000, 1)
+        with pytest.raises(CountFileError, match=message):
+            dataclasses.replace(record, seconds_per_row=seconds)
+
+    def test_a_record_refuses_no_rows_however_built(self):
+        with pytest.raises(CountFileError, match=r"^no rows: file contains headers only$"):
+            ingest.CountRecordFile(1, BellLabel.PHI_PLUS, 1.0, ())
 
     def test_a_projection_at_t_and_t_plus_90_is_a_duplicate(self, fixtures_dir):
         # Plates t and t + 90 analyze one axis: the two rows are one
@@ -520,6 +537,17 @@ class TestSynthesize:
         assert len(tables) == 1
         assert len(tables[0][1]) == len(rec.rows) == len(ingest.required_hwp_pairs(
             chsh.canonical_settings(BellLabel.PSI_MINUS), protocol))
+
+    def test_draws_numpy_cannot_make_are_refused_by_name(self):
+        # numpy used to fail with "Maximum allowed dimension exceeded" and
+        # "lam value too large".
+        state = werner_state(BellLabel.PHI_PLUS, 0.9)
+        with pytest.raises(ValueError, match=r"^n_pairs must be in \[1, 2\*\*63\), got 9223372036854775808$"):
+            synthesize_counts(state, BellLabel.PHI_PLUS, 2**63, 1)
+        with pytest.raises(ValueError, match=(
+            r"^detector\.dark_rate gives 1e\+21 expected accidental coincidences over 1000000000000000000 pairs,"
+        )):
+            synthesize_counts(state, BellLabel.PHI_PLUS, 10**18, 1, detector=DetectorModel(dark_rate=1e3))
 
 
 class TestUncertaintyReproduction:

@@ -325,6 +325,33 @@ class TestSampleOutcomes:
         with pytest.raises(AssertionError, match="poisson"):
             sample_outcome_stream(joint, every_pair, NoPoisson(spawn_rng(2)), DetectorModel(0.7, dark_rate=1e-9))
 
+    @pytest.mark.parametrize("n_pairs, message", [
+        (0, r"n_pairs must be in \[1, 2\*\*63\), got 0"),
+        (2**63, r"n_pairs must be in \[1, 2\*\*63\), got 9223372036854775808"),
+        (1e6, r"n_pairs must be an integer, got 1000000\.0"),
+        (True, r"n_pairs must be an integer, got True"),
+        ("1000", r"n_pairs must be an integer, got '1000'"),
+    ])
+    def test_a_draw_numpy_cannot_make_is_refused_by_name(self, n_pairs, message):
+        pairs = [(setting(0), setting(0))]
+        born = born_table(bell_state(BellLabel.PHI_PLUS).bloch, pairs)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample_outcomes(born, pairs, DetectorModel(), n_pairs, spawn_rng(1))
+
+    def test_the_poisson_limit_is_checked_beside_the_draw(self):
+        # numpy's own error was a bare "lam value too large".
+        pairs = [(setting(0), setting(0))]
+        born = born_table(bell_state(BellLabel.PHI_PLUS).bloch, pairs)
+        with pytest.raises(ValueError, match=(
+            r"^detector\.dark_rate gives 1e\+21 expected accidental coincidences over 1000000000000000000 pairs,"
+            r" above the Poisson sampler's limit 9\.22337e\+18$"
+        )):
+            sample_outcomes(born, pairs, DetectorModel(dark_rate=1e3), 10**18, spawn_rng(1))
+        limit = measurement._POISSON_LAM_MAX
+        for n_pairs, det in ((1, DetectorModel(dark_rate=limit)), (2**63 - 1, DetectorModel()), (np.int64(5), DetectorModel())):
+            measurement.check_draw(n_pairs, det)
+        np.random.default_rng(0).poisson(limit)
+
     def test_spawn_rng_is_deterministic_per_stream(self):
         a = spawn_rng(7, 3).random(4)
         b = spawn_rng(7, 3).random(4)
@@ -484,8 +511,10 @@ class TestArrangeCells:
 
     # The same, with every over-drawn code sent through one repair: sampled
     # positions (no batch is too large) or the scan (every batch is); the
-    # spy shows that the other repair never ran.
-    @pytest.mark.parametrize("repair, limit", [("sampled", math.inf), ("scanned", 0.0)])
+    # spy shows that the other repair never ran.  "retried" is the sampled
+    # repair with one position per batch, so that its batches fall short
+    # and it draws again.
+    @pytest.mark.parametrize("repair, limit", [("sampled", math.inf), ("scanned", 0.0), ("retried", math.inf)])
     @pytest.mark.parametrize("chunk", [None, 2])
     @pytest.mark.parametrize("codes, counts, n_arrangements", _SMALL_MULTISETS)
     def test_each_repair_gives_every_arrangement_equally(
@@ -494,9 +523,17 @@ class TestArrangeCells:
         monkeypatch.setattr(measurement, "_SAMPLE_LIMIT", limit)
         if chunk is not None:
             monkeypatch.setattr(measurement, "_CHUNK", chunk)
+        sizings = []
+        if repair == "retried":
+            monkeypatch.setattr(measurement, "_batch", lambda *args: sizings.append(args) or 1)
         calls = _spy_on_repairs(monkeypatch)
         assert chisquare(self._arrangements_seen(codes, counts, n_arrangements)).pvalue > 1e-3
-        assert calls[repair] > 0 and sum(calls.values()) == calls[repair]
+        ran = "sampled" if repair == "retried" else repair
+        assert calls[ran] > 0 and sum(calls.values()) == calls[ran]
+        if repair == "retried":
+            # arrange_cells sizes each repair once and the repair sizes each
+            # of its batches: more than two sizings per repair is a second batch.
+            assert len(sizings) > 2 * calls["sampled"]
 
     @staticmethod
     def _arrangements_seen(codes, counts, n_arrangements):

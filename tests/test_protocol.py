@@ -396,7 +396,7 @@ class TestRunSession:
             run_session(cfg)
 
     def test_accidentals_past_the_poisson_limit_are_rejected(self):
-        limit = protocol._POISSON_LAM_MAX
+        limit = measurement._POISSON_LAM_MAX
         config(detector=DetectorModel(dark_rate=limit), n_pairs=1)
         np.random.default_rng(0).poisson(limit)
         for dark_rate in (float(np.nextafter(limit, math.inf)), 1e30):
@@ -408,6 +408,25 @@ class TestRunSession:
             config(n_pairs=0)
         with pytest.raises(ValueError):
             config(qber_sample_fraction=0.0)
+        # A float used to pass and fail later inside numpy with a TypeError.
+        for n_pairs in (1e6, True):
+            with pytest.raises(ValueError, match=f"^n_pairs must be an integer, got {n_pairs!r}$"):
+                config(n_pairs=n_pairs)
+
+    def test_a_sifted_count_past_int64_names_the_key_that_does_not_fit(self, monkeypatch):
+        # No array has 2**63 cells: the guard says so before numpy refuses
+        # the shape with an error that names no field.
+        def one_full_key_cell(joint, stratum_idx, rng, det):
+            counts = [0] * len(joint)
+            counts[BBM92.key_cells(BellLabel.PHI_PLUS)[0][0]] = 2**63
+            return counts
+
+        monkeypatch.setattr(protocol, "sample_outcome_stream", one_full_key_cell)
+        with pytest.raises(protocol.KeyMemoryError, match=(
+            r"^n_pairs 200000 at detector\.dark_rate 0 give 9223372036854775808 sifted coincidences,"
+            r" which do not fit in memory$"
+        )):
+            run_session(config())
 
     def test_wilson_interval_brackets_estimate(self):
         rec = run_session(config(channel=ChannelModel.werner(0.9), seed=17))
