@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -215,20 +216,30 @@ def bloch_to_polarization_angle(direction: np.ndarray, atol: float = 1e-9) -> fl
 
 
 def s_from_counts(table: CoincidenceTable, settings: ChshSettings) -> ChshEstimate:
-    """CHSH estimate from measured coincidence counts.
+    """CHSH estimate from a coincidence table: the rows of ``settings.pairs()``
+    (:class:`IncompleteTableError` naming a missing one), then
+    :func:`s_from_quadruples`."""
+    return s_from_quadruples([table.row(a, b).counts() for a, b in settings.pairs()], settings)
+
+
+def s_from_quadruples(counts: Sequence[Sequence[float]], settings: ChshSettings) -> ChshEstimate:
+    """CHSH estimate from the outcome counts ``(n_pp, n_pm, n_mp, n_mm)`` of
+    ``settings.pairs()``, in that order (a caller's longer list may go on).
 
     Per setting pair, ``E = (n_pp + n_mm - n_pm - n_mp) / n_total`` with
     the binomial-approximation variance ``sigma_E^2 = (1 - E^2) / n_total``;
     ``sigma_S`` adds the four variances in quadrature.
+
+    Raises:
+        IncompleteTableError: a setting pair has no coincidence.
     """
     correlators = []
     var_sum = 0.0
-    for a, b in settings.pairs():
-        row = table.row(a, b)
-        total = row.total
+    for (n_pp, n_pm, n_mp, n_mm), (a, b) in zip(counts, settings.pairs()):
+        total = n_pp + n_pm + n_mp + n_mm
         if total == 0:
-            raise IncompleteTableError(f"zero total coincidences for setting pair {pair_name(row.a, row.b)}")
-        e = (row.n_pp + row.n_mm - row.n_pm - row.n_mp) / total
+            raise IncompleteTableError(f"zero total coincidences for setting pair {pair_name(a, b)}")
+        e = (n_pp + n_mm - n_pm - n_mp) / total
         correlators.append(e)
         var_sum += (1.0 - e * e) / total
     s = sum(sign * e for sign, e in zip(settings.signs, correlators))

@@ -29,7 +29,7 @@ from typing import Any, Callable, NoReturn, TextIO
 import numpy as np
 
 from . import chsh, ingest, optics, protocol, security
-from .measurement import CoincidenceTable, DetectorModel, check_draw, sample_outcomes, spawn_rng
+from .measurement import DetectorModel, check_draw, check_seed, sample_outcomes, spawn_rng
 from .optics import ChannelKind, ChannelModel, SourceModel
 from .qstate import BellLabel, born_table, checked_bloch, density, echo
 
@@ -138,11 +138,13 @@ def sweep_point(spec: SweepSpec, index: int, value: float, seed: int, born: np.n
     setting pairs, then one per key basis): its first four rows give the
     analytic S, and all six the sampling probabilities.  Sampling uses
     ``n_pairs`` emitted pairs per setting pair, drawn in that order from
-    one generator, ``spawn_rng(seed, index)``, whatever the schedule.
+    one generator, ``spawn_rng(seed, index)``, whatever the schedule; the
+    six count lists go to :func:`~ebqkd.protocol.estimate_counts` in that
+    order, and no row or table object is built.
     """
     settings, pairs = _SWEEP_PAIRS[spec.label]
-    rows = sample_outcomes(born, pairs, spec.detector, spec.n_pairs, spawn_rng(seed, index))
-    est = protocol.estimate(CoincidenceTable(rows), spec.label, protocol.BBM92, settings)
+    counts = sample_outcomes(born, pairs, spec.detector, spec.n_pairs, spawn_rng(seed, index))
+    est = protocol.estimate_counts(counts, spec.label, protocol.BBM92, settings)
     qber = max(est.per_basis_qber.values()) if spec.qber_mode == "worst" else est.report.delta
     return {
         "mechanism_param": value,
@@ -163,8 +165,12 @@ def run_sweep(spec: SweepSpec, seed: int, workers: int = 1) -> list[dict[str, fl
     points, at least one per worker; the pool maps whole blocks.  It never
     has more workers than grid points or CPUs.  A point's row depends only
     on ``(seed, index)`` and its own Born rows, so every schedule gives the
-    same rows.
+    same rows.  ``seed`` must be an integer >= 0 (:class:`ConfigError`).
     """
+    try:
+        check_seed(seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     if workers > 1:
         workers = min(workers, len(spec.grid), os.cpu_count() or 1)
     n = len(spec.grid)

@@ -15,9 +15,9 @@ Example::
     0       11.25   58934   59102   853
 
 ``analyze_counts`` assembles full outcome quadruples for each CHSH setting
-pair and key basis from the projector rows (a, a+90) x (b, b+90) into one
-:class:`~ebqkd.measurement.CoincidenceTable` and hands it to the shared
-estimator :func:`ebqkd.protocol.estimate`.
+pair and key basis from the projector rows (a, a+90) x (b, b+90), in the
+layout's order, and hands them to the shared estimator
+:func:`ebqkd.protocol.estimate_counts`.
 """
 
 from __future__ import annotations
@@ -29,16 +29,8 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from . import chsh, security
-from .measurement import (
-    AnalyzerSetting,
-    CoincidenceRow,
-    CoincidenceTable,
-    DetectorModel,
-    hwp_key,
-    sample_outcomes,
-    spawn_rng,
-)
-from .protocol import BBM92, EmptyBasisError, ProtocolKind, estimate
+from .measurement import AnalyzerSetting, DetectorModel, check_seed, hwp_key, sample_outcomes, spawn_rng
+from .protocol import BBM92, EmptyBasisError, ProtocolKind, estimate_counts
 from .qstate import BellLabel, TwoQubitState, born_table, echo
 
 FORMAT_NAME = "qkd-counts"
@@ -336,6 +328,7 @@ def synthesize_counts(
     probabilities and the singles' marginals.  One generator draws every
     row's counts, then each row's singles, in order.
     """
+    check_seed(seed)
     det = detector or DetectorModel(efficiency=1.0)
     settings = settings or chsh.canonical_settings(label)
     pairs = [(AnalyzerSetting(a), AnalyzerSetting(b)) for a, b in required_hwp_pairs(settings, protocol)]
@@ -343,11 +336,11 @@ def synthesize_counts(
     rng = spawn_rng(seed)
     sampled = sample_outcomes(born, pairs, det, n_pairs_per_row, rng)
     rows = []
-    for row, (p_pp, p_pm, p_mp, _) in zip(sampled, born.tolist()):
+    for (a, b), (n_pp, *_), (p_pp, p_pm, p_mp, _) in zip(pairs, sampled, born.tolist()):
         # Singles are the marginals of the joint distribution.
         singles_a = int(rng.binomial(n_pairs_per_row, det.eff_alice * (p_pp + p_pm)))
         singles_b = int(rng.binomial(n_pairs_per_row, det.eff_bob * (p_pp + p_mp)))
-        rows.append(CountRow(row.a.hwp_angle_deg, row.b.hwp_angle_deg, singles_a, singles_b, row.n_pp))
+        rows.append(CountRow(a.hwp_angle_deg, b.hwp_angle_deg, singles_a, singles_b, n_pp))
     return CountRecordFile(
         version=FORMAT_VERSION,
         state_label=label,
@@ -388,7 +381,7 @@ def analyze_counts(
         raise ValueError(f"accidental_window must be finite and >= 0, got {accidental_window!r}")
     settings = settings or chsh.canonical_settings(record.state_label)
 
-    rows = []
+    counts = []
     missing: list[tuple[float, float]] = []
     for a, b in settings.pairs() + protocol.key_pairs():
         combos = _projector_pairs(a, b)
@@ -396,24 +389,23 @@ def analyze_counts(
         if pp is None or pm is None or mp is None or mm is None:
             missing.extend(c for c, row in zip(combos, found) if row is None)
         elif accidental_window is None:
-            rows.append(CoincidenceRow(a, b, pp.coincidences, pm.coincidences, mp.coincidences, mm.coincidences))
+            counts.append([pp.coincidences, pm.coincidences, mp.coincidences, mm.coincidences])
         else:
-            counts = []
+            quadruple = []
             for row in found:
                 accidental = row.singles_a * row.singles_b * accidental_window / record.seconds_per_row
-                counts.append(round(max(0.0, row.coincidences - accidental)))
-            rows.append(CoincidenceRow(a, b, *counts))
+                quadruple.append(round(max(0.0, row.coincidences - accidental)))
+            counts.append(quadruple)
     if missing:
         pretty = ", ".join(f"({a:g}, {b:g})" for a, b in dict.fromkeys(missing))
         raise CountFileError(f"missing required HWP angle pairs: {pretty}")
 
-    table = CoincidenceTable(tuple(rows))
     try:
-        est = estimate(table, record.state_label, protocol, settings)
+        est = estimate_counts(counts, record.state_label, protocol, settings)
     except EmptyBasisError as exc:
-        # estimate names the first empty key basis; say whether the file or
-        # the subtraction emptied it.
-        a, b = next((a, b) for a, b in protocol.key_pairs() if table.row(a, b).total == 0)
+        # estimate_counts names the first empty key basis; say whether the
+        # file or the subtraction emptied it.
+        a, b = next((a, b) for (a, b), n in zip(protocol.key_pairs(), counts[4:]) if sum(n) == 0)
         raw = sum(record.find(ah, bh).coincidences for ah, bh in _projector_pairs(a, b))
         if raw > 0:
             raise CountFileError(

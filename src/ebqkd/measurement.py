@@ -22,7 +22,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Sized
 
 import numpy as np
 
@@ -86,8 +86,7 @@ class DetectorModel:
                 raise ValueError(f"{name} must be in (0, 1], got {eff!r}")
         if not (math.isfinite(self.dark_rate) and self.dark_rate >= 0.0):
             raise ValueError(f"dark_rate must be finite and >= 0, got {self.dark_rate!r}")
-        if not 1 <= self.window_pairs < 2**63:
-            raise ValueError(f"window_pairs must be in [1, 2**63), got {echo(repr(self.window_pairs))}")
+        check_integer("window_pairs", self.window_pairs, 1)
 
     @property
     def eff_alice(self) -> float:
@@ -118,10 +117,7 @@ class CoincidenceRow:
     n_mm: int
 
     def __post_init__(self) -> None:
-        # Chained comparisons, no call: NaN and infinities fail them too.
-        if not (0 <= self.n_pp < math.inf and 0 <= self.n_pm < math.inf
-                and 0 <= self.n_mp < math.inf and 0 <= self.n_mm < math.inf):
-            raise ValueError("coincidence counts must be finite and nonnegative")
+        check_counts(self.counts())
 
     @property
     def total(self) -> int:
@@ -129,6 +125,16 @@ class CoincidenceRow:
 
     def counts(self) -> tuple[int, int, int, int]:
         return (self.n_pp, self.n_pm, self.n_mp, self.n_mm)
+
+
+def check_counts(counts: Sequence[float]) -> None:
+    """Refuse an outcome quadruple ``(n_pp, n_pm, n_mp, n_mm)`` with a
+    count that is negative, infinite or NaN: the rule of every row and of
+    :func:`ebqkd.protocol.estimate_counts`."""
+    n_pp, n_pm, n_mp, n_mm = counts
+    # Chained comparisons, no call: NaN and infinities fail them too.
+    if not (0 <= n_pp < math.inf and 0 <= n_pm < math.inf and 0 <= n_mp < math.inf and 0 <= n_mm < math.inf):
+        raise ValueError("coincidence counts must be finite and nonnegative")
 
 
 @functools.lru_cache(maxsize=1024, typed=True)
@@ -152,9 +158,11 @@ class IncompleteTableError(ValueError):
 class CoincidenceTable:
     """Coincidence counts per (Alice setting, Bob setting) combination.
 
-    Every front end (sweep, session, analyze) fills one of these and hands
-    it to :func:`ebqkd.protocol.estimate`.  Rows are looked up by
-    :func:`hwp_key`, and a table with two rows of one key is refused.
+    A session's record keeps one (:func:`ebqkd.protocol.estimate` looks
+    its rows up for the estimator; a sweep point and a count file hand the
+    estimator their count lists and build none), as does the noiseless
+    :func:`expected_table`.  Rows are looked up by :func:`hwp_key`, and a
+    table with two rows of one key is refused.
     """
 
     rows: tuple[CoincidenceRow, ...]
@@ -176,6 +184,25 @@ class CoincidenceTable:
         if (found := self.find(a, b)) is None:
             raise IncompleteTableError(f"coincidence table is missing setting pair {pair_name(a, b)}")
         return found
+
+
+def check_integer(name: str, value: object, low: int, *, below_2_63: bool = True) -> None:
+    """Refuse ``value`` unless it is an integer (a bool is not one) of at
+    least ``low`` and, if ``below_2_63``, below 2**63, the range of numpy's
+    64-bit draws.  Counts of pairs and windows are bounded, seeds are not."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {echo(repr(value))}")
+    if not below_2_63:
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {echo(repr(value))}")
+    elif not low <= value < 2**63:
+        raise ValueError(f"{name} must be in [{low}, 2**63), got {echo(repr(value))}")
+
+
+def check_seed(seed: object) -> None:
+    """Refuse a seed that is not an integer >= 0: ``int()`` would truncate
+    1.5 to seed 1 and read ``True`` as seed 1."""
+    check_integer("seed", seed, 0, below_2_63=False)
 
 
 def spawn_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -223,10 +250,7 @@ def check_draw(n_pairs: int, det: DetectorModel) -> None:
     """Refuse a count draw that numpy cannot make: ``n_pairs`` must be an
     integer (not a bool) in [1, 2**63), the range of numpy's 64-bit binomial,
     and ``det``'s expected accidentals at most :data:`_POISSON_LAM_MAX`."""
-    if not isinstance(n_pairs, (int, np.integer)) or isinstance(n_pairs, bool):
-        raise ValueError(f"n_pairs must be an integer, got {echo(repr(n_pairs))}")
-    if not 1 <= n_pairs < 2**63:
-        raise ValueError(f"n_pairs must be in [1, 2**63), got {echo(repr(n_pairs))}")
+    check_integer("n_pairs", n_pairs, 1)
     accidentals = det.expected_accidentals(n_pairs)
     if not accidentals <= _POISSON_LAM_MAX:
         raise ValueError(
@@ -241,7 +265,7 @@ def sample_outcomes(
     det: DetectorModel,
     n_pairs: int,
     rng: np.random.Generator,
-) -> tuple[CoincidenceRow, ...]:
+) -> list[list[int]]:
     """Coincidence counts for each analyzer setting pair.
 
     ``born`` is the :func:`~ebqkd.qstate.born_table` of ``pairs`` (one row
@@ -254,22 +278,19 @@ def sample_outcomes(
     four outcomes, drawn from ``rng`` in pair order.
 
     Returns:
-        One :class:`CoincidenceRow` per pair, in order, deterministic given
-        the generator's state.
+        One count list ``[n_pp, n_pm, n_mp, n_mm]`` per pair, in order,
+        deterministic given the generator's state; no row object is built.
     """
     check_draw(n_pairs, det)
     if len(born) != len(pairs):
         raise ValueError(f"Born table rows ({len(born)}) must match the setting pairs ({len(pairs)})")
     tables = born / born.sum(axis=-1, keepdims=True)
-    every_pair = np.broadcast_to(np.uint8(0), (n_pairs,))  # read for its length
-    return tuple(
-        CoincidenceRow(a, b, *sample_outcome_stream(p, every_pair, rng, det))
-        for (a, b), p in zip(pairs, tables)
-    )
+    every_pair = range(n_pairs)  # read for its length
+    return [sample_outcome_stream(p, every_pair, rng, det) for p in tables]
 
 
 def sample_outcome_stream(
-    joint: np.ndarray, stratum_idx: np.ndarray, rng: np.random.Generator, det: DetectorModel
+    joint: np.ndarray, stratum_idx: Sized, rng: np.random.Generator, det: DetectorModel
 ) -> list[int]:
     """Coincidence counts per cell of ``len(stratum_idx)`` emitted pairs.
 
@@ -280,9 +301,11 @@ def sample_outcome_stream(
     expected accidentals nothing more is drawn, which leaves the stream
     as the draw would: numpy's Poisson draw at rate 0 consumes no state.
     Counts are Python ints: their total can pass 2**63.  Only
-    ``len(stratum_idx)`` is read: the argument stays because the
-    benchmark's layer tracing counts pairs from it, until the bench reads
-    the package's own stage counters (ROADMAP direction 7).
+    ``len(stratum_idx)`` is read, and every caller passes
+    ``range(n_pairs)``, which has a length and holds nothing: the argument
+    stays because the benchmark's layer tracing counts pairs from its
+    length, until the bench reads the package's own stage counters
+    (ROADMAP direction 7).
     """
     n_pairs = len(stratum_idx)
     counts = rng.multinomial(rng.binomial(n_pairs, det.coincidence_efficiency()), joint).tolist()

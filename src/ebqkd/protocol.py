@@ -29,15 +29,19 @@ CHSH cells and per Bell label its key cells and their codes ``cell ^ flip``
 :func:`sift` reads.  The CHSH rows of the counts table are cell counts, the
 matched rows a :func:`~ebqkd.measurement.tally` of the disclosed codes.
 
-:func:`estimate` is the one estimator behind ``sweep``, ``session`` and
-``analyze``: it turns a :class:`~ebqkd.measurement.CoincidenceTable` into
-S, the per-basis and pooled QBER and the security report.
+:func:`estimate_counts` is the one estimator behind ``sweep``, ``session``
+and ``analyze``: it turns outcome quadruples, in a layout's order, into S,
+the per-basis and pooled QBER and the security report.  A sweep point and a
+count file hand it their quadruples; a session keeps its
+:class:`~ebqkd.measurement.CoincidenceTable`, whose rows :func:`estimate`
+looks up for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -49,7 +53,9 @@ from .measurement import (
     DetectorModel,
     arrange_cells,
     bob_flip,
+    check_counts,
     check_draw,
+    check_seed,
     hwp_key,
     intercept_resend,
     sample_outcome_stream,
@@ -82,7 +88,7 @@ class ProtocolKind:
     carrying the bit errors, the other the phase errors.
     ``chsh_pairs``, whose outcomes feed the security CHSH test, holds the
     indices of the canonical CHSH settings in ``pairs()`` order, or ``()``.
-    :meth:`key_plan` gives, per Bell label, what :func:`estimate` reads of
+    :meth:`key_plan` gives, per Bell label, what :func:`estimate_counts` reads of
     each key basis, :meth:`key_cells` and :meth:`chsh_cells` a session's cells.
     """
 
@@ -175,8 +181,7 @@ class SessionConfig:
 
     def __post_init__(self) -> None:
         check_draw(self.n_pairs, self.detector)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {echo(repr(self.seed))}")
+        check_seed(self.seed)
         if not 0.0 < self.qber_sample_fraction < 1.0:
             raise ValueError(
                 f"qber_sample_fraction must be in (0, 1), got {self.qber_sample_fraction!r}"
@@ -245,7 +250,7 @@ def run_session(cfg: SessionConfig) -> SessionRecord:
     # counts of all n_pairs pairs (sample_outcome_stream's own order), then
     # the arrangement of the sifted codes (arrange_cells' own order).
     joint = intercept_resend(state, cfg.kind.alice_settings(), cfg.kind.bob_settings(), cfg.channel.eve_fraction)
-    every_pair = np.broadcast_to(np.uint8(0), (cfg.n_pairs,))  # read for its length
+    every_pair = range(cfg.n_pairs)  # read for its length
     counts = sample_outcome_stream(joint, every_pair, rng, cfg.detector)
     n_coincident = sum(counts)
 
@@ -317,35 +322,62 @@ def estimate(
     kind: ProtocolKind,
     settings: chsh.ChshSettings | None = None,
 ) -> Estimate:
-    """CHSH value, QBERs and security report from one coincidence table.
-
-    The table must hold a row per matched basis of ``kind``; key errors
-    are counted against the ideal state of ``label`` (see
-    :func:`~ebqkd.measurement.wrong_outcomes`), as ``kind.key_plan(label)``
-    lists them: each basis' setting pair, axis and error outcomes are
-    derived once, when ``kind`` is built, and each row's total is read
-    once.  With ``settings`` the table must also hold the four CHSH rows
-    and Eve's bound uses the measured S; without, the linear disturbance
-    law stands in.
+    """CHSH value, QBERs and security report from one coincidence table:
+    its rows of the layout, ``settings.pairs() + kind.key_pairs()`` (the
+    key pairs alone without ``settings``), looked up in that order and
+    handed to :func:`estimate_counts`.
 
     Raises:
         measurement.IncompleteTableError: a required row is missing, or a
             CHSH row is empty.
         EmptyBasisError: a matched basis holds no coincidences.
     """
+    pairs = kind.key_pairs() if settings is None else settings.pairs() + kind.key_pairs()
+    return estimate_counts([table.row(a, b).counts() for a, b in pairs], label, kind, settings)
+
+
+def estimate_counts(
+    counts: Sequence[Sequence[float]],
+    label: BellLabel,
+    kind: ProtocolKind,
+    settings: chsh.ChshSettings | None = None,
+) -> Estimate:
+    """CHSH value, QBERs and security report from outcome counts.
+
+    ``counts`` holds one quadruple ``(n_pp, n_pm, n_mp, n_mm)`` per setting
+    pair in the layout's order, ``settings.pairs() + kind.key_pairs()``
+    (``kind.key_pairs()`` alone without ``settings``); each must pass
+    :func:`~ebqkd.measurement.check_counts`.  Key errors are counted
+    against the ideal state of ``label`` (see
+    :func:`~ebqkd.measurement.wrong_outcomes`), as ``kind.key_plan(label)``
+    lists them: each basis' axis and error outcomes are derived once, when
+    ``kind`` is built.  With ``settings`` Eve's bound uses the measured S
+    (:func:`~ebqkd.chsh.s_from_quadruples`); without, the linear
+    disturbance law stands in.
+
+    Raises:
+        ValueError: a count is negative, infinite or NaN, or ``counts``
+            does not hold one quadruple per setting pair of the layout.
+        measurement.IncompleteTableError: a CHSH setting pair is empty.
+        EmptyBasisError: a matched basis holds no coincidences.
+    """
+    n_chsh = 0 if settings is None else 4
+    if len(counts) != (n_pairs := n_chsh + len(kind.key_pairs())):
+        raise ValueError(f"{len(counts)} count quadruples for the {n_pairs} setting pairs of the layout")
+    for quadruple in counts:
+        check_counts(quadruple)
     per_basis: dict[float, float] = {}
     n_wrong = n_total = 0
-    for a, b, pol, (i, j) in kind.key_plan(label):
-        row = table.row(a, b)
-        total = row.total
+    for quadruple, (_, _, pol, (i, j)) in zip(counts[n_chsh:], kind.key_plan(label)):
+        n_pp, n_pm, n_mp, n_mm = quadruple
+        total = n_pp + n_pm + n_mp + n_mm
         if total == 0:
             raise EmptyBasisError(f"zero coincidences in the compatible basis at {pol:g} deg polarization")
-        counts = row.counts()
-        wrong = counts[i] + counts[j]
+        wrong = quadruple[i] + quadruple[j]
         per_basis[pol] = wrong / total
         n_wrong += wrong
         n_total += total
-    s_est = chsh.s_from_counts(table, settings) if settings is not None else None
+    s_est = chsh.s_from_quadruples(counts, settings) if settings is not None else None
     e_b, e_p = (per_basis[pol] for pol in sorted(per_basis))
     return Estimate(
         chsh=s_est,

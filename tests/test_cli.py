@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import ebqkd
@@ -252,17 +253,45 @@ class TestSweep:
 
     def test_empty_chsh_row_is_an_error(self, monkeypatch):
         # A CHSH setting pair that drew no coincidence has no correlator,
-        # whichever seed left it empty: the (0, 67.5) deg pair's draw is emptied.
-        empty = chsh.canonical_settings(qstate.BellLabel.PHI_PLUS).pairs()[1]
-
+        # whichever seed left it empty: the (0, 67.5) deg pair's draw, the
+        # second count list, is emptied.
         def one_chsh_pair_empty(*args):
-            rows = measurement.sample_outcomes(*args)
-            return [dataclasses.replace(r, n_pp=0, n_pm=0, n_mp=0, n_mm=0) if (r.a, r.b) == empty else r for r in rows]
+            counts = measurement.sample_outcomes(*args)
+            return [[0, 0, 0, 0] if k == 1 else c for k, c in enumerate(counts)]
 
         monkeypatch.setattr(cli, "sample_outcomes", one_chsh_pair_empty)
         spec = cli.SweepSpec("werner", (0.9,), n_pairs=1000, detector=cli.DetectorModel(0.8))
         with pytest.raises(chsh.IncompleteTableError, match=r"^zero total coincidences for setting pair \(0, 67\.5\) deg$"):
             cli.run_sweep(spec, seed=1)
+
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+        ("3", "seed must be an integer, got '3'"),
+        (-1, "seed must be >= 0, got -1"),
+    ])
+    def test_seed_must_be_an_integer_at_least_zero(self, seed, message):
+        # 1.5 and True used to give seed 1's rows ("int(seed)"), "3" seed 3's,
+        # and -1 numpy's bare "expected non-negative integer".
+        spec = cli.SweepSpec("werner", (0.9,), n_pairs=1000)
+        with pytest.raises(cli.ConfigError, match=f"^{re.escape(message)}$"):
+            cli.run_sweep(spec, seed=seed)
+        assert cli.run_sweep(spec, seed=np.int64(3)) == cli.run_sweep(spec, seed=3)
+
+    def test_a_sweep_builds_no_row_table_or_key(self, monkeypatch):
+        # A grid point hands its six count lists straight to the estimator:
+        # no CoincidenceRow, no CoincidenceTable and no hwp_key lookup.
+        calls = []
+        for cls in (measurement.CoincidenceRow, measurement.CoincidenceTable):
+            post_init = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__", lambda self, f=post_init: calls.append(type(self)) or f(self))
+        key = measurement.hwp_key
+        for module in (measurement, chsh, protocol, ingest):
+            monkeypatch.setattr(module, "hwp_key", lambda *args: calls.append("hwp_key") or key(*args))
+        for label in qstate.BellLabel:
+            spec = cli.SweepSpec("werner", (1.0, 0.9, 0.8), n_pairs=10_000, label=label)
+            assert len(cli.run_sweep(spec, seed=5)) == 3
+        assert calls == []
 
     @pytest.mark.parametrize("workers,grid,cpus,expected", [
         (64, 5, 3, 3), (64, 5, 8, 5), (2, 5, 8, 2), (4, 1, 8, None), (4, 5, None, None),

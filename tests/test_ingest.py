@@ -400,6 +400,19 @@ class TestSharedEstimator:
             direct.per_basis_qber[pol] for pol in sorted(direct.per_basis_qber)
         )
 
+    @pytest.mark.parametrize("window", [None, 1e-8])
+    @pytest.mark.parametrize("kind", [BBM92, E91])
+    def test_analysis_builds_no_row_or_table(self, monkeypatch, kind, window):
+        # A count file's quadruples go straight to the estimator.
+        record = synthesize_counts(werner_state(BellLabel.PSI_PLUS, 0.9), BellLabel.PSI_PLUS,
+                                   n_pairs_per_row=10_000, seed=2, protocol=kind)
+        built = []
+        for cls in (CoincidenceRow, CoincidenceTable):
+            post_init = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__", lambda self, f=post_init: built.append(type(self)) or f(self))
+        analyze_counts(record, protocol=kind, accidental_window=window)
+        assert built == []
+
 
 class TestAnalyze:
     def test_maximal_phi_plus_fixture(self, fixtures_dir):
@@ -548,6 +561,16 @@ class TestSynthesize:
             r"^detector\.dark_rate gives 1e\+21 expected accidental coincidences over 1000000000000000000 pairs,"
         )):
             synthesize_counts(state, BellLabel.PHI_PLUS, 10**18, 1, detector=DetectorModel(dark_rate=1e3))
+
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+        (-1, "seed must be >= 0, got -1"),
+    ])
+    def test_seed_must_be_an_integer_at_least_zero(self, seed, message):
+        # 1.5 used to run as seed 1.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            synthesize_counts(werner_state(BellLabel.PHI_PLUS, 0.9), BellLabel.PHI_PLUS, 1000, seed)
 
 
 class TestUncertaintyReproduction:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -42,8 +43,8 @@ def setting(pol_deg):
 
 def sample_pair(state, a, b, det, n, seed):
     """Counts of one setting pair, drawn by the batched sampler."""
-    (row,) = sample_outcomes(born_table(state.bloch, [(a, b)]), [(a, b)], det, n, spawn_rng(seed))
-    return row.counts()
+    (counts,) = sample_outcomes(born_table(state.bloch, [(a, b)]), [(a, b)], det, n, spawn_rng(seed))
+    return tuple(counts)
 
 
 class TestAnalyzerSetting:
@@ -121,6 +122,13 @@ class TestDetectorModel:
         with pytest.raises(ValueError, match=r"^window_pairs must be in \[1, 2\*\*63\)"):
             DetectorModel(window_pairs=window_pairs)
         assert DetectorModel(dark_rate=1.0, window_pairs=2**63 - 1).expected_accidentals(2**63 - 1) == 1.0
+
+    @pytest.mark.parametrize("window_pairs", [1.5, 2.0, True, "4"])
+    def test_window_pairs_must_be_an_integer(self, window_pairs):
+        # 1.5 used to give accidentals over 1.5 pairs per window.
+        with pytest.raises(ValueError, match=f"^window_pairs must be an integer, got {re.escape(repr(window_pairs))}$"):
+            DetectorModel(dark_rate=0.01, window_pairs=window_pairs)
+        assert DetectorModel(window_pairs=np.int64(4)).window_pairs == 4
 
     @pytest.mark.parametrize("dark_rate", [-1.0, math.nan, math.inf, -math.inf])
     def test_dark_rate_must_be_finite_and_nonnegative(self, dark_rate):
@@ -282,9 +290,9 @@ class TestSampleOutcomes:
                 return sample_outcomes(born_table(sampled.bloch, pairs), pairs, det, 20_000, rng)
 
             rows = draw(pairs, spawn_rng(11))
-            assert [(r.a, r.b) for r in rows] == pairs
+            assert len(rows) == len(pairs) and all(len(counts) == 4 for counts in rows)
             rng = spawn_rng(11)
-            assert rows == tuple(row for pair in pairs for row in draw([pair], rng))
+            assert rows == [counts for pair in pairs for counts in draw([pair], rng)]
             for k in range(1, len(pairs)):
                 assert draw(pairs[:k], spawn_rng(11)) == rows[:k]
 
@@ -820,12 +828,12 @@ class TestInterceptResend:
         a, b = setting(10), setting(55)
         det = DetectorModel(efficiency=0.7)
         rng_lib, rng_ref = np.random.default_rng(4), np.random.default_rng(4)
-        (row,) = sample_outcomes(born_table(state.bloch, [(a, b)]), [(a, b)], det, 50_000, rng_lib)
+        (counts,) = sample_outcomes(born_table(state.bloch, [(a, b)]), [(a, b)], det, 50_000, rng_lib)
         n_coinc = rng_ref.binomial(50_000, det.coincidence_efficiency())
         p = joint_probabilities(state, a, b).as_array()
         expected = rng_ref.multinomial(n_coinc, p / p.sum())
         rng_ref.poisson(det.expected_accidentals(50_000))
-        assert row.counts() == tuple(int(c) for c in expected)
+        assert counts == [int(c) for c in expected]
         assert rng_lib.random() == rng_ref.random()
 
     def test_full_interception_qber(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -412,6 +413,18 @@ class TestRunSession:
         for n_pairs in (1e6, True):
             with pytest.raises(ValueError, match=f"^n_pairs must be an integer, got {n_pairs!r}$"):
                 config(n_pairs=n_pairs)
+
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, "seed must be an integer, got 1.5"),
+        ("3", "seed must be an integer, got '3'"),
+        (True, "seed must be an integer, got True"),
+        (-1, "seed must be >= 0, got -1"),
+    ])
+    def test_seed_must_be_an_integer_at_least_zero(self, seed, message):
+        # 1.5 and "3" used to fail inside numpy, True to run as seed 1.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config(seed=seed)
+        assert run_session(config(seed=np.int64(3), n_pairs=1000)).counts == run_session(config(seed=3, n_pairs=1000)).counts
 
     def test_a_sifted_count_past_int64_names_the_key_that_does_not_fit(self, monkeypatch):
         # No array has 2**63 cells: the guard says so before numpy refuses
@@ -871,3 +884,77 @@ class TestEstimate:
         rows.append(CoincidenceRow(settings.a_prime, settings.b_prime, 0, 0, 0, 0))
         with pytest.raises(chsh.IncompleteTableError, match="zero total"):
             estimate(CoincidenceTable(tuple(rows)), BellLabel.PHI_PLUS, BBM92, settings)
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the class and message of what it raises, as text."""
+    try:
+        return repr(call())
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+#: A count quadruple: 64-bit counts (past 2**53 too), nonnegative floats as
+#: ``expected_table`` gives them, or an empty row.
+QUADRUPLES = st.one_of(
+    st.tuples(*[st.integers(0, 2**63 - 1)] * 4),
+    st.tuples(*[st.integers(0, 20)] * 4),
+    st.tuples(*[st.floats(0.0, 1e18, allow_nan=False, allow_infinity=False)] * 4),
+    st.just((0, 0, 0, 0)),
+)
+
+
+class TestEstimateCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from([BBM92, E91]),
+        label=st.sampled_from(BellLabel),
+        with_settings=st.booleans(),
+        counts=st.lists(QUADRUPLES, min_size=6, max_size=6),
+        order=st.permutations(range(6)),
+    )
+    def test_table_and_quadruples_agree_bit_for_bit(self, kind, label, with_settings, counts, order):
+        # estimate looks the rows up, in whatever order the table holds
+        # them, and hands them on in the layout's order: every float of the
+        # result (compared by repr) and every error is the same.
+        chsh_settings = chsh.canonical_settings(label) if with_settings else None
+        pairs = (chsh_settings.pairs() if with_settings else ()) + kind.key_pairs()
+        counts = counts[:len(pairs)]
+        rows = [CoincidenceRow(a, b, *n) for (a, b), n in zip(pairs, counts)]
+        table = CoincidenceTable(tuple(rows[k] for k in order if k < len(rows)))
+        by_table = _outcome(lambda: estimate(table, label, kind, chsh_settings))
+        assert by_table == _outcome(lambda: protocol.estimate_counts(counts, label, kind, chsh_settings))
+        assert by_table == _outcome(lambda: protocol.estimate_counts([list(n) for n in counts], label, kind, chsh_settings))
+
+    @pytest.mark.parametrize("bad", [math.nan, -1, -0.5, math.inf])
+    @pytest.mark.parametrize("position", [0, 5])
+    def test_a_bad_count_is_refused_by_both_entries_with_one_message(self, bad, position):
+        settings_ = chsh.canonical_settings(BellLabel.PHI_PLUS)
+        counts = [[10, 1, 1, 10] for _ in range(6)]
+        counts[position][2] = bad
+        message = "^coincidence counts must be finite and nonnegative$"
+        with pytest.raises(ValueError, match=message):
+            CoincidenceRow(*(settings_.pairs() + BBM92.key_pairs())[position], *counts[position])
+        with pytest.raises(ValueError, match=message):
+            protocol.estimate_counts(counts, BellLabel.PHI_PLUS, BBM92, settings_)
+
+    @pytest.mark.parametrize("n_quadruples, with_settings", [(2, True), (5, True), (7, True), (1, False), (6, False)])
+    def test_quadruples_must_match_the_layout(self, n_quadruples, with_settings):
+        settings_ = chsh.canonical_settings(BellLabel.PHI_PLUS) if with_settings else None
+        expected = 6 if with_settings else 2
+        with pytest.raises(ValueError, match=rf"^{n_quadruples} count quadruples for the {expected} setting pairs of the layout$"):
+            protocol.estimate_counts([[10, 1, 1, 10]] * n_quadruples, BellLabel.PHI_PLUS, BBM92, settings_)
+
+    def test_zero_rows_raise_through_both_entries(self):
+        settings_ = chsh.canonical_settings(BellLabel.PHI_PLUS)
+        pairs = settings_.pairs() + BBM92.key_pairs()
+        for empty, error, message in (
+            (1, chsh.IncompleteTableError, r"^zero total coincidences for setting pair \(0, 67\.5\) deg$"),
+            (5, EmptyBasisError, r"^zero coincidences in the compatible basis at 45 deg polarization$"),
+        ):
+            counts = [[0, 0, 0, 0] if k == empty else [10, 1, 1, 10] for k in range(6)]
+            table = CoincidenceTable(tuple(CoincidenceRow(a, b, *n) for (a, b), n in zip(pairs, counts)))
+            for call in (lambda: estimate(table, BellLabel.PHI_PLUS, BBM92, settings_),
+                         lambda: protocol.estimate_counts(counts, BellLabel.PHI_PLUS, BBM92, settings_)):
+                with pytest.raises(error, match=message):
+                    call()

@@ -63,19 +63,24 @@ def src_lines(tree: Path) -> int:
     return sum(len(p.read_bytes().splitlines()) for p in sorted((tree / "src" / "ebqkd").glob("*.py")))
 
 
-def run_tree(tree: Path) -> dict:
-    """Digests and failed ops of one tree, from a fresh interpreter."""
-    if not (tree / "bench" / "run.py").is_file():
-        raise RuntimeError(f"{tree}: no bench/run.py")
+def run_tree(
+    tree: Path, child: str = CHILD, args: tuple[str, ...] = (str(SEED), json.dumps(OPS)), needs: str = "bench/run.py"
+) -> dict:
+    """The JSON object that ``child`` prints last, run in a fresh
+    interpreter of ``tree`` (``-B``, no ``PYTHONPATH``, working directory
+    ``tree``) with argv ``[tree, *args]``; by default, this tool's ops.
+    ``needs`` is a file the tree must hold."""
+    if not (tree / needs).is_file():
+        raise RuntimeError(f"{tree}: no {needs}")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
-    child = subprocess.run(
-        [sys.executable, "-B", "-c", CHILD, str(tree), str(SEED), json.dumps(OPS)],
+    run = subprocess.run(
+        [sys.executable, "-B", "-c", child, str(tree), *args],
         capture_output=True, text=True, cwd=tree, env=env,
     )
-    if child.returncode != 0:
-        raise RuntimeError(f"{tree}: the bench did not run:\n{child.stderr.strip()}")
-    return json.loads(child.stdout.splitlines()[-1])
+    if run.returncode != 0:
+        raise RuntimeError(f"{tree}: the child did not run:\n{run.stderr.strip()}")
+    return json.loads(run.stdout.splitlines()[-1])
 
 
 def compare(a: dict, b: dict) -> list[str]:
